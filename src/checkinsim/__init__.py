@@ -7,7 +7,7 @@ detection (analytics), venue-side presence verification (verify), and a
 population/scenario harness with a CLI (harness, cli).
 """
 
-from .anticheat import Flag, PriorCheckin, RuleConfig, RuleVerdict, UserRuleState, evaluate
+from .anticheat import Flag, RuleConfig, RuleVerdict, UserRuleState, offline_verdicts
 from .attacker import (
     AttackSchedule,
     BBox,

@@ -8,13 +8,12 @@ export files alone; ground truth never feeds a detector.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint, haversine_m
-from .tables import EventRow, PublicTables
+from .tables import EventRow, PublicTables, write_csv
 
 
 class CurvePoint(NamedTuple):
@@ -50,31 +49,18 @@ class SuspicionRecord:
     reasons: tuple[str, ...]
 
 
-def compute_recent_ratio_curve(
-    tables: PublicTables, max_total: int = 2000
-) -> list[CurvePoint]:
-    """Mean recent-list appearances per total-check-in count (totals <= cap)."""
+def compute_curve(tables: PublicTables, column: str, max_total: int = 2000) -> list[CurvePoint]:
+    """Mean of a ``UserRow`` column per total-check-in count (totals <= cap).
+
+    ``column`` is ``"recent_checkins"`` for the recent-list curve or
+    ``"total_badges"`` for the badge curve.
+    """
     sums: dict[int, int] = {}
     counts: dict[int, int] = {}
     for u in tables.users.values():
         if u.total_checkins > max_total:
             continue
-        sums[u.total_checkins] = sums.get(u.total_checkins, 0) + u.recent_checkins
-        counts[u.total_checkins] = counts.get(u.total_checkins, 0) + 1
-    return [
-        CurvePoint(total, sums[total] / counts[total], counts[total])
-        for total in sorted(sums)
-    ]
-
-
-def compute_badge_curve(tables: PublicTables, max_total: int = 2000) -> list[CurvePoint]:
-    """Mean badge count per total-check-in count (totals <= cap)."""
-    sums: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for u in tables.users.values():
-        if u.total_checkins > max_total:
-            continue
-        sums[u.total_checkins] = sums.get(u.total_checkins, 0) + u.total_badges
+        sums[u.total_checkins] = sums.get(u.total_checkins, 0) + getattr(u, column)
         counts[u.total_checkins] = counts.get(u.total_checkins, 0) + 1
     return [
         CurvePoint(total, sums[total] / counts[total], counts[total])
@@ -180,7 +166,9 @@ def build_report(
     report: list[SuspicionRecord] = []
     for user_id in sorted(tables.users):
         u = tables.users[user_id]
-        assert u.recent_checkins <= u.total_checkins or u.total_checkins == 0
+        if u.recent_checkins > u.total_checkins and u.total_checkins != 0:
+            raise ValueError(f"UserInfo row for user {user_id}: recent_checkins "
+                             f"{u.recent_checkins} exceeds total_checkins {u.total_checkins}")
         ratio = u.recent_checkins / u.total_checkins if u.total_checkins else 0.0
 
         reasons: list[str] = []
@@ -215,24 +203,14 @@ def build_report(
 
 
 def write_report_csv(report: Sequence[SuspicionRecord], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user_id", "recent_ratio", "badge_flag", "daily_rate",
-                    "infeasible_pairs", "clusters", "suspicious", "reasons"])
-        for r in report:
-            w.writerow([r.user_id, f"{r.recent_ratio:.6f}", int(r.badge_flag), f"{r.daily_rate:.4f}",
-                        r.infeasible_pairs, r.clusters, int(r.suspicious), ";".join(r.reasons)])
-    return path
+    header = ["user_id", "recent_ratio", "badge_flag", "daily_rate",
+              "infeasible_pairs", "clusters", "suspicious", "reasons"]
+    rows = ([r.user_id, f"{r.recent_ratio:.6f}", int(r.badge_flag), f"{r.daily_rate:.4f}",
+             r.infeasible_pairs, r.clusters, int(r.suspicious), ";".join(r.reasons)]
+            for r in report)
+    return write_csv(Path(path), header, rows)
 
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: str | Path, value_name: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["total_checkins", value_name, "n_users"])
-        for point in curve:
-            w.writerow([point.total_checkins, f"{point.mean_value:.6f}", point.n_users])
-    return path
+    rows = ([p.total_checkins, f"{p.mean_value:.6f}", p.n_users] for p in curve)
+    return write_csv(Path(path), ["total_checkins", value_name, "n_users"], rows)

@@ -4,6 +4,9 @@ Four rules run on every submitted check-in: a same-venue cooldown, an implied
 travel-speed bound, a rapid-fire cluster rule, and a reported-GPS distance
 check. Rules see only reported data, never simulation ground truth, and only
 previously *valid* check-ins feed their state.
+
+``UserRuleState`` is the one rule engine: the world feeds it live
+submissions, and ``offline_verdicts`` replays a recorded trace through it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .geo import GeoPoint, MILE_M, OutOfProjectionRange, fits_square, haversine_m
 
@@ -70,68 +73,6 @@ class RuleVerdict:
 VALID_VERDICT = RuleVerdict(True)
 
 
-class PriorCheckin(NamedTuple):
-    """One earlier submission by the same user, as the rules see it."""
-
-    t: int
-    venue_id: int
-    venue_location: GeoPoint
-    valid: bool
-
-
-def rule_frequent(
-    history: Sequence[PriorCheckin], venue_id: int, t: int, config: RuleConfig
-) -> Optional[tuple[Flag, float]]:
-    """Flag a repeat check-in to the same venue inside the cooldown window."""
-    for prior in reversed(history):
-        if prior.valid and prior.venue_id == venue_id:
-            elapsed = t - prior.t
-            if elapsed < config.frequent_window_s:
-                return Flag.FREQUENT_CHECKIN, float(elapsed)
-            return None
-    return None
-
-
-def rule_speed(
-    last_valid: Optional[PriorCheckin],
-    venue_location: GeoPoint,
-    t: int,
-    config: RuleConfig,
-) -> Optional[tuple[Flag, float]]:
-    """Flag travel between consecutive valid check-ins beyond the speed limit."""
-    if last_valid is None:
-        return None
-    dist = haversine_m(last_valid.venue_location, venue_location)
-    dt = t - last_valid.t
-    if dt <= 0:
-        # Same-instant submissions at distinct locations imply infinite speed.
-        if dist > 0.0:
-            return Flag.SUPER_HUMAN_SPEED, float("inf")
-        return None
-    speed = dist / dt
-    if speed > config.max_speed_m_per_s * (1.0 + _SPEED_SLACK):
-        return Flag.SUPER_HUMAN_SPEED, speed
-    return None
-
-
-def rule_rapidfire(
-    recent: Sequence[PriorCheckin],
-    candidate_location: GeoPoint,
-    config: RuleConfig,
-) -> Optional[tuple[Flag, float]]:
-    """Flag the Nth check-in of a tight cluster inside the rapid-fire window.
-
-    ``recent`` must contain only valid check-ins already inside the window.
-    """
-    if len(recent) < config.rapidfire_count - 1:
-        return None
-    points = [prior.venue_location for prior in recent]
-    points.append(candidate_location)
-    if _cluster_fits(points, config.rapidfire_side_m):
-        return Flag.RAPID_FIRE, float(len(points))
-    return None
-
-
 def _cluster_fits(points: list[GeoPoint], side_m: float) -> bool:
     try:
         return fits_square(points, side_m)
@@ -140,59 +81,13 @@ def _cluster_fits(points: list[GeoPoint], side_m: float) -> bool:
         return False
 
 
-def rule_gps(
-    reported_gps: GeoPoint, venue_location: GeoPoint, config: RuleConfig
-) -> Optional[tuple[Flag, float]]:
-    """Flag a reported device position too far from the venue."""
-    offset = haversine_m(reported_gps, venue_location)
-    if offset > config.gps_radius_m:
-        return Flag.GPS_MISMATCH, offset
-    return None
-
-
-def evaluate(
-    history: Sequence[PriorCheckin],
-    venue_id: int,
-    venue_location: GeoPoint,
-    reported_gps: GeoPoint,
-    t: int,
-    config: RuleConfig,
-) -> RuleVerdict:
-    """Run all rules against a submission given the user's prior check-ins.
-
-    Pure function of its arguments; identical replay yields identical verdicts.
-    """
-    last_valid = None
-    for prior in reversed(history):
-        if prior.valid:
-            last_valid = prior
-            break
-    window_start = t - config.rapidfire_window_s
-    recent = [p for p in history if p.valid and p.t > window_start]
-
-    results = [
-        rule_frequent(history, venue_id, t, config),
-        rule_speed(last_valid, venue_location, t, config),
-        rule_rapidfire(recent, venue_location, config),
-        rule_gps(reported_gps, venue_location, config),
-    ]
-    hits = [r for r in results if r is not None]
-    if not hits:
-        return VALID_VERDICT
-    return RuleVerdict(
-        valid=False,
-        flags=tuple(flag for flag, _ in hits),
-        detail={flag: value for flag, value in hits},
-    )
-
-
 class UserRuleState:
     """Streaming per-user rule state: O(1) evaluation per submission.
 
     Holds only what the rules need from valid history: the last valid
     check-in time per venue, the most recent valid check-in, and the valid
-    check-ins inside the rapid-fire window. Equivalent to ``evaluate`` over
-    the full history (see the test suite's replay properties).
+    check-ins inside the rapid-fire window. Submissions must arrive in time
+    order: the rapid-fire window is pruned as it slides forward.
     """
 
     __slots__ = ("last_valid_t_by_venue", "last_valid", "recent")
@@ -264,7 +159,7 @@ def offline_verdicts(
     config: RuleConfig,
     prior_valid: Optional[Sequence[bool]] = None,
 ) -> list[RuleVerdict]:
-    """Recompute every verdict of a full trace by brute-force rescan.
+    """Recompute every verdict of a full trace through a fresh ``UserRuleState``.
 
     ``trace`` rows are (t, venue_id, venue_location, reported_gps), time
     ordered. By default validity chains through the recomputed verdicts;
@@ -272,11 +167,11 @@ def offline_verdicts(
     outcome instead (used when replaying logs whose acceptance was also
     gated by presence attestation).
     """
-    history: list[PriorCheckin] = []
+    state = UserRuleState()
     verdicts: list[RuleVerdict] = []
     for i, (t, venue_id, venue_location, reported_gps) in enumerate(trace):
-        verdict = evaluate(history, venue_id, venue_location, reported_gps, t, config)
+        verdict = state.evaluate_next(venue_id, venue_location, reported_gps, t, config)
         verdicts.append(verdict)
-        was_valid = verdict.valid if prior_valid is None else prior_valid[i]
-        history.append(PriorCheckin(t, venue_id, venue_location, was_valid))
+        if verdict.valid if prior_valid is None else prior_valid[i]:
+            state.record_valid(venue_id, venue_location, t)
     return verdicts

@@ -25,10 +25,11 @@ from .attacker import (
 from .geo import GeoPoint
 from .harness import (
     InvalidConfig,
-    generate_population,
+    build_world,
     load_scenario,
     run_scenario,
     venue_index,
+    write_exports,
 )
 from .tables import MissingTables, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
@@ -101,18 +102,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    scenario = load_scenario(args.config)
-    world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
-                  seed=args.seed if args.seed is not None else scenario.population.seed)
-    population = scenario.population
-    if args.seed is not None:
-        import dataclasses
-
-        population = dataclasses.replace(population, seed=args.seed)
-    generate_population(population, world)
+    world, _ = build_world(load_scenario(args.config), args.seed)
     out = Path(args.out)
-    world.export_public_profiles(out)
-    world.export_events(out / "events.jsonl")
+    write_exports(world, out)
     if args.snapshot:
         world.save_state(out / "world.snap")
     print(f"generated {len(world.users)} users, {len(world.venues)} venues, "
@@ -171,8 +163,7 @@ def _cmd_attack_exec(args) -> int:
     attacker_id = world.register_user(args.true_location, is_cheater=True)
     records = execute(world, attacker_id, schedule, args.true_location)
     out = Path(args.out)
-    world.export_public_profiles(out)
-    world.export_events(out / "events.jsonl")
+    write_exports(world, out)
     world.save_state(out / "world.snap")
     valid = sum(1 for r in records if r.accepted)
     print(f"attacker {attacker_id}: {valid}/{len(records)} check-ins valid, "
@@ -222,8 +213,7 @@ def _cmd_verify_replay(args) -> int:
 def _cmd_export(args) -> int:
     world = World.load_state(args.snapshot)
     out = Path(args.out)
-    world.export_public_profiles(out)
-    world.export_events(out / "events.jsonl")
+    write_exports(world, out)
     print(f"exports written to {out}")
     return 0
 

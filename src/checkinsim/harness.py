@@ -265,16 +265,30 @@ def _evader_checkins(rng, user_id: int, home: GeoPoint, config: PopulationConfig
         out.append((fire_time, user_id, venue_id, venues[venue_id - 1].location, home))
 
 
-def generate_population(config: PopulationConfig, world: Optional[World] = None) -> World:
+def generate_population(config: PopulationConfig) -> World:
     """Build a seeded world: venues, users, and their full check-in history."""
-    config.validate()
-    if world is None:
-        world = World(seed=config.seed)
-    if not world.venues:
-        _register_venues(world, config)
-    index = venue_index(world)
-    _generate_checkins(world, config, index)
+    world, _ = build_world(ScenarioConfig(population=config))
     return world
+
+
+def build_world(scenario: ScenarioConfig,
+                seed: Optional[int] = None) -> tuple[World, VenueGridIndex]:
+    """Register venues, install routers, index venues and generate check-ins.
+
+    ``seed`` overrides the population seed. Returns the world and its venue
+    index, which attacks plan against.
+    """
+    population = scenario.population
+    if seed is not None:
+        population = dataclasses.replace(population, seed=seed)
+    population.validate()
+    world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
+                  seed=population.seed, strict_verify=scenario.strict_verify)
+    _register_venues(world, population)
+    _install_routers(world, scenario)
+    index = venue_index(world)
+    _generate_checkins(world, population, index)
+    return world, index
 
 
 def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridIndex) -> None:
@@ -394,33 +408,20 @@ class ScenarioResult:
 def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
                  seed: Optional[int] = None) -> ScenarioResult:
     """Generate, attack, export, detect; write every artifact under out_dir."""
-    population = scenario.population
-    if seed is not None:
-        population = dataclasses.replace(population, seed=seed)
-    population.validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
-                  seed=population.seed, strict_verify=scenario.strict_verify)
-    _register_venues(world, population)
-    _install_routers(world, scenario)
-    index = venue_index(world)
-    _generate_checkins(world, population, index)
+    world, index = build_world(scenario, seed)
     attack_summaries = [_run_attack(world, spec, index) for spec in scenario.attacks]
-
-    paths = world.export_public_profiles(out)
-    paths["events"] = world.export_events(out / "events.jsonl")
+    paths = write_exports(world, out)
 
     tables = load_tables(out)
     events = load_events(paths["events"])
     report = analytics.build_report(tables, events, scenario.thresholds)
     paths["report"] = analytics.write_report_csv(report, out / "report.csv")
     paths["recent_curve"] = analytics.write_curve_csv(
-        analytics.compute_recent_ratio_curve(tables, scenario.thresholds.curve_max_total),
+        analytics.compute_curve(tables, "recent_checkins", scenario.thresholds.curve_max_total),
         out / "recent_ratio_curve.csv", "mean_recent_checkins")
     paths["badge_curve"] = analytics.write_curve_csv(
-        analytics.compute_badge_curve(tables, scenario.thresholds.curve_max_total),
+        analytics.compute_curve(tables, "total_badges", scenario.thresholds.curve_max_total),
         out / "badge_curve.csv", "mean_badges")
 
     metrics = _metrics(world, report, attack_summaries)
@@ -430,6 +431,14 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     if scenario.export_snapshot:
         paths["snapshot"] = world.save_state(out / "world.snap")
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
+
+
+def write_exports(world: World, out: str | Path) -> dict[str, Path]:
+    """Write the public profiles and ``events.jsonl`` under ``out``."""
+    out = Path(out)
+    paths = world.export_public_profiles(out)
+    paths["events"] = world.export_events(out / "events.jsonl")
+    return paths
 
 
 def _install_routers(world: World, scenario: ScenarioConfig) -> None:

@@ -8,7 +8,7 @@ cannot help. Regions crossing the antimeridian are not supported.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .geo import GeoPoint, METERS_PER_DEG, haversine_m
 
@@ -115,20 +115,3 @@ class VenueGridIndex:
         hits.sort()
         return [(venue_id, d) for d, venue_id in hits]
 
-
-def nearest_linear(
-    entries: Sequence[tuple[int, GeoPoint]],
-    p: GeoPoint,
-    exclude: frozenset[int] | set[int] = frozenset(),
-) -> Optional[tuple[int, float]]:
-    """Brute-force nearest scan; the reference the grid index must agree with."""
-    best: Optional[tuple[float, int]] = None
-    for venue_id, loc in entries:
-        if venue_id in exclude:
-            continue
-        cand = (haversine_m(p, loc), venue_id)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    return best[1], best[0]

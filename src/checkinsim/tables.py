@@ -1,7 +1,8 @@
 """Public-profile table model: the crawlable projection of a world.
 
-Loads the CSV exports (UserInfo, VenueInfo, RecentCheckin) and the event
-log, for consumption by the attacker planner and the offline detectors.
+Owns the CSV export format (UserInfo, VenueInfo, RecentCheckin): writes it
+and reads it back, and loads the event log, for consumption by the attacker
+planner and the offline detectors.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint
 
@@ -57,6 +58,31 @@ class PublicTables:
     users: dict[int, UserRow]
     venues: dict[int, VenueRow]
     recent: list[tuple[int, int]]  # (venue_id, user_id)
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write one CSV file in the dialect of every export (``\\n`` line ends)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
+def write_tables(tables: PublicTables, destination: str | Path) -> dict[str, Path]:
+    """Write the three public CSV exports that ``load_tables`` reads."""
+    dest = Path(destination)
+    venue_rows = ([v.venue_id, v.name, repr(v.lat), repr(v.lon), v.total_checkins,
+                   v.unique_visitors, "" if v.mayor_id is None else v.mayor_id,
+                   1 if v.has_mayor_special else 0]
+                  for v in tables.venues.values())
+    return {
+        "UserInfo": write_csv(dest / "UserInfo.csv", UserRow._fields, tables.users.values()),
+        "VenueInfo": write_csv(dest / "VenueInfo.csv", VenueRow._fields, venue_rows),
+        "RecentCheckin": write_csv(dest / "RecentCheckin.csv", ("venue_id", "user_id"),
+                                   tables.recent),
+    }
 
 
 def load_tables(directory: str | Path) -> PublicTables:

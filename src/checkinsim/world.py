@@ -8,7 +8,6 @@ analytics read immutable projections.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import pickle
@@ -20,6 +19,7 @@ from typing import Iterable, Optional
 from .anticheat import RuleConfig, RuleVerdict, UserRuleState
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
+from .tables import tables_from_world, write_tables
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -227,44 +227,7 @@ class World:
         Recent-visitor rows deliberately carry no timestamp, and nothing
         derived from ground truth is written.
         """
-        dest = Path(destination)
-        dest.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "UserInfo": dest / "UserInfo.csv",
-            "VenueInfo": dest / "VenueInfo.csv",
-            "RecentCheckin": dest / "RecentCheckin.csv",
-        }
-
-        recent_counts: dict[int, int] = {}
-        for venue in self.venues:
-            for uid in venue.recent_visitors:
-                recent_counts[uid] = recent_counts.get(uid, 0) + 1
-
-        with open(paths["UserInfo"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["user_id", "total_checkins", "total_badges", "total_mayorships", "recent_checkins"])
-            for u in self.users:
-                w.writerow([u.user_id, u.total_checkins, len(u.badges), u.total_mayorships,
-                            recent_counts.get(u.user_id, 0)])
-
-        with open(paths["VenueInfo"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["venue_id", "name", "lat", "lon", "total_checkins", "unique_visitors",
-                        "mayor_id", "has_mayor_special"])
-            for v in self.venues:
-                w.writerow([v.venue_id, v.name, repr(v.location.lat), repr(v.location.lon),
-                            v.total_checkins, v.unique_visitors,
-                            "" if v.mayor_id is None else v.mayor_id,
-                            1 if v.has_mayor_special else 0])
-
-        with open(paths["RecentCheckin"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["venue_id", "user_id"])
-            for v in self.venues:
-                for uid in v.recent_visitors:
-                    w.writerow([v.venue_id, uid])
-
-        return paths
+        return write_tables(tables_from_world(self), destination)
 
     def export_events(self, path: str | Path) -> Path:
         """Write the append-only event log as JSON lines."""

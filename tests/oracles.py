@@ -2,12 +2,17 @@
 
 These deliberately re-derive results from first principles (different
 formulas, full rescans) so they can serve as oracles for the production
-paths without sharing code with them.
+paths without sharing code with them. The one exception is
+``nearest_linear``, which measures with ``haversine_m`` so its distances can
+be compared with the grid index's exactly.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
+
+from checkinsim.geo import GeoPoint, haversine_m
 
 EARTH_R = 6_371_000.0
 
@@ -29,15 +34,17 @@ def bbox_fits(points, side_m: float) -> bool:
     return (max(xs) - min(xs)) <= side_m and (max(ys) - min(ys)) <= side_m
 
 
-def brute_verdicts(trace, config):
+def brute_verdicts(trace, config, prior_valid=None):
     """Recompute (valid, flag-name set) for every submission by full rescan.
 
     ``trace`` rows are (t, venue_id, venue_location, reported_gps), time
     ordered. Validity chains: only previously valid rows feed later rules.
+    With ``prior_valid``, row i feeds later rules exactly when
+    ``prior_valid[i]`` is true, whatever its own verdict.
     """
     out = []
     valid_so_far = []  # (t, venue_id, venue_location) of accepted rows
-    for t, venue_id, venue_loc, reported in trace:
+    for i, (t, venue_id, venue_loc, reported) in enumerate(trace):
         flags = set()
 
         if any(vj == venue_id and t - tj < config.frequent_window_s
@@ -66,6 +73,24 @@ def brute_verdicts(trace, config):
 
         valid = not flags
         out.append((valid, flags))
-        if valid:
+        if valid if prior_valid is None else prior_valid[i]:
             valid_so_far.append((t, venue_id, venue_loc))
     return out
+
+
+def nearest_linear(
+    entries: Sequence[tuple[int, GeoPoint]],
+    p: GeoPoint,
+    exclude: frozenset[int] | set[int] = frozenset(),
+) -> Optional[tuple[int, float]]:
+    """Brute-force nearest scan; the reference the grid index must agree with."""
+    best: Optional[tuple[float, int]] = None
+    for venue_id, loc in entries:
+        if venue_id in exclude:
+            continue
+        cand = (haversine_m(p, loc), venue_id)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return None
+    return best[1], best[0]

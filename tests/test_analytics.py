@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +8,7 @@ from checkinsim.analytics import (
     DetectionThresholds,
     account_age_days,
     build_report,
-    compute_badge_curve,
-    compute_recent_ratio_curve,
+    compute_curve,
     dispersion,
     flag_badge_anomaly,
     flag_daily_rate,
@@ -24,6 +24,7 @@ from checkinsim.tables import (
     load_events,
     load_tables,
     tables_from_world,
+    write_tables,
 )
 from checkinsim.world import World
 
@@ -43,21 +44,21 @@ def venue_row(venue_id, loc, name="V", mayor_id=None):
 class TestRecentRatioCurve:
     def test_single_user_curve_point(self):
         tables = PublicTables({1: user_row(1, 5, recent=2)}, {}, [])
-        assert compute_recent_ratio_curve(tables) == [(5, 2.0, 1)]
+        assert compute_curve(tables, "recent_checkins") == [(5, 2.0, 1)]
 
     def test_user_absent_from_recent_lists_contributes_zero(self):
         tables = PublicTables({1: user_row(1, 3), 2: user_row(2, 3, recent=4)}, {}, [])
-        assert compute_recent_ratio_curve(tables) == [(3, 2.0, 2)]
+        assert compute_curve(tables, "recent_checkins") == [(3, 2.0, 2)]
 
     def test_totals_above_cap_excluded(self):
         tables = PublicTables({1: user_row(1, 5000, recent=10),
                                2: user_row(2, 10, recent=1)}, {}, [])
-        assert compute_recent_ratio_curve(tables, max_total=2000) == [(10, 1.0, 1)]
+        assert compute_curve(tables, "recent_checkins", max_total=2000) == [(10, 1.0, 1)]
 
     def test_badge_curve(self):
         tables = PublicTables({1: user_row(1, 10, badges=2),
                                2: user_row(2, 10, badges=0)}, {}, [])
-        assert compute_badge_curve(tables) == [(10, 1.0, 2)]
+        assert compute_curve(tables, "total_badges") == [(10, 1.0, 2)]
 
 
 class TestBadgeAnomaly:
@@ -261,6 +262,12 @@ class TestFilePipeline:
         world.export_public_profiles(tmp_path)
         assert tables_from_world(world).users == load_tables(tmp_path).users
         assert tables_from_world(world).recent == load_tables(tmp_path).recent
+
+    def test_write_tables_reproduces_golden_exports(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "golden"
+        write_tables(load_tables(golden), tmp_path)
+        for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
     def test_missing_tables_raise(self, tmp_path):
         with pytest.raises(MissingTables):

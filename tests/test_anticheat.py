@@ -3,18 +3,7 @@ import random
 
 import pytest
 
-from checkinsim.anticheat import (
-    Flag,
-    PriorCheckin,
-    RuleConfig,
-    UserRuleState,
-    evaluate,
-    offline_verdicts,
-    rule_frequent,
-    rule_gps,
-    rule_rapidfire,
-    rule_speed,
-)
+from checkinsim.anticheat import Flag, RuleConfig, UserRuleState, offline_verdicts
 from checkinsim.geo import GeoPoint, MILE_M, offset_point
 
 from oracles import brute_verdicts
@@ -23,51 +12,57 @@ CFG = RuleConfig()
 ORIGIN = GeoPoint(40.0, -100.0)
 
 
-def prior(t, venue_id, loc, valid=True):
-    return PriorCheckin(t, venue_id, loc, valid)
+def state_after(*valid_priors):
+    """A rule state fed the given (t, venue_id, location) valid check-ins."""
+    state = UserRuleState()
+    for t, venue_id, loc in valid_priors:
+        state.record_valid(venue_id, loc, t)
+    return state
+
+
+def judge(state, venue_id, loc, t, reported=None):
+    return state.evaluate_next(venue_id, loc, loc if reported is None else reported, t, CFG)
 
 
 class TestRuleFrequent:
     def test_same_venue_half_hour_later_flags(self):
-        history = [prior(1000, 7, ORIGIN)]
-        hit = rule_frequent(history, 7, 1000 + 1800, CFG)
-        assert hit is not None and hit[0] is Flag.FREQUENT_CHECKIN
-        assert hit[1] == 1800.0
+        verdict = judge(state_after((1000, 7, ORIGIN)), 7, ORIGIN, 1000 + 1800)
+        assert verdict.flags == (Flag.FREQUENT_CHECKIN,)
+        assert verdict.detail[Flag.FREQUENT_CHECKIN] == 1800.0
 
     def test_exactly_one_hour_passes(self):
-        history = [prior(1000, 7, ORIGIN)]
-        assert rule_frequent(history, 7, 1000 + 3600, CFG) is None
+        assert judge(state_after((1000, 7, ORIGIN)), 7, ORIGIN, 1000 + 3600).valid
 
     def test_other_venue_not_scoped(self):
-        history = [prior(1000, 7, ORIGIN)]
-        assert rule_frequent(history, 8, 1060, CFG) is None
+        assert judge(state_after((1000, 7, ORIGIN)), 8, ORIGIN, 1060).valid
 
     def test_invalid_prior_does_not_count(self):
-        history = [prior(1000, 7, ORIGIN, valid=False)]
-        assert rule_frequent(history, 7, 1060, CFG) is None
+        trace = [(1000, 7, ORIGIN, ORIGIN), (1060, 7, ORIGIN, ORIGIN)]
+        assert offline_verdicts(trace, CFG, prior_valid=[False, True])[1].valid
 
 
 class TestRuleSpeed:
     def test_one_mile_in_five_minutes_passes(self):
         b = offset_point(ORIGIN, 90, MILE_M)
-        assert rule_speed(prior(0, 1, ORIGIN), b, 300, CFG) is None
+        assert judge(state_after((0, 1, ORIGIN)), 2, b, 300).valid
 
     def test_160km_in_ten_minutes_flags(self):
         b = offset_point(ORIGIN, 90, 160_000)
-        hit = rule_speed(prior(0, 1, ORIGIN), b, 600, CFG)
-        assert hit is not None and hit[0] is Flag.SUPER_HUMAN_SPEED
-        assert hit[1] == pytest.approx(266.7, abs=1.0)
+        verdict = judge(state_after((0, 1, ORIGIN)), 2, b, 600)
+        assert verdict.flags == (Flag.SUPER_HUMAN_SPEED,)
+        assert verdict.detail[Flag.SUPER_HUMAN_SPEED] == pytest.approx(266.7, abs=1.0)
 
     def test_no_predecessor_no_flag(self):
-        assert rule_speed(None, ORIGIN, 1000, CFG) is None
+        assert judge(UserRuleState(), 1, ORIGIN, 1000).valid
 
     def test_simultaneous_distinct_locations_flag_as_infinite(self):
         b = offset_point(ORIGIN, 0, 5000)
-        hit = rule_speed(prior(500, 1, ORIGIN), b, 500, CFG)
-        assert hit is not None and math.isinf(hit[1])
+        verdict = judge(state_after((500, 1, ORIGIN)), 2, b, 500)
+        assert verdict.flags == (Flag.SUPER_HUMAN_SPEED,)
+        assert math.isinf(verdict.detail[Flag.SUPER_HUMAN_SPEED])
 
     def test_simultaneous_same_location_passes(self):
-        assert rule_speed(prior(500, 1, ORIGIN), ORIGIN, 500, CFG) is None
+        assert judge(state_after((500, 1, ORIGIN)), 2, ORIGIN, 500).valid
 
 
 class TestRuleRapidfire:
@@ -77,19 +72,19 @@ class TestRuleRapidfire:
 
     def test_fourth_in_tight_cluster_flags(self):
         locs = self._cluster(3)
-        recent = [prior(t, i + 1, loc) for t, (i, loc) in zip((10, 30, 50), enumerate(locs))]
-        hit = rule_rapidfire(recent, offset_point(ORIGIN, 45, 50), CFG)
-        assert hit is not None and hit[0] is Flag.RAPID_FIRE
-        assert hit[1] == 4.0
+        state = state_after(*((t, i + 1, loc) for t, (i, loc) in zip((10, 30, 50), enumerate(locs))))
+        verdict = judge(state, 4, offset_point(ORIGIN, 45, 50), 60)
+        assert Flag.RAPID_FIRE in verdict.flags
+        assert verdict.detail[Flag.RAPID_FIRE] == 4.0
 
     def test_wide_cluster_passes(self):
         a, b, c = ORIGIN, offset_point(ORIGIN, 90, 500), offset_point(ORIGIN, 90, 250)
-        recent = [prior(10, 1, a), prior(30, 2, b), prior(50, 3, c)]
-        assert rule_rapidfire(recent, ORIGIN, CFG) is None
+        state = state_after((10, 1, a), (30, 2, b), (50, 3, c))
+        assert Flag.RAPID_FIRE not in judge(state, 4, ORIGIN, 60).flags
 
     def test_only_two_priors_passes(self):
-        recent = [prior(10, 1, ORIGIN), prior(30, 2, ORIGIN)]
-        assert rule_rapidfire(recent, ORIGIN, CFG) is None
+        state = state_after((10, 1, ORIGIN), (30, 2, ORIGIN))
+        assert Flag.RAPID_FIRE not in judge(state, 3, ORIGIN, 40).flags
 
     def test_far_candidate_after_tight_cluster_is_not_rapidfire(self):
         # a tight valid cluster followed by a venue far outside projection
@@ -109,39 +104,38 @@ class TestRuleRapidfire:
 
 class TestRuleGps:
     def test_reported_at_venue_passes(self):
-        assert rule_gps(ORIGIN, ORIGIN, CFG) is None
+        assert judge(UserRuleState(), 1, ORIGIN, 0).valid
 
     def test_ten_km_off_flags(self):
-        hit = rule_gps(offset_point(ORIGIN, 180, 10_000), ORIGIN, CFG)
-        assert hit is not None and hit[0] is Flag.GPS_MISMATCH
-        assert hit[1] == pytest.approx(10_000, rel=1e-3)
+        verdict = judge(UserRuleState(), 1, ORIGIN, 0, reported=offset_point(ORIGIN, 180, 10_000))
+        assert verdict.flags == (Flag.GPS_MISMATCH,)
+        assert verdict.detail[Flag.GPS_MISMATCH] == pytest.approx(10_000, rel=1e-3)
 
     def test_499m_off_passes(self):
-        assert rule_gps(offset_point(ORIGIN, 10, 499), ORIGIN, CFG) is None
+        assert judge(UserRuleState(), 1, ORIGIN, 0, reported=offset_point(ORIGIN, 10, 499)).valid
 
 
 class TestEvaluate:
     def test_fresh_user_at_venue_is_valid(self):
-        verdict = evaluate([], 1, ORIGIN, ORIGIN, 100, CFG)
+        verdict = judge(UserRuleState(), 1, ORIGIN, 100)
         assert verdict.valid and verdict.flags == ()
 
     def test_fresh_user_far_report_gets_gps_flag_only(self):
-        verdict = evaluate([], 1, ORIGIN, offset_point(ORIGIN, 0, 10_000), 100, CFG)
+        verdict = judge(UserRuleState(), 1, ORIGIN, 100, reported=offset_point(ORIGIN, 0, 10_000))
         assert not verdict.valid
         assert verdict.flags == (Flag.GPS_MISMATCH,)
         assert Flag.GPS_MISMATCH in verdict.detail
 
     def test_detail_present_exactly_for_raised_flags(self):
-        history = [prior(0, 1, ORIGIN)]
         far = offset_point(ORIGIN, 90, 200_000)
-        verdict = evaluate(history, 2, far, offset_point(far, 0, 10_000), 60, CFG)
+        verdict = judge(state_after((0, 1, ORIGIN)), 2, far, 60, reported=offset_point(far, 0, 10_000))
         assert set(verdict.flags) == {Flag.SUPER_HUMAN_SPEED, Flag.GPS_MISMATCH}
         assert set(verdict.detail) == set(verdict.flags)
 
     def test_deterministic(self):
-        history = [prior(0, 1, ORIGIN), prior(700, 2, offset_point(ORIGIN, 90, 900))]
-        args = (history, 3, offset_point(ORIGIN, 45, 1500), ORIGIN, 1200, CFG)
-        assert evaluate(*args) == evaluate(*args)
+        priors = ((0, 1, ORIGIN), (700, 2, offset_point(ORIGIN, 90, 900)))
+        args = (3, offset_point(ORIGIN, 45, 1500), 1200, ORIGIN)
+        assert judge(state_after(*priors), *args) == judge(state_after(*priors), *args)
 
 
 def random_trace(rng, n_checkins=15):
@@ -185,16 +179,24 @@ class TestEngineEquivalence:
                 assert verdict.valid == ok
                 assert {f.value for f in verdict.flags} == flags
 
-    def test_streaming_state_matches_pure_evaluate(self):
-        rng = random.Random(99)
-        for _ in range(300):
+    def test_pinned_replay_matches_brute_force_oracle(self):
+        # Pins mimic a strict-verification log: a row is accepted when the
+        # rules pass and a random presence check succeeds.
+        rng = random.Random(31)
+        for _ in range(1000):
             trace = random_trace(rng)
-            streamed = engine_verdicts(trace, CFG)
-            history = []
-            for (t, venue_id, venue_loc, reported), expected in zip(trace, streamed):
-                verdict = evaluate(history, venue_id, venue_loc, reported, t, CFG)
-                assert verdict == expected
-                history.append(PriorCheckin(t, venue_id, venue_loc, verdict.valid))
+            state = UserRuleState()
+            pins = []
+            for t, venue_id, venue_loc, reported in trace:
+                pins.append(state.evaluate_next(venue_id, venue_loc, reported, t, CFG).valid
+                            and rng.random() < 0.7)
+                if pins[-1]:
+                    state.record_valid(venue_id, venue_loc, t)
+            replay = offline_verdicts(trace, CFG, prior_valid=pins)
+            oracle = brute_verdicts(trace, CFG, prior_valid=pins)
+            for verdict, (ok, flags) in zip(replay, oracle):
+                assert verdict.valid == ok
+                assert {f.value for f in verdict.flags} == flags
 
     def test_package_offline_checker_matches_engine(self):
         rng = random.Random(5)
@@ -226,14 +228,12 @@ class TestRuleStateHygiene:
         tighter_gps = RuleConfig(gps_radius_m=100.0)
         for _ in range(300):
             trace = random_trace(rng, n_checkins=8)
-            history = []
-            for t, venue_id, venue_loc, reported in trace:
-                base = evaluate(history, venue_id, venue_loc, reported, t, CFG)
-                for tight in (tighter_speed, tighter_gps):
-                    strict = evaluate(history, venue_id, venue_loc, reported, t, tight)
-                    if not base.valid:
-                        assert not strict.valid
-                history.append(PriorCheckin(t, venue_id, venue_loc, base.valid))
+            base = offline_verdicts(trace, CFG)
+            for tight in (tighter_speed, tighter_gps):
+                strict = offline_verdicts(trace, tight, prior_valid=[v.valid for v in base])
+                for b, st in zip(base, strict):
+                    if not b.valid:
+                        assert not st.valid
 
 
 class TestRuleConfig:

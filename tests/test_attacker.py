@@ -20,11 +20,11 @@ from checkinsim.attacker import (
     select_targets,
 )
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m, offset_point
-from checkinsim.spatial import VenueGridIndex, nearest_linear
+from checkinsim.spatial import VenueGridIndex
 from checkinsim.tables import tables_from_world
 from checkinsim.world import World
 
-from oracles import brute_verdicts
+from oracles import brute_verdicts, nearest_linear
 
 CITY = GeoPoint(40.0, -100.0)
 

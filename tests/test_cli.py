@@ -71,6 +71,19 @@ class TestRunAndDetect:
                      "--out", str(tmp_path / "report.csv")]) == 0
         assert (tmp_path / "report.csv").read_bytes() == (GOLDEN / "report.csv").read_bytes()
 
+    def test_detect_rejects_recent_above_total(self, tmp_path, capsys):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        users = exports / "UserInfo.csv"
+        lines = users.read_text().splitlines()
+        user_id, total, badges, mayors, _ = lines[1].split(",")
+        lines[1] = ",".join([user_id, total, badges, mayors, str(int(total) + 1)])
+        users.write_text("\n".join(lines) + "\n")
+        assert main(["detect", "--in", str(exports),
+                     "--out", str(tmp_path / "report.csv")]) == 2
+        assert (f"user {user_id}: recent_checkins {int(total) + 1} exceeds "
+                f"total_checkins {total}") in capsys.readouterr().err
+
     def test_verify_replay_consistent_log(self, tmp_path, scenario_path, capsys):
         main(["run", "--config", str(scenario_path), "--out", str(tmp_path / "out")])
         assert main(["verify-replay", "--in", str(tmp_path / "out")]) == 0
@@ -107,6 +120,19 @@ class TestGenerateAndAttack:
                      "--true-location", "64.8,-147.7", "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "5/5 check-ins valid" in out
+
+    def test_generate_matches_run_under_strict_routers(self, tmp_path):
+        config = tmp_path / "strict.json"
+        config.write_text(json.dumps({
+            "population": {"n_users": 200, "n_venues": 60, "seed": 4, "duration_days": 30,
+                           "cheater_fraction": 0.1, "cheater_strategy": "scheduled_evader"},
+            "routers": {"coverage": "full", "strict": True},
+        }))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "gen")]) == 0
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        files = ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv", "events.jsonl")
+        assert read_all(tmp_path / "gen", files) == read_all(tmp_path / "run", files)
+        assert "PresenceUnverified" in (tmp_path / "gen" / "events.jsonl").read_text()
 
     def test_step_mode_emits_chosen_venue(self, tmp_path, scenario_path, capsys):
         gen_dir = tmp_path / "gen"
