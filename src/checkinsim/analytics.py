@@ -166,7 +166,7 @@ def build_report(
     report: list[SuspicionRecord] = []
     for user_id in sorted(tables.users):
         u = tables.users[user_id]
-        if u.recent_checkins > u.total_checkins and u.total_checkins != 0:
+        if u.recent_checkins > u.total_checkins:
             raise ValueError(f"UserInfo row for user {user_id}: recent_checkins "
                              f"{u.recent_checkins} exceeds total_checkins {u.total_checkins}")
         ratio = u.recent_checkins / u.total_checkins if u.total_checkins else 0.0

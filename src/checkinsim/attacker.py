@@ -20,7 +20,10 @@ from .tables import PublicTables
 
 MIN_INTERVAL_S = 300  # five minutes between check-ins up to one mile apart
 SAME_VENUE_GAP_S = 3600  # cooldown safety gap for repeat visits
+TOUR_STEPS = 25
 TOUR_STEP_DEG = 0.005
+SWEEP_LIMIT = 100  # most venues one vacancy sweep checks into
+START_DELAY_S = 600  # wait between the world's clock and an attack's first check-in
 
 
 class NoVenuesAvailable(Exception):
@@ -60,34 +63,6 @@ class AttackSchedule:
 
     entries: list[ScheduleEntry]
 
-    def validate(self, location_of) -> None:
-        """Check the timing invariants against venue positions."""
-        prev: Optional[ScheduleEntry] = None
-        last_fire: dict[int, int] = {}
-        for entry in self.entries:
-            if prev is not None:
-                if entry.fire_time <= prev.fire_time:
-                    raise ValueError("fire times must be strictly increasing")
-                d_miles = haversine_m(location_of(prev.venue_id), location_of(entry.venue_id)) / MILE_M
-                required = MIN_INTERVAL_S if d_miles <= 1.0 else d_miles * MIN_INTERVAL_S
-                if entry.fire_time - prev.fire_time + 1e-6 < required:
-                    raise ValueError(
-                        f"interval {entry.fire_time - prev.fire_time}s under "
-                        f"{required:.0f}s required for {d_miles:.2f} miles"
-                    )
-            seen = last_fire.get(entry.venue_id)
-            if seen is not None and entry.fire_time - seen < SAME_VENUE_GAP_S:
-                raise ValueError(f"venue {entry.venue_id} revisited within the cooldown window")
-            last_fire[entry.venue_id] = entry.fire_time
-            prev = entry
-
-
-def _location(venue) -> GeoPoint:
-    loc = getattr(venue, "location", None)
-    if loc is not None:
-        return GeoPoint(*loc)
-    return GeoPoint(venue.lat, venue.lon)
-
 
 def select_targets(venues: Iterable, criteria: TargetCriteria) -> list[int]:
     """Venue ids satisfying every set criterion, in id order.
@@ -101,7 +76,7 @@ def select_targets(venues: Iterable, criteria: TargetCriteria) -> list[int]:
             continue
         if criteria.require_vacant_mayor and v.mayor_id is not None:
             continue
-        if criteria.region is not None and not criteria.region.contains(_location(v)):
+        if criteria.region is not None and not criteria.region.contains(v.location):
             continue
         if needle is not None and needle not in v.name.lower():
             continue
@@ -115,11 +90,10 @@ def plan_step(
     bearing_deg: float,
     step_m: float,
     index: VenueGridIndex,
-    exclude: frozenset[int] | set[int] = frozenset(),
 ) -> int:
     """Venue closest to the point step_m along bearing_deg from current."""
     target = offset_point(current, bearing_deg, step_m)
-    hit = index.nearest(target, exclude=exclude)
+    hit = index.nearest(target)
     if hit is None:
         raise NoVenuesAvailable("no venue available for the planned step")
     return hit[0]
@@ -130,39 +104,32 @@ def plan_tour(
     start: GeoPoint,
     steps: int,
     step_deg: float = TOUR_STEP_DEG,
-    avoid_revisit: bool = True,
-    location_of=None,
 ) -> list[int]:
     """Virtual walking tour: snap to the nearest venue, then advance in
     axis-aligned degree steps, turning right in an outward spiral.
 
     Each move targets a point step_deg away in latitude or longitude from the
-    previously chosen venue and checks into the venue nearest that target.
+    previously chosen venue and checks into the nearest venue not yet visited.
     """
     if steps < 1:
         raise ValueError("tour needs at least one step")
-    if location_of is None:
-        location_of = index.location_of
-    exclude: set[int] = set()
     hit = index.nearest(start)
     if hit is None:
         raise NoVenuesAvailable("no venues to tour")
     tour = [hit[0]]
-    if avoid_revisit:
-        exclude.add(hit[0])
-    current = location_of(hit[0])
+    visited = {hit[0]}
+    current = index.location_of(hit[0])
     # Headings cycle N -> E -> S -> W with spiral leg lengths 1,1,2,2,3,3,...
     moves = _spiral_moves()
     while len(tour) < steps:
         dlat, dlon = next(moves)
         target = GeoPoint(current.lat + dlat * step_deg, current.lon + dlon * step_deg)
-        hit = index.nearest(target, exclude=exclude)
+        hit = index.nearest(target, exclude=visited)
         if hit is None:
             raise NoVenuesAvailable("ran out of venues during the tour")
         tour.append(hit[0])
-        if avoid_revisit:
-            exclude.add(hit[0])
-        current = location_of(hit[0])
+        visited.add(hit[0])
+        current = index.location_of(hit[0])
     return tour
 
 
@@ -181,8 +148,6 @@ def _spiral_moves():
 def build_schedule(
     venues: Sequence[tuple[int, GeoPoint]],
     start_time: int,
-    min_interval_s: int = MIN_INTERVAL_S,
-    same_venue_gap_s: int = SAME_VENUE_GAP_S,
 ) -> AttackSchedule:
     """Turn an ordered venue sequence into a rule-safe firing schedule.
 
@@ -199,10 +164,10 @@ def build_schedule(
     for venue_id, loc in venues:
         if prev_loc is not None:
             d_miles = haversine_m(prev_loc, loc) / MILE_M
-            t += min_interval_s if d_miles <= 1.0 else int(math.ceil(d_miles * min_interval_s))
+            t += MIN_INTERVAL_S if d_miles <= 1.0 else int(math.ceil(d_miles * MIN_INTERVAL_S))
         seen = last_fire.get(venue_id)
-        if seen is not None and t - seen < same_venue_gap_s:
-            t = seen + same_venue_gap_s
+        if seen is not None and t - seen < SAME_VENUE_GAP_S:
+            t = seen + SAME_VENUE_GAP_S
         entries.append(ScheduleEntry(venue_id, t))
         last_fire[venue_id] = t
         prev_loc = loc

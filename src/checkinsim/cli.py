@@ -13,6 +13,10 @@ from pathlib import Path
 from . import analytics
 from .anticheat import RuleConfig, offline_verdicts
 from .attacker import (
+    START_DELAY_S,
+    SWEEP_LIMIT,
+    TOUR_STEP_DEG,
+    TOUR_STEPS,
     TargetCriteria,
     build_schedule,
     execute,
@@ -69,13 +73,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="schedule JSONL to write")
     p.add_argument("--mode", choices=("tour", "targets", "step"), default="tour")
     p.add_argument("--start", type=_point, help="tour start as LAT,LON")
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--step-deg", type=float, default=0.005)
+    p.add_argument("--steps", type=int, default=TOUR_STEPS)
+    p.add_argument("--step-deg", type=float, default=TOUR_STEP_DEG)
     p.add_argument("--start-time", type=int, default=None)
     p.add_argument("--require-special", action="store_true")
     p.add_argument("--vacant", action="store_true")
     p.add_argument("--name-filter", default=None)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=int, default=SWEEP_LIMIT)
     p.add_argument("--at", type=_point, help="current position for step mode")
     p.add_argument("--bearing", type=float, default=0.0)
     p.add_argument("--distance-m", type=float, default=457.2)
@@ -89,11 +93,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="run the offline detectors over exports")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--events", default=None, help="events.jsonl (default: <in>/events.jsonl)")
 
     p = sub.add_parser("verify-replay", help="recheck a log against the rules offline")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--events", default=None)
 
     p = sub.add_parser("export", help="write public exports from a snapshot")
     p.add_argument("--snapshot", required=True)
@@ -124,24 +126,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_attack_plan(args) -> int:
     world = World.load_state(args.snapshot)
-    index = venue_index(world)
     if args.mode == "step":
         if args.at is None:
             raise InvalidConfig("step mode needs --at LAT,LON")
-        venue_id = plan_step(args.at, args.bearing, args.distance_m, index)
-        venue = world.venue(venue_id)
-        print(f"{venue_id}\t{venue.location.lat}\t{venue.location.lon}\t{venue.name}")
-        schedule = build_schedule([(venue_id, venue.location)],
-                                  args.start_time if args.start_time is not None else world.clock.now + 600)
+        venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
     elif args.mode == "tour":
         if args.start is None:
             raise InvalidConfig("tour mode needs --start LAT,LON")
-        venue_ids = plan_tour(index, args.start, args.steps, step_deg=args.step_deg)
-        for vid in venue_ids:
-            venue = world.venue(vid)
-            print(f"{vid}\t{venue.location.lat}\t{venue.location.lon}\t{venue.name}")
-        schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids],
-                                  args.start_time if args.start_time is not None else world.clock.now + 600)
+        venue_ids = plan_tour(venue_index(world), args.start, args.steps, step_deg=args.step_deg)
     else:  # targets
         criteria = TargetCriteria(require_mayor_special=args.require_special,
                                   require_vacant_mayor=args.vacant,
@@ -150,8 +142,12 @@ def _cmd_attack_plan(args) -> int:
         if not venue_ids:
             print("no venues match the criteria", file=sys.stderr)
             return 2
-        schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids],
-                                  args.start_time if args.start_time is not None else world.clock.now + 600)
+    if args.mode != "targets":
+        for vid in venue_ids:
+            venue = world.venue(vid)
+            print(f"{vid}\t{venue.location.lat}\t{venue.location.lon}\t{venue.name}")
+    start_time = args.start_time if args.start_time is not None else world.clock.now + START_DELAY_S
+    schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids], start_time)
     save_schedule(schedule, args.out)
     print(f"schedule with {len(schedule.entries)} check-ins -> {args.out}")
     return 0
@@ -174,8 +170,8 @@ def _cmd_attack_exec(args) -> int:
 
 def _cmd_detect(args) -> int:
     tables = load_tables(args.in_dir)
-    events_path = args.events or (Path(args.in_dir) / "events.jsonl")
-    events = load_events(events_path) if Path(events_path).is_file() else []
+    events_path = Path(args.in_dir) / "events.jsonl"
+    events = load_events(events_path) if events_path.is_file() else []
     report = analytics.build_report(tables, events)
     analytics.write_report_csv(report, args.out)
     flagged = sum(1 for r in report if r.suspicious)
@@ -185,19 +181,15 @@ def _cmd_detect(args) -> int:
 
 def _cmd_verify_replay(args) -> int:
     tables = load_tables(args.in_dir)
-    events_path = args.events or (Path(args.in_dir) / "events.jsonl")
-    events = load_events(events_path)
+    events = load_events(Path(args.in_dir) / "events.jsonl")
     config = RuleConfig()
     by_user: dict[int, list] = {}
-    order: dict[int, list[int]] = {}
-    for i, e in enumerate(events):
-        venue = tables.venues[e.venue_id]
-        by_user.setdefault(e.user_id, []).append(
-            (e.t, e.venue_id, venue.location, GeoPoint(e.reported_lat, e.reported_lon)))
-        order.setdefault(e.user_id, []).append(i)
+    for e in events:
+        by_user.setdefault(e.user_id, []).append(e)
     mismatches = 0
-    for user_id, trace in by_user.items():
-        recorded = [events[i] for i in order[user_id]]
+    for user_id, recorded in by_user.items():
+        trace = [(e.t, e.venue_id, tables.venues[e.venue_id].location,
+                  GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
         verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
         for e, verdict in zip(recorded, verdicts):
             rule_flags = set(e.flags) - {PRESENCE_UNVERIFIED}

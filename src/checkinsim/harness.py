@@ -18,6 +18,10 @@ from typing import Optional, Sequence
 from . import analytics
 from .anticheat import RuleConfig
 from .attacker import (
+    START_DELAY_S,
+    SWEEP_LIMIT,
+    TOUR_STEP_DEG,
+    TOUR_STEPS,
     BBox,
     TargetCriteria,
     build_schedule,
@@ -113,6 +117,10 @@ class PopulationConfig:
         return cfg
 
 
+_SCENARIO_KEYS = {"population", "rules", "badges", "routers", "attacks", "detection"}
+_ROUTER_KEYS = {"coverage", "entries", "range_m", "strict"}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     population: PopulationConfig
@@ -123,11 +131,13 @@ class ScenarioConfig:
     router_range_m: float = 100.0
     strict_verify: bool = False
     attacks: tuple = ()
-    export_snapshot: bool = False
     thresholds: analytics.DetectionThresholds = analytics.DetectionThresholds()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        unknown = set(data) - _SCENARIO_KEYS
+        if unknown:
+            raise InvalidConfig(f"unknown scenario config keys: {sorted(unknown)}")
         if "population" not in data:
             raise InvalidConfig("scenario config needs a 'population' section")
         population = PopulationConfig.from_dict(data["population"])
@@ -138,6 +148,9 @@ class ScenarioConfig:
         badges = tuple(BadgeSpec.from_dict(b) for b in data["badges"]) if "badges" in data \
             else DEFAULT_BADGE_CATALOG
         routers = data.get("routers", {})
+        unknown = set(routers) - _ROUTER_KEYS
+        if unknown:
+            raise InvalidConfig(f"unknown routers config keys: {sorted(unknown)}")
         coverage = routers.get("coverage", "none")
         if coverage not in ("none", "full", "listed"):
             raise InvalidConfig(f"unknown router coverage {coverage!r}")
@@ -152,7 +165,6 @@ class ScenarioConfig:
             router_range_m=float(routers.get("range_m", 100.0)),
             strict_verify=bool(routers.get("strict", False)),
             attacks=tuple(data.get("attacks", ())),
-            export_snapshot=bool(data.get("export_snapshot", False)),
             thresholds=thresholds,
         )
 
@@ -355,19 +367,19 @@ def _run_attack(world: World, spec: dict, index: VenueGridIndex) -> dict:
         raise InvalidConfig(f"attack {kind!r} needs a true_location")
     true_location = GeoPoint(*spec["true_location"])
     attacker_id = world.register_user(true_location, is_cheater=True)
-    start_time = world.clock.now + int(spec.get("start_delay_s", 600))
+    start_time = world.clock.now + int(spec.get("start_delay_s", START_DELAY_S))
 
     if kind == "tour":
         start = GeoPoint(*spec["start"]) if "start" in spec else world.venues[0].location
-        venue_ids = plan_tour(index, start, int(spec.get("steps", 25)),
-                              step_deg=float(spec.get("step_deg", 0.005)))
+        venue_ids = plan_tour(index, start, int(spec.get("steps", TOUR_STEPS)),
+                              step_deg=float(spec.get("step_deg", TOUR_STEP_DEG)))
     elif kind == "vacancy_sweep":
         criteria = TargetCriteria(
             require_mayor_special=bool(spec.get("require_mayor_special", True)),
             require_vacant_mayor=bool(spec.get("require_vacant_mayor", True)),
             name_filter=spec.get("name_filter"),
         )
-        venue_ids = select_targets(world.venues, criteria)[: int(spec.get("limit", 100))]
+        venue_ids = select_targets(world.venues, criteria)[: int(spec.get("limit", SWEEP_LIMIT))]
     else:  # mayor_denial
         victim = int(spec["victim"])
         venue_ids = plan_mayor_denial(victim, tables_from_world(world))
@@ -428,8 +440,6 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     paths["metrics"] = out / "metrics.json"
     paths["metrics"].write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
                                 encoding="utf-8")
-    if scenario.export_snapshot:
-        paths["snapshot"] = world.save_state(out / "world.snap")
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
 
 

@@ -12,6 +12,8 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 DAY_S = 86_400
+BASE_POINTS = 1  # flat points per valid check-in
+MAYOR_WINDOW_DAYS = 60
 
 
 class BadgeKind(str, Enum):
@@ -71,10 +73,9 @@ class MayorState:
     off the stored timestamps so partial days age out correctly.
     """
 
-    __slots__ = ("venue_id", "mayor_id", "days")
+    __slots__ = ("mayor_id", "days")
 
-    def __init__(self, venue_id: int) -> None:
-        self.venue_id = venue_id
+    def __init__(self) -> None:
         self.mayor_id: Optional[int] = None
         self.days: dict[int, deque[tuple[int, int]]] = {}
 
@@ -89,9 +90,9 @@ class MayorState:
         else:
             dq.append((day, t))
 
-    def distinct_day_counts(self, t: int, window_days: int = 60) -> dict[int, int]:
+    def distinct_day_counts(self, t: int) -> dict[int, int]:
         """Distinct check-in days per user within (t - window, t]."""
-        self._prune(t - window_days * DAY_S)
+        self._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
         return {user_id: len(dq) for user_id, dq in self.days.items()}
 
     def _prune(self, window_start: int) -> None:
@@ -108,17 +109,10 @@ class MayorState:
 class RewardsEngine:
     """Applies points, badges and mayorship updates for valid check-ins."""
 
-    def __init__(
-        self,
-        catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG,
-        base_points: int = 1,
-        mayor_window_days: int = 60,
-    ) -> None:
+    def __init__(self, catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG) -> None:
         self.catalog = tuple(catalog)
         if len({spec.badge_id for spec in self.catalog}) != len(self.catalog):
             raise ValueError("duplicate badge ids in catalog")
-        self.base_points = base_points
-        self.mayor_window_days = mayor_window_days
         self._window_badges = tuple(
             s for s in self.catalog if s.kind == BadgeKind.CHECKINS_IN_WINDOW
         )
@@ -127,13 +121,6 @@ class RewardsEngine:
         )
         self._progress: dict[int, _BadgeProgress] = {}
         self._mayors: dict[int, MayorState] = {}
-
-    # -- points ------------------------------------------------------------
-
-    def award_points(self, user) -> int:
-        """Credit the flat per-check-in points; only valid check-ins get here."""
-        user.points += self.base_points
-        return self.base_points
 
     # -- badges ------------------------------------------------------------
 
@@ -166,7 +153,7 @@ class RewardsEngine:
     def mayor_state(self, venue_id: int) -> MayorState:
         state = self._mayors.get(venue_id)
         if state is None:
-            state = MayorState(venue_id)
+            state = MayorState()
             self._mayors[venue_id] = state
         return state
 
@@ -179,7 +166,7 @@ class RewardsEngine:
         retains the title.
         """
         state = self.mayor_state(venue_id)
-        state._prune(t - self.mayor_window_days * DAY_S)
+        state._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
         best_user: Optional[int] = None
         best_count = 0
         for user_id, dq in state.days.items():
@@ -204,7 +191,7 @@ class RewardsEngine:
 
         Returns (points awarded, newly granted badge ids, mayor after update).
         """
-        points = self.award_points(user)
+        user.points += BASE_POINTS
         progress = self._progress.get(user.user_id)
         if progress is None:
             progress = _BadgeProgress(self._window_badges)
@@ -216,4 +203,4 @@ class RewardsEngine:
         badges = self.update_badges(user, t)
         self.mayor_state(venue_id).note_checkin(user.user_id, t)
         mayor = self.recompute_mayor(venue_id, t)
-        return points, badges, mayor
+        return BASE_POINTS, badges, mayor

@@ -1,8 +1,11 @@
 """Uniform-grid spatial index for nearest-venue and radius queries.
 
-Cells are fixed-size lat/lon squares; nearest lookups expand in rings with a
-conservative distance bound and fall back to a linear scan when the grid
-cannot help. Regions crossing the antimeridian are not supported.
+Cells are fixed-size lat/lon squares. A radius query scans the square of
+cells that a conservative meters-per-degree bound says can hold a hit. A
+nearest query doubles a radius query until it finds an entry not excluded,
+and scans every entry once that square would hold as many cells as there
+are entries.
+Regions crossing the antimeridian are not supported.
 """
 
 from __future__ import annotations
@@ -26,14 +29,9 @@ class VenueGridIndex:
             _, loc = entry
             self._cells.setdefault(self._cell_of(loc), []).append(entry)
             max_abs_lat = max(max_abs_lat, abs(loc.lat))
-        if self._cells:
-            rows = [row for row, _ in self._cells]
-            cols = [col for _, col in self._cells]
-            self._bounds = (min(rows), max(rows), min(cols), max(cols))
-        else:
-            self._bounds = (0, 0, 0, 0)
         # Meters-per-degree lower bound across the occupied band, with margin
-        # for queries slightly outside it; keeps the ring cutoff conservative.
+        # for queries slightly outside it; keeps the square of cells that
+        # _reach gives large enough to hold every hit.
         band = min(89.0, max_abs_lat + 1.0)
         self._min_m_per_deg = METERS_PER_DEG * math.cos(math.radians(band)) * 0.99
 
@@ -49,58 +47,33 @@ class VenueGridIndex:
         return (int(math.floor(p.lat / self.cell_size_deg)),
                 int(math.floor(p.lon / self.cell_size_deg)))
 
-    def _min_m_per_deg_at(self, lat: float) -> float:
+    def _reach(self, p: GeoPoint, radius_m: float) -> int:
+        """Cells on each side of p's cell that can hold a point within radius_m."""
         # account for queries at higher latitude than the venue band
-        q_band = min(89.0, abs(lat) + 1.0)
-        q_bound = METERS_PER_DEG * math.cos(math.radians(q_band)) * 0.99
-        return min(self._min_m_per_deg, q_bound)
+        q_band = min(89.0, abs(p.lat) + 1.0)
+        m_per_deg = min(self._min_m_per_deg, METERS_PER_DEG * math.cos(math.radians(q_band)) * 0.99)
+        return int(math.ceil(radius_m / (self.cell_size_deg * m_per_deg))) + 1
 
     def nearest(self, p: GeoPoint, exclude: frozenset[int] | set[int] = frozenset()) -> Optional[tuple[int, float]]:
         """Closest entry to p as (venue_id, distance_m); ties take the lowest id.
 
         Returns None when every entry is excluded or the index is empty.
         """
-        if not self._entries:
-            return None
-        best: Optional[tuple[float, int]] = None
-        crow, ccol = self._cell_of(p)
-        rmin, rmax, cmin, cmax = self._bounds
-        max_rings = max(abs(crow - rmin), abs(crow - rmax), abs(ccol - cmin), abs(ccol - cmax))
-        min_m_per_deg = self._min_m_per_deg_at(p.lat)
-        for ring in range(0, max_rings + 1):
-            if best is not None and ring > 1:
-                # Everything in this ring is at least (ring-1) cells away.
-                if (ring - 1) * self.cell_size_deg * min_m_per_deg > best[0]:
-                    break
-            for row, col in self._ring_cells(crow, ccol, ring):
-                bucket = self._cells.get((row, col))
-                if bucket is None:
-                    continue
-                for venue_id, loc in bucket:
-                    if venue_id in exclude:
-                        continue
-                    cand = (haversine_m(p, loc), venue_id)
-                    if best is None or cand < best:
-                        best = cand
+        radius_m = self.cell_size_deg * METERS_PER_DEG
+        while (2 * self._reach(p, radius_m) + 1) ** 2 < len(self._entries):
+            for venue_id, d in self.within_radius(p, radius_m):
+                if venue_id not in exclude:
+                    return venue_id, d
+            radius_m *= 2.0
+        best = min(((haversine_m(p, loc), venue_id) for venue_id, loc in self._entries
+                    if venue_id not in exclude), default=None)
         if best is None:
             return None
         return best[1], best[0]
 
-    @staticmethod
-    def _ring_cells(crow: int, ccol: int, ring: int):
-        if ring == 0:
-            yield crow, ccol
-            return
-        for col in range(ccol - ring, ccol + ring + 1):
-            yield crow - ring, col
-            yield crow + ring, col
-        for row in range(crow - ring + 1, crow + ring):
-            yield row, ccol - ring
-            yield row, ccol + ring
-
     def within_radius(self, p: GeoPoint, radius_m: float) -> list[tuple[int, float]]:
         """Entries within radius_m of p, sorted by (distance, id)."""
-        reach = int(math.ceil(radius_m / (self.cell_size_deg * self._min_m_per_deg_at(p.lat)))) + 1
+        reach = self._reach(p, radius_m)
         crow, ccol = self._cell_of(p)
         hits: list[tuple[float, int]] = []
         for row in range(crow - reach, crow + reach + 1):
@@ -114,4 +87,3 @@ class VenueGridIndex:
                         hits.append((d, venue_id))
         hits.sort()
         return [(venue_id, d) for d, venue_id in hits]
-

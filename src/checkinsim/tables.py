@@ -1,8 +1,8 @@
 """Public-profile table model: the crawlable projection of a world.
 
-Owns the CSV export format (UserInfo, VenueInfo, RecentCheckin): writes it
-and reads it back, and loads the event log, for consumption by the attacker
-planner and the offline detectors.
+Owns the CSV export format (UserInfo, VenueInfo, RecentCheckin) and the
+events.jsonl log format: writes them and reads them back, for consumption by
+the attacker planner and the offline detectors.
 """
 
 from __future__ import annotations
@@ -131,10 +131,29 @@ def tables_from_world(world) -> PublicTables:
     }
     venues = {
         v.venue_id: VenueRow(v.venue_id, v.name, v.location.lat, v.location.lon,
-                             v.total_checkins, v.unique_visitors, v.mayor_id, v.has_mayor_special)
+                             v.total_checkins, len(v.visitor_ids), v.mayor_id, v.has_mayor_special)
         for v in world.venues
     }
     return PublicTables(users, venues, recent)
+
+
+def write_events(records: Iterable, path: str | Path) -> Path:
+    """Write check-in records as the events.jsonl log that ``load_events`` reads."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(json.dumps({
+                "t": r.t,
+                "user_id": r.user_id,
+                "venue_id": r.venue_id,
+                "reported_lat": r.reported_gps.lat,
+                "reported_lon": r.reported_gps.lon,
+                "valid": r.accepted,
+                "flags": r.export_flags(),
+            }, separators=(",", ":")))
+            fh.write("\n")
+    return path
 
 
 def load_events(path: str | Path) -> list[EventRow]:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .anticheat import RuleConfig, RuleVerdict, UserRuleState
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
-from .tables import tables_from_world, write_tables
+from .tables import tables_from_world, write_events, write_tables
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -27,7 +27,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 
 class UnknownUser(Exception):
@@ -63,7 +63,6 @@ class Venue:
     location: GeoPoint
     has_mayor_special: bool = False
     total_checkins: int = 0
-    unique_visitors: int = 0
     mayor_id: Optional[int] = None
     recent_visitors: list[int] = field(default_factory=list)
     visitor_ids: set[int] = field(default_factory=set)
@@ -187,9 +186,7 @@ class World:
         if accepted:
             state.record_valid(venue_id, venue.location, t)
             venue.total_checkins += 1
-            if user_id not in venue.visitor_ids:
-                venue.visitor_ids.add(user_id)
-                venue.unique_visitors += 1
+            venue.visitor_ids.add(user_id)
             recent = venue.recent_visitors
             if user_id in recent:
                 recent.remove(user_id)
@@ -231,21 +228,7 @@ class World:
 
     def export_events(self, path: str | Path) -> Path:
         """Write the append-only event log as JSON lines."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.events:
-                fh.write(json.dumps({
-                    "t": r.t,
-                    "user_id": r.user_id,
-                    "venue_id": r.venue_id,
-                    "reported_lat": r.reported_gps.lat,
-                    "reported_lon": r.reported_gps.lon,
-                    "valid": r.accepted,
-                    "flags": r.export_flags(),
-                }, separators=(",", ":")))
-                fh.write("\n")
-        return path
+        return write_events(self.events, path)
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -305,7 +288,7 @@ class World:
                   u.total_mayorships, u.is_cheater_ground_truth))
         for v in self.venues:
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
-                  v.unique_visitors, v.mayor_id, v.recent_visitors))
+                  len(v.visitor_ids), v.mayor_id, v.recent_visitors))
         for r in self.events:
             feed((r.t, r.user_id, r.venue_id, r.reported_gps, r.true_gps,
                   r.verdict.valid, r.verdict.flags, r.attested, r.accepted))

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from checkinsim.geo import GeoPoint, haversine_m
+from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
+from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 
 EARTH_R = 6_371_000.0
 
@@ -94,3 +95,25 @@ def nearest_linear(
     if best is None:
         return None
     return best[1], best[0]
+
+
+def validate_schedule(schedule, location_of) -> None:
+    """Check a schedule's timing invariants against venue positions."""
+    prev = None
+    last_fire: dict[int, int] = {}
+    for entry in schedule.entries:
+        if prev is not None:
+            if entry.fire_time <= prev.fire_time:
+                raise ValueError("fire times must be strictly increasing")
+            d_miles = haversine_m(location_of(prev.venue_id), location_of(entry.venue_id)) / MILE_M
+            required = MIN_INTERVAL_S if d_miles <= 1.0 else d_miles * MIN_INTERVAL_S
+            if entry.fire_time - prev.fire_time + 1e-6 < required:
+                raise ValueError(
+                    f"interval {entry.fire_time - prev.fire_time}s under "
+                    f"{required:.0f}s required for {d_miles:.2f} miles"
+                )
+        seen = last_fire.get(entry.venue_id)
+        if seen is not None and entry.fire_time - seen < SAME_VENUE_GAP_S:
+            raise ValueError(f"venue {entry.venue_id} revisited within the cooldown window")
+        last_fire[entry.venue_id] = entry.fire_time
+        prev = entry

@@ -202,6 +202,11 @@ class TestBuildReport:
         report = build_report(tables, [])
         assert report[0].recent_ratio == 0.0 and not report[0].suspicious
 
+    def test_recent_without_total_rejected(self):
+        tables = PublicTables({1: user_row(1, 0, recent=5)}, {}, [])
+        with pytest.raises(ValueError, match="user 1: recent_checkins 5 exceeds total_checkins 0"):
+            build_report(tables, [])
+
 
 class TestCurveSeparatesPlantedCheaters:
     def test_evader_population_lifts_the_recent_curve(self):

@@ -20,11 +20,12 @@ from checkinsim.attacker import (
     select_targets,
 )
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m, offset_point
+from checkinsim.harness import PopulationConfig, generate_population
 from checkinsim.spatial import VenueGridIndex
 from checkinsim.tables import tables_from_world
 from checkinsim.world import World
 
-from oracles import brute_verdicts, nearest_linear
+from oracles import brute_verdicts, nearest_linear, validate_schedule
 
 CITY = GeoPoint(40.0, -100.0)
 
@@ -139,14 +140,14 @@ class TestBuildSchedule:
                 for i in range(1, 15)}
         seq = [(i, locs[i]) for i in rng.choices(list(locs), k=10)]
         schedule = build_schedule(seq, 500)
-        schedule.validate(lambda vid: locs[vid])
+        validate_schedule(schedule, lambda vid: locs[vid])
 
     def test_validate_rejects_rule_breaking_schedule(self):
         a, b = CITY, offset_point(CITY, 90, 10 * MILE_M)
         bad = AttackSchedule([ScheduleEntry(1, 0), ScheduleEntry(2, 60)])
         locs = {1: a, 2: b}
         with pytest.raises(ValueError):
-            bad.validate(lambda vid: locs[vid])
+            validate_schedule(bad, lambda vid: locs[vid])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -269,9 +270,16 @@ class TestGridIndex:
         assert index.nearest(CITY, exclude=all_ids) is None
 
     def test_nearest_from_high_latitude_query(self):
-        # query far outside the venue band: the ring cutoff must stay safe
+        # queries far outside the venue band, including ones whose shortest
+        # path to the venues crosses the antimeridian
         world = World()
         index = venue_grid(world, rows=4, cols=4, spacing_m=5000)
         entries = [(v.venue_id, v.location) for v in world.venues]
         q = GeoPoint(82.0, -99.5)
         assert index.nearest(q) == nearest_linear(entries, q)
+
+        world = generate_population(PopulationConfig(n_users=0, n_venues=200))
+        entries = [(v.venue_id, v.location) for v in world.venues]
+        index = VenueGridIndex(entries, cell_size_deg=0.5)
+        for q in (GeoPoint(-40.0, 170.0), GeoPoint(-30.0, 150.0), GeoPoint(10.0, 120.0)):
+            assert index.nearest(q) == nearest_linear(entries, q)

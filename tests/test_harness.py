@@ -210,6 +210,15 @@ class TestScenarioLoading:
         assert routers[1].range_m == 60
         assert routers[2].processing_delay_s == 1e-6
 
+    @pytest.mark.parametrize("config, key", [
+        ({"export_snapshot": True}, "export_snapshot"),
+        ({"router": {"coverage": "full"}}, "router"),
+        ({"routers": {"coverage": "full", "strict_verify": True}}, "strict_verify"),
+    ])
+    def test_unknown_keys_are_config_errors(self, config, key):
+        with pytest.raises(InvalidConfig, match=key):
+            ScenarioConfig.from_dict({"population": {"n_users": 10, "n_venues": 6}, **config})
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(InvalidConfig):
             load_scenario(tmp_path / "nope.json")
