@@ -143,13 +143,14 @@ def dispersion(
 def user_traces(
     tables: PublicTables, events: Sequence[EventRow]
 ) -> dict[int, list[tuple[int, GeoPoint]]]:
-    """Per-user, time-ordered (t, venue location) traces from the event log."""
-    venues = tables.venues
+    """Per-user, time-ordered (t, venue location) traces from the event log.
+
+    Raises ``ValueError`` for a row whose venue is not in ``VenueInfo.csv``.
+    """
+    location = tables.event_location
     traces: dict[int, list[tuple[int, GeoPoint]]] = {}
     for e in events:
-        v = venues.get(e.venue_id)
-        loc = GeoPoint(v.lat, v.lon) if v is not None else GeoPoint(e.reported_lat, e.reported_lon)
-        traces.setdefault(e.user_id, []).append((e.t, loc))
+        traces.setdefault(e.user_id, []).append((e.t, location(e)))
     for trace in traces.values():
         trace.sort(key=lambda row: row[0])
     return traces

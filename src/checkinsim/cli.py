@@ -188,7 +188,7 @@ def _cmd_verify_replay(args) -> int:
         by_user.setdefault(e.user_id, []).append(e)
     mismatches = 0
     for user_id, recorded in by_user.items():
-        trace = [(e.t, e.venue_id, tables.venues[e.venue_id].location,
+        trace = [(e.t, e.venue_id, tables.event_location(e),
                   GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
         verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
         for e, verdict in zip(recorded, verdicts):

@@ -119,6 +119,13 @@ class PopulationConfig:
 
 _SCENARIO_KEYS = {"population", "rules", "badges", "routers", "attacks", "detection"}
 _ROUTER_KEYS = {"coverage", "entries", "range_m", "strict"}
+_DETECTION_KEYS = {f.name for f in dataclasses.fields(analytics.DetectionThresholds)}
+# Keys each attack kind reads, besides "kind", "true_location" and "start_delay_s".
+_ATTACK_KEYS = {
+    "tour": {"start", "steps", "step_deg"},
+    "vacancy_sweep": {"require_mayor_special", "require_vacant_mayor", "name_filter", "limit"},
+    "mayor_denial": {"victim"},
+}
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,11 @@ class ScenarioConfig:
         coverage = routers.get("coverage", "none")
         if coverage not in ("none", "full", "listed"):
             raise InvalidConfig(f"unknown router coverage {coverage!r}")
-        thresholds = analytics.DetectionThresholds(**data["detection"]) if "detection" in data \
-            else analytics.DetectionThresholds()
+        detection = data.get("detection", {})
+        unknown = set(detection) - _DETECTION_KEYS
+        if unknown:
+            raise InvalidConfig(f"unknown detection config keys: {sorted(unknown)}")
+        thresholds = analytics.DetectionThresholds(**detection)
         return cls(
             population=population,
             rules=rules,
@@ -361,8 +371,11 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
 
 def _run_attack(world: World, spec: dict, index: VenueGridIndex) -> dict:
     kind = spec.get("kind")
-    if kind not in ("tour", "vacancy_sweep", "mayor_denial"):
+    if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
         raise InvalidConfig(f"unknown attack kind {kind!r}")
+    unknown = set(spec) - {"kind", "true_location", "start_delay_s"} - _ATTACK_KEYS[kind]
+    if unknown:
+        raise InvalidConfig(f"unknown {kind!r} attack keys: {sorted(unknown)}")
     if "true_location" not in spec:
         raise InvalidConfig(f"attack {kind!r} needs a true_location")
     true_location = GeoPoint(*spec["true_location"])

@@ -66,18 +66,34 @@ class _BadgeProgress:
 
 
 class MayorState:
-    """Per-venue mayorship bookkeeping.
+    """Per-venue mayorship bookkeeping, kept up to date per check-in.
 
     ``days`` maps user id to a deque of (day, latest check-in timestamp that
     day) for the user's valid check-ins at this venue; the window prune keys
-    off the stored timestamps so partial days age out correctly.
+    off the stored timestamps so partial days age out correctly. After each
+    prune ``days`` holds exactly the users with a day in the window.
+
+    ``_expiry`` is a FIFO of (t, user id) with one record for every
+    timestamp ``note_checkin`` stores, a same-day update included. The prune
+    pops the records at or before the window start and visits only their
+    users; a record whose timestamp a later same-day check-in replaced finds
+    nothing to expire. ``_buckets`` maps a distinct-day count to the users
+    holding it, and ``_best`` is the highest count held (0 with no users),
+    so the leader is read without scanning the visitors.
+
+    Precondition: ``note_checkin`` sees non-decreasing timestamps, which
+    keeps the FIFO time-sorted. ``World`` guarantees it, because
+    ``SimClock.advance`` refuses a regression.
     """
 
-    __slots__ = ("mayor_id", "days")
+    __slots__ = ("mayor_id", "days", "_expiry", "_buckets", "_best")
 
     def __init__(self) -> None:
         self.mayor_id: Optional[int] = None
         self.days: dict[int, deque[tuple[int, int]]] = {}
+        self._expiry: deque[tuple[int, int]] = deque()
+        self._buckets: dict[int, set[int]] = {}
+        self._best = 0
 
     def note_checkin(self, user_id: int, t: int) -> None:
         day = t // DAY_S
@@ -85,25 +101,49 @@ class MayorState:
         if dq is None:
             dq = deque()
             self.days[user_id] = dq
+        self._expiry.append((t, user_id))
         if dq and dq[-1][0] == day:
             dq[-1] = (day, t)
-        else:
-            dq.append((day, t))
+            return
+        dq.append((day, t))
+        count = len(dq)
+        self._move(user_id, count - 1, count)
+        if count > self._best:
+            self._best = count
 
     def distinct_day_counts(self, t: int) -> dict[int, int]:
         """Distinct check-in days per user within (t - window, t]."""
         self._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
         return {user_id: len(dq) for user_id, dq in self.days.items()}
 
+    def _move(self, user_id: int, old: int, new: int) -> None:
+        """Move a user from the ``old`` count bucket to ``new`` (0: none)."""
+        buckets = self._buckets
+        if old:
+            bucket = buckets[old]
+            bucket.discard(user_id)
+            if not bucket:
+                del buckets[old]
+        if new:
+            buckets.setdefault(new, set()).add(user_id)
+
     def _prune(self, window_start: int) -> None:
-        stale = []
-        for user_id, dq in self.days.items():
+        expiry = self._expiry
+        days = self.days
+        while expiry and expiry[0][0] <= window_start:
+            user_id = expiry.popleft()[1]
+            dq = days.get(user_id)
+            if dq is None:
+                continue
+            before = len(dq)
             while dq and dq[0][1] <= window_start:
                 dq.popleft()
-            if not dq:
-                stale.append(user_id)
-        for user_id in stale:
-            del self.days[user_id]
+            if len(dq) != before:
+                self._move(user_id, before, len(dq))
+                if not dq:
+                    del days[user_id]
+        while self._best and self._best not in self._buckets:
+            self._best -= 1
 
 
 class RewardsEngine:
@@ -167,13 +207,7 @@ class RewardsEngine:
         """
         state = self.mayor_state(venue_id)
         state._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
-        best_user: Optional[int] = None
-        best_count = 0
-        for user_id, dq in state.days.items():
-            count = len(dq)
-            if count > best_count or (count == best_count and (best_user is None or user_id < best_user)):
-                best_user = user_id
-                best_count = count
+        best_count = state._best
         incumbent = state.mayor_id
         if best_count == 0:
             return incumbent
@@ -181,6 +215,7 @@ class RewardsEngine:
             dq = state.days.get(incumbent)
             if dq is not None and len(dq) == best_count:
                 return incumbent
+        best_user = min(state._buckets[best_count])
         state.mayor_id = best_user
         return best_user
 

@@ -59,6 +59,14 @@ class PublicTables:
     venues: dict[int, VenueRow]
     recent: list[tuple[int, int]]  # (venue_id, user_id)
 
+    def event_location(self, event: EventRow) -> GeoPoint:
+        """Location of an events.jsonl row's venue, which VenueInfo must list."""
+        venue = self.venues.get(event.venue_id)
+        if venue is None:
+            raise ValueError(f"events.jsonl row for user {event.user_id} at t={event.t}: "
+                             f"venue {event.venue_id} is not in VenueInfo.csv")
+        return GeoPoint(venue.lat, venue.lon)
+
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write one CSV file in the dialect of every export (``\\n`` line ends)."""

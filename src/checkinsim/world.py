@@ -27,7 +27,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION = 3
 
 
 class UnknownUser(Exception):

@@ -10,10 +10,12 @@ be compared with the grid index's exactly.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
+from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
 
 EARTH_R = 6_371_000.0
 
@@ -117,3 +119,49 @@ def validate_schedule(schedule, location_of) -> None:
             raise ValueError(f"venue {entry.venue_id} revisited within the cooldown window")
         last_fire[entry.venue_id] = entry.fire_time
         prev = entry
+
+
+class ScanningMayor:
+    """Mayorship of one venue by full rescan: the reference for ``MayorState``.
+
+    ``days`` maps user id to a deque of (day, latest check-in timestamp that
+    day). Every ``recompute`` prunes each user's deque and scans every
+    remaining user for the most distinct days; the incumbent keeps the title
+    on a tie or when no user has a day in the window, otherwise the lowest
+    user id wins.
+    """
+
+    def __init__(self) -> None:
+        self.mayor_id: Optional[int] = None
+        self.days: dict[int, deque] = {}
+
+    def note_checkin(self, user_id: int, t: int) -> None:
+        day = t // DAY_S
+        dq = self.days.setdefault(user_id, deque())
+        if dq and dq[-1][0] == day:
+            dq[-1] = (day, t)
+        else:
+            dq.append((day, t))
+
+    def recompute(self, t: int) -> Optional[int]:
+        window_start = t - MAYOR_WINDOW_DAYS * DAY_S
+        for user_id in list(self.days):
+            dq = self.days[user_id]
+            while dq and dq[0][1] <= window_start:
+                dq.popleft()
+            if not dq:
+                del self.days[user_id]
+        best_user: Optional[int] = None
+        best_count = 0
+        for user_id, dq in self.days.items():
+            count = len(dq)
+            if count > best_count or (count == best_count and (best_user is None or user_id < best_user)):
+                best_user = user_id
+                best_count = count
+        if best_count == 0:
+            return self.mayor_id
+        incumbent = self.days.get(self.mayor_id)
+        if incumbent is not None and len(incumbent) == best_count:
+            return self.mayor_id
+        self.mayor_id = best_user
+        return best_user

@@ -7,11 +7,15 @@ benchmark runs.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import checkinsim
 import checkinsim.cli
 import checkinsim.harness
+from checkinsim.geo import GeoPoint
+from checkinsim.rewards import RewardsEngine
+from checkinsim.world import UserProfile
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -36,3 +40,18 @@ def test_every_span_target_resolves():
         if not callable(getattr(getattr(checkinsim, module, None), "haversine_m", None)):
             missing.append(f"{module}.haversine_m")
     assert missing == []
+
+
+def test_every_counter_belongs_to_a_span():
+    spans = load_spans()
+    names = {name for *_, name in spans.RUN_SPANS + spans.CLI_SPANS + spans.ANALYTICS_SPANS}
+    assert set(spans.AFTER) - names == set()
+
+
+def test_mayor_candidate_counter_reads_the_engine():
+    spans = load_spans()
+    engine = RewardsEngine()
+    mayor = engine.on_valid_checkin(UserProfile(user_id=3, home=GeoPoint(40.0, -100.0)), 7, 100)[2]
+    counters = Counter()
+    spans.AFTER["rewards.recompute_mayor"](counters, (engine, 7, 100), mayor)
+    assert counters == {"rewards.mayor_candidates": 1}

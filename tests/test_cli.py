@@ -36,6 +36,16 @@ class TestExitCodes:
             main(["run"])  # missing required arguments
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("config, key", [
+        ({"attacks": [{"kind": "tour", "step": 3, "true_location": [35.0, -90.0]}]}, "step"),
+        ({"detection": {"v_travel": 1}}, "v_travel"),
+    ])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, config, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"population": SCENARIO["population"], **config}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_unreadable_snapshot_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "junk.snap"
         snap.write_bytes(b"garbage")
@@ -83,6 +93,23 @@ class TestRunAndDetect:
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert (f"user {user_id}: recent_checkins {int(total) + 1} exceeds "
                 f"total_checkins {total}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_event_at_unknown_venue_exits_2(self, tmp_path, capsys, command):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        row = json.loads(lines[0])
+        row["venue_id"] = 999
+        lines[0] = json.dumps(row, separators=(",", ":"))
+        log.write_text("\n".join(lines) + "\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        assert (f"events.jsonl row for user {row['user_id']} at t={row['t']}: "
+                "venue 999 is not in VenueInfo.csv") in capsys.readouterr().err
 
     def test_verify_replay_consistent_log(self, tmp_path, scenario_path, capsys):
         main(["run", "--config", str(scenario_path), "--out", str(tmp_path / "out")])

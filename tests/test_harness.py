@@ -176,6 +176,20 @@ class TestRunScenario:
         with pytest.raises(InvalidConfig):
             run_scenario(scenario, tmp_path / "out")
 
+    @pytest.mark.parametrize("attack, key", [
+        ({"kind": "tour", "step": 3}, "step"),
+        ({"kind": "tour", "victim": 1}, "victim"),
+        ({"kind": "tour", "start_delay": 60}, "start_delay"),
+        ({"kind": "vacancy_sweep", "steps": 5}, "steps"),
+        ({"kind": "vacancy_sweep", "require_special": True}, "require_special"),
+        ({"kind": "mayor_denial", "victim": 1, "limit": 3}, "limit"),
+    ])
+    def test_unknown_attack_keys_rejected(self, tmp_path, attack, key):
+        scenario = self._scenario(population=dict(n_users=10, n_venues=6),
+                                  attacks=({**attack, "true_location": [0, 0]},))
+        with pytest.raises(InvalidConfig, match=f"'{key}'"):
+            run_scenario(scenario, tmp_path / "out")
+
 
 class TestScenarioLoading:
     def test_load_json_round_trip(self, tmp_path):
@@ -214,6 +228,7 @@ class TestScenarioLoading:
         ({"export_snapshot": True}, "export_snapshot"),
         ({"router": {"coverage": "full"}}, "router"),
         ({"routers": {"coverage": "full", "strict_verify": True}}, "strict_verify"),
+        ({"detection": {"v_travel": 1}}, "v_travel"),
     ])
     def test_unknown_keys_are_config_errors(self, config, key):
         with pytest.raises(InvalidConfig, match=key):

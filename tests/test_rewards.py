@@ -9,8 +9,9 @@ from checkinsim.rewards import (
     DEFAULT_BADGE_CATALOG,
     RewardsEngine,
 )
-from checkinsim.world import UserProfile
-from checkinsim.geo import GeoPoint
+from checkinsim.world import UserProfile, World
+from checkinsim.geo import GeoPoint, offset_point
+from oracles import ScanningMayor
 
 HOME = GeoPoint(40.0, -100.0)
 
@@ -191,3 +192,114 @@ class TestMayorship:
             engine.on_valid_checkin(a, 1, day * DAY_S + 10)
         counts = engine.mayor_state(1).distinct_day_counts(90 * DAY_S)
         assert counts == {1: 1}  # only day 30 is inside (t-60d, t]
+
+
+def replay_against_oracle(steps):
+    """Feed ("checkin", venue, t, user) and ("read", venue, t) steps to the
+    engine and to the scanning oracle; after every step the mayor and the
+    number of in-window users at that venue must agree. Returns the mayors.
+    """
+    engine = RewardsEngine()
+    oracles = {}
+    users = {}
+    mayors = []
+    for i, (kind, venue_id, t, *rest) in enumerate(steps):
+        oracle = oracles.setdefault(venue_id, ScanningMayor())
+        if kind == "checkin":
+            user_id = rest[0]
+            user = users.setdefault(user_id, make_user(user_id))
+            _, _, mayor = engine.on_valid_checkin(user, venue_id, t)
+            oracle.note_checkin(user_id, t)
+        else:
+            mayor = engine.recompute_mayor(venue_id, t)
+        expected = oracle.recompute(t)
+        got = (mayor, len(engine.mayor_state(venue_id).days))
+        assert got == (expected, len(oracle.days)), f"step {i}: {steps[i]}"
+        mayors.append(mayor)
+    return mayors
+
+
+def random_stream(rng, n_users, n_venues, n_steps):
+    """Check-ins in time order with same-day, multi-day and beyond-window
+    gaps, mixed with lazy reads at the current or a later time."""
+    steps = []
+    t = rng.randrange(DAY_S)
+    for _ in range(n_steps):
+        roll = rng.random()
+        if roll < 0.5:
+            t += rng.randint(0, 3 * 3600)
+        elif roll < 0.95:
+            t += rng.randint(1, 5) * DAY_S + rng.randint(0, 3600)
+        else:
+            t += rng.randint(61, 90) * DAY_S
+        venue_id = rng.randint(1, n_venues)
+        if rng.random() < 0.15:
+            steps.append(("read", venue_id, t + rng.choice((0, rng.randint(1, 70) * DAY_S))))
+        else:
+            steps.append(("checkin", venue_id, t, rng.randint(1, n_users)))
+    return steps
+
+
+class TestMayorDifferential:
+    """The incremental mayorship against ``oracles.ScanningMayor``."""
+
+    def test_random_streams(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            replay_against_oracle(random_stream(
+                rng, rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 150)))
+
+    def test_many_users_tied_at_the_top(self):
+        rng = random.Random(77)
+        for _ in range(20):
+            replay_against_oracle(random_stream(rng, 60, 1, 400))
+
+    def test_incumbent_keeps_title_on_tie(self):
+        steps = []
+        for day in range(5):
+            steps.append(("checkin", 1, day * DAY_S + 50, 7))
+            steps.append(("checkin", 1, day * DAY_S + 60_000, 2))
+        assert replay_against_oracle(steps)[-1] == 7
+
+    def test_expired_incumbent_tie_goes_to_lowest_id(self):
+        steps = [("checkin", 1, 0, 1), ("checkin", 1, 30 * DAY_S, 3),
+                 ("checkin", 1, 30 * DAY_S + 4000, 2), ("read", 1, 65 * DAY_S)]
+        assert replay_against_oracle(steps) == [1, 1, 1, 2]
+
+    def test_same_day_checkin_moves_the_day_expiry(self):
+        steps = [("checkin", 1, 100, 1), ("checkin", 1, 80_000, 1),
+                 ("checkin", 1, DAY_S + 50, 2),
+                 ("read", 1, 60 * DAY_S + 100),      # day 0 now expires at 80_000
+                 ("read", 1, 60 * DAY_S + 80_000)]
+        assert replay_against_oracle(steps) == [1, 1, 1, 1, 2]
+
+    def test_fully_idle_venue_keeps_its_mayor(self):
+        steps = [("checkin", 1, 0, 4), ("checkin", 1, DAY_S, 5), ("checkin", 1, 2 * DAY_S, 4),
+                 ("read", 1, 200 * DAY_S), ("read", 1, 300 * DAY_S)]
+        assert replay_against_oracle(steps)[-2:] == [4, 4]
+
+    def test_lazy_world_reads_at_later_times(self):
+        rng = random.Random(5)
+        world = World(seed=1)
+        center = GeoPoint(40.0, -100.0)
+        for i in range(3):
+            world.register_venue(f"V{i + 1}", offset_point(center, 120 * i, 300))
+        for _ in range(8):
+            world.register_user(center)
+        oracles = {venue.venue_id: ScanningMayor() for venue in world.venues}
+        t = 0
+        for step in range(600):
+            t += rng.choice((rng.randint(600, 4 * 3600), rng.randint(1, 4) * DAY_S))
+            venue = world.venue(rng.randint(1, 3))
+            record = world.submit_checkin(rng.randint(1, 8), venue.venue_id, venue.location, t)
+            oracle = oracles[venue.venue_id]
+            if record.accepted:
+                oracle.note_checkin(record.user_id, t)
+                assert venue.mayor_id == oracle.recompute(t), f"step {step}"
+            if rng.random() < 0.2:
+                later = t + rng.randint(0, 90) * DAY_S
+                for venue_id, oracle in oracles.items():
+                    assert world.mayor_of(venue_id, t=later) == oracle.recompute(later)
+                    assert len(world.rewards.mayor_state(venue_id).days) == len(oracle.days)
+        titles = sum(1 for v in world.venues if v.mayor_id is not None)
+        assert sum(u.total_mayorships for u in world.users) == titles
