@@ -8,11 +8,12 @@ export files alone; ground truth never feeds a detector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .geo import GeoPoint, haversine_m
+from .geo import EARTH_RADIUS_M, GeoPoint, haversine_m
 from .tables import EventRow, PublicTables, write_csv
 
 
@@ -125,19 +126,87 @@ def dispersion(
     """Number of geographic clusters in a check-in history.
 
     Greedy leader clustering over a canonical ordering (time, then position),
-    so duplicates and reordering of same-time points cannot change the count.
+    so duplicates and reordering of same-time points cannot change the count:
+    a point joins the clusters if some leader lies within ``cluster_radius_m``
+    (``haversine_m``), and otherwise becomes a leader itself.
+
+    The count depends only on whether *some* leader is that close, not on
+    which, so any candidate set holding every leader within the radius gives
+    the same answer. Points are placed by their unit vector
+    (cos lat cos lon, cos lat sin lon, sin lat) in cube cells 2.002 chords of
+    the radius wide (at least 2.002e-9; a wider cell only adds candidates).
+    A chord grows with the great-circle distance, so a point within the
+    radius of a leader differs from it by less than half a cell on each axis
+    and lies in the 2x2x2 block of cells on the leader's side of its own
+    cell. Each leader is listed in the eight cells of its block, so a point
+    reads one list, with no pole or antimeridian case. ``haversine_m`` stays
+    the only accept test; the cells only choose which leaders it sees.
+
+    Three shortcuts skip the lookup: the first point is a leader; a location
+    already seen in the trace is skipped, since it is a leader or lies within
+    the radius of one and leaders are never removed (this needs a radius
+    > 0); and the leader the previous point matched is tried first.
+    Non-finite coordinates raise ``ValueError``.
     """
     if not trace:
         raise ValueError("dispersion needs a non-empty trace")
-    ordered = sorted(trace, key=lambda row: (row[0], row[1][0], row[1][1]))
-    leaders: list[GeoPoint] = []
+    if not cluster_radius_m > 0:
+        raise ValueError(f"cluster_radius_m must be > 0, got {cluster_radius_m!r}")
+    ordered = sorted(trace)  # (t, (lat, lon)) pairs: by time, then position
+    chord = 2.0 * math.sin(min(cluster_radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2))
+    halves = 1.0 / (max(chord, 1e-9) * 1.001)  # half-cells per unit length
+    cells: dict[int, list[GeoPoint]] = {}
+    last = ordered[0][1]
+    _list_leader(cells, last, _cell_keys(last, halves)[1])
+    seen = {last}
+    clusters = 1
     for _, loc in ordered:
-        for leader in leaders:
+        if loc in seen:
+            continue
+        seen.add(loc)
+        if haversine_m(last, loc) <= cluster_radius_m:
+            continue
+        home, corner = _cell_keys(loc, halves)
+        for leader in cells.get(home, ()):
             if haversine_m(leader, loc) <= cluster_radius_m:
+                last = leader
                 break
         else:
-            leaders.append(loc)
-    return len(leaders)
+            _list_leader(cells, loc, corner)
+            last = loc
+            clusters += 1
+    return clusters
+
+
+# A cell key packs the three cell indices as digits of base 2**31; cells are
+# at least 2.002e-9 wide, so each index stays below 2**30 in magnitude.
+_CELL_BASE = 1 << 31
+_CELL_BLOCK = tuple((dx * _CELL_BASE + dy) * _CELL_BASE + dz
+                    for dx in (0, 1) for dy in (0, 1) for dz in (0, 1))
+
+
+def _cell_keys(p: GeoPoint, halves: float) -> tuple[int, int]:
+    """Key of ``p``'s own cell and of the low corner of its 2x2x2 block.
+
+    Along each axis the block starts one cell lower when ``p`` lies in the
+    low half of its cell (an even half-cell index).
+    """
+    lat = math.radians(p[0])
+    lon = math.radians(p[1])
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"dispersion needs finite coordinates, got {tuple(p)}")
+    cos_lat = math.cos(lat)
+    hx = math.floor(cos_lat * math.cos(lon) * halves)
+    hy = math.floor(cos_lat * math.sin(lon) * halves)
+    hz = math.floor(math.sin(lat) * halves)
+    home = ((hx >> 1) * _CELL_BASE + (hy >> 1)) * _CELL_BASE + (hz >> 1)
+    low = ((1 - (hx & 1)) * _CELL_BASE + 1 - (hy & 1)) * _CELL_BASE + 1 - (hz & 1)
+    return home, home - low
+
+
+def _list_leader(cells: dict[int, list[GeoPoint]], leader: GeoPoint, corner: int) -> None:
+    for offset in _CELL_BLOCK:
+        cells.setdefault(corner + offset, []).append(leader)
 
 
 def user_traces(

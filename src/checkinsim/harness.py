@@ -33,7 +33,8 @@ from .attacker import (
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
 from .spatial import VenueGridIndex
-from .tables import load_events, load_tables, tables_from_world
+from .tables import event_row, tables_from_world
+from .tables import load_events, load_tables  # unused; perfbench/spans.py wraps these names here
 from .verify import RouterRegistration
 from .world import World
 
@@ -165,7 +166,16 @@ class ScenarioConfig:
         unknown = set(detection) - _DETECTION_KEYS
         if unknown:
             raise InvalidConfig(f"unknown detection config keys: {sorted(unknown)}")
+        for key, value in detection.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidConfig(f"detection.{key} must be a number, got {value!r}")
+        for key in ("cluster_radius_m", "v_travel_m_per_s"):
+            if key in detection and not (math.isfinite(detection[key]) and detection[key] > 0):
+                raise InvalidConfig(f"detection.{key} must be a finite number > 0, "
+                                    f"got {detection[key]!r}")
         thresholds = analytics.DetectionThresholds(**detection)
+        attacks = data.get("attacks", [])
+        _check_attacks(attacks)
         return cls(
             population=population,
             rules=rules,
@@ -174,7 +184,7 @@ class ScenarioConfig:
             router_entries=tuple(routers.get("entries", ())),
             router_range_m=float(routers.get("range_m", 100.0)),
             strict_verify=bool(routers.get("strict", False)),
-            attacks=tuple(data.get("attacks", ())),
+            attacks=tuple(attacks),
             thresholds=thresholds,
         )
 
@@ -369,15 +379,27 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
 # attack scripts
 # ---------------------------------------------------------------------------
 
+def _check_attacks(attacks) -> None:
+    """Refuse ``attacks`` unless it is a list of objects of known kinds and keys."""
+    if not isinstance(attacks, (list, tuple)):
+        raise InvalidConfig(f"attacks must be a list, got {attacks!r}")
+    for i, spec in enumerate(attacks):
+        if not isinstance(spec, dict):
+            raise InvalidConfig(f"attacks[{i}] must be an object, got {spec!r}")
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
+            raise InvalidConfig(f"attacks[{i}]: unknown attack kind {kind!r}")
+        unknown = set(spec) - {"kind", "true_location", "start_delay_s"} - _ATTACK_KEYS[kind]
+        if unknown:
+            raise InvalidConfig(f"attacks[{i}]: unknown {kind!r} attack keys: {sorted(unknown)}")
+        if "true_location" not in spec:
+            raise InvalidConfig(f"attacks[{i}]: attack {kind!r} needs a true_location")
+        if kind == "mayor_denial" and "victim" not in spec:
+            raise InvalidConfig(f"attacks[{i}]: attack 'mayor_denial' needs a victim")
+
+
 def _run_attack(world: World, spec: dict, index: VenueGridIndex) -> dict:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
-        raise InvalidConfig(f"unknown attack kind {kind!r}")
-    unknown = set(spec) - {"kind", "true_location", "start_delay_s"} - _ATTACK_KEYS[kind]
-    if unknown:
-        raise InvalidConfig(f"unknown {kind!r} attack keys: {sorted(unknown)}")
-    if "true_location" not in spec:
-        raise InvalidConfig(f"attack {kind!r} needs a true_location")
+    kind = spec["kind"]
     true_location = GeoPoint(*spec["true_location"])
     attacker_id = world.register_user(true_location, is_cheater=True)
     start_time = world.clock.now + int(spec.get("start_delay_s", START_DELAY_S))
@@ -432,14 +454,21 @@ class ScenarioResult:
 
 def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
                  seed: Optional[int] = None) -> ScenarioResult:
-    """Generate, attack, export, detect; write every artifact under out_dir."""
+    """Generate, attack, export, detect; write every artifact under out_dir.
+
+    Detection runs on the in-memory projection of the world
+    (``tables_from_world`` and ``event_row``), which equals what
+    ``load_tables`` and ``load_events`` read back from the exports written
+    just before, so the files are not re-read.
+    """
     out = Path(out_dir)
+    _check_attacks(scenario.attacks)
     world, index = build_world(scenario, seed)
     attack_summaries = [_run_attack(world, spec, index) for spec in scenario.attacks]
     paths = write_exports(world, out)
 
-    tables = load_tables(out)
-    events = load_events(paths["events"])
+    tables = tables_from_world(world)
+    events = [event_row(r) for r in world.events]
     report = analytics.build_report(tables, events, scenario.thresholds)
     paths["report"] = analytics.write_report_csv(report, out / "report.csv")
     paths["recent_curve"] = analytics.write_curve_csv(

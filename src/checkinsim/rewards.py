@@ -81,9 +81,9 @@ class MayorState:
     holding it, and ``_best`` is the highest count held (0 with no users),
     so the leader is read without scanning the visitors.
 
-    Precondition: ``note_checkin`` sees non-decreasing timestamps, which
-    keeps the FIFO time-sorted. ``World`` guarantees it, because
-    ``SimClock.advance`` refuses a regression.
+    ``note_checkin`` needs non-decreasing timestamps, which keep the FIFO
+    time-sorted, and raises ``ValueError`` on an earlier one. ``World``
+    never sends one, because ``SimClock.advance`` refuses a regression.
     """
 
     __slots__ = ("mayor_id", "days", "_expiry", "_buckets", "_best")
@@ -96,12 +96,16 @@ class MayorState:
         self._best = 0
 
     def note_checkin(self, user_id: int, t: int) -> None:
+        expiry = self._expiry
+        if expiry and t < expiry[-1][0]:
+            raise ValueError(f"check-in by user {user_id} at t={t} is earlier than "
+                             f"the venue's last one at t={expiry[-1][0]}")
         day = t // DAY_S
         dq = self.days.get(user_id)
         if dq is None:
             dq = deque()
             self.days[user_id] = dq
-        self._expiry.append((t, user_id))
+        expiry.append((t, user_id))
         if dq and dq[-1][0] == day:
             dq[-1] = (day, t)
             return

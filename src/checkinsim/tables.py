@@ -145,21 +145,24 @@ def tables_from_world(world) -> PublicTables:
     return PublicTables(users, venues, recent)
 
 
+def event_row(record) -> EventRow:
+    """The events.jsonl projection of a check-in record, as ``load_events`` reads it."""
+    gps = record.reported_gps
+    return EventRow(record.t, record.user_id, record.venue_id, gps.lat, gps.lon,
+                    record.accepted, tuple(record.export_flags()))
+
+
+# One encoder for every row: json.dumps with separators builds a new one per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_events(records: Iterable, path: str | Path) -> Path:
     """Write check-in records as the events.jsonl log that ``load_events`` reads."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "t": r.t,
-                "user_id": r.user_id,
-                "venue_id": r.venue_id,
-                "reported_lat": r.reported_gps.lat,
-                "reported_lon": r.reported_gps.lon,
-                "valid": r.accepted,
-                "flags": r.export_flags(),
-            }, separators=(",", ":")))
+            fh.write(_encode_json(event_row(r)._asdict()))
             fh.write("\n")
     return path
 

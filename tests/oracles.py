@@ -2,9 +2,10 @@
 
 These deliberately re-derive results from first principles (different
 formulas, full rescans) so they can serve as oracles for the production
-paths without sharing code with them. The one exception is
-``nearest_linear``, which measures with ``haversine_m`` so its distances can
-be compared with the grid index's exactly.
+paths without sharing code with them. The exceptions are
+``nearest_linear`` and ``scan_dispersion``, which measure with
+``haversine_m`` so their answers can be compared with the fast paths'
+exactly.
 """
 
 from __future__ import annotations
@@ -165,3 +166,20 @@ class ScanningMayor:
             return self.mayor_id
         self.mayor_id = best_user
         return best_user
+
+
+def scan_dispersion(trace, cluster_radius_m: float = 50_000.0) -> int:
+    """Leader clustering by full scan: the reference for ``analytics.dispersion``.
+
+    Orders by (time, lat, lon) and compares each point with every leader so
+    far, in order, until one lies within the radius.
+    """
+    ordered = sorted(trace, key=lambda row: (row[0], row[1][0], row[1][1]))
+    leaders: list[GeoPoint] = []
+    for _, loc in ordered:
+        for leader in leaders:
+            if haversine_m(leader, loc) <= cluster_radius_m:
+                break
+        else:
+            leaders.append(loc)
+    return len(leaders)

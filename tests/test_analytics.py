@@ -14,19 +14,22 @@ from checkinsim.analytics import (
     flag_daily_rate,
     speed_feasibility,
 )
-from checkinsim.geo import GeoPoint, offset_point
+from checkinsim.geo import GeoPoint, haversine_m, offset_point
 from checkinsim.tables import (
     EventRow,
     MissingTables,
     PublicTables,
     UserRow,
     VenueRow,
+    event_row,
     load_events,
     load_tables,
     tables_from_world,
     write_tables,
 )
-from checkinsim.world import World
+from checkinsim.harness import ScenarioConfig, build_world, write_exports
+from checkinsim.world import PRESENCE_UNVERIFIED, World
+from oracles import scan_dispersion
 
 NYC = GeoPoint(40.7128, -74.0060)
 LA = GeoPoint(34.0522, -118.2437)
@@ -160,6 +163,90 @@ class TestDispersion:
         assert dispersion(trace + [trace[4], trace[11]]) == base
 
 
+class TestDispersionMatchesScan:
+    """``dispersion`` must count exactly what ``oracles.scan_dispersion`` counts."""
+
+    RADII = (1.0, 30.0, 1_000.0, 50_000.0, 400_000.0, 5e6, 1.5e7, 2.0e7, 2.1e7, 3e7)
+
+    def _points(self, rng, kind, n, rim_m):
+        if kind == "global":
+            return [GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(n)]
+        if kind == "pole":
+            side = rng.choice((-1.0, 1.0))
+            return [GeoPoint(side * rng.choice((90.0, 90.0 - rng.uniform(0, 0.5) ** 2)),
+                             rng.uniform(-180, 180)) for _ in range(n)]
+        if kind == "antimeridian":
+            lat = rng.uniform(-70, 70)
+            return [GeoPoint(lat + rng.gauss(0, 0.3),
+                             rng.choice((-1.0, 1.0)) * (180.0 - abs(rng.gauss(0, 0.3))))
+                    for _ in range(n)]
+        if kind == "town":
+            town = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
+            return [offset_point(town, rng.uniform(0, 360), rng.uniform(0, 8_000))
+                    for _ in range(n)]
+        if kind == "duplicates":
+            few = [GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
+                   for _ in range(rng.randint(1, 5))]
+            return [rng.choice(few) for _ in range(n)]
+        # "rim": points on or just either side of a circle about one center
+        center = GeoPoint(rng.uniform(-89, 89), rng.uniform(-180, 180))
+        return [center] + [offset_point(center, rng.uniform(0, 360),
+                                        rim_m * (1 + rng.choice((-1e-9, 0.0, 1e-9))))
+                           for _ in range(n - 1)]
+
+    def _case(self, rng, kind):
+        rim_m = rng.choice(self.RADII[:7])
+        n = rng.randint(1, 40)
+        points = self._points(rng, kind, n, rim_m)
+        trace = [(rng.randint(0, 3), p) for p in points]  # few distinct times: many ties
+        if kind == "rim" and n > 1 and rng.random() < 0.5:
+            radius = haversine_m(points[0], rng.choice(points[1:]))  # a leader's exact rim
+        elif kind == "rim":
+            radius = rim_m
+        elif rng.random() < 0.5:
+            radius = rng.choice(self.RADII)
+        else:
+            radius = 10 ** rng.uniform(0, 7.5)
+        return trace, radius
+
+    @pytest.mark.parametrize("kind", ["global", "pole", "antimeridian", "town", "duplicates", "rim"])
+    def test_random_traces(self, kind):
+        rng = random.Random(f"dispersion-{kind}")
+        for _ in range(250):
+            trace, radius = self._case(rng, kind)
+            expected = scan_dispersion(trace, radius)
+            assert dispersion(trace, radius) == expected, (kind, radius, trace)
+            shuffled = trace[:]
+            rng.shuffle(shuffled)
+            assert dispersion(shuffled, radius) == expected, (kind, radius, shuffled)
+
+    @pytest.mark.parametrize("log_min, log_max, n", [(-3, 6.7, 1000), (-9, -3, 10_000)])
+    def test_point_exactly_at_radius_joins_the_cluster(self, log_min, log_max, n):
+        rng = random.Random(f"rim-{log_min}")
+        for _ in range(n):
+            a = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
+            b = offset_point(a, rng.uniform(0, 360), 10 ** rng.uniform(log_min, log_max))
+            radius = haversine_m(a, b)
+            if radius == 0.0:  # offsets below the float spacing of the coordinates
+                continue
+            assert dispersion([(0, a), (1, b)], radius) == 1
+            assert dispersion([(0, b), (1, a)], radius) == 1
+            # the antipode in between makes b look a up through the cells
+            antipode = GeoPoint(-a.lat, a.lon - 180.0 if a.lon > 0 else a.lon + 180.0)
+            assert dispersion([(0, a), (1, antipode), (2, b)], radius) == 2
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_non_positive_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="cluster_radius_m"):
+            dispersion([(0, NYC), (1, NYC)], radius)
+
+    @pytest.mark.parametrize("bad", [GeoPoint(float("nan"), 0.0), GeoPoint(0.0, float("inf"))])
+    def test_non_finite_point_rejected(self, bad):
+        for trace in ([(0, bad)], [(0, NYC), (1, bad)], [(0, NYC), (1, bad), (2, bad)]):
+            with pytest.raises(ValueError):
+                dispersion(trace)
+
+
 class TestBuildReport:
     def _tables_and_events(self):
         center = GeoPoint(39.0, -98.0)
@@ -263,10 +350,23 @@ class TestFilePipeline:
         assert out1 == out2
 
     def test_tables_from_world_matches_files(self, tmp_path):
-        world = self._small_world()
-        world.export_public_profiles(tmp_path)
-        assert tables_from_world(world).users == load_tables(tmp_path).users
-        assert tables_from_world(world).recent == load_tables(tmp_path).recent
+        # teleporting cheaters under strict routers: rule-rejected rows and
+        # rule-valid rows refused for presence both reach the log
+        world, _ = build_world(ScenarioConfig.from_dict({
+            "population": {"n_users": 80, "n_venues": 30, "seed": 6,
+                           "cheater_fraction": 0.1, "duration_days": 20},
+            "routers": {"coverage": "full", "strict": True},
+        }))
+        write_exports(world, tmp_path)
+        tables, loaded = tables_from_world(world), load_tables(tmp_path)
+        assert tables.users == loaded.users
+        assert tables.venues == loaded.venues
+        assert tables.recent == loaded.recent
+        rows = [event_row(r) for r in world.events]
+        assert rows == load_events(tmp_path / "events.jsonl")
+        flags = {f for row in rows for f in row.flags}
+        assert PRESENCE_UNVERIFIED in flags and flags - {PRESENCE_UNVERIFIED}
+        assert not all(row.valid for row in rows)
 
     def test_write_tables_reproduces_golden_exports(self, tmp_path):
         golden = Path(__file__).parent / "data" / "golden"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import checkinsim
 import checkinsim.cli
-import checkinsim.harness
+from checkinsim import analytics, harness
 from checkinsim.geo import GeoPoint
 from checkinsim.rewards import RewardsEngine
 from checkinsim.world import UserProfile
@@ -55,3 +55,33 @@ def test_mayor_candidate_counter_reads_the_engine():
     counters = Counter()
     spans.AFTER["rewards.recompute_mayor"](counters, (engine, 7, 100), mayor)
     assert counters == {"rewards.mayor_candidates": 1}
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+SCENARIO = {"population": {"n_users": 40, "n_venues": 30, "seed": 2, "duration_days": 20,
+                           "cheater_fraction": 0.1}}
+
+
+def test_report_calls_dispersion_through_the_module_global(monkeypatch, tmp_path):
+    calls = counting(monkeypatch, analytics, "dispersion")
+    result = harness.run_scenario(harness.ScenarioConfig.from_dict(SCENARIO), tmp_path)
+    users_with_trace = {r.user_id for r in result.world.events}
+    assert len(calls) == len(users_with_trace) > 0
+
+
+def test_run_projects_the_world_through_the_module_global(monkeypatch, tmp_path):
+    calls = counting(monkeypatch, harness, "tables_from_world")
+    result = harness.run_scenario(harness.ScenarioConfig.from_dict(SCENARIO), tmp_path)
+    assert [args[0] for args in calls] == [result.world]

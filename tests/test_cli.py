@@ -46,6 +46,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, field", [
+        ({"attacks": ["tour"]}, "attacks[0]"),
+        ({"detection": {"cluster_radius_m": "x"}}, "detection.cluster_radius_m"),
+        ({"detection": {"cluster_radius_m": -1}}, "detection.cluster_radius_m"),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, config, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"population": SCENARIO["population"], **config}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any world was built
+
     def test_unreadable_snapshot_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "junk.snap"
         snap.write_bytes(b"garbage")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -233,6 +234,38 @@ class TestScenarioLoading:
     def test_unknown_keys_are_config_errors(self, config, key):
         with pytest.raises(InvalidConfig, match=key):
             ScenarioConfig.from_dict({"population": {"n_users": 10, "n_venues": 6}, **config})
+
+    @pytest.mark.parametrize("config, field", [
+        ({"attacks": ["tour"]}, "attacks[0] must be an object"),
+        ({"attacks": {"kind": "tour"}}, "attacks must be a list"),
+        ({"attacks": [{"kind": "bribe", "true_location": [0, 0]}]}, "'bribe'"),
+        ({"attacks": [{"kind": "tour", "true_location": [0, 0]},
+                      {"kind": "tour", "step": 3, "true_location": [0, 0]}]}, "attacks[1]"),
+        ({"attacks": [{"kind": "tour"}]}, "true_location"),
+        ({"attacks": [{"kind": "mayor_denial", "true_location": [0, 0]}]}, "victim"),
+        ({"detection": {"cluster_radius_m": "x"}}, "detection.cluster_radius_m"),
+        ({"detection": {"cluster_radius_m": -1}}, "detection.cluster_radius_m"),
+        ({"detection": {"cluster_radius_m": 0}}, "detection.cluster_radius_m"),
+        ({"detection": {"cluster_radius_m": float("nan")}}, "detection.cluster_radius_m"),
+        ({"detection": {"v_travel_m_per_s": 0.0}}, "detection.v_travel_m_per_s"),
+        ({"detection": {"v_travel_m_per_s": float("inf")}}, "detection.v_travel_m_per_s"),
+        ({"detection": {"dispersion_min_clusters": True}}, "detection.dispersion_min_clusters"),
+        ({"detection": {"daily_rate_max": "16"}}, "detection.daily_rate_max"),
+        ({"detection": {"badge_max_badges": None}}, "detection.badge_max_badges"),
+    ])
+    def test_bad_values_are_config_errors(self, config, field):
+        with pytest.raises(InvalidConfig, match=re.escape(field)):
+            ScenarioConfig.from_dict({"population": {"n_users": 10, "n_venues": 6}, **config})
+
+    def test_good_detection_and_attacks_load(self):
+        scenario = ScenarioConfig.from_dict({
+            "population": {"n_users": 10, "n_venues": 6},
+            "detection": {"cluster_radius_m": 10_000, "v_travel_m_per_s": 120.5,
+                          "dispersion_min_clusters": 3},
+            "attacks": [{"kind": "mayor_denial", "victim": 1, "true_location": [0, 0]}],
+        })
+        assert scenario.thresholds.cluster_radius_m == 10_000
+        assert scenario.attacks[0]["victim"] == 1
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(InvalidConfig):

@@ -144,9 +144,16 @@ class TestMayorship:
         a, b = make_user(7), make_user(2)
         for day in range(5):
             engine.on_valid_checkin(a, 1, day * DAY_S + 50)
-        for day in range(5):
             _, _, mayor = engine.on_valid_checkin(b, 1, day * DAY_S + 60_000)
         assert mayor == 7  # challenger only tied, user 7 keeps the title
+
+    def test_out_of_order_checkin_rejected(self):
+        engine = RewardsEngine()
+        engine.on_valid_checkin(make_user(1), 1, 100 * DAY_S)
+        with pytest.raises(ValueError, match="earlier"):
+            engine.on_valid_checkin(make_user(2), 1, 0)
+        engine.on_valid_checkin(make_user(2), 1, 100 * DAY_S)  # an equal time is in order
+        engine.on_valid_checkin(make_user(3), 2, 0)  # other venues keep their own order
 
     def test_expired_incumbent_loses_to_active_challenger(self):
         engine = RewardsEngine()
