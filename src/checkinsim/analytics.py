@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .geo import EARTH_RADIUS_M, GeoPoint, haversine_m
-from .tables import EventRow, PublicTables, write_csv
+from .tables import CheckIn, PublicTables, write_csv
 
 
 class CurvePoint(NamedTuple):
@@ -210,9 +210,9 @@ def _list_leader(cells: dict[int, list[GeoPoint]], leader: GeoPoint, corner: int
 
 
 def user_traces(
-    tables: PublicTables, events: Sequence[EventRow]
+    tables: PublicTables, events: Sequence[CheckIn]
 ) -> dict[int, list[tuple[int, GeoPoint]]]:
-    """Per-user, time-ordered (t, venue location) traces from the event log.
+    """Per-user, time-ordered (t, venue location) traces from the check-ins.
 
     Raises ``ValueError`` for a row whose venue is not in ``VenueInfo.csv``.
     """
@@ -227,10 +227,14 @@ def user_traces(
 
 def build_report(
     tables: PublicTables,
-    events: Sequence[EventRow],
+    events: Sequence[CheckIn],
     thresholds: DetectionThresholds = DetectionThresholds(),
 ) -> list[SuspicionRecord]:
-    """Run every detector for every user; rank by reason count, then id."""
+    """Run every detector for every user; rank by reason count, then id.
+
+    ``events`` are ``EventRow``s read from events.jsonl or a world's
+    ``CheckInRecord``s; only their ``t``, ``user_id`` and ``venue_id`` count.
+    """
     traces = user_traces(tables, events)
     n_users = max(tables.users) if tables.users else 0
     report: list[SuspicionRecord] = []

@@ -30,6 +30,7 @@ from .geo import GeoPoint
 from .harness import (
     InvalidConfig,
     build_world,
+    gc_paused,
     load_scenario,
     run_scenario,
     venue_index,
@@ -225,7 +226,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with gc_paused():
+            return _COMMANDS[args.command](args)
     except (InvalidConfig, MissingTables) as exc:
         print(f"checkinsim: config error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Protocol, Sequence
 
 from .geo import GeoPoint
 
@@ -43,6 +43,20 @@ class VenueRow(NamedTuple):
         return GeoPoint(self.lat, self.lon)
 
 
+class CheckIn(Protocol):
+    """What detection reads of a check-in: an ``EventRow`` read back from
+    events.jsonl, or a live world's ``CheckInRecord``."""
+
+    @property
+    def t(self) -> int: ...
+
+    @property
+    def user_id(self) -> int: ...
+
+    @property
+    def venue_id(self) -> int: ...
+
+
 class EventRow(NamedTuple):
     t: int
     user_id: int
@@ -59,8 +73,8 @@ class PublicTables:
     venues: dict[int, VenueRow]
     recent: list[tuple[int, int]]  # (venue_id, user_id)
 
-    def event_location(self, event: EventRow) -> GeoPoint:
-        """Location of an events.jsonl row's venue, which VenueInfo must list."""
+    def event_location(self, event: CheckIn) -> GeoPoint:
+        """Location of a check-in's venue, which VenueInfo must list."""
         venue = self.venues.get(event.venue_id)
         if venue is None:
             raise ValueError(f"events.jsonl row for user {event.user_id} at t={event.t}: "
@@ -109,11 +123,16 @@ def load_tables(directory: str | Path) -> PublicTables:
 
     venues: dict[int, VenueRow] = {}
     with open(directory / "VenueInfo.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             v = VenueRow(int(row["venue_id"]), row["name"], float(row["lat"]), float(row["lon"]),
                          int(row["total_checkins"]), int(row["unique_visitors"]),
                          int(row["mayor_id"]) if row["mayor_id"] else None,
                          row["has_mayor_special"] == "1")
+            for name, value, limit in (("lat", v.lat, 90.0), ("lon", v.lon, 180.0)):
+                if not -limit <= value <= limit:  # NaN fails every comparison
+                    raise ValueError(f"VenueInfo.csv:{reader.line_num}: {name} {value!r} "
+                                     f"is not a finite value in [-{limit:g}, {limit:g}]")
             venues[v.venue_id] = v
 
     recent: list[tuple[int, int]] = []
@@ -145,40 +164,61 @@ def tables_from_world(world) -> PublicTables:
     return PublicTables(users, venues, recent)
 
 
-def event_row(record) -> EventRow:
-    """The events.jsonl projection of a check-in record, as ``load_events`` reads it."""
-    gps = record.reported_gps
-    return EventRow(record.t, record.user_id, record.venue_id, gps.lat, gps.lon,
-                    record.accepted, tuple(record.export_flags()))
-
-
-# One encoder for every row: json.dumps with separators builds a new one per call.
+# One events.jsonl line: what json.dumps(row._asdict(), separators=(",", ":"))
+# writes for the record's EventRow. ``%r`` writes an int as json does and a
+# float as float.__repr__, which is json's float format too.
+_EVENT_LINE = ('{"t":%r,"user_id":%r,"venue_id":%r,"reported_lat":%r,"reported_lon":%r,'
+               '"valid":%s,"flags":%s}\n')
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_events(records: Iterable, path: str | Path) -> Path:
-    """Write check-in records as the events.jsonl log that ``load_events`` reads."""
+    """Write check-in records as the events.jsonl log that ``load_events`` reads.
+
+    A record's row is (t, user_id, venue_id, reported lat, reported lon,
+    ``accepted``, ``export_flags()``). Each line is formatted once and must
+    stay byte-equal to the compact JSON encoding of that row.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(_encode_json(event_row(r)._asdict()))
-            fh.write("\n")
+        fh.writelines(
+            _EVENT_LINE % (r.t, r.user_id, r.venue_id, *r.reported_gps,
+                           "true" if r.accepted else "false",
+                           _encode_json(flags) if (flags := r.export_flags()) else "[]")
+            for r in records)
     return path
 
 
 def load_events(path: str | Path) -> list[EventRow]:
-    """Read an events.jsonl log."""
+    """Read an events.jsonl log.
+
+    A line that is not a JSON object with every ``EventRow`` key and a list
+    of flags raises ``ValueError`` naming the file, the line and the key or
+    reason.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingTables(f"event log not found: {path}")
     events: list[EventRow] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            events.append(EventRow(obj["t"], obj["user_id"], obj["venue_id"],
-                                   obj["reported_lat"], obj["reported_lon"],
-                                   obj["valid"], tuple(obj["flags"])))
+    lineno, obj = 0, None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                events.append(EventRow(obj["t"], obj["user_id"], obj["venue_id"],
+                                       obj["reported_lat"], obj["reported_lon"],
+                                       obj["valid"], tuple(obj["flags"])))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}:{lineno}: not JSON ({exc.msg} at column {exc.colno})") \
+            from exc
+    except KeyError as exc:
+        raise ValueError(f"{path.name}:{lineno}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        reason = "flags must be a list" if isinstance(obj, dict) else "not a JSON object"
+        raise ValueError(f"{path.name}:{lineno}: {reason}") from exc
     return events

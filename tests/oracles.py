@@ -5,11 +5,13 @@ formulas, full rescans) so they can serve as oracles for the production
 paths without sharing code with them. The exceptions are
 ``nearest_linear`` and ``scan_dispersion``, which measure with
 ``haversine_m`` so their answers can be compared with the fast paths'
-exactly.
+exactly, and ``encode_event_line``, which is the JSON encoder events.jsonl
+must stay byte-equal to.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from typing import Optional, Sequence
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
+from checkinsim.tables import EventRow
 
 EARTH_R = 6_371_000.0
 
@@ -183,3 +186,18 @@ def scan_dispersion(trace, cluster_radius_m: float = 50_000.0) -> int:
         else:
             leaders.append(loc)
     return len(leaders)
+
+
+def event_row(record) -> EventRow:
+    """The events.jsonl row of a check-in record, as ``load_events`` reads it."""
+    gps = record.reported_gps
+    return EventRow(record.t, record.user_id, record.venue_id, gps.lat, gps.lon,
+                    record.accepted, tuple(record.export_flags()))
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_event_line(record) -> str:
+    """A record's events.jsonl line, encoded by the JSON encoder."""
+    return _ENCODER.encode(event_row(record)._asdict()) + "\n"

@@ -21,7 +21,6 @@ from checkinsim.tables import (
     PublicTables,
     UserRow,
     VenueRow,
-    event_row,
     load_events,
     load_tables,
     tables_from_world,
@@ -29,7 +28,7 @@ from checkinsim.tables import (
 )
 from checkinsim.harness import ScenarioConfig, build_world, write_exports
 from checkinsim.world import PRESENCE_UNVERIFIED, World
-from oracles import scan_dispersion
+from oracles import event_row, scan_dispersion
 
 NYC = GeoPoint(40.7128, -74.0060)
 LA = GeoPoint(34.0522, -118.2437)
@@ -364,6 +363,7 @@ class TestFilePipeline:
         assert tables.recent == loaded.recent
         rows = [event_row(r) for r in world.events]
         assert rows == load_events(tmp_path / "events.jsonl")
+        assert build_report(tables, world.events) == build_report(loaded, rows)
         flags = {f for row in rows for f in row.flags}
         assert PRESENCE_UNVERIFIED in flags and flags - {PRESENCE_UNVERIFIED}
         assert not all(row.valid for row in rows)

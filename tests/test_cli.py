@@ -1,9 +1,11 @@
+import gc
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from checkinsim import cli
 from checkinsim.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -123,6 +125,41 @@ class TestRunAndDetect:
         assert (f"events.jsonl row for user {row['user_id']} at t={row['t']}: "
                 "venue 999 is not in VenueInfo.csv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_nan_venue_latitude_exits_2(self, tmp_path, capsys, command):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        venues = exports / "VenueInfo.csv"
+        lines = venues.read_text().splitlines()
+        row = lines[1].split(",")
+        row[2] = "nan"  # lat
+        lines[1] = ",".join(row)
+        venues.write_text("\n".join(lines) + "\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "VenueInfo.csv:2: lat nan " in err and "mismatch" not in err
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    @pytest.mark.parametrize("bad, reason", [
+        ("garbage", "not JSON"),
+        ('{"t": 1}', "missing key 'user_id'"),
+    ])
+    def test_bad_event_line_exits_2(self, tmp_path, capsys, command, bad, reason):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        n_lines = len(log.read_text().splitlines())
+        with open(log, "a") as fh:
+            fh.write(bad + "\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        assert f"events.jsonl:{n_lines + 1}: {reason}" in capsys.readouterr().err
+
     def test_verify_replay_consistent_log(self, tmp_path, scenario_path, capsys):
         main(["run", "--config", str(scenario_path), "--out", str(tmp_path / "out")])
         assert main(["verify-replay", "--in", str(tmp_path / "out")]) == 0
@@ -183,3 +220,48 @@ class TestGenerateAndAttack:
         line = capsys.readouterr().out.splitlines()[0]
         venue_id, lat, lon, name = line.split("\t")
         assert int(venue_id) >= 1 and name
+
+
+class TestCollectorPolicy:
+    def test_collector_is_off_during_command(self, tmp_path, monkeypatch, collector_state):
+        seen = []
+        load_tables = cli.load_tables
+        monkeypatch.setattr(cli, "load_tables",
+                            lambda *args: seen.append(gc.isenabled()) or load_tables(*args))
+        gc.enable()
+        assert main(["detect", "--in", str(GOLDEN), "--out", str(tmp_path / "r.csv")]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("config, code", [
+        (SCENARIO, 0),
+        ({"population": SCENARIO["population"], "attacks": [{"kind": "bogus"}]}, 1),
+    ])
+    def test_main_restores_collector_state(self, tmp_path, collector_state, enabled, config,
+                                           code):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        gc.enable() if enabled else gc.disable()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is enabled
+
+    def test_failing_command_restores_collector_state(self, tmp_path, collector_state):
+        gc.enable()
+        assert main(["detect", "--in", str(tmp_path), "--out", str(tmp_path / "r.csv")]) == 1
+        assert gc.isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_run_size(self, tmp_path, collector_state):
+        found = []
+        for n_users in (30, 600):
+            path = tmp_path / f"scenario{n_users}.json"
+            path.write_text(json.dumps({"population": {
+                "n_users": n_users, "n_venues": 40, "seed": 3, "duration_days": 30,
+                "cheater_fraction": 0.05}}))
+            gc.collect()
+            gc.disable()  # no automatic collection between the run and the count
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / str(n_users))]) == 0
+            assert main(["detect", "--in", str(tmp_path / str(n_users)),
+                         "--out", str(tmp_path / f"r{n_users}.csv")]) == 0
+            assert main(["verify-replay", "--in", str(tmp_path / str(n_users))]) == 0
+            found.append(gc.collect())
+        assert found[0] == found[1], found

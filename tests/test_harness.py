@@ -1,8 +1,10 @@
+import gc
 import json
 import re
 
 import pytest
 
+from checkinsim import harness
 from checkinsim.analytics import speed_feasibility
 from checkinsim.attacker import BBox
 from checkinsim.harness import (
@@ -280,3 +282,47 @@ class TestScenarioLoading:
     def test_default_region_is_sane(self):
         assert DEFAULT_REGION.min_lat < DEFAULT_REGION.max_lat
         assert DEFAULT_REGION.min_lon < DEFAULT_REGION.max_lon
+
+
+class TestCollectorPolicy:
+    def test_collector_is_off_during_run(self, tmp_path, monkeypatch, collector_state):
+        seen = []
+        build_world = harness.build_world
+        monkeypatch.setattr(harness, "build_world",
+                            lambda *args: seen.append(gc.isenabled()) or build_world(*args))
+        gc.enable()
+        run_scenario(ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1,
+                                                     duration_days=10)), tmp_path)
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_collector_state(self, tmp_path, collector_state, enabled):
+        gc.enable() if enabled else gc.disable()
+        run_scenario(ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1,
+                                                     duration_days=10)), tmp_path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_run_restores_collector_state(self, tmp_path, collector_state, enabled):
+        scenario = ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1),
+                                  attacks=({"kind": "bogus"},))
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(InvalidConfig):
+            run_scenario(scenario, tmp_path)
+        assert gc.isenabled() is enabled
+
+    def test_cyclic_garbage_does_not_grow_with_run_size(self, tmp_path, collector_state):
+        found, checkins = [], []
+        for n_users in (30, 600):
+            scenario = ScenarioConfig.from_dict({
+                "population": {"n_users": n_users, "n_venues": 40, "seed": 3,
+                               "duration_days": 30, "cheater_fraction": 0.05},
+                "routers": {"coverage": "full", "strict": True},
+                "attacks": [{"kind": "tour", "steps": 5, "true_location": [35.0, -90.0]}],
+            })
+            gc.collect()
+            gc.disable()  # no automatic collection between the run and the count
+            checkins.append(len(run_scenario(scenario, tmp_path / str(n_users)).world.events))
+            found.append(gc.collect())
+        assert checkins[1] > 10 * checkins[0]
+        assert found[0] == found[1], found
