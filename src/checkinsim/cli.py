@@ -7,6 +7,7 @@ export. Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .harness import (
     venue_index,
     write_exports,
 )
-from .tables import MissingTables, load_events, load_tables
+from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
 
 
@@ -169,11 +170,23 @@ def _cmd_attack_exec(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming_event_lines(path: Path):
+    """Name the events.jsonl line of a check-in whose venue VenueInfo.csv lacks."""
+    try:
+        yield
+    except UnknownVenue as exc:
+        e = exc.event
+        raise ValueError(f"{path.name}:{event_line(path, e)}: venue {e.venue_id} of user "
+                         f"{e.user_id} at t={e.t} is not in VenueInfo.csv") from exc
+
+
 def _cmd_detect(args) -> int:
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path) if events_path.is_file() else []
-    report = analytics.build_report(tables, events)
+    with _naming_event_lines(events_path):
+        report = analytics.build_report(tables, events)
     analytics.write_report_csv(report, args.out)
     flagged = sum(1 for r in report if r.suspicious)
     print(f"report for {len(report)} users, {flagged} flagged -> {args.out}")
@@ -182,23 +195,25 @@ def _cmd_detect(args) -> int:
 
 def _cmd_verify_replay(args) -> int:
     tables = load_tables(args.in_dir)
-    events = load_events(Path(args.in_dir) / "events.jsonl")
+    events_path = Path(args.in_dir) / "events.jsonl"
+    events = load_events(events_path)
     config = RuleConfig()
     by_user: dict[int, list] = {}
     for e in events:
         by_user.setdefault(e.user_id, []).append(e)
     mismatches = 0
-    for user_id, recorded in by_user.items():
-        trace = [(e.t, e.venue_id, tables.event_location(e),
-                  GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
-        verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
-        for e, verdict in zip(recorded, verdicts):
-            rule_flags = set(e.flags) - {PRESENCE_UNVERIFIED}
-            if rule_flags != {f.value for f in verdict.flags}:
-                mismatches += 1
-                print(f"mismatch: user {user_id} t={e.t} venue {e.venue_id}: "
-                      f"logged {sorted(rule_flags)} recomputed {verdict.flag_names()}",
-                      file=sys.stderr)
+    with _naming_event_lines(events_path):
+        for user_id, recorded in by_user.items():
+            trace = [(e.t, e.venue_id, tables.event_location(e),
+                      GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
+            verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
+            for e, verdict in zip(recorded, verdicts):
+                rule_flags = set(e.flags) - {PRESENCE_UNVERIFIED}
+                if rule_flags != {f.value for f in verdict.flags}:
+                    mismatches += 1
+                    print(f"mismatch: user {user_id} t={e.t} venue {e.venue_id}: "
+                          f"logged {sorted(rule_flags)} recomputed {verdict.flag_names()}",
+                          file=sys.stderr)
     print(f"verify-replay: {len(events)} events, {mismatches} mismatches")
     return 0 if mismatches == 0 else 2
 

@@ -35,7 +35,7 @@ from .attacker import (
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
 from .spatial import VenueGridIndex
-from .tables import tables_from_world
+from .tables import PublicTables, tables_from_world
 from .tables import load_events, load_tables  # unused; perfbench/spans.py wraps these names here
 from .verify import RouterRegistration
 from .world import World
@@ -479,19 +479,18 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
                  seed: Optional[int] = None) -> ScenarioResult:
     """Generate, attack, export, detect; write every artifact under out_dir.
 
-    Detection runs in memory, on ``tables_from_world`` and on the world's
-    check-in records themselves, so the exports written just before are not
-    re-read: the tables equal what ``load_tables`` reads back, and each
-    record has the ``t``, ``user_id`` and ``venue_id`` of its events.jsonl
-    row. The cyclic garbage collector is paused for the whole run.
+    Detection runs in memory, on the ``tables_from_world`` projection that
+    ``write_exports`` wrote and on the world's check-in records themselves,
+    so the exports are not re-read: the tables equal what ``load_tables``
+    reads back, and each record has the ``t``, ``user_id`` and ``venue_id``
+    of its events.jsonl row. The cyclic garbage collector is paused for the
+    whole run.
     """
     out = Path(out_dir)
     _check_attacks(scenario.attacks)
     world, index = build_world(scenario, seed)
     attack_summaries = [_run_attack(world, spec, index) for spec in scenario.attacks]
-    paths = write_exports(world, out)
-
-    tables = tables_from_world(world)
+    tables, paths = write_exports(world, out)
     report = analytics.build_report(tables, world.events, scenario.thresholds)
     paths["report"] = analytics.write_report_csv(report, out / "report.csv")
     paths["recent_curve"] = analytics.write_curve_csv(
@@ -508,12 +507,17 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
 
 
-def write_exports(world: World, out: str | Path) -> dict[str, Path]:
-    """Write the public profiles and ``events.jsonl`` under ``out``."""
+def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str, Path]]:
+    """Write the public profiles and ``events.jsonl`` under ``out``.
+
+    Returns the world's ``tables_from_world`` projection, the one written,
+    and the paths.
+    """
     out = Path(out)
-    paths = world.export_public_profiles(out)
+    tables = tables_from_world(world)
+    paths = world.export_public_profiles(out, tables)
     paths["events"] = world.export_events(out / "events.jsonl")
-    return paths
+    return tables, paths
 
 
 def _install_routers(world: World, scenario: ScenarioConfig) -> None:

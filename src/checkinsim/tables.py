@@ -2,7 +2,9 @@
 
 Owns the CSV export format (UserInfo, VenueInfo, RecentCheckin) and the
 events.jsonl log format: writes them and reads them back, for consumption by
-the attacker planner and the offline detectors.
+the attacker planner and the offline detectors. The readers check every
+cell's type and range and name ``<file>:<line>`` and the field of the first
+bad one, so a damaged export fails loudly instead of skewing a report.
 """
 
 from __future__ import annotations
@@ -10,14 +12,26 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property, partial
+from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from .geo import GeoPoint
 
 
 class MissingTables(Exception):
     """An expected export file is absent."""
+
+
+class UnknownVenue(ValueError):
+    """A check-in's venue is not listed in VenueInfo.csv."""
+
+    def __init__(self, event: CheckIn) -> None:
+        super().__init__(f"events.jsonl row for user {event.user_id} at t={event.t}: "
+                         f"venue {event.venue_id} is not in VenueInfo.csv")
+        self.event = event
 
 
 class UserRow(NamedTuple):
@@ -73,13 +87,21 @@ class PublicTables:
     venues: dict[int, VenueRow]
     recent: list[tuple[int, int]]  # (venue_id, user_id)
 
+    @cached_property
+    def _venue_points(self) -> dict[int, GeoPoint]:
+        return {venue_id: v.location for venue_id, v in self.venues.items()}
+
     def event_location(self, event: CheckIn) -> GeoPoint:
-        """Location of a check-in's venue, which VenueInfo must list."""
-        venue = self.venues.get(event.venue_id)
-        if venue is None:
-            raise ValueError(f"events.jsonl row for user {event.user_id} at t={event.t}: "
-                             f"venue {event.venue_id} is not in VenueInfo.csv")
-        return GeoPoint(venue.lat, venue.lon)
+        """Location of a check-in's venue, which VenueInfo must list.
+
+        Every check-in at a venue gets the same ``GeoPoint``, built once from
+        ``venues`` on the first lookup; an unlisted venue raises
+        ``UnknownVenue``.
+        """
+        try:
+            return self._venue_points[event.venue_id]
+        except KeyError:
+            raise UnknownVenue(event) from None
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -107,39 +129,94 @@ def write_tables(tables: PublicTables, destination: str | Path) -> dict[str, Pat
     }
 
 
+def _optional_int(cell: str) -> Optional[int]:
+    return int(cell) if cell else None
+
+
+def _coordinate(limit: float):
+    def parse(cell: str) -> float:
+        value = float(cell)
+        if not -limit <= value <= limit:  # NaN fails every comparison
+            raise ValueError(cell)
+        return value
+    return parse
+
+
+_FLAG = {"0": False, "1": True}
+_LAT, _LON = _coordinate(90.0), _coordinate(180.0)
+_INT = (int, "an integer")
+# Each export's fields in read order: (field, parser, what a good cell is).
+_USER_CELLS = tuple((field, *_INT) for field in UserRow._fields)
+_VENUE_CELLS = (("venue_id", *_INT), ("name", str, "text"),
+                ("lat", _LAT, "a finite number in [-90, 90]"),
+                ("lon", _LON, "a finite number in [-180, 180]"),
+                ("total_checkins", *_INT), ("unique_visitors", *_INT),
+                ("mayor_id", _optional_int, "an integer or empty"),
+                ("has_mayor_special", _FLAG.__getitem__, "0 or 1"))
+_RECENT_CELLS = (("venue_id", *_INT), ("user_id", *_INT))
+
+
+def _venue_row(venue_id, name, lat, lon, total, unique, mayor, special) -> VenueRow:
+    return VenueRow(int(venue_id), name, _LAT(lat), _LON(lon), int(total), int(unique),
+                    int(mayor) if mayor else None, _FLAG[special])
+
+
+def _csv_rows(path: Path, cells, convert) -> Iterator:
+    """Yield ``convert(*cells)`` for each data row of a CSV export, its cells
+    taken in ``cells`` order by the header's columns; blank lines are skipped.
+
+    A header without one of the fields, or a row that ``convert`` refuses,
+    raises ``ValueError`` naming ``<file>:<line>: <field>`` and the first bad
+    cell, as its parser in ``cells`` finds it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for field, _, _ in cells:
+            if field not in header:
+                raise ValueError(f"{path.name}:1: missing column {field!r}")
+        columns = [header.index(field) for field, _, _ in cells]
+        take = itemgetter(*columns)
+        for row in reader:
+            try:
+                yield convert(*take(row))
+            except (ValueError, LookupError):
+                if row:
+                    raise _cell_error(f"{path.name}:{reader.line_num}", row, cells,
+                                      columns) from None
+
+
+def _cell_error(where: str, row: list[str], cells, columns: list[int]) -> ValueError:
+    for (field, parse, what), i in zip(cells, columns):
+        if i >= len(row):
+            return ValueError(f"{where}: {field} is missing (the row has {len(row)} cells)")
+        try:
+            parse(row[i])
+        except (ValueError, KeyError):
+            return ValueError(f"{where}: {field} {row[i]!r} is not {what}")
+    return ValueError(f"{where}: unreadable row {row!r}")
+
+
 def load_tables(directory: str | Path) -> PublicTables:
-    """Read the three public CSV exports from a directory."""
+    """Read the three public CSV exports from a directory.
+
+    Blank lines are skipped. A header without a field, a row too short to
+    hold a field, or a cell that is not a number where one belongs (empty
+    cells included, except an empty ``mayor_id``, which means no mayor)
+    raises ``ValueError`` naming ``<file>:<line>: <field>`` and the cell. So
+    does a venue ``lat``/``lon`` that is not finite or out of range, and a
+    ``has_mayor_special`` that is not ``0`` or ``1``.
+    """
     directory = Path(directory)
     for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv"):
         if not (directory / name).is_file():
             raise MissingTables(f"{name} not found in {directory}")
-
-    users: dict[int, UserRow] = {}
-    with open(directory / "UserInfo.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            u = UserRow(int(row["user_id"]), int(row["total_checkins"]), int(row["total_badges"]),
-                        int(row["total_mayorships"]), int(row["recent_checkins"]))
-            users[u.user_id] = u
-
-    venues: dict[int, VenueRow] = {}
-    with open(directory / "VenueInfo.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            v = VenueRow(int(row["venue_id"]), row["name"], float(row["lat"]), float(row["lon"]),
-                         int(row["total_checkins"]), int(row["unique_visitors"]),
-                         int(row["mayor_id"]) if row["mayor_id"] else None,
-                         row["has_mayor_special"] == "1")
-            for name, value, limit in (("lat", v.lat, 90.0), ("lon", v.lon, 180.0)):
-                if not -limit <= value <= limit:  # NaN fails every comparison
-                    raise ValueError(f"VenueInfo.csv:{reader.line_num}: {name} {value!r} "
-                                     f"is not a finite value in [-{limit:g}, {limit:g}]")
-            venues[v.venue_id] = v
-
-    recent: list[tuple[int, int]] = []
-    with open(directory / "RecentCheckin.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            recent.append((int(row["venue_id"]), int(row["user_id"])))
-
+    users = {u.user_id: u for u in _csv_rows(directory / "UserInfo.csv", _USER_CELLS,
+                                             lambda *cells: UserRow(*map(int, cells)))}
+    venues = {v.venue_id: v for v in _csv_rows(directory / "VenueInfo.csv", _VENUE_CELLS,
+                                               _venue_row)}
+    recent = list(_csv_rows(directory / "RecentCheckin.csv", _RECENT_CELLS,
+                            lambda venue_id, user_id: (int(venue_id), int(user_id))))
     return PublicTables(users, venues, recent)
 
 
@@ -190,35 +267,102 @@ def write_events(records: Iterable, path: str | Path) -> Path:
     return path
 
 
-def load_events(path: str | Path) -> list[EventRow]:
-    """Read an events.jsonl log.
+_scan_json = make_scanner(json.JSONDecoder())  # (value, end) of the JSON value at an index
+_event_fields = itemgetter(*EventRow._fields)
+_new_event_row = partial(tuple.__new__, EventRow)  # skips EventRow's Python-level __new__
 
-    A line that is not a JSON object with every ``EventRow`` key and a list
-    of flags raises ``ValueError`` naming the file, the line and the key or
-    reason.
+
+def load_events(path: str | Path) -> list[EventRow]:
+    """Read an events.jsonl log, streaming it one line at a time.
+
+    Every non-blank line must be one JSON value, as ``json.loads`` accepts
+    it: an object holding every ``EventRow`` key, with integers (not bools)
+    for ``t``, ``user_id`` and ``venue_id``, finite numbers in range for
+    ``reported_lat`` (+-90) and ``reported_lon`` (+-180), a bool for
+    ``valid`` and a list of strings for ``flags``. Anything else raises
+    ``ValueError`` naming the file, the line and the key or reason.
+
+    A line as ``write_events`` writes it costs one C-level JSON scan, one
+    key lookup and one type test, and shares its flag tuple with earlier
+    rows. Every other line, blank or bad ones included, and the first line
+    of each flag combination are read by ``_event_row``, which says what the
+    log accepts.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingTables(f"event log not found: {path}")
     events: list[EventRow] = []
-    lineno, obj = 0, None
+    append = events.append
+    known_flags: dict[tuple, tuple[str, ...]] = {(): ()}  # flag tuples already checked
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                events.append(EventRow(obj["t"], obj["user_id"], obj["venue_id"],
-                                       obj["reported_lat"], obj["reported_lon"],
-                                       obj["valid"], tuple(obj["flags"])))
+                try:
+                    obj, end = _scan_json(line, 0)
+                    t, user_id, venue_id, lat, lon, valid, flags = _event_fields(obj)
+                    flag_tuple = known_flags[tuple(flags)]
+                except (StopIteration, ValueError, LookupError, TypeError, RecursionError):
+                    pass
+                else:
+                    if (line[end:] == "\n" and type(t) is int and type(user_id) is int
+                            and type(venue_id) is int and type(lat) is float
+                            and type(lon) is float and -90.0 <= lat <= 90.0
+                            and -180.0 <= lon <= 180.0 and type(valid) is bool
+                            and type(flags) is list):
+                        append(_new_event_row((t, user_id, venue_id, lat, lon, valid,
+                                               flag_tuple)))
+                        continue
+                row = _event_row(path.name, lineno, line)
+                if row is not None:
+                    append(row)
+                    known_flags.setdefault(row.flags, row.flags)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path.name}:{lineno}: not JSON ({exc.msg} at column {exc.colno})") \
-            from exc
-    except KeyError as exc:
-        raise ValueError(f"{path.name}:{lineno}: missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        reason = "flags must be a list" if isinstance(obj, dict) else "not a JSON object"
-        raise ValueError(f"{path.name}:{lineno}: {reason}") from exc
     return events
+
+
+def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
+    """One events.jsonl line read in full: its row, or None for a blank line.
+
+    The errors for a line the ``json.loads`` reader refused keep its
+    messages; the type and range checks name the key.
+    """
+    if not line.strip():
+        return None
+    where = f"{name}:{lineno}"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc.msg} at column {exc.colno})") from exc
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
+        raise ValueError(f"{where}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    for key in EventRow._fields:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    t, user_id, venue_id, lat, lon, valid, flags = _event_fields(obj)
+    if type(flags) is not list:
+        raise ValueError(f"{where}: flags must be a list")
+    for key, value in (("t", t), ("user_id", user_id), ("venue_id", venue_id)):
+        if type(value) is not int:
+            raise ValueError(f"{where}: {key} {value!r} is not an integer")
+    for key, value, limit in (("reported_lat", lat, 90.0), ("reported_lon", lon, 180.0)):
+        if type(value) not in (int, float) or not -limit <= value <= limit:
+            raise ValueError(f"{where}: {key} {value!r} is not a finite number "
+                             f"in [-{limit:g}, {limit:g}]")
+    if type(valid) is not bool:
+        raise ValueError(f"{where}: valid {valid!r} is not true or false")
+    if not all(type(f) is str for f in flags):
+        raise ValueError(f"{where}: flags must be a list of strings, got {flags!r}")
+    return EventRow(t, user_id, venue_id, lat, lon, valid, tuple(flags))
+
+
+def event_line(path: str | Path, row: EventRow) -> int:
+    """Number of the first line of an events.jsonl log that reads as ``row``."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if _event_row(path.name, lineno, line) == row:
+                return lineno
+    raise ValueError(f"{path.name} holds no row {row}")

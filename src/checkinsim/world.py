@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .anticheat import RuleConfig, RuleVerdict, UserRuleState
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
-from .tables import tables_from_world, write_events, write_tables
+from .tables import PublicTables, write_events, write_tables
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -218,13 +218,16 @@ class World:
 
     # -- exports ---------------------------------------------------------------
 
-    def export_public_profiles(self, destination: str | Path) -> dict[str, Path]:
+    def export_public_profiles(self, destination: str | Path,
+                               tables: PublicTables) -> dict[str, Path]:
         """Write the crawlable projection: UserInfo, VenueInfo, RecentCheckin.
 
+        ``tables`` is this world's ``tables_from_world`` projection; the
+        caller builds it, so a run that also detects on it projects once.
         Recent-visitor rows deliberately carry no timestamp, and nothing
         derived from ground truth is written.
         """
-        return write_tables(tables_from_world(self), destination)
+        return write_tables(tables, destination)
 
     def export_events(self, path: str | Path) -> Path:
         """Write the append-only event log as JSON lines."""

@@ -5,8 +5,9 @@ formulas, full rescans) so they can serve as oracles for the production
 paths without sharing code with them. The exceptions are
 ``nearest_linear`` and ``scan_dispersion``, which measure with
 ``haversine_m`` so their answers can be compared with the fast paths'
-exactly, and ``encode_event_line``, which is the JSON encoder events.jsonl
-must stay byte-equal to.
+exactly, ``encode_event_line``, which is the JSON encoder events.jsonl
+must stay byte-equal to, and ``json_load_events``, the one-``json.loads``-
+per-line reader whose rows and messages the streaming reader keeps.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from pathlib import Path
 from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
-from checkinsim.tables import EventRow
+from checkinsim.tables import EventRow, MissingTables
 
 EARTH_R = 6_371_000.0
 
@@ -201,3 +203,38 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 def encode_event_line(record) -> str:
     """A record's events.jsonl line, encoded by the JSON encoder."""
     return _ENCODER.encode(event_row(record)._asdict()) + "\n"
+
+
+def json_load_events(path: str | Path) -> list[EventRow]:
+    """Read an events.jsonl log with one ``json.loads`` per line: the reference
+    for ``tables.load_events``.
+
+    A line that is not a JSON object with every ``EventRow`` key and a list
+    of flags raises ``ValueError`` naming the file, the line and the key or
+    reason.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingTables(f"event log not found: {path}")
+    events: list[EventRow] = []
+    lineno, obj = 0, None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                events.append(EventRow(obj["t"], obj["user_id"], obj["venue_id"],
+                                       obj["reported_lat"], obj["reported_lon"],
+                                       obj["valid"], tuple(obj["flags"])))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}:{lineno}: not JSON ({exc.msg} at column {exc.colno})") \
+            from exc
+    except KeyError as exc:
+        raise ValueError(f"{path.name}:{lineno}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        reason = "flags must be a list" if isinstance(obj, dict) else "not a JSON object"
+        raise ValueError(f"{path.name}:{lineno}: {reason}") from exc
+    return events

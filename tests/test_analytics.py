@@ -334,7 +334,7 @@ class TestFilePipeline:
 
     def test_report_reproducible_from_exports_alone(self, tmp_path):
         world = self._small_world()
-        world.export_public_profiles(tmp_path)
+        world.export_public_profiles(tmp_path, tables_from_world(world))
         world.export_events(tmp_path / "events.jsonl")
 
         tables = load_tables(tmp_path)

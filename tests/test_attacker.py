@@ -71,7 +71,7 @@ class TestSelectTargets:
 
     def test_works_on_exported_rows(self, tmp_path):
         world = self._world()
-        world.export_public_profiles(tmp_path)
+        world.export_public_profiles(tmp_path, tables_from_world(world))
         from checkinsim.tables import load_tables
 
         tables = load_tables(tmp_path)

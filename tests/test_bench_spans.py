@@ -15,9 +15,12 @@ import checkinsim.cli
 from checkinsim import analytics, harness
 from checkinsim.geo import GeoPoint
 from checkinsim.rewards import RewardsEngine
+from checkinsim.tables import load_events
 from checkinsim.world import UserProfile
+from oracles import json_load_events
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+GOLDEN_LOG = Path(__file__).resolve().parent / "data" / "golden" / "events.jsonl"
 
 
 def load_spans():
@@ -55,6 +58,14 @@ def test_mayor_candidate_counter_reads_the_engine():
     counters = Counter()
     spans.AFTER["rewards.recompute_mayor"](counters, (engine, 7, 100), mayor)
     assert counters == {"rewards.mayor_candidates": 1}
+
+
+def test_event_row_counter_counts_the_reader_rows():
+    spans = load_spans()
+    counted, expected = Counter(), Counter()
+    spans.AFTER["tables.load_events"](counted, (GOLDEN_LOG,), load_events(GOLDEN_LOG))
+    spans.AFTER["tables.load_events"](expected, (GOLDEN_LOG,), json_load_events(GOLDEN_LOG))
+    assert counted == expected == {"tables.event_rows": 1135}
 
 
 def counting(monkeypatch, module, name):

@@ -122,8 +122,8 @@ class TestRunAndDetect:
         if command == "detect":
             args += ["--out", str(tmp_path / "report.csv")]
         assert main(args) == 2
-        assert (f"events.jsonl row for user {row['user_id']} at t={row['t']}: "
-                "venue 999 is not in VenueInfo.csv") in capsys.readouterr().err
+        assert (f"events.jsonl:1: venue 999 of user {row['user_id']} at t={row['t']} "
+                "is not in VenueInfo.csv") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     def test_nan_venue_latitude_exits_2(self, tmp_path, capsys, command):
@@ -140,7 +140,7 @@ class TestRunAndDetect:
             args += ["--out", str(tmp_path / "report.csv")]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "VenueInfo.csv:2: lat nan " in err and "mismatch" not in err
+        assert "VenueInfo.csv:2: lat 'nan' " in err and "mismatch" not in err
 
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     @pytest.mark.parametrize("bad, reason", [

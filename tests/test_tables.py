@@ -1,6 +1,7 @@
-"""The events.jsonl writer and the readers' errors for malformed exports."""
+"""The events.jsonl writer, the readers, and their errors for malformed exports."""
 
 import itertools
+import json
 import math
 import random
 import shutil
@@ -11,9 +12,9 @@ import pytest
 
 from checkinsim.anticheat import Flag, RuleVerdict
 from checkinsim.geo import GeoPoint
-from checkinsim.tables import load_events, load_tables, write_events
+from checkinsim.tables import EventRow, load_events, load_tables, write_events
 from checkinsim.world import PRESENCE_UNVERIFIED, CheckInRecord
-from oracles import encode_event_line
+from oracles import encode_event_line, json_load_events
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 HOME = GeoPoint(40.0, -100.0)
@@ -86,7 +87,7 @@ GOOD_ROW = ('{"t":1,"user_id":2,"venue_id":3,"reported_lat":40.0,"reported_lon":
 
 
 class TestLoadEventsErrors:
-    @pytest.mark.parametrize("bad, reason", [
+    BAD_LINES = [
         ("garbage", "events.jsonl:3: not JSON (Expecting value at column 1)"),
         ('{"t": 1', "events.jsonl:3: not JSON"),
         ('{"t": 1}', "events.jsonl:3: missing key 'user_id'"),
@@ -97,7 +98,22 @@ class TestLoadEventsErrors:
         ("17", "events.jsonl:3: not a JSON object"),
         ('"row"', "events.jsonl:3: not a JSON object"),
         ("null", "events.jsonl:3: not a JSON object"),
-    ])
+        (GOOD_ROW + " x", "events.jsonl:3: not JSON (Extra data at column 100)"),
+        (GOOD_ROW.replace('"user_id":2', '"user_id":"2"'), "events.jsonl:3: user_id '2' "),
+        (GOOD_ROW.replace('"t":1', '"t":1.0'), "events.jsonl:3: t 1.0 "),
+        (GOOD_ROW.replace('"venue_id":3', '"venue_id":true'), "events.jsonl:3: venue_id True "),
+        (GOOD_ROW.replace("40.0", "NaN"), "events.jsonl:3: reported_lat nan "),
+        (GOOD_ROW.replace("-100.0", "-Infinity"), "events.jsonl:3: reported_lon -inf "),
+        (GOOD_ROW.replace("-100.0", "-180.5"), "events.jsonl:3: reported_lon -180.5 "),
+        (GOOD_ROW.replace("40.0", '"40.0"'), "events.jsonl:3: reported_lat '40.0' "),
+        (GOOD_ROW.replace('"valid":true', '"valid":1'), "events.jsonl:3: valid 1 "),
+        (GOOD_ROW.replace('"flags":[]', '"flags":"GpsMismatch"'),
+         "events.jsonl:3: flags must be a list"),
+        (GOOD_ROW.replace('"flags":[]', '"flags":[7]'),
+         "events.jsonl:3: flags must be a list of strings"),
+    ]
+
+    @pytest.mark.parametrize("bad, reason", BAD_LINES)
     def test_bad_line_names_file_and_line(self, tmp_path, bad, reason):
         # line 2 is blank: line numbers count every line of the file
         path = write_log(tmp_path, [GOOD_ROW, "", bad, GOOD_ROW])
@@ -114,6 +130,93 @@ class TestLoadEventsErrors:
     def test_good_rows_load(self, tmp_path):
         rows = load_events(write_log(tmp_path, [GOOD_ROW, "", GOOD_ROW]))
         assert len(rows) == 2 and rows[0].flags == () and rows[0].valid is True
+        assert type(rows[0]) is EventRow
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(GOOD_ROW + "\n" + GOOD_ROW + " \t", encoding="utf-8")
+        assert load_events(path) == json_load_events(path) != []
+
+
+def well_typed(obj):
+    """Whether a decoded events.jsonl object holds the types the log promises."""
+    t, user_id, venue_id, lat, lon, valid, flags = (obj[key] for key in EventRow._fields)
+    return (all(type(v) is int for v in (t, user_id, venue_id))
+            and all(type(v) in (int, float) for v in (lat, lon))
+            and -90 <= lat <= 90 and -180 <= lon <= 180 and type(valid) is bool
+            and type(flags) in (list, tuple) and all(type(f) is str for f in flags))
+
+
+WRONG_VALUES = {
+    "t": ["31", 31.0, True, None, [31], 1e400],
+    "user_id": ["204", 2.5, False, None, {}],
+    "venue_id": ["33", 33.0, True, None],
+    "reported_lat": ["38.5", True, None, float("nan"), float("inf"), -90.000001, 1e300, 7],
+    "reported_lon": ["-109", False, None, float("-inf"), 180.5, -1e16, 0],
+    "valid": [1, 0, "true", None, []],
+    "flags": ["GpsMismatch", "", {}, ["GpsMismatch", 3], [None], {"a": 1}, 7, None, [[]]],
+}
+
+
+def lines_under_test():
+    """Seeded events.jsonl lines: the golden rows as written and rewritten,
+    every bad-line case above, and wrong-typed and non-finite values."""
+    rng = random.Random(7)
+    golden = (GOLDEN / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = list(golden[:200])
+    lines += [bad for bad, _ in TestLoadEventsErrors.BAD_LINES]
+    lines += ["", " ", "\t", "\x0c", "\ufeff" + GOOD_ROW, " " + GOOD_ROW, GOOD_ROW + "  ",
+              GOOD_ROW + "\r", GOOD_ROW[:-1], GOOD_ROW + "}", GOOD_ROW + GOOD_ROW, "{}",
+              GOOD_ROW.replace('"t":1', '"t":1,"t":"x"'), GOOD_ROW.replace("}", ',"extra":1}')]
+    for line in rng.sample(golden, 300):
+        obj = json.loads(line)
+        items = list(obj.items())
+        rng.shuffle(items)  # reordered keys, with and without spaces
+        lines.append(json.dumps(dict(items), separators=rng.choice([(",", ":"), (", ", ": ")])))
+        key = rng.choice(list(WRONG_VALUES))
+        obj[key] = rng.choice(WRONG_VALUES[key])
+        lines.append(json.dumps(obj))
+        dropped = dict(obj)
+        del dropped[rng.choice(list(dropped))]
+        lines.append(json.dumps(dropped))
+        cut = rng.randrange(len(line))
+        lines.append(line[:cut])
+        lines.append("\t " + line.replace(",", rng.choice([", ", " ,\t", ",\n"]), 1))
+    return lines
+
+
+class TestLoadEventsMatchesOracle:
+    """The streaming reader against the json.loads reader in tests/oracles.py."""
+
+    def test_golden_log(self):
+        rows = load_events(GOLDEN / "events.jsonl")
+        assert rows == json_load_events(GOLDEN / "events.jsonl")
+        assert all(type(row) is EventRow and well_typed(row._asdict()) for row in rows)
+
+    def test_seeded_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        outcomes = set()
+        for line in lines_under_test():
+            # the line under test is line 2, after a good row
+            path.write_text(GOOD_ROW + "\n" + line + "\n", encoding="utf-8")
+            try:
+                expected = json_load_events(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    load_events(path)
+                assert str(err.value) == str(exc), line
+                outcomes.add("both refuse")
+                continue
+            if not line.strip() or well_typed(json.loads(line)):
+                assert load_events(path) == expected, line
+                outcomes.add("both accept")
+            else:
+                with pytest.raises(ValueError, match=r"^events\.jsonl:2: (\w+) ") as err:
+                    load_events(path)
+                key = err.value.args[0].split()[1]
+                assert key in EventRow._fields, err.value
+                outcomes.add("type refused")
+        assert outcomes == {"both refuse", "both accept", "type refused"}
 
 
 class TestLoadTablesVenueCoordinates:
@@ -148,6 +251,95 @@ class TestLoadTablesVenueCoordinates:
         loaded = list(load_tables(exports).venues.values())
         assert (loaded[0].lat, loaded[0].lon, loaded[1].lat, loaded[1].lon) == \
             (90.0, 180.0, -90.0, -180.0)
+
+
+CSV_FIELDS = {
+    "UserInfo.csv": ["user_id", "total_checkins", "total_badges", "total_mayorships",
+                     "recent_checkins"],
+    "VenueInfo.csv": ["venue_id", "name", "lat", "lon", "total_checkins", "unique_visitors",
+                      "mayor_id", "has_mayor_special"],
+    "RecentCheckin.csv": ["venue_id", "user_id"],
+}
+# (file, field, bad cell) for every field that must hold a number or a flag;
+# an empty mayor_id means no mayor, and a name may hold any text
+BAD_CELLS = [(name, field, cell) for name, fields in CSV_FIELDS.items() for field in fields
+             if field != "name" for cell in ("x", "", "1.5", "2x")
+             if not (field == "mayor_id" and cell == "")
+             if not (field in ("lat", "lon") and cell == "1.5")]
+
+
+def golden_copy(tmp_path):
+    exports = tmp_path / "exports"
+    shutil.copytree(GOLDEN, exports)
+    return exports
+
+
+def edit_csv(path, edit):
+    """Rewrite a CSV export's lines with ``edit(lines)`` (split on commas)."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    edit(lines)
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+
+
+class TestLoadTablesCells:
+    @pytest.mark.parametrize("name, field, cell", BAD_CELLS)
+    def test_bad_cell_names_file_line_field_and_value(self, tmp_path, name, field, cell):
+        exports = golden_copy(tmp_path)
+        column = CSV_FIELDS[name].index(field)
+
+        def put(lines):
+            lines[5][column] = cell
+
+        edit_csv(exports / name, put)
+        with pytest.raises(ValueError) as err:
+            load_tables(exports)
+        assert str(err.value).startswith(f"{name}:6: {field} {cell!r} is not ")
+
+    # a row cut before its first cell is a blank line, which is skipped
+    @pytest.mark.parametrize("name, field", [(name, field) for name, fields in CSV_FIELDS.items()
+                                             for field in fields[1:]])
+    def test_short_row_names_the_first_missing_field(self, tmp_path, name, field):
+        exports = golden_copy(tmp_path)
+        column = CSV_FIELDS[name].index(field)
+
+        def cut(lines):
+            del lines[3][column:]
+
+        edit_csv(exports / name, cut)
+        with pytest.raises(ValueError, match=rf"^{name}:4: {field} is missing "):
+            load_tables(exports)
+
+    @pytest.mark.parametrize("name, field", [(name, field) for name, fields in CSV_FIELDS.items()
+                                             for field in fields])
+    def test_missing_column_names_the_header(self, tmp_path, name, field):
+        exports = golden_copy(tmp_path)
+        column = CSV_FIELDS[name].index(field)
+
+        def drop(lines):
+            for line in lines:
+                del line[column]
+
+        edit_csv(exports / name, drop)
+        with pytest.raises(ValueError, match=rf"^{name}:1: missing column '{field}'$"):
+            load_tables(exports)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        exports = golden_copy(tmp_path)
+        (exports / "RecentCheckin.csv").write_text("")
+        with pytest.raises(ValueError, match=r"^RecentCheckin\.csv:1: missing column 'venue_id'"):
+            load_tables(exports)
+
+    def test_columns_in_any_order_and_blank_lines_load(self, tmp_path):
+        exports = golden_copy(tmp_path)
+        expected = load_tables(GOLDEN)
+        for name in CSV_FIELDS:
+            def reverse(lines):
+                for line in lines:
+                    line.reverse()
+                lines.insert(2, [""])
+
+            edit_csv(exports / name, reverse)
+        assert load_tables(exports) == expected
 
 
 def test_golden_log_is_rewritten_byte_for_byte(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from checkinsim.anticheat import Flag
 from checkinsim.geo import GeoPoint, offset_point
+from checkinsim.tables import tables_from_world
 from checkinsim.world import (
     ClockRegression,
     CorruptSnapshot,
@@ -143,7 +144,7 @@ class TestSubmitPipeline:
 class TestExports:
     def test_empty_world_exports_headers_only(self, tmp_path):
         world = World()
-        paths = world.export_public_profiles(tmp_path)
+        paths = world.export_public_profiles(tmp_path, tables_from_world(world))
         assert paths["UserInfo"].read_text() == \
             "user_id,total_checkins,total_badges,total_mayorships,recent_checkins\n"
         assert paths["VenueInfo"].read_text().startswith("venue_id,name,lat,lon,")
@@ -152,14 +153,15 @@ class TestExports:
     def test_single_valid_checkin_row(self, tmp_path):
         world = small_world()
         world.submit_checkin(2, 3, world.venue(3).location, 50)
-        paths = world.export_public_profiles(tmp_path)
+        paths = world.export_public_profiles(tmp_path, tables_from_world(world))
         lines = paths["RecentCheckin"].read_text().splitlines()
         assert lines == ["venue_id,user_id", "3,2"]
 
     def test_recent_checkin_has_no_timestamp_column(self, tmp_path):
         world = small_world()
         world.submit_checkin(1, 1, world.venue(1).location, 50)
-        header = world.export_public_profiles(tmp_path)["RecentCheckin"].read_text().splitlines()[0]
+        paths = world.export_public_profiles(tmp_path, tables_from_world(world))
+        header = paths["RecentCheckin"].read_text().splitlines()[0]
         assert "t" not in header.split(",")
         assert header == "venue_id,user_id"
 
@@ -179,7 +181,7 @@ class TestExports:
         world.users[0].is_cheater_ground_truth = True
         world.submit_checkin(1, 1, world.venue(1).location, 50,
                              true_gps=GeoPoint(10.0, 10.0))
-        world.export_public_profiles(tmp_path)
+        world.export_public_profiles(tmp_path, tables_from_world(world))
         world.export_events(tmp_path / "events.jsonl")
         for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv", "events.jsonl"):
             text = (tmp_path / name).read_text()
