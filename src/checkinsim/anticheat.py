@@ -105,26 +105,27 @@ class UserRuleState:
         t: int,
         config: RuleConfig,
     ) -> RuleVerdict:
-        flags: list[Flag] = []
-        detail: dict[Flag, float] = {}
+        # Fired rules in firing order, built when the first one fires.
+        detail: Optional[dict[Flag, float]] = None
 
         prev_t = self.last_valid_t_by_venue.get(venue_id)
         if prev_t is not None and t - prev_t < config.frequent_window_s:
-            flags.append(Flag.FREQUENT_CHECKIN)
-            detail[Flag.FREQUENT_CHECKIN] = float(t - prev_t)
+            detail = {Flag.FREQUENT_CHECKIN: float(t - prev_t)}
 
-        if self.last_valid is not None:
-            t_prev, loc_prev = self.last_valid
+        last = self.last_valid
+        # From the venue's own point the distance is 0.0, which no pace exceeds.
+        if last is not None and last[1] is not venue_location:
+            t_prev, loc_prev = last
             dist = haversine_m(loc_prev, venue_location)
             dt = t - t_prev
             if dt <= 0:
                 if dist > 0.0:
-                    flags.append(Flag.SUPER_HUMAN_SPEED)
+                    detail = detail or {}
                     detail[Flag.SUPER_HUMAN_SPEED] = float("inf")
             else:
                 speed = dist / dt
                 if speed > config.max_speed_m_per_s * (1.0 + _SPEED_SLACK):
-                    flags.append(Flag.SUPER_HUMAN_SPEED)
+                    detail = detail or {}
                     detail[Flag.SUPER_HUMAN_SPEED] = speed
 
         recent = self.recent
@@ -135,17 +136,18 @@ class UserRuleState:
             points = [loc for _, loc in recent]
             points.append(venue_location)
             if _cluster_fits(points, config.rapidfire_side_m):
-                flags.append(Flag.RAPID_FIRE)
+                detail = detail or {}
                 detail[Flag.RAPID_FIRE] = float(len(points))
 
-        offset = haversine_m(reported_gps, venue_location)
-        if offset > config.gps_radius_m:
-            flags.append(Flag.GPS_MISMATCH)
-            detail[Flag.GPS_MISMATCH] = offset
+        if reported_gps is not venue_location:  # the venue's own point is 0.0 m off
+            offset = haversine_m(reported_gps, venue_location)
+            if offset > config.gps_radius_m:
+                detail = detail or {}
+                detail[Flag.GPS_MISMATCH] = offset
 
-        if not flags:
+        if detail is None:
             return VALID_VERDICT
-        return RuleVerdict(valid=False, flags=tuple(flags), detail=detail)
+        return RuleVerdict(valid=False, flags=tuple(detail), detail=detail)
 
     def record_valid(self, venue_id: int, venue_location: GeoPoint, t: int) -> None:
         """Fold an accepted check-in into the rule state."""

@@ -193,6 +193,11 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _rule_flags(event) -> set[str]:
+    """The anticheat flags of a logged row: its flags but presence attestation's."""
+    return set(event.flags) - {PRESENCE_UNVERIFIED}
+
+
 def _cmd_verify_replay(args) -> int:
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
@@ -200,7 +205,16 @@ def _cmd_verify_replay(args) -> int:
     config = RuleConfig()
     by_user: dict[int, list] = {}
     for e in events:
-        by_user.setdefault(e.user_id, []).append(e)
+        recorded = by_user.get(e.user_id)
+        if recorded is None:
+            by_user[e.user_id] = [e]
+            continue
+        if e.t < recorded[-1].t:  # the rules replay each user's rows in time order
+            raise ValueError(f"{events_path.name}:{event_line(events_path, e)}: user "
+                             f"{e.user_id} at t={e.t} is earlier than the user's previous "
+                             f"row at t={recorded[-1].t}")
+        recorded.append(e)
+    agree: dict[tuple, bool] = {}  # (logged flags, verdict flags) -> same rule flags
     mismatches = 0
     with _naming_event_lines(events_path):
         for user_id, recorded in by_user.items():
@@ -208,11 +222,14 @@ def _cmd_verify_replay(args) -> int:
                       GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
             verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
             for e, verdict in zip(recorded, verdicts):
-                rule_flags = set(e.flags) - {PRESENCE_UNVERIFIED}
-                if rule_flags != {f.value for f in verdict.flags}:
+                key = (e.flags, verdict.flags)
+                same = agree.get(key)
+                if same is None:
+                    same = agree[key] = _rule_flags(e) == {f.value for f in verdict.flags}
+                if not same:
                     mismatches += 1
                     print(f"mismatch: user {user_id} t={e.t} venue {e.venue_id}: "
-                          f"logged {sorted(rule_flags)} recomputed {verdict.flag_names()}",
+                          f"logged {sorted(_rule_flags(e))} recomputed {verdict.flag_names()}",
                           file=sys.stderr)
     print(f"verify-replay: {len(events)} events, {mismatches} mismatches")
     return 0 if mismatches == 0 else 2

@@ -101,16 +101,17 @@ class MayorState:
             raise ValueError(f"check-in by user {user_id} at t={t} is earlier than "
                              f"the venue's last one at t={expiry[-1][0]}")
         day = t // DAY_S
+        expiry.append((t, user_id))
         dq = self.days.get(user_id)
         if dq is None:
-            dq = deque()
-            self.days[user_id] = dq
-        expiry.append((t, user_id))
-        if dq and dq[-1][0] == day:
+            self.days[user_id] = deque(((day, t),))
+            count = 1
+        elif dq[-1][0] == day:
             dq[-1] = (day, t)
             return
-        dq.append((day, t))
-        count = len(dq)
+        else:
+            dq.append((day, t))
+            count = len(dq)
         self._move(user_id, count - 1, count)
         if count > self._best:
             self._best = count
@@ -129,10 +130,16 @@ class MayorState:
             if not bucket:
                 del buckets[old]
         if new:
-            buckets.setdefault(new, set()).add(user_id)
+            bucket = buckets.get(new)
+            if bucket is None:
+                buckets[new] = {user_id}
+            else:
+                bucket.add(user_id)
 
     def _prune(self, window_start: int) -> None:
         expiry = self._expiry
+        if not expiry or expiry[0][0] > window_start:
+            return  # nothing expires, and ``_best`` is still held
         days = self.days
         while expiry and expiry[0][0] <= window_start:
             user_id = expiry.popleft()[1]
@@ -201,15 +208,18 @@ class RewardsEngine:
             self._mayors[venue_id] = state
         return state
 
-    def recompute_mayor(self, venue_id: int, t: int) -> Optional[int]:
+    def recompute_mayor(self, venue_id: int, t: int,
+                        state: Optional[MayorState] = None) -> Optional[int]:
         """Recompute the 60-day mayor for a venue at time t.
 
         The title goes to the user with the most distinct check-in days in
         the trailing window; an incumbent keeps it on ties, otherwise the
         lowest user id wins. With no qualifying days at all the incumbent
-        retains the title.
+        retains the title. ``state`` is the venue's ``mayor_state``, when
+        the caller holds it already.
         """
-        state = self.mayor_state(venue_id)
+        if state is None:
+            state = self.mayor_state(venue_id)
         state._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
         best_count = state._best
         incumbent = state.mayor_id
@@ -240,6 +250,7 @@ class RewardsEngine:
             for dq in progress.windows.values():
                 dq.append(t)
         badges = self.update_badges(user, t)
-        self.mayor_state(venue_id).note_checkin(user.user_id, t)
-        mayor = self.recompute_mayor(venue_id, t)
+        state = self.mayor_state(venue_id)
+        state.note_checkin(user.user_id, t)
+        mayor = self.recompute_mayor(venue_id, t, state)
         return BASE_POINTS, badges, mayor

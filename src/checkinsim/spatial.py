@@ -1,10 +1,10 @@
 """Uniform-grid spatial index for nearest-venue and radius queries.
 
-Cells are fixed-size lat/lon squares. A radius query scans the square of
-cells that a conservative meters-per-degree bound says can hold a hit. A
-nearest query doubles a radius query until it finds an entry not excluded,
-and scans every entry once that square would hold as many cells as there
-are entries.
+Cells are fixed-size lat/lon squares. A radius query scans the cell rows
+of its latitude band, in the columns that a conservative meters-per-degree
+bound says can hold a hit. A nearest query doubles a radius query until it
+finds an entry not excluded, and scans every entry once the square of cells
+it reaches would hold as many cells as there are entries.
 Regions crossing the antimeridian are not supported.
 """
 
@@ -14,6 +14,12 @@ import math
 from typing import Iterable, Optional
 
 from .geo import GeoPoint, METERS_PER_DEG, haversine_m
+
+# A great-circle distance is at least R * |dlat|, so a hit lies within
+# radius / METERS_PER_DEG degrees of latitude of the query; the band adds a
+# relative and an absolute slack far above the rounding of either side.
+_BAND_SLACK = 1e-9
+_BAND_FLOOR_DEG = 1e-9
 
 
 class VenueGridIndex:
@@ -72,18 +78,23 @@ class VenueGridIndex:
         return best[1], best[0]
 
     def within_radius(self, p: GeoPoint, radius_m: float) -> list[tuple[int, float]]:
-        """Entries within radius_m of p, sorted by (distance, id)."""
+        """Entries within radius_m of p, sorted by (distance, id); entries
+        outside p's latitude band are skipped unmeasured."""
+        half_band = radius_m / METERS_PER_DEG * (1.0 + _BAND_SLACK) + _BAND_FLOOR_DEG
+        lat_lo, lat_hi = p.lat - half_band, p.lat + half_band
         reach = self._reach(p, radius_m)
-        crow, ccol = self._cell_of(p)
+        size = self.cell_size_deg
+        ccol = int(math.floor(p.lon / size))
         hits: list[tuple[float, int]] = []
-        for row in range(crow - reach, crow + reach + 1):
+        for row in range(int(math.floor(lat_lo / size)), int(math.floor(lat_hi / size)) + 1):
             for col in range(ccol - reach, ccol + reach + 1):
                 bucket = self._cells.get((row, col))
                 if not bucket:
                     continue
                 for venue_id, loc in bucket:
-                    d = haversine_m(p, loc)
-                    if d <= radius_m:
-                        hits.append((d, venue_id))
+                    if lat_lo <= loc[0] <= lat_hi:
+                        d = haversine_m(p, loc)
+                        if d <= radius_m:
+                            hits.append((d, venue_id))
         hits.sort()
         return [(venue_id, d) for d, venue_id in hits]

@@ -197,6 +197,31 @@ def _cell_error(where: str, row: list[str], cells, columns: list[int]) -> ValueE
     return ValueError(f"{where}: unreadable row {row!r}")
 
 
+def _by_id(path: Path, cells, convert) -> dict:
+    """The rows of a CSV export keyed by their first field, which must not repeat."""
+    rows = list(_csv_rows(path, cells, convert))
+    by_id = {row[0]: row for row in rows}
+    if len(by_id) < len(rows):
+        raise _repeat_error(path, cells[0][0])
+    return by_id
+
+
+def _repeat_error(path: Path, field: str) -> ValueError:
+    """Name the first row of a CSV export whose integer ``field`` an earlier row holds."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        column = next(reader).index(field)
+        first_line: dict[int, int] = {}
+        for row in reader:
+            if row:
+                key = int(row[column])
+                if key in first_line:
+                    return ValueError(f"{path.name}:{reader.line_num}: {field} {key} "
+                                      f"repeats line {first_line[key]}")
+                first_line[key] = reader.line_num
+    return ValueError(f"{path.name}: a {field} repeats")
+
+
 def load_tables(directory: str | Path) -> PublicTables:
     """Read the three public CSV exports from a directory.
 
@@ -204,17 +229,17 @@ def load_tables(directory: str | Path) -> PublicTables:
     hold a field, or a cell that is not a number where one belongs (empty
     cells included, except an empty ``mayor_id``, which means no mayor)
     raises ``ValueError`` naming ``<file>:<line>: <field>`` and the cell. So
-    does a venue ``lat``/``lon`` that is not finite or out of range, and a
-    ``has_mayor_special`` that is not ``0`` or ``1``.
+    does a venue ``lat``/``lon`` that is not finite or out of range, a
+    ``has_mayor_special`` that is not ``0`` or ``1``, and a ``user_id`` or
+    ``venue_id`` that an earlier row of its file holds (naming both lines).
     """
     directory = Path(directory)
     for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv"):
         if not (directory / name).is_file():
             raise MissingTables(f"{name} not found in {directory}")
-    users = {u.user_id: u for u in _csv_rows(directory / "UserInfo.csv", _USER_CELLS,
-                                             lambda *cells: UserRow(*map(int, cells)))}
-    venues = {v.venue_id: v for v in _csv_rows(directory / "VenueInfo.csv", _VENUE_CELLS,
-                                               _venue_row)}
+    users = _by_id(directory / "UserInfo.csv", _USER_CELLS,
+                   lambda *cells: UserRow(*map(int, cells)))
+    venues = _by_id(directory / "VenueInfo.csv", _VENUE_CELLS, _venue_row)
     recent = list(_csv_rows(directory / "RecentCheckin.csv", _RECENT_CELLS,
                             lambda venue_id, user_id: (int(venue_id), int(user_id))))
     return PublicTables(users, venues, recent)

@@ -70,8 +70,12 @@ def attest_checkin(
     device_true_location: GeoPoint,
     registry: Mapping[int, RouterRegistration],
 ) -> bool:
-    """True iff the venue has a registered router that verifies the device."""
+    """True iff the venue has a registered router that verifies the device.
+
+    Decides as ``verify_presence(...).passed`` does, without building the
+    ``PresenceCheck`` and its RTT.
+    """
     router = registry.get(venue_id)
     if router is None or not router.registered:
         return False
-    return verify_presence(router, device_true_location).passed
+    return haversine_m(router.location, device_true_location) <= router.range_m

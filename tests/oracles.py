@@ -3,9 +3,9 @@
 These deliberately re-derive results from first principles (different
 formulas, full rescans) so they can serve as oracles for the production
 paths without sharing code with them. The exceptions are
-``nearest_linear`` and ``scan_dispersion``, which measure with
-``haversine_m`` so their answers can be compared with the fast paths'
-exactly, ``encode_event_line``, which is the JSON encoder events.jsonl
+``nearest_linear``, ``scan_within_radius`` and ``scan_dispersion``, which
+measure with ``haversine_m`` so their answers can be compared with the fast
+paths' exactly, ``encode_event_line``, which is the JSON encoder events.jsonl
 must stay byte-equal to, and ``json_load_events``, the one-``json.loads``-
 per-line reader whose rows and messages the streaming reader keeps.
 """
@@ -103,6 +103,16 @@ def nearest_linear(
     if best is None:
         return None
     return best[1], best[0]
+
+
+def scan_within_radius(
+    entries: Sequence[tuple[int, GeoPoint]],
+    p: GeoPoint,
+    radius_m: float,
+) -> list[tuple[int, float]]:
+    """Every entry within radius_m of p, by measuring all of them; sorted by (distance, id)."""
+    measured = sorted((haversine_m(p, loc), venue_id) for venue_id, loc in entries)
+    return [(venue_id, d) for d, venue_id in measured if d <= radius_m]
 
 
 def validate_schedule(schedule, location_of) -> None:

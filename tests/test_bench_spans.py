@@ -12,11 +12,13 @@ from pathlib import Path
 
 import checkinsim
 import checkinsim.cli
+import checkinsim.world
 from checkinsim import analytics, harness
+from checkinsim.anticheat import UserRuleState
 from checkinsim.geo import GeoPoint
 from checkinsim.rewards import RewardsEngine
 from checkinsim.tables import load_events
-from checkinsim.world import UserProfile
+from checkinsim.world import UserProfile, World
 from oracles import json_load_events
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -96,3 +98,30 @@ def test_run_projects_the_world_through_the_module_global(monkeypatch, tmp_path)
     calls = counting(monkeypatch, harness, "tables_from_world")
     result = harness.run_scenario(harness.ScenarioConfig.from_dict(SCENARIO), tmp_path)
     assert [args[0] for args in calls] == [result.world]
+
+
+STRICT_TOUR = {"population": {"n_users": 60, "n_venues": 40, "seed": 5, "duration_days": 20,
+                              "cheater_fraction": 0.1},
+               "routers": {"coverage": "full", "strict": True},
+               "attacks": [{"kind": "tour", "steps": 8, "true_location": [35.0, -90.0]}]}
+
+
+def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
+    # perfbench's run.verify.*, run.anticheat.* and run.rewards.* layers time
+    # these seams; each must be crossed once per check-in it is named for.
+    submits = counting(monkeypatch, World, "submit_checkin")
+    attests = counting(monkeypatch, checkinsim.world, "attest_checkin")
+    evaluations = counting(monkeypatch, UserRuleState, "evaluate_next")
+    recomputes = counting(monkeypatch, RewardsEngine, "recompute_mayor")
+    mayor_reads = counting(monkeypatch, World, "mayor_of")
+    result = harness.run_scenario(harness.ScenarioConfig.from_dict(STRICT_TOUR), tmp_path)
+    for venue in result.world.venues:  # a run reads no mayor lazily; read them all
+        result.world.mayor_of(venue.venue_id)
+    events = result.world.events
+    accepted = sum(1 for r in events if r.accepted)
+    assert len(submits) == len(events) > 0
+    assert len(attests) == len(evaluations) == len(events)
+    assert 0 < accepted < len(events)
+    assert len(mayor_reads) == len(result.world.venues)
+    assert len(recomputes) == accepted + len(mayor_reads)
+    assert result.metrics["attacks"][0]["checkins"] > 0

@@ -142,6 +142,36 @@ class TestRunAndDetect:
         err = capsys.readouterr().err
         assert "VenueInfo.csv:2: lat 'nan' " in err and "mismatch" not in err
 
+    def test_replay_refuses_a_user_row_out_of_time_order(self, tmp_path, capsys):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        lines[0], lines[623] = lines[623], lines[0]  # both rows are user 36's
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["verify-replay", "--in", str(exports)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("checkinsim: error: events.jsonl:624: user 36 at t=31 is earlier "
+                       "than the user's previous row at t=135079\n")
+        # detect reads each user's rows in any order
+        assert main(["detect", "--in", str(exports), "--out", str(tmp_path / "report.csv")]) == 0
+        assert (tmp_path / "report.csv").read_bytes() == (GOLDEN / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_repeated_user_id_exits_2(self, tmp_path, capsys, command):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        users = exports / "UserInfo.csv"
+        n_lines = len(users.read_text().splitlines())
+        with open(users, "a") as fh:
+            fh.write("1,5000,0,0,0\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (f"checkinsim: error: UserInfo.csv:{n_lines + 1}: "
+                                           "user_id 1 repeats line 2\n")
+
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     @pytest.mark.parametrize("bad, reason", [
         ("garbage", "not JSON"),

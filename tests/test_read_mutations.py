@@ -1,6 +1,7 @@
 """Seeded mutations of a small run's exports, read by ``detect`` and ``verify-replay``.
 
-Each mutation damages one line of ``events.jsonl`` or of a CSV export. A
+Each mutation damages one line of ``events.jsonl`` or of a CSV export, or
+repeats an id of UserInfo.csv or VenueInfo.csv on a later line. A
 damaged file must make both commands exit 2 with a message naming the file
 and the line; a harmless change (a blank line, a cell past the header's
 columns) must leave the exit code 0, the report and the replay unchanged.
@@ -100,6 +101,10 @@ def csv_mutation(kind, lines, rng):
     elif kind == "trailing_cell":  # cells are read by header column; extras are ignored
         lines[i] += ",extra"
         return None
+    elif kind == "duplicate_row":  # a later copy of row i repeats its id
+        j = rng.randrange(i + 1, len(lines) + 1)
+        lines.insert(j, lines[i])
+        return j + 1
     return i + 1
 
 
@@ -146,6 +151,12 @@ def test_events_mutation(run_dir, tmp_path, capsys, kind, seed):
                                   "blank_line", "trailing_cell"])
 def test_csv_mutation(run_dir, tmp_path, capsys, name, kind, seed):
     check(run_dir, tmp_path, capsys, name, csv_mutation, kind, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["UserInfo.csv", "VenueInfo.csv"])
+def test_repeated_id_mutation(run_dir, tmp_path, capsys, name, seed):
+    check(run_dir, tmp_path, capsys, name, csv_mutation, "duplicate_row", seed)
 
 
 def test_unmutated_run_reads_back(run_dir, tmp_path, capsys):

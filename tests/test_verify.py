@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from checkinsim.geo import GeoPoint, offset_point
+from checkinsim.geo import GeoPoint, haversine_m, offset_point
 from checkinsim.verify import (
     RouterRegistration,
     SPEED_OF_LIGHT_M_PER_S,
@@ -78,6 +78,21 @@ class TestAttestCheckin:
 
     def test_unroutered_venue_is_unverified(self):
         assert attest_checkin(2, VENUE, {1: router()}) is False
+
+    def test_decides_as_verify_presence(self):
+        # random devices, and devices whose distance is exactly the range
+        rng = random.Random(77)
+        at_range = 0
+        for _ in range(5_000):
+            device = offset_point(VENUE, rng.uniform(0, 360), rng.uniform(0, 300))
+            if rng.random() < 0.3:
+                r = router(range_m=haversine_m(VENUE, device) or 1.0)
+            else:
+                r = router(range_m=rng.uniform(5, 200))
+            check = verify_presence(r, device)
+            at_range += check.distance_m == r.range_m
+            assert attest_checkin(1, device, {1: r}) is check.passed
+        assert at_range > 1_000
 
     def test_attestation_ignores_reported_gps(self):
         world = World(strict_verify=True)
