@@ -11,7 +11,6 @@ submissions, and ``offline_verdicts`` replays a recorded trace through it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -60,7 +59,7 @@ class RuleConfig:
 _EMPTY_DETAIL: dict = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleVerdict:
     valid: bool
     flags: tuple[Flag, ...] = ()
@@ -85,9 +84,10 @@ class UserRuleState:
     """Streaming per-user rule state: O(1) evaluation per submission.
 
     Holds only what the rules need from valid history: the last valid
-    check-in time per venue, the most recent valid check-in, and the valid
-    check-ins inside the rapid-fire window. Submissions must arrive in time
-    order: the rapid-fire window is pruned as it slides forward.
+    check-in time per venue, the most recent valid check-in, and a
+    time-ordered list of the valid check-ins inside the rapid-fire window.
+    Submissions must arrive in time order: the window's expired prefix is
+    dropped as it slides forward.
     """
 
     __slots__ = ("last_valid_t_by_venue", "last_valid", "recent")
@@ -95,7 +95,7 @@ class UserRuleState:
     def __init__(self) -> None:
         self.last_valid_t_by_venue: dict[int, int] = {}
         self.last_valid: Optional[tuple[int, GeoPoint]] = None
-        self.recent: deque[tuple[int, GeoPoint]] = deque()
+        self.recent: list[tuple[int, GeoPoint]] = []
 
     def evaluate_next(
         self,
@@ -130,8 +130,11 @@ class UserRuleState:
 
         recent = self.recent
         window_start = t - config.rapidfire_window_s
-        while recent and recent[0][0] <= window_start:
-            recent.popleft()
+        if recent and recent[0][0] <= window_start:
+            k = 1
+            while k < len(recent) and recent[k][0] <= window_start:
+                k += 1
+            del recent[:k]
         if len(recent) >= config.rapidfire_count - 1:
             points = [loc for _, loc in recent]
             points.append(venue_location)

@@ -171,13 +171,14 @@ def _cmd_attack_exec(args) -> int:
 
 
 @contextlib.contextmanager
-def _naming_event_lines(path: Path):
+def _naming_event_lines(path: Path, events: list):
     """Name the events.jsonl line of a check-in whose venue VenueInfo.csv lacks."""
     try:
         yield
     except UnknownVenue as exc:
         e = exc.event
-        raise ValueError(f"{path.name}:{event_line(path, e)}: venue {e.venue_id} of user "
+        index = next(i for i, row in enumerate(events) if row is e)
+        raise ValueError(f"{path.name}:{event_line(path, index)}: venue {e.venue_id} of user "
                          f"{e.user_id} at t={e.t} is not in VenueInfo.csv") from exc
 
 
@@ -185,7 +186,7 @@ def _cmd_detect(args) -> int:
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path) if events_path.is_file() else []
-    with _naming_event_lines(events_path):
+    with _naming_event_lines(events_path, events):
         report = analytics.build_report(tables, events)
     analytics.write_report_csv(report, args.out)
     flagged = sum(1 for r in report if r.suspicious)
@@ -204,19 +205,19 @@ def _cmd_verify_replay(args) -> int:
     events = load_events(events_path)
     config = RuleConfig()
     by_user: dict[int, list] = {}
-    for e in events:
+    for i, e in enumerate(events):
         recorded = by_user.get(e.user_id)
         if recorded is None:
             by_user[e.user_id] = [e]
             continue
         if e.t < recorded[-1].t:  # the rules replay each user's rows in time order
-            raise ValueError(f"{events_path.name}:{event_line(events_path, e)}: user "
+            raise ValueError(f"{events_path.name}:{event_line(events_path, i)}: user "
                              f"{e.user_id} at t={e.t} is earlier than the user's previous "
                              f"row at t={recorded[-1].t}")
         recorded.append(e)
     agree: dict[tuple, bool] = {}  # (logged flags, verdict flags) -> same rule flags
     mismatches = 0
-    with _naming_event_lines(events_path):
+    with _naming_event_lines(events_path, events):
         for user_id, recorded in by_user.items():
             trace = [(e.t, e.venue_id, tables.event_location(e),
                       GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]

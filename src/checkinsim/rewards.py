@@ -6,14 +6,17 @@ Mutated only from the world's single submission sequence.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 DAY_S = 86_400
 BASE_POINTS = 1  # flat points per valid check-in
 MAYOR_WINDOW_DAYS = 60
+_STAMP = itemgetter(1)  # the timestamp of a MayorState (day, t) entry
 
 
 class BadgeKind(str, Enum):
@@ -57,20 +60,25 @@ DEFAULT_BADGE_CATALOG: tuple[BadgeSpec, ...] = (
 
 
 class _BadgeProgress:
+    """One user's badge state: the distinct venues visited, and for each
+    window badge not yet earned a time-ordered list of the valid check-in
+    times not yet pruned; a badge's list is deleted when it is earned."""
+
     __slots__ = ("venues", "windows", "complete")
 
     def __init__(self, window_badges: Sequence[BadgeSpec]) -> None:
         self.venues: set[int] = set()
-        self.windows: dict[str, deque[int]] = {spec.badge_id: deque() for spec in window_badges}
+        self.windows: dict[str, list[int]] = {spec.badge_id: [] for spec in window_badges}
         self.complete = False
 
 
 class MayorState:
     """Per-venue mayorship bookkeeping, kept up to date per check-in.
 
-    ``days`` maps user id to a deque of (day, latest check-in timestamp that
-    day) for the user's valid check-ins at this venue; the window prune keys
-    off the stored timestamps so partial days age out correctly. After each
+    ``days`` maps user id to a time-ordered list of (day, latest check-in
+    timestamp that day) for the user's valid check-ins at this venue; the
+    window prune keys off the stored timestamps so partial days age out
+    correctly, and drops a user's expired prefix in one slice. After each
     prune ``days`` holds exactly the users with a day in the window.
 
     ``_expiry`` is a FIFO of (t, user id) with one record for every
@@ -90,7 +98,7 @@ class MayorState:
 
     def __init__(self) -> None:
         self.mayor_id: Optional[int] = None
-        self.days: dict[int, deque[tuple[int, int]]] = {}
+        self.days: dict[int, list[tuple[int, int]]] = {}
         self._expiry: deque[tuple[int, int]] = deque()
         self._buckets: dict[int, set[int]] = {}
         self._best = 0
@@ -102,16 +110,16 @@ class MayorState:
                              f"the venue's last one at t={expiry[-1][0]}")
         day = t // DAY_S
         expiry.append((t, user_id))
-        dq = self.days.get(user_id)
-        if dq is None:
-            self.days[user_id] = deque(((day, t),))
+        visits = self.days.get(user_id)
+        if visits is None:
+            self.days[user_id] = [(day, t)]
             count = 1
-        elif dq[-1][0] == day:
-            dq[-1] = (day, t)
+        elif visits[-1][0] == day:
+            visits[-1] = (day, t)
             return
         else:
-            dq.append((day, t))
-            count = len(dq)
+            visits.append((day, t))
+            count = len(visits)
         self._move(user_id, count - 1, count)
         if count > self._best:
             self._best = count
@@ -119,7 +127,7 @@ class MayorState:
     def distinct_day_counts(self, t: int) -> dict[int, int]:
         """Distinct check-in days per user within (t - window, t]."""
         self._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
-        return {user_id: len(dq) for user_id, dq in self.days.items()}
+        return {user_id: len(visits) for user_id, visits in self.days.items()}
 
     def _move(self, user_id: int, old: int, new: int) -> None:
         """Move a user from the ``old`` count bucket to ``new`` (0: none)."""
@@ -143,15 +151,15 @@ class MayorState:
         days = self.days
         while expiry and expiry[0][0] <= window_start:
             user_id = expiry.popleft()[1]
-            dq = days.get(user_id)
-            if dq is None:
+            visits = days.get(user_id)
+            if visits is None:
                 continue
-            before = len(dq)
-            while dq and dq[0][1] <= window_start:
-                dq.popleft()
-            if len(dq) != before:
-                self._move(user_id, before, len(dq))
-                if not dq:
+            expired = bisect_right(visits, window_start, key=_STAMP)
+            if expired:
+                before = len(visits)
+                del visits[:expired]
+                self._move(user_id, before, before - expired)
+                if not visits:
                     del days[user_id]
         while self._best and self._best not in self._buckets:
             self._best -= 1
@@ -188,13 +196,17 @@ class RewardsEngine:
         for spec in self._window_badges:
             if spec.badge_id in user.badges:
                 continue
-            dq = progress.windows[spec.badge_id]
+            window = progress.windows[spec.badge_id]
             window_start = t - spec.window_days * DAY_S
-            while dq and dq[0] <= window_start:
-                dq.popleft()
-            if len(dq) >= spec.threshold:
+            if window and window[0] <= window_start:
+                k = 1
+                while k < len(window) and window[k] <= window_start:
+                    k += 1
+                del window[:k]
+            if len(window) >= spec.threshold:
                 user.badges.add(spec.badge_id)
                 new.append(spec.badge_id)
+                del progress.windows[spec.badge_id]  # never read again
         if len(user.badges) >= len(self.catalog):
             progress.complete = True
         return tuple(new)
@@ -226,8 +238,8 @@ class RewardsEngine:
         if best_count == 0:
             return incumbent
         if incumbent is not None:
-            dq = state.days.get(incumbent)
-            if dq is not None and len(dq) == best_count:
+            visits = state.days.get(incumbent)
+            if visits is not None and len(visits) == best_count:
                 return incumbent
         best_user = min(state._buckets[best_count])
         state.mayor_id = best_user
@@ -247,8 +259,8 @@ class RewardsEngine:
             self._progress[user.user_id] = progress
         if not progress.complete:
             progress.venues.add(venue_id)
-            for dq in progress.windows.values():
-                dq.append(t)
+            for window in progress.windows.values():
+                window.append(t)
         badges = self.update_badges(user, t)
         state = self.mayor_state(venue_id)
         state.note_checkin(user.user_id, t)

@@ -2,10 +2,13 @@
 
 Cells are fixed-size lat/lon squares. A radius query scans the cell rows
 of its latitude band, in the columns that a conservative meters-per-degree
-bound says can hold a hit. A nearest query doubles a radius query until it
-finds an entry not excluded, and scans every entry once the square of cells
-it reaches would hold as many cells as there are entries.
-Regions crossing the antimeridian are not supported.
+bound says can hold a hit. Once the band reaches 89 degrees north or south
+that bound fails, because near a pole a hit can lie at any longitude, and
+the query measures every entry of its band instead. A nearest query
+doubles a radius query until it finds an entry not excluded, and scans
+every entry once the square of cells it reaches would hold as many cells
+as there are entries.
+Regions crossing the antimeridian are not supported below 89 degrees.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .geo import GeoPoint, METERS_PER_DEG, haversine_m
 # relative and an absolute slack far above the rounding of either side.
 _BAND_SLACK = 1e-9
 _BAND_FLOOR_DEG = 1e-9
+# Latitude at which the meters-per-degree bound of the column reach stops.
+_POLAR_DEG = 89.0
 
 
 class VenueGridIndex:
@@ -38,7 +43,7 @@ class VenueGridIndex:
         # Meters-per-degree lower bound across the occupied band, with margin
         # for queries slightly outside it; keeps the square of cells that
         # _reach gives large enough to hold every hit.
-        band = min(89.0, max_abs_lat + 1.0)
+        band = min(_POLAR_DEG, max_abs_lat + 1.0)
         self._min_m_per_deg = METERS_PER_DEG * math.cos(math.radians(band)) * 0.99
 
     def __len__(self) -> int:
@@ -56,7 +61,7 @@ class VenueGridIndex:
     def _reach(self, p: GeoPoint, radius_m: float) -> int:
         """Cells on each side of p's cell that can hold a point within radius_m."""
         # account for queries at higher latitude than the venue band
-        q_band = min(89.0, abs(p.lat) + 1.0)
+        q_band = min(_POLAR_DEG, abs(p.lat) + 1.0)
         m_per_deg = min(self._min_m_per_deg, METERS_PER_DEG * math.cos(math.radians(q_band)) * 0.99)
         return int(math.ceil(radius_m / (self.cell_size_deg * m_per_deg))) + 1
 
@@ -82,19 +87,24 @@ class VenueGridIndex:
         outside p's latitude band are skipped unmeasured."""
         half_band = radius_m / METERS_PER_DEG * (1.0 + _BAND_SLACK) + _BAND_FLOOR_DEG
         lat_lo, lat_hi = p.lat - half_band, p.lat + half_band
-        reach = self._reach(p, radius_m)
-        size = self.cell_size_deg
-        ccol = int(math.floor(p.lon / size))
+        if max(-lat_lo, lat_hi) >= _POLAR_DEG:
+            buckets = [self._entries]  # every column of the band's rows
+        else:
+            reach = self._reach(p, radius_m)
+            size = self.cell_size_deg
+            ccol = int(math.floor(p.lon / size))
+            cells = self._cells
+            buckets = [bucket
+                       for row in range(int(math.floor(lat_lo / size)),
+                                        int(math.floor(lat_hi / size)) + 1)
+                       for col in range(ccol - reach, ccol + reach + 1)
+                       if (bucket := cells.get((row, col)))]
         hits: list[tuple[float, int]] = []
-        for row in range(int(math.floor(lat_lo / size)), int(math.floor(lat_hi / size)) + 1):
-            for col in range(ccol - reach, ccol + reach + 1):
-                bucket = self._cells.get((row, col))
-                if not bucket:
-                    continue
-                for venue_id, loc in bucket:
-                    if lat_lo <= loc[0] <= lat_hi:
-                        d = haversine_m(p, loc)
-                        if d <= radius_m:
-                            hits.append((d, venue_id))
+        for bucket in buckets:
+            for venue_id, loc in bucket:
+                if lat_lo <= loc[0] <= lat_hi:
+                    d = haversine_m(p, loc)
+                    if d <= radius_m:
+                        hits.append((d, venue_id))
         hits.sort()
         return [(venue_id, d) for d, venue_id in hits]

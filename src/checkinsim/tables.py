@@ -13,6 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
@@ -383,11 +384,9 @@ def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
     return EventRow(t, user_id, venue_id, lat, lon, valid, tuple(flags))
 
 
-def event_line(path: str | Path, row: EventRow) -> int:
-    """Number of the first line of an events.jsonl log that reads as ``row``."""
-    path = Path(path)
+def event_line(path: str | Path, index: int) -> int:
+    """Number of the line that holds row ``index`` (from 0) of what
+    ``load_events`` read from ``path``: every line but a blank one holds a row."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if _event_row(path.name, lineno, line) == row:
-                return lineno
-    raise ValueError(f"{path.name} holds no row {row}")
+        lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+        return next(islice(lines, index, None))

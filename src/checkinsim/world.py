@@ -8,9 +8,7 @@ analytics read immutable projections.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import pickle
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +25,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 3
+_SNAPSHOT_VERSION = 4
 
 
 class UnknownUser(Exception):
@@ -237,6 +235,8 @@ class World:
 
     def save_state(self, path: str | Path) -> Path:
         """Persist the full world (including RNG and clock) with a checksum."""
+        import hashlib  # only snapshots and fingerprint() pay for these imports
+        import pickle
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
@@ -254,6 +254,8 @@ class World:
 
     @staticmethod
     def load_state(path: str | Path) -> "World":
+        import hashlib
+        import pickle
         with open(path, "rb") as fh:
             header_line = fh.readline()
             payload = fh.read()
@@ -278,6 +280,7 @@ class World:
 
     def fingerprint(self) -> str:
         """Stable digest of all observable state; equal worlds hash equal."""
+        import hashlib
         h = hashlib.sha256()
 
         def feed(obj) -> None:

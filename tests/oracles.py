@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
-from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
+from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind
 from checkinsim.tables import EventRow, MissingTables
 
 EARTH_R = 6_371_000.0
@@ -181,6 +181,35 @@ class ScanningMayor:
             return self.mayor_id
         self.mayor_id = best_user
         return best_user
+
+
+def scan_badges(catalog, stream) -> list[frozenset[str]]:
+    """Badges each check-in's user holds after it, by full rescan: the
+    reference for ``RewardsEngine``'s badges.
+
+    ``stream`` rows are (user_id, venue_id, t) valid check-ins in time order.
+    After every check-in the user's whole history is scanned again: a
+    distinct-venues badge holds once the history spans ``threshold`` venues,
+    a window badge once ``threshold`` of its check-ins lie in
+    (t - window_days, t]. A badge once held is held for good.
+    """
+    history: dict[int, list[tuple[int, int]]] = {}
+    held: dict[int, set[str]] = {}
+    out = []
+    for user_id, venue_id, t in stream:
+        past = history.setdefault(user_id, [])
+        past.append((venue_id, t))
+        badges = held.setdefault(user_id, set())
+        for spec in catalog:
+            if spec.kind == BadgeKind.DISTINCT_VENUES:
+                count = len({v for v, _ in past})
+            else:
+                start = t - spec.window_days * DAY_S
+                count = sum(1 for _, tj in past if start < tj <= t)
+            if count >= spec.threshold:
+                badges.add(spec.badge_id)
+        out.append(frozenset(badges))
+    return out
 
 
 def scan_dispersion(trace, cluster_radius_m: float = 50_000.0) -> int:

@@ -157,6 +157,36 @@ class TestRunAndDetect:
         assert main(["detect", "--in", str(exports), "--out", str(tmp_path / "report.csv")]) == 0
         assert (tmp_path / "report.csv").read_bytes() == (GOLDEN / "report.csv").read_bytes()
 
+    def test_replay_names_the_line_of_a_repeated_row(self, tmp_path, capsys):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        lines.insert(624, lines[0])  # line 1 again, after user 36's row at line 624
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["verify-replay", "--in", str(exports)]) == 2
+        assert capsys.readouterr().err == (
+            "checkinsim: error: events.jsonl:625: user 36 at t=31 is earlier "
+            "than the user's previous row at t=135079\n")
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_unknown_venue_line_counts_past_blank_lines(self, tmp_path, capsys, command):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        row = json.loads(lines[0])
+        row["venue_id"] = 999
+        lines[0] = json.dumps(row, separators=(",", ":"))
+        lines[0:0] = ["", "  "]
+        log.write_text("\n".join(lines) + "\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        assert (f"events.jsonl:3: venue 999 of user {row['user_id']} at t={row['t']} "
+                "is not in VenueInfo.csv") in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     def test_repeated_user_id_exits_2(self, tmp_path, capsys, command):
         exports = tmp_path / "exports"

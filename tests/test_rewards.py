@@ -11,7 +11,7 @@ from checkinsim.rewards import (
 )
 from checkinsim.world import UserProfile, World
 from checkinsim.geo import GeoPoint, offset_point
-from oracles import ScanningMayor
+from oracles import ScanningMayor, scan_badges
 
 HOME = GeoPoint(40.0, -100.0)
 
@@ -310,3 +310,89 @@ class TestMayorDifferential:
                     assert len(world.rewards.mayor_state(venue_id).days) == len(oracle.days)
         titles = sum(1 for v in world.venues if v.mayor_id is not None)
         assert sum(u.total_mayorships for u in world.users) == titles
+
+
+WIDE_CATALOG = (
+    BadgeSpec("three-spots", BadgeKind.DISTINCT_VENUES, 3),
+    BadgeSpec("busy-day", BadgeKind.CHECKINS_IN_WINDOW, 4, window_days=1),
+    BadgeSpec("marathon-month", BadgeKind.CHECKINS_IN_WINDOW, 30, window_days=30),
+    BadgeSpec("adventurer", BadgeKind.DISTINCT_VENUES, 10),
+)
+
+
+def badge_stream(rng, n_users, n_venues, n_checkins, gap_s):
+    """Time-ordered (user_id, venue_id, t) valid check-ins; ``gap_s(rng)``
+    draws each gap to the previous check-in (0 repeats its time)."""
+    stream, t = [], 0
+    for _ in range(n_checkins):
+        t += gap_s(rng)
+        stream.append((rng.randint(1, n_users), rng.randint(1, n_venues), t))
+    return stream
+
+
+def replay_badges(catalog, stream):
+    """Feed ``stream`` to a ``RewardsEngine`` and compare every check-in's
+    badges with ``oracles.scan_badges``; return the users' final badges."""
+    engine = RewardsEngine(catalog)
+    users: dict[int, UserProfile] = {}
+    held: dict[int, frozenset] = {}
+    for (user_id, venue_id, t), expected in zip(stream, scan_badges(catalog, stream)):
+        user = users.setdefault(user_id, make_user(user_id))
+        _, new, _ = engine.on_valid_checkin(user, venue_id, t)
+        assert user.badges == expected, (user_id, t)
+        assert set(new) == expected - held.get(user_id, frozenset()), (user_id, t)
+        assert len(new) == len(set(new))
+        held[user_id] = expected
+        windows = engine._progress[user_id].windows
+        assert not set(windows) & user.badges  # an earned badge keeps no window list
+    return {user_id: user.badges for user_id, user in users.items()}
+
+
+class TestBadgeDifferential:
+    """``RewardsEngine`` badges against ``oracles.scan_badges``."""
+
+    @pytest.mark.parametrize("catalog", [DEFAULT_BADGE_CATALOG, WIDE_CATALOG],
+                             ids=["default", "wide"])
+    def test_dense_streams(self, catalog):
+        rng = random.Random(91)
+        for _ in range(30):
+            stream = badge_stream(rng, rng.randint(1, 6), rng.randint(2, 14), 300,
+                                  lambda r: r.choice((0, r.randint(1, 3 * 3600))))
+            replay_badges(catalog, stream)
+
+    @pytest.mark.parametrize("catalog", [DEFAULT_BADGE_CATALOG, WIDE_CATALOG],
+                             ids=["default", "wide"])
+    def test_sparse_streams(self, catalog):
+        rng = random.Random(92)
+        for _ in range(30):
+            stream = badge_stream(rng, rng.randint(1, 4), rng.randint(1, 30), 200,
+                                  lambda r: r.randint(DAY_S // 2, 3 * DAY_S))
+            replay_badges(catalog, stream)
+
+    @pytest.mark.parametrize("catalog", [DEFAULT_BADGE_CATALOG, WIDE_CATALOG],
+                             ids=["default", "wide"])
+    def test_checkins_on_the_window_edge(self, catalog):
+        # Whole-day times: the check-in exactly 30 (or 1) days back drops out.
+        rng = random.Random(93)
+        for _ in range(40):
+            stream = badge_stream(rng, rng.randint(1, 3), rng.randint(2, 12), 150,
+                                  lambda r: r.choice((0, 0, DAY_S, DAY_S, 2 * DAY_S)))
+            replay_badges(catalog, stream)
+
+    def test_edge_checkin_is_outside_the_window(self):
+        stream = [(1, 1 + day % 5, day * DAY_S) for day in range(29)]
+        stream.append((1, 1, 30 * DAY_S))  # the day-0 check-in is now out
+        assert "marathon-month" not in replay_badges(DEFAULT_BADGE_CATALOG, stream)[1]
+        stream.append((1, 2, 30 * DAY_S))
+        assert "marathon-month" in replay_badges(DEFAULT_BADGE_CATALOG, stream)[1]
+
+    def test_marathon_without_adventurer(self):
+        rng = random.Random(94)
+        earned = 0
+        for _ in range(20):
+            stream = badge_stream(rng, rng.randint(1, 4), 9, 400,
+                                  lambda r: r.randint(0, 6 * 3600))
+            for badges in replay_badges(DEFAULT_BADGE_CATALOG, stream).values():
+                assert "adventurer" not in badges
+                earned += "marathon-month" in badges
+        assert earned > 20

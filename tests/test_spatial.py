@@ -77,3 +77,35 @@ def test_nearest_matches_a_full_scan(seed, region):
         assert index.nearest(q) == ranked[0]
         exclude = {venue_id for venue_id, _ in ranked[:3]}
         assert index.nearest(q, exclude=exclude) == ranked[3]
+
+
+def polar_world(seed, sign):
+    """400 entries at 88.6-89.9 degrees (north for sign 1, south for -1) and
+    queries there: random ones at radii of 5-50 km, the pole itself, and one
+    on the antimeridian whose hits lie on both sides of it."""
+    rng = random.Random(seed)
+    points = [GeoPoint(sign * rng.uniform(88.6, 89.9), rng.uniform(-180.0, 180.0))
+              for _ in range(400)]
+    points += [GeoPoint(sign * 89.5, 179.9), GeoPoint(sign * 89.5, -179.9),
+               GeoPoint(sign * 90.0, 0.0)]
+    queries = [(GeoPoint(sign * rng.uniform(88.6, 89.9), rng.uniform(-180.0, 180.0)),
+                rng.uniform(5_000.0, 50_000.0)) for _ in range(50)]
+    queries += [(GeoPoint(sign * 90.0, lon), radius)
+                for lon in (0.0, 123.4) for radius in (5_000.0, 50_000.0)]
+    queries.append((GeoPoint(sign * 89.5, 180.0), 2_000.0))
+    return list(enumerate(points, 1)), queries
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1], ids=["north", "south"])
+def test_near_pole_queries_match_a_full_scan(seed, sign):
+    entries, queries = polar_world(seed, sign)
+    index = VenueGridIndex(entries)
+    for q, radius in queries:
+        got = index.within_radius(q, radius)
+        assert got == scan_within_radius(entries, q, radius), (q, radius)
+        assert index.nearest(q) == scan_within_radius(entries, q, math.inf)[0]
+    straddle = index.within_radius(*queries[-1])
+    assert {entries[-3][0], entries[-2][0]} <= {venue_id for venue_id, _ in straddle}
+    pole = index.within_radius(*queries[-2])
+    assert len(pole) > 10 and len({round(entries[i - 1][1].lon) for i, _ in pole}) > 10

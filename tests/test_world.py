@@ -1,9 +1,14 @@
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from checkinsim.anticheat import Flag
+from checkinsim.anticheat import Flag, RuleVerdict
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.tables import tables_from_world
 from checkinsim.world import (
@@ -238,6 +243,45 @@ class TestSnapshots:
         path.write_bytes(b"not a snapshot at all\n\x00\x01")
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
+
+    def test_version_3_snapshot_refused(self, tmp_path):
+        # Format 3 held its time windows in deques; its payload is intact here
+        # and must still be refused by its version.
+        path = small_world().save_state(tmp_path / "w.snap")
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert header["version"] == 4
+        header["version"] = 3
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
+            World.load_state(path)
+
+    def test_rejected_verdict_round_trip(self):
+        verdict = RuleVerdict(False, (Flag.RAPID_FIRE,), {Flag.RAPID_FIRE: 4.0})
+        assert not hasattr(verdict, "__dict__")
+        assert pickle.loads(pickle.dumps(verdict, protocol=pickle.HIGHEST_PROTOCOL)) == verdict
+
+    def test_earned_window_badge_survives_a_round_trip(self, tmp_path):
+        world = small_world()
+        for i in range(40):
+            world.submit_checkin(1, 1 + i % 8, world.venue(1 + i % 8).location, 4_000 * i)
+        assert "marathon-month" in world.user(1).badges
+        loaded = World.load_state(world.save_state(tmp_path / "w.snap"))
+        for target in (world, loaded):
+            target.submit_checkin(2, 3, target.venue(3).location, 200_000)
+        assert loaded.fingerprint() == world.fingerprint()
+        assert loaded.rewards._progress[1].windows == {}
+
+
+def test_importing_the_package_loads_no_snapshot_codec():
+    # hashlib (with OpenSSL) and pickle are imported by snapshots and
+    # fingerprint() only, so a run, detect or replay process never pays for them.
+    code = ("import sys; import checkinsim, checkinsim.cli, checkinsim.harness; "
+            "print(sorted({'hashlib', '_hashlib', 'pickle'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMayorReads:
