@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .geo import EARTH_RADIUS_M, GeoPoint, haversine_m
+from .geo import EARTH_RADIUS_M, GeoPoint, distance_bounds_m, haversine_m
 from .tables import CheckIn, PublicTables, write_csv
 
 
@@ -103,19 +103,29 @@ def account_age_days(
 def speed_feasibility(
     trace: Sequence[tuple[int, GeoPoint]], v_travel_m_per_s: float = 250.0
 ) -> int:
-    """Count consecutive check-in pairs no physical journey could connect."""
+    """Count consecutive check-in pairs no physical journey could connect.
+
+    A pair whose pace is at least ``v_travel_m_per_s`` by its low distance
+    bound, or at most that by its high one (``distance_bounds_m``), is
+    settled unmeasured: division rounds monotonically, so the pace by
+    ``haversine_m`` lies on the same side.
+    """
     infeasible = 0
     prev_t: Optional[int] = None
     prev_loc: Optional[GeoPoint] = None
     for t, loc in trace:
         if prev_loc is not None:
-            dist = haversine_m(prev_loc, loc)
             dt = t - prev_t
             if dt <= 0:
-                if dist > 0.0:
+                if haversine_m(prev_loc, loc) > 0.0:
                     infeasible += 1
-            elif dist / dt > v_travel_m_per_s:
-                infeasible += 1
+            else:
+                low, high = distance_bounds_m(prev_loc, loc)
+                if low / dt > v_travel_m_per_s:
+                    infeasible += 1
+                elif not high / dt <= v_travel_m_per_s:
+                    if haversine_m(prev_loc, loc) / dt > v_travel_m_per_s:
+                        infeasible += 1
         prev_t, prev_loc = t, loc
     return infeasible
 
@@ -140,7 +150,9 @@ def dispersion(
     and lies in the 2x2x2 block of cells on the leader's side of its own
     cell. Each leader is listed in the eight cells of its block, so a point
     reads one list, with no pole or antimeridian case. ``haversine_m`` stays
-    the only accept test; the cells only choose which leaders it sees.
+    the accept test; the cells only choose which leaders it sees, and
+    ``distance_bounds_m`` settles, unmeasured, a pair that the bounds place
+    on one side of the radius.
 
     Three shortcuts skip the lookup: the first point is a leader; a location
     already seen in the trace is skipped, since it is a leader or lies within
@@ -164,11 +176,11 @@ def dispersion(
         if loc in seen:
             continue
         seen.add(loc)
-        if haversine_m(last, loc) <= cluster_radius_m:
+        if _within(last, loc, cluster_radius_m):
             continue
         home, corner = _cell_keys(loc, halves)
         for leader in cells.get(home, ()):
-            if haversine_m(leader, loc) <= cluster_radius_m:
+            if _within(leader, loc, cluster_radius_m):
                 last = leader
                 break
         else:
@@ -176,6 +188,12 @@ def dispersion(
             last = loc
             clusters += 1
     return clusters
+
+
+def _within(a: GeoPoint, b: GeoPoint, radius_m: float) -> bool:
+    """``haversine_m(a, b) <= radius_m``, measured only when the bounds cannot tell."""
+    low, high = distance_bounds_m(a, b)
+    return high <= radius_m or (not low > radius_m and haversine_m(a, b) <= radius_m)
 
 
 # A cell key packs the three cell indices as digits of base 2**31; cells are

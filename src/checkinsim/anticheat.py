@@ -11,11 +11,13 @@ submissions, and ``offline_verdicts`` replays a recorded trace through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .geo import GeoPoint, MILE_M, OutOfProjectionRange, fits_square, haversine_m
+from .geo import (GeoPoint, MILE_M, OutOfProjectionRange, distance_bounds_m, fits_square,
+                  haversine_m)
 
 # Relative slack so an exactly-at-the-limit pace is never flagged by float noise.
 _SPEED_SLACK = 1e-9
@@ -41,8 +43,10 @@ class RuleConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"RuleConfig.{f.name} must be strictly positive")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"rules.{f.name} must be a finite number > 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RuleConfig":
@@ -116,17 +120,20 @@ class UserRuleState:
         # From the venue's own point the distance is 0.0, which no pace exceeds.
         if last is not None and last[1] is not venue_location:
             t_prev, loc_prev = last
-            dist = haversine_m(loc_prev, venue_location)
             dt = t - t_prev
             if dt <= 0:
-                if dist > 0.0:
+                if haversine_m(loc_prev, venue_location) > 0.0:
                     detail = detail or {}
                     detail[Flag.SUPER_HUMAN_SPEED] = float("inf")
             else:
-                speed = dist / dt
-                if speed > config.max_speed_m_per_s * (1.0 + _SPEED_SLACK):
-                    detail = detail or {}
-                    detail[Flag.SUPER_HUMAN_SPEED] = speed
+                # haversine_m <= high, and division rounds monotonically, so
+                # high / dt <= limit means the measured pace is within it too.
+                limit = config.max_speed_m_per_s * (1.0 + _SPEED_SLACK)
+                if not distance_bounds_m(loc_prev, venue_location)[1] / dt <= limit:
+                    speed = haversine_m(loc_prev, venue_location) / dt
+                    if speed > limit:
+                        detail = detail or {}
+                        detail[Flag.SUPER_HUMAN_SPEED] = speed
 
         recent = self.recent
         window_start = t - config.rapidfire_window_s
@@ -142,7 +149,10 @@ class UserRuleState:
                 detail = detail or {}
                 detail[Flag.RAPID_FIRE] = float(len(points))
 
-        if reported_gps is not venue_location:  # the venue's own point is 0.0 m off
+        # The venue's own point is 0.0 m off; a high bound within the radius
+        # means the measured offset is too.
+        if (reported_gps is not venue_location and
+                not distance_bounds_m(reported_gps, venue_location)[1] <= config.gps_radius_m):
             offset = haversine_m(reported_gps, venue_location)
             if offset > config.gps_radius_m:
                 detail = detail or {}

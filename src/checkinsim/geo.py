@@ -64,6 +64,52 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
+# Slack of distance_bounds_m: relative (1e-9, folded into the scales) plus
+# an absolute floor. haversine_m rounds by a few parts in 1e16 of its result,
+# except within a few meters of the antipode, where asin near 1 turns the
+# rounding of its argument into up to about 0.15 m; the floor covers that.
+_BOUND_FLOOR_M = 1.0
+_LOW_SCALE = METERS_PER_DEG * (1.0 - 1e-9)
+_HIGH_SCALE = METERS_PER_DEG * (1.0 + 1e-9)
+_INF = math.inf
+_NAN = math.nan
+
+
+def distance_bounds_m(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
+    """``(low, high)`` with ``low <= haversine_m(a, b) <= high``.
+
+    For a caller that only compares a distance with a threshold: it measures
+    with ``haversine_m`` only when the threshold lies between the bounds.
+
+    Proof, with R the sphere's radius (``METERS_PER_DEG`` meters per degree)
+    and h = sin^2(dlat/2) + cos(lat_a) cos(lat_b) sin^2(dlon/2), so that
+    d = 2R asin(sqrt(h)). Let x = |dlat|/2 and y = |dlon|/2, dlon unwrapped.
+    High: h <= sin^2 x + sin^2 y. When x + y <= pi/2,
+    sin^2(x + y) - sin^2 x - sin^2 y = 2 sin x sin y cos(x + y) >= 0, so
+    d <= 2R (x + y) = R (|dlat| + |dlon|); otherwise that bound is at least
+    pi R, which no distance exceeds. Low: with both latitudes in [-90, 90]
+    the cosines are >= 0, so h >= sin^2 x and d >= 2R x = R |dlat|. Both
+    bounds get a relative and an absolute slack far above the rounding of
+    either side.
+
+    For a latitude outside [-90, 90], a non-finite coordinate or an
+    overflowing difference, both bounds are NaN: a comparison written
+    ``high <= limit`` or ``low > limit`` then settles nothing, and the caller
+    measures, as it did without bounds.
+    """
+    lat_a = a[0]
+    lat_b = b[0]
+    dlat = lat_a - lat_b
+    if dlat < 0.0:
+        dlat = -dlat
+    dlon = a[1] - b[1]
+    if dlon < 0.0:
+        dlon = -dlon
+    if dlat + dlon < _INF and -90.0 <= lat_a <= 90.0 and -90.0 <= lat_b <= 90.0:
+        return (_LOW_SCALE * dlat - _BOUND_FLOOR_M, _HIGH_SCALE * (dlat + dlon) + _BOUND_FLOOR_M)
+    return (_NAN, _NAN)
+
+
 def project_local(origin: GeoPoint, p: GeoPoint) -> LocalOffset:
     """Equirectangular projection of ``p`` about ``origin``.
 

@@ -122,6 +122,7 @@ class PopulationConfig:
 
 _SCENARIO_KEYS = {"population", "rules", "badges", "routers", "attacks", "detection"}
 _ROUTER_KEYS = {"coverage", "entries", "range_m", "strict"}
+_ROUTER_ENTRY_KEYS = {"venue_id", "range_m", "processing_delay_s"}
 _DETECTION_KEYS = {f.name for f in dataclasses.fields(analytics.DetectionThresholds)}
 # Keys each attack kind reads, besides "kind", "true_location" and "start_delay_s".
 _ATTACK_KEYS = {
@@ -164,6 +165,28 @@ class ScenarioConfig:
         coverage = routers.get("coverage", "none")
         if coverage not in ("none", "full", "listed"):
             raise InvalidConfig(f"unknown router coverage {coverage!r}")
+        router_range_m = _config_number("routers.range_m", routers.get("range_m", 100.0))
+        entries = routers.get("entries", [])
+        if not isinstance(entries, list):
+            raise InvalidConfig(f"routers.entries must be a list, got {entries!r}")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise InvalidConfig(f"routers.entries[{i}] must be an object, got {entry!r}")
+            unknown = set(entry) - _ROUTER_ENTRY_KEYS
+            if unknown:
+                raise InvalidConfig(f"routers.entries[{i}]: unknown keys {sorted(unknown)}")
+            venue_id = entry.get("venue_id")
+            if type(venue_id) is not int or not 1 <= venue_id <= population.n_venues:
+                raise InvalidConfig(f"routers.entries[{i}].venue_id must be a venue id in "
+                                    f"[1, {population.n_venues}], got {venue_id!r}")
+            if "range_m" in entry:
+                _config_number(f"routers.entries[{i}].range_m", entry["range_m"])
+            if "processing_delay_s" in entry:
+                _config_number(f"routers.entries[{i}].processing_delay_s",
+                               entry["processing_delay_s"], allow_zero=True)
+        strict = routers.get("strict", False)
+        if type(strict) is not bool:
+            raise InvalidConfig(f"routers.strict must be true or false, got {strict!r}")
         detection = data.get("detection", {})
         unknown = set(detection) - _DETECTION_KEYS
         if unknown:
@@ -172,9 +195,8 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidConfig(f"detection.{key} must be a number, got {value!r}")
         for key in ("cluster_radius_m", "v_travel_m_per_s"):
-            if key in detection and not (math.isfinite(detection[key]) and detection[key] > 0):
-                raise InvalidConfig(f"detection.{key} must be a finite number > 0, "
-                                    f"got {detection[key]!r}")
+            if key in detection:
+                _config_number(f"detection.{key}", detection[key])
         thresholds = analytics.DetectionThresholds(**detection)
         attacks = data.get("attacks", [])
         _check_attacks(attacks)
@@ -183,12 +205,22 @@ class ScenarioConfig:
             rules=rules,
             badges=badges,
             router_coverage=coverage,
-            router_entries=tuple(routers.get("entries", ())),
-            router_range_m=float(routers.get("range_m", 100.0)),
-            strict_verify=bool(routers.get("strict", False)),
+            router_entries=tuple(entries),
+            router_range_m=float(router_range_m),
+            strict_verify=strict,
             attacks=tuple(attacks),
             thresholds=thresholds,
         )
+
+
+def _config_number(where: str, value, allow_zero: bool = False):
+    """``value`` if it is a finite int or float (not a bool) above 0, or at
+    least 0 with ``allow_zero``; otherwise ``InvalidConfig`` naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (0 <= value if allow_zero else 0 < value) or not math.isfinite(value):
+        raise InvalidConfig(f"{where} must be a finite number {'>= 0' if allow_zero else '> 0'}, "
+                            f"got {value!r}")
+    return value
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -529,7 +561,7 @@ def _install_routers(world: World, scenario: ScenarioConfig) -> None:
                                                      range_m=scenario.router_range_m))
         return
     for entry in scenario.router_entries:
-        venue = world.venue(int(entry["venue_id"]))
+        venue = world.venue(entry["venue_id"])
         world.register_router(RouterRegistration(
             venue.venue_id, venue.location,
             range_m=float(entry.get("range_m", scenario.router_range_m)),

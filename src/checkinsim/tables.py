@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
-from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
@@ -293,13 +293,24 @@ def write_events(records: Iterable, path: str | Path) -> Path:
     return path
 
 
-_scan_json = make_scanner(json.JSONDecoder())  # (value, end) of the JSON value at an index
-_event_fields = itemgetter(*EventRow._fields)
+# Block reader for events.jsonl. One row as write_events writes it: an int
+# is at most 18 ASCII digits, and a coordinate has a fraction or an exponent
+# (a JSON-int coordinate stays an int, which only _event_row reads). The
+# pattern matches only at a line start and never crosses a "\n", so a block
+# whose match count equals its line count has every line taken.
+_BLOCK_CHARS = 64 * 1024
+_INT_TOKEN = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_FLOAT_TOKEN = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_ROW_PATTERN = re.compile(
+    r'^\{"t":%s,"user_id":%s,"venue_id":%s,"reported_lat":%s,"reported_lon":%s,'
+    r'"valid":(true|false),"flags":(\[[^\n]*\])\}\n'
+    % (_INT_TOKEN, _INT_TOKEN, _INT_TOKEN, _FLOAT_TOKEN, _FLOAT_TOKEN), re.MULTILINE)
 _new_event_row = partial(tuple.__new__, EventRow)  # skips EventRow's Python-level __new__
+_event_fields = itemgetter(*EventRow._fields)
 
 
 def load_events(path: str | Path) -> list[EventRow]:
-    """Read an events.jsonl log, streaming it one line at a time.
+    """Read an events.jsonl log in blocks of 64 Ki characters.
 
     Every non-blank line must be one JSON value, as ``json.loads`` accepts
     it: an object holding every ``EventRow`` key, with integers (not bools)
@@ -308,43 +319,80 @@ def load_events(path: str | Path) -> list[EventRow]:
     ``valid`` and a list of strings for ``flags``. Anything else raises
     ``ValueError`` naming the file, the line and the key or reason.
 
-    A line as ``write_events`` writes it costs one C-level JSON scan, one
-    key lookup and one type test, and shares its flag tuple with earlier
-    rows. Every other line, blank or bad ones included, and the first line
-    of each flag combination are read by ``_event_row``, which says what the
-    log accepts.
+    Lines end at ``"\\n"``, as file iteration splits them. The complete lines
+    of a block are taken by one compiled pattern of the line that
+    ``write_events`` writes; their columns are converted with ``int`` and
+    ``float``, the coordinates range-checked by the block's minimum and
+    maximum, and each flags text maps to a tuple that is shared by every row
+    holding it. A block with a line the pattern does not take, a coordinate
+    out of range or a flags text that is not a list of strings is read line
+    by line by ``_event_row``, which says what the log accepts, and so is a
+    last line without ``"\\n"``.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingTables(f"event log not found: {path}")
     events: list[EventRow] = []
-    append = events.append
-    known_flags: dict[tuple, tuple[str, ...]] = {(): ()}  # flag tuples already checked
+    flag_tuples: dict[str, tuple[str, ...]] = {"[]": ()}  # flags texts already checked
+    lineno = 0  # lines before the block
+    carry = ""  # the incomplete last line of what was read so far
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    obj, end = _scan_json(line, 0)
-                    t, user_id, venue_id, lat, lon, valid, flags = _event_fields(obj)
-                    flag_tuple = known_flags[tuple(flags)]
-                except (StopIteration, ValueError, LookupError, TypeError, RecursionError):
-                    pass
-                else:
-                    if (line[end:] == "\n" and type(t) is int and type(user_id) is int
-                            and type(venue_id) is int and type(lat) is float
-                            and type(lon) is float and -90.0 <= lat <= 90.0
-                            and -180.0 <= lon <= 180.0 and type(valid) is bool
-                            and type(flags) is list):
-                        append(_new_event_row((t, user_id, venue_id, lat, lon, valid,
-                                               flag_tuple)))
-                        continue
-                row = _event_row(path.name, lineno, line)
-                if row is not None:
-                    append(row)
-                    known_flags.setdefault(row.flags, row.flags)
+            while chunk := fh.read(_BLOCK_CHARS):
+                cut = chunk.rfind("\n") + 1
+                if not cut:
+                    carry += chunk
+                    continue
+                block = carry + chunk[:cut]
+                carry = chunk[cut:]
+                lines = block.count("\n")
+                if not _take_block(block, lines, flag_tuples, events):
+                    _read_lines(path.name, lineno,
+                                [line + "\n" for line in block[:-1].split("\n")], events)
+                lineno += lines
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+    if carry:
+        _read_lines(path.name, lineno, [carry], events)
     return events
+
+
+def _take_block(block: str, lines: int, flag_tuples: dict, events: list) -> bool:
+    """Append the rows of a block of complete lines that all match
+    ``_ROW_PATTERN``, with coordinates in range and flags texts that are lists
+    of strings; False, appending nothing, when one does not."""
+    rows = _ROW_PATTERN.findall(block)
+    if len(rows) != lines:
+        return False
+    t, user_id, venue_id, lat, lon, valid, flags = zip(*rows)
+    lat = list(map(float, lat))
+    lon = list(map(float, lon))
+    if not (-90.0 <= min(lat) and max(lat) <= 90.0
+            and -180.0 <= min(lon) and max(lon) <= 180.0):
+        return False
+    try:
+        flags = list(map(flag_tuples.__getitem__, flags))
+    except KeyError:
+        for text in set(flags).difference(flag_tuples):
+            try:
+                value = json.loads(text)
+            except (ValueError, RecursionError):
+                return False
+            if not (type(value) is list and all(type(f) is str for f in value)):
+                return False
+            flag_tuples[text] = tuple(value)
+        flags = list(map(flag_tuples.__getitem__, flags))
+    events.extend(map(_new_event_row, zip(map(int, t), map(int, user_id), map(int, venue_id),
+                                          lat, lon, map("true".__eq__, valid), flags)))
+    return True
+
+
+def _read_lines(name: str, lineno: int, lines: list[str], events: list) -> None:
+    """Append the rows of lines read one by one; ``lineno`` lines come before them."""
+    for lineno, line in enumerate(lines, lineno + 1):
+        row = _event_row(name, lineno, line)
+        if row is not None:
+            events.append(row)
 
 
 def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:

@@ -7,10 +7,11 @@ device's true location, by physics rather than by trusting reported GPS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .geo import GeoPoint, haversine_m
+from .geo import GeoPoint, distance_bounds_m, haversine_m
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -28,8 +29,8 @@ class RouterRegistration:
     registered: bool = True
 
     def __post_init__(self) -> None:
-        if self.range_m <= 0:
-            raise ValueError("router range must be positive")
+        if isinstance(self.range_m, bool) or not 0 < self.range_m < math.inf:
+            raise ValueError(f"router range must be a finite number > 0, got {self.range_m!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,15 @@ def attest_checkin(
     """True iff the venue has a registered router that verifies the device.
 
     Decides as ``verify_presence(...).passed`` does, without building the
-    ``PresenceCheck`` and its RTT.
+    ``PresenceCheck`` and its RTT, and measures the distance only when
+    ``distance_bounds_m`` cannot settle it.
     """
     router = registry.get(venue_id)
     if router is None or not router.registered:
+        return False
+    low, high = distance_bounds_m(router.location, device_true_location)
+    if high <= router.range_m:
+        return True
+    if low > router.range_m:
         return False
     return haversine_m(router.location, device_true_location) <= router.range_m

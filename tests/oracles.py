@@ -5,9 +5,12 @@ formulas, full rescans) so they can serve as oracles for the production
 paths without sharing code with them. The exceptions are
 ``nearest_linear``, ``scan_within_radius`` and ``scan_dispersion``, which
 measure with ``haversine_m`` so their answers can be compared with the fast
-paths' exactly, ``encode_event_line``, which is the JSON encoder events.jsonl
-must stay byte-equal to, and ``json_load_events``, the one-``json.loads``-
-per-line reader whose rows and messages the streaming reader keeps.
+paths' exactly, as do ``measured_rules``, ``measured_infeasible`` and
+``measured_attest``, which decide every distance threshold by measuring it
+(the references for the decisions that ``distance_bounds_m`` settles),
+``encode_event_line``, which is the JSON encoder events.jsonl must stay
+byte-equal to, and ``json_load_events``, the one-``json.loads``-per-line
+reader whose rows and messages the block reader keeps.
 """
 
 from __future__ import annotations
@@ -277,3 +280,40 @@ def json_load_events(path: str | Path) -> list[EventRow]:
         reason = "flags must be a list" if isinstance(obj, dict) else "not a JSON object"
         raise ValueError(f"{path.name}:{lineno}: {reason}") from exc
     return events
+
+
+def measured_rules(last, venue_location, reported_gps, t, config) -> dict:
+    """The speed and GPS rules of ``UserRuleState.evaluate_next`` after the
+    valid check-in ``last`` = (t, location), measuring every distance with
+    ``haversine_m``: {flag name: detail} of the rules that fire."""
+    fired = {}
+    t_prev, loc_prev = last
+    if loc_prev is not venue_location:
+        dist = haversine_m(loc_prev, venue_location)
+        dt = t - t_prev
+        if dt <= 0:
+            if dist > 0.0:
+                fired["SuperHumanSpeed"] = float("inf")
+        elif dist / dt > config.max_speed_m_per_s * (1.0 + 1e-9):
+            fired["SuperHumanSpeed"] = dist / dt
+    if reported_gps is not venue_location:
+        offset = haversine_m(reported_gps, venue_location)
+        if offset > config.gps_radius_m:
+            fired["GpsMismatch"] = offset
+    return fired
+
+
+def measured_infeasible(trace, v_travel_m_per_s: float) -> int:
+    """``analytics.speed_feasibility`` measuring every consecutive pair."""
+    infeasible = 0
+    for (t0, a), (t1, b) in zip(trace, trace[1:]):
+        dist = haversine_m(a, b)
+        dt = t1 - t0
+        if dist > 0.0 if dt <= 0 else dist / dt > v_travel_m_per_s:
+            infeasible += 1
+    return infeasible
+
+
+def measured_attest(router, device) -> bool:
+    """``verify.attest_checkin`` for a registered router, measuring the distance."""
+    return haversine_m(router.location, device) <= router.range_m

@@ -241,6 +241,14 @@ class TestRuleConfig:
         with pytest.raises(ValueError):
             RuleConfig(gps_radius_m=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gps_radius_m", float("nan")), ("max_speed_m_per_s", float("inf")),
+        ("gps_radius_m", True), ("rapidfire_count", "4"), ("frequent_window_s", None),
+    ])
+    def test_rejects_non_numbers_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=rf"^rules\.{field} must be a finite number > 0"):
+            RuleConfig(**{field: value})
+
     def test_from_dict_round_trip(self):
         cfg = RuleConfig.from_dict({"gps_radius_m": 250.0})
         assert cfg.gps_radius_m == 250.0

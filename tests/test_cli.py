@@ -52,10 +52,21 @@ class TestExitCodes:
         ({"attacks": ["tour"]}, "attacks[0]"),
         ({"detection": {"cluster_radius_m": "x"}}, "detection.cluster_radius_m"),
         ({"detection": {"cluster_radius_m": -1}}, "detection.cluster_radius_m"),
+        ('"rules": {"gps_radius_m": NaN}', "rules.gps_radius_m"),
+        ('"rules": {"max_speed_m_per_s": Infinity}', "rules.max_speed_m_per_s"),
+        ('"rules": {"gps_radius_m": true}', "rules.gps_radius_m"),
+        ('"routers": {"coverage": "full", "strict": true, "range_m": NaN}', "routers.range_m"),
+        ('"routers": {"coverage": "full", "strict": true, "range_m": true}', "routers.range_m"),
+        ('"routers": {"coverage": "full", "range_m": "x"}', "routers.range_m"),
+        ('"routers": {"coverage": "listed", "entries": [{"venue_id": 1, '
+         '"processing_delay_s": -Infinity}]}', "routers.entries[0].processing_delay_s"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, field):
+        # a str is a config's JSON text as written, NaN and Infinity included
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"population": SCENARIO["population"], **config}))
+        population = json.dumps({"population": SCENARIO["population"]})
+        path.write_text(population[:-1] + ", " + config + "}" if isinstance(config, str)
+                        else json.dumps({"population": SCENARIO["population"], **config}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any world was built

@@ -254,6 +254,43 @@ class TestScenarioLoading:
         ({"detection": {"dispersion_min_clusters": True}}, "detection.dispersion_min_clusters"),
         ({"detection": {"daily_rate_max": "16"}}, "detection.daily_rate_max"),
         ({"detection": {"badge_max_badges": None}}, "detection.badge_max_badges"),
+        ({"rules": {"gps_radius_m": float("nan")}}, "rules.gps_radius_m"),
+        ({"rules": {"max_speed_m_per_s": float("inf")}}, "rules.max_speed_m_per_s"),
+        ({"rules": {"gps_radius_m": True}}, "rules.gps_radius_m"),
+        ({"rules": {"frequent_window_s": "x"}}, "rules.frequent_window_s"),
+        ({"rules": {"rapidfire_count": None}}, "rules.rapidfire_count"),
+        ({"rules": {"rapidfire_side_m": [180]}}, "rules.rapidfire_side_m"),
+        ({"rules": {"rapidfire_window_s": -60}}, "rules.rapidfire_window_s"),
+        ({"routers": {"coverage": "full", "range_m": float("nan"), "strict": True}},
+         "routers.range_m"),
+        ({"routers": {"coverage": "full", "range_m": float("-inf")}}, "routers.range_m"),
+        ({"routers": {"coverage": "full", "range_m": True}}, "routers.range_m"),
+        ({"routers": {"coverage": "full", "range_m": "x"}}, "routers.range_m"),
+        ({"routers": {"coverage": "full", "range_m": 0}}, "routers.range_m"),
+        ({"routers": {"coverage": "listed", "entries": {"venue_id": 1}}}, "routers.entries"),
+        ({"routers": {"coverage": "listed", "entries": [1]}}, "routers.entries[0]"),
+        ({"routers": {"coverage": "listed",
+                      "entries": [{"venue_id": 1}, {"venue_id": 2, "range_m": float("inf")}]}},
+         "routers.entries[1].range_m"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": 1, "range_m": False}]}},
+         "routers.entries[0].range_m"),
+        ({"routers": {"coverage": "listed",
+                      "entries": [{"venue_id": 1, "processing_delay_s": -1e-6}]}},
+         "routers.entries[0].processing_delay_s"),
+        ({"routers": {"coverage": "listed",
+                      "entries": [{"venue_id": 1, "processing_delay_s": float("nan")}]}},
+         "routers.entries[0].processing_delay_s"),
+        ({"routers": {"coverage": "listed", "entries": [{"range_m": 60}]}},
+         "routers.entries[0].venue_id"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": 1}, {"venue_id": 7}]}},
+         "routers.entries[1].venue_id"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": "1"}]}},
+         "routers.entries[0].venue_id"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": True}]}},
+         "routers.entries[0].venue_id"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": 1, "range": 60}]}},
+         "routers.entries[0]: unknown keys ['range']"),
+        ({"routers": {"coverage": "full", "strict": "no"}}, "routers.strict"),
     ])
     def test_bad_values_are_config_errors(self, config, field):
         with pytest.raises(InvalidConfig, match=re.escape(field)):

@@ -5,19 +5,23 @@ repeats an id of UserInfo.csv or VenueInfo.csv on a later line. A
 damaged file must make both commands exit 2 with a message naming the file
 and the line; a harmless change (a blank line, a cell past the header's
 columns) must leave the exit code 0, the report and the replay unchanged.
+The events.jsonl log spans several of the blocks ``load_events`` reads, and
+each of its mutations also lands on the first and on the last line of one.
 """
 
 import json
 import random
 import shutil
+from functools import partial
 
 import pytest
 
 from checkinsim.cli import main
 from checkinsim.harness import ScenarioConfig, run_scenario
 
-SCENARIO = {"population": {"n_users": 40, "n_venues": 20, "seed": 3, "duration_days": 20,
+SCENARIO = {"population": {"n_users": 120, "n_venues": 20, "seed": 3, "duration_days": 20,
                            "cheater_fraction": 0.1}}
+BLOCK = 64 * 1024  # characters load_events reads at a time
 SEEDS = range(4)
 CSVS = ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv")
 
@@ -40,35 +44,69 @@ def run_dir(tmp_path_factory):
     return out
 
 
-def events_mutation(kind, lines, rng):
-    """Mutate one events.jsonl line in place; returns the refused line number,
-    or None for a harmless change."""
-    i = rng.randrange(len(lines))
+def dumps(row):
+    """A row in the layout write_events writes, which the block pattern takes."""
+    return json.dumps(row, separators=(",", ":"))
+
+
+def events_mutation(kind, lines, rng, i=None):
+    """Mutate events.jsonl line ``i`` (by default a random one) in place, or
+    insert a blank line there; returns the refused line number, or None for
+    a harmless change."""
+    if i is None:
+        i = rng.randrange(len(lines))
     row = json.loads(lines[i])
     if kind == "truncate":
         lines[i] = lines[i][:rng.randrange(1, len(lines[i]) - 1)]
     elif kind == "drop_key":
         del row[rng.choice(list(row))]
-        lines[i] = json.dumps(row)
+        lines[i] = dumps(row)
     elif kind == "swap_type":
         key = rng.choice(list(WRONG_EVENT_VALUES))
         row[key] = rng.choice(WRONG_EVENT_VALUES[key])
-        lines[i] = json.dumps(row)
+        lines[i] = dumps(row)
     elif kind == "string_user_id":
         row["user_id"] = str(row["user_id"])
-        lines[i] = json.dumps(row)
+        lines[i] = dumps(row)
     elif kind == "non_finite":
         key = rng.choice(["reported_lat", "reported_lon", "t"])
-        lines[i] = json.dumps(row).replace(json.dumps(row[key]), rng.choice(NON_FINITE), 1)
+        lines[i] = dumps(row).replace(dumps(row[key]), rng.choice(NON_FINITE), 1)
     elif kind == "unknown_venue":
         row["venue_id"] = 10_000 + rng.randrange(100)
-        lines[i] = json.dumps(row)
+        lines[i] = dumps(row)
     elif kind == "trailing_data":
         lines[i] += rng.choice([" x", "{}", ",", " 1", " []"])
     elif kind == "blank_line":
         lines.insert(i, rng.choice(["", " ", "\t"]))
         return None
     return i + 1
+
+
+def block_edge_lines(lines, edge):
+    """Indexes of the lines that are the first (``edge`` 0) or last (-1)
+    line of a block of the text written from ``lines``: a block holds the
+    lines whose line end falls in one BLOCK-character read."""
+    blocks, end = [], 0
+    for line in lines:
+        end += len(line) + 1
+        blocks.append((end - 1) // BLOCK)
+    neighbour = [None] + blocks[:-1] if edge == 0 else blocks[1:] + [None]
+    return [i for i, (b, n) in enumerate(zip(blocks, neighbour)) if b != n]
+
+
+def events_mutation_at_edge(kind, lines, rng, edge):
+    """``events_mutation`` on a line that, once mutated, is the first
+    (``edge`` 0) or last (-1) line of a block."""
+    candidates = sorted({i + d for i in block_edge_lines(lines, edge) for d in (-1, 0, 1)
+                         if 0 <= i + d < len(lines)})
+    rng.shuffle(candidates)
+    for i in candidates:
+        trial = list(lines)
+        refused = events_mutation(kind, trial, random.Random(rng.random()), i)
+        if i in block_edge_lines(trial, edge):
+            lines[:] = trial
+            return refused
+    raise AssertionError(f"no {kind} mutation lands on a block edge")
 
 
 def csv_mutation(kind, lines, rng):
@@ -124,7 +162,7 @@ def check(run_dir, tmp_path, capsys, name, mutate, kind, seed):
     exports = tmp_path / "exports"
     shutil.copytree(run_dir, exports)
     path = exports / name
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     line = mutate(kind, lines, random.Random(seed))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (detect, detect_io, report), (replay, replay_io, _) = read_commands(exports, tmp_path, capsys)
@@ -138,11 +176,26 @@ def check(run_dir, tmp_path, capsys, name, mutate, kind, seed):
             assert io.err.startswith(f"checkinsim: error: {name}:{line}: "), io.err
 
 
+EVENT_MUTATIONS = ["truncate", "drop_key", "swap_type", "string_user_id", "non_finite",
+                   "unknown_venue", "trailing_data", "blank_line"]
+
+
+def test_events_log_spans_blocks(run_dir):
+    assert (run_dir / "events.jsonl").stat().st_size > 2 * BLOCK
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kind", ["truncate", "drop_key", "swap_type", "string_user_id",
-                                  "non_finite", "unknown_venue", "trailing_data", "blank_line"])
+@pytest.mark.parametrize("kind", EVENT_MUTATIONS)
 def test_events_mutation(run_dir, tmp_path, capsys, kind, seed):
     check(run_dir, tmp_path, capsys, "events.jsonl", events_mutation, kind, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("edge", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("kind", EVENT_MUTATIONS)
+def test_events_mutation_at_block_edge(run_dir, tmp_path, capsys, kind, edge, seed):
+    mutate = partial(events_mutation_at_edge, edge=edge)
+    check(run_dir, tmp_path, capsys, "events.jsonl", mutate, kind, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

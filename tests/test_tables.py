@@ -219,6 +219,113 @@ class TestLoadEventsMatchesOracle:
         assert outcomes == {"both refuse", "both accept", "type refused"}
 
 
+BLOCK = 64 * 1024  # characters load_events reads at a time
+
+
+def sized_row(length, t=1):
+    """A good events.jsonl line (without its line end) of ``length`` characters,
+    padded in the digits of its latitude."""
+    head = '{"t":%d,"user_id":2,"venue_id":3,"reported_lat":40.' % t
+    tail = ',"reported_lon":-100.0,"valid":true,"flags":[]}'
+    assert length > len(head) + len(tail)
+    return head + "1" * (length - len(head) - len(tail)) + tail
+
+
+# Lines the block reader must read as json.loads does: JSON-int and exponent
+# coordinates, ints past 18 digits, U+2028 and U+0085 inside a flag (line
+# ends to str.splitlines, not to file iteration), also in a block read line
+# by line for its JSON-int coordinate, a flags text first seen late, a blank
+# line, and a line longer than a block.
+SEPARATOR_FLAGS = GOOD_ROW.replace('"flags":[]', '"flags":["Gps\u2028Mis\x85match"]')
+SPECIAL_LINES = [
+    GOOD_ROW,
+    GOOD_ROW.replace("40.0", "40"),
+    GOOD_ROW.replace("40.0", "4e1").replace("-100.0", "-1.00E+2"),
+    GOOD_ROW.replace('"user_id":2', '"user_id":1234567890123456789'),
+    GOOD_ROW.replace('"t":1', '"t":-123456789012345678'),
+    SEPARATOR_FLAGS,
+    SEPARATOR_FLAGS + "\n" + GOOD_ROW.replace("-100.0", "-100"),
+    GOOD_ROW.replace('"flags":[]', '"flags":["RapidFire","SuperHumanSpeed"]'),
+    "",
+    GOOD_ROW.replace('"flags":[]', '"flags":["%s"]' % ("x" * (BLOCK + 100))),
+]
+
+
+def block_log(specials, where, rng):
+    """Good rows of 110-160 characters with special line i placed against
+    block boundary 2 (i + 1): ``where`` is the special line's start minus the
+    boundary, as a function of the line's length (its line end included)."""
+    lines, size = [], 0
+    for i, line in enumerate(specials):
+        start = 2 * (i + 1) * BLOCK + where(len(line) + 1)
+        while start - size > 400:
+            lines.append(sized_row(rng.randrange(110, 160), t=len(lines)))
+            size += len(lines[-1]) + 1
+        assert 200 <= start - size
+        half = (start - size) // 2
+        lines += [sized_row(half - 1), sized_row(start - size - half - 1)]
+        lines.append(line)
+        size = start + len(line) + 1
+    return lines + [sized_row(rng.randrange(110, 160), t=n) for n in range(50)]
+
+
+def row_types(rows):
+    return [tuple(map(type, row)) for row in rows]
+
+
+class TestBlockReaderMatchesOracle:
+    """load_events against the json.loads reader in tests/oracles.py on logs
+    whose special lines lie at, across and just past the reader's blocks."""
+
+    PLACES = {
+        "last line of a block": lambda n: -n,
+        "newline past the block": lambda n: 1 - n,
+        "straddling": lambda n: -(n // 2),
+        "first line of a block": lambda n: 0,
+        "second line of a block": lambda n: 101,
+    }
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("place", PLACES)
+    def test_special_lines(self, tmp_path, place, line_end):
+        lines = block_log(SPECIAL_LINES, self.PLACES[place], random.Random(8))
+        path = tmp_path / "events.jsonl"
+        # the last line has no line end
+        path.write_bytes(line_end.join(lines).encode("utf-8"))
+        rows = load_events(path)
+        expected = json_load_events(path)
+        assert rows == expected and row_types(rows) == row_types(expected)
+        assert len(rows) == sum(1 for line in "\n".join(lines).split("\n") if line)
+        assert {type(row.reported_lat) for row in rows} == {int, float}
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("bad, reason", [
+        ("garbage", "not JSON (Expecting value at column 1)"),
+        (GOOD_ROW[:-1], "not JSON (Expecting ',' delimiter"),
+        (GOOD_ROW.replace('"user_id":2', '"user_id":"2"'), "user_id '2' is not an integer"),
+        (GOOD_ROW.replace("-100.0", "-180.5"), "reported_lon -180.5 is not a finite number"),
+        (GOOD_ROW.replace("40.0", "4e400"), "reported_lat inf is not a finite number"),
+        (GOOD_ROW.replace('"flags":[]', '"flags":["a",1]'), "flags must be a list of strings"),
+        (GOOD_ROW.replace('"flags":[]', '"flags":[[]]'), "flags must be a list of strings"),
+    ])
+    def test_bad_line_in_a_late_block(self, tmp_path, place, bad, reason):
+        lines = block_log([GOOD_ROW, bad], self.PLACES[place], random.Random(9))
+        path = write_log(tmp_path, lines)
+        with pytest.raises(ValueError) as err:
+            load_events(path)
+        assert str(err.value).startswith(f"events.jsonl:{lines.index(bad) + 1}: {reason}")
+        try:
+            json_load_events(path)
+        except ValueError as exc:  # a line that is not JSON: the same message
+            assert str(err.value) == str(exc)
+
+    def test_log_shorter_than_a_block_and_empty_log(self, tmp_path):
+        path = write_log(tmp_path, [GOOD_ROW] * 3)
+        assert load_events(path) == json_load_events(path) != []
+        path.write_text("", encoding="utf-8")
+        assert load_events(path) == []
+
+
 class TestLoadTablesVenueCoordinates:
     @pytest.mark.parametrize("field, value", [
         ("lat", "nan"), ("lat", "inf"), ("lat", "-inf"), ("lat", "90.5"), ("lat", "-91"),

@@ -41,6 +41,11 @@ class TestVerifyPresence:
         with pytest.raises(UnregisteredRouter):
             verify_presence(router(registered=False), VENUE)
 
+    @pytest.mark.parametrize("range_m", [0, -5.0, float("nan"), float("inf"), True])
+    def test_range_must_be_a_finite_number_above_zero(self, range_m):
+        with pytest.raises(ValueError, match="router range must be a finite number > 0"):
+            router(range_m=range_m)
+
     def test_neighbor_50m_fails_when_range_tightened_to_30m(self):
         # next-door device 50 m out; stock 100 m range accepts it, a
         # firmware-limited 30 m range rejects it
