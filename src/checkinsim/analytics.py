@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
+from .config import Section, ranged
 from .geo import EARTH_RADIUS_M, GeoPoint, distance_bounds_m, haversine_m
 from .tables import CheckIn, PublicTables, write_csv
 
@@ -24,18 +25,18 @@ class CurvePoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DetectionThresholds:
+class DetectionThresholds(Section):
     """Detector tuning; defaults separate the bundled honest/cheater fixtures."""
 
-    v_travel_m_per_s: float = 250.0
-    cluster_radius_m: float = 50_000.0
-    dispersion_min_clusters: int = 10
-    badge_min_checkins: int = 1000
-    badge_max_badges: int = 10
-    daily_rate_max: float = 16.0
-    curve_max_total: int = 2000
-    registration_span_days: float = 365.0
-    min_account_age_days: float = 30.0
+    v_travel_m_per_s: float = ranged(250.0, gt=0)
+    cluster_radius_m: float = ranged(50_000.0, gt=0)
+    dispersion_min_clusters: int = ranged(10, ge=1)  # 0 would flag every user
+    badge_min_checkins: int = ranged(1000, ge=0)
+    badge_max_badges: int = ranged(10, ge=0)
+    daily_rate_max: float = ranged(16.0, ge=0)
+    curve_max_total: int = ranged(2000, ge=0)
+    registration_span_days: float = ranged(365.0, gt=0)
+    min_account_age_days: float = ranged(30.0, ge=1)  # flag_daily_rate needs an age >= 1
 
 
 @dataclass(frozen=True)

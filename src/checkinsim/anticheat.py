@@ -11,11 +11,11 @@ submissions, and ``offline_verdicts`` replays a recorded trace through it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+from .config import Section, ranged
 from .geo import (GeoPoint, MILE_M, OutOfProjectionRange, distance_bounds_m, fits_square,
                   haversine_m)
 
@@ -31,33 +31,15 @@ class Flag(str, Enum):
 
 
 @dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Section):
     """Tunable rule thresholds (SI units, seconds/meters)."""
 
-    frequent_window_s: int = 3600
-    max_speed_m_per_s: float = MILE_M / 300.0  # one mile per five minutes
-    rapidfire_side_m: float = 180.0
-    rapidfire_window_s: int = 60
-    rapidfire_count: int = 4
-    gps_radius_m: float = 500.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 < value < math.inf:  # NaN fails both comparisons
-                raise ValueError(f"rules.{f.name} must be a finite number > 0, got {value!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RuleConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown rule config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    frequent_window_s: int = ranged(3600, gt=0)
+    max_speed_m_per_s: float = ranged(MILE_M / 300.0, gt=0)  # one mile per five minutes
+    rapidfire_side_m: float = ranged(180.0, gt=0)
+    rapidfire_window_s: int = ranged(60, gt=0)
+    rapidfire_count: int = ranged(4, gt=0)
+    gps_radius_m: float = ranged(500.0, gt=0)
 
 
 _EMPTY_DETAIL: dict = {}

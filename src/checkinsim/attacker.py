@@ -20,9 +20,7 @@ from .tables import PublicTables
 
 MIN_INTERVAL_S = 300  # five minutes between check-ins up to one mile apart
 SAME_VENUE_GAP_S = 3600  # cooldown safety gap for repeat visits
-TOUR_STEPS = 25
 TOUR_STEP_DEG = 0.005
-SWEEP_LIMIT = 100  # most venues one vacancy sweep checks into
 START_DELAY_S = 600  # wait between the world's clock and an attack's first check-in
 
 

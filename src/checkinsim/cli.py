@@ -13,30 +13,11 @@ from pathlib import Path
 
 from . import analytics
 from .anticheat import RuleConfig, offline_verdicts
-from .attacker import (
-    START_DELAY_S,
-    SWEEP_LIMIT,
-    TOUR_STEP_DEG,
-    TOUR_STEPS,
-    TargetCriteria,
-    build_schedule,
-    execute,
-    load_schedule,
-    plan_step,
-    plan_tour,
-    save_schedule,
-    select_targets,
-)
-from .geo import GeoPoint
-from .harness import (
-    InvalidConfig,
-    build_world,
-    gc_paused,
-    load_scenario,
-    run_scenario,
-    venue_index,
-    write_exports,
-)
+from .attacker import (START_DELAY_S, build_schedule, execute, load_schedule, plan_step,
+                       save_schedule)
+from .geo import GeoPoint, validate_point
+from .harness import (InvalidConfig, Tour, VacancySweep, build_world, gc_paused, load_scenario,
+                      plan, run_scenario, venue_index, write_exports)
 from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
 
@@ -50,9 +31,9 @@ class _Parser(argparse.ArgumentParser):
 def _point(text: str) -> GeoPoint:
     try:
         lat, lon = (float(x) for x in text.split(","))
+        return validate_point(GeoPoint(lat, lon))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LAT,LON, got {text!r}") from exc
-    return GeoPoint(lat, lon)
+        raise argparse.ArgumentTypeError(f"expected LAT,LON, got {text!r}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -60,7 +41,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a population and export it")
-    p.add_argument("--config", required=True, help="scenario or population JSON")
+    p.add_argument("--config", required=True,
+                   help="scenario JSON (a bare population document is refused)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--snapshot", action="store_true", help="also write world.snap")
@@ -75,13 +57,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="schedule JSONL to write")
     p.add_argument("--mode", choices=("tour", "targets", "step"), default="tour")
     p.add_argument("--start", type=_point, help="tour start as LAT,LON")
-    p.add_argument("--steps", type=int, default=TOUR_STEPS)
-    p.add_argument("--step-deg", type=float, default=TOUR_STEP_DEG)
+    p.add_argument("--steps", type=int, default=Tour.steps)
+    p.add_argument("--step-deg", type=float, default=Tour.step_deg)
     p.add_argument("--start-time", type=int, default=None)
     p.add_argument("--require-special", action="store_true")
     p.add_argument("--vacant", action="store_true")
     p.add_argument("--name-filter", default=None)
-    p.add_argument("--limit", type=int, default=SWEEP_LIMIT)
+    p.add_argument("--limit", type=int, default=VacancySweep.limit)
     p.add_argument("--at", type=_point, help="current position for step mode")
     p.add_argument("--bearing", type=float, default=0.0)
     p.add_argument("--distance-m", type=float, default=457.2)
@@ -127,20 +109,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack_plan(args) -> int:
-    world = World.load_state(args.snapshot)
-    if args.mode == "step":
-        if args.at is None:
-            raise InvalidConfig("step mode needs --at LAT,LON")
-        venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
-    elif args.mode == "tour":
+    if args.mode == "tour":
         if args.start is None:
             raise InvalidConfig("tour mode needs --start LAT,LON")
-        venue_ids = plan_tour(venue_index(world), args.start, args.steps, step_deg=args.step_deg)
-    else:  # targets
-        criteria = TargetCriteria(require_mayor_special=args.require_special,
-                                  require_vacant_mayor=args.vacant,
-                                  name_filter=args.name_filter)
-        venue_ids = select_targets(world.venues, criteria)[: args.limit]
+        attack = Tour(start=args.start, steps=args.steps, step_deg=args.step_deg)
+    elif args.mode == "targets":
+        attack = VacancySweep(require_mayor_special=args.require_special, limit=args.limit,
+                              require_vacant_mayor=args.vacant, name_filter=args.name_filter)
+    elif args.at is None:
+        raise InvalidConfig("step mode needs --at LAT,LON")
+    world = World.load_state(args.snapshot)
+    if args.mode == "step":
+        venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
+    else:
+        venue_ids = plan(attack, world, venue_index(world))
         if not venue_ids:
             print("no venues match the criteria", file=sys.stderr)
             return 2

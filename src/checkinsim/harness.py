@@ -15,23 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence, Union
 
 from . import analytics
 from .anticheat import RuleConfig
-from .attacker import (
-    START_DELAY_S,
-    SWEEP_LIMIT,
-    TOUR_STEP_DEG,
-    TOUR_STEPS,
-    BBox,
-    TargetCriteria,
-    build_schedule,
-    execute,
-    plan_mayor_denial,
-    plan_tour,
-    select_targets,
-)
+from .attacker import (START_DELAY_S, TOUR_STEP_DEG, BBox, TargetCriteria, build_schedule, execute,
+                       plan_mayor_denial, plan_tour, select_targets)
+from .config import InvalidConfig, Section, load, ranged
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
 from .spatial import VenueGridIndex
@@ -50,185 +40,128 @@ _CHAINS = (
 _TIER_ZERO, _TIER_LOW, _TIER_MID, _TIER_HEAVY = range(4)
 
 
-class InvalidConfig(Exception):
-    pass
-
-
 @dataclass(frozen=True)
-class PopulationConfig:
-    n_users: int
-    n_venues: int
+class PopulationConfig(Section):
+    n_users: int = ranged(ge=0)
+    n_venues: int = ranged(ge=1)
     seed: int = 0
     # Activity mixture: share of users with zero, 1-5, mid-range, and >= 1000
     # lifetime check-ins.
-    zero_frac: float = 0.363
-    low_frac: float = 0.204
-    mid_frac: float = 0.431
-    heavy_frac: float = 0.002
-    cheater_fraction: float = 0.0
-    cheater_strategy: str = "naive_teleport"
-    mayor_special_fraction: float = 0.10
+    zero_frac: float = ranged(0.363, ge=0, le=1)
+    low_frac: float = ranged(0.204, ge=0, le=1)
+    mid_frac: float = ranged(0.431, ge=0, le=1)
+    heavy_frac: float = ranged(0.002, ge=0, le=1)
+    cheater_fraction: float = ranged(0.0, ge=0, le=1)
+    cheater_strategy: Literal["naive_teleport", "scheduled_evader"] = "naive_teleport"
+    mayor_special_fraction: float = ranged(0.10, ge=0, le=1)
     region: BBox = DEFAULT_REGION
-    duration_days: int = 180
-    venues_per_city: int = 40
-    city_sigma_m: float = 1000.0
-    home_radius_m: float = 1000.0
-    venue_pool_radius_m: float = 2500.0
-    gps_noise_m: float = 10.0
-    low_range: tuple[int, int] = (1, 5)
-    mid_range: tuple[int, int] = (6, 999)
-    heavy_range: tuple[int, int] = (1000, 1800)
-    mid_alpha: float = 2.5
-    cheater_checkins: tuple[int, int] = (30, 90)
-    evader_venues: tuple[int, int] = (12, 30)
+    duration_days: int = ranged(180, ge=1)
+    venues_per_city: int = ranged(40, ge=1)
+    city_sigma_m: float = ranged(1000.0, ge=0)
+    home_radius_m: float = ranged(1000.0, ge=0)
+    venue_pool_radius_m: float = ranged(2500.0, ge=0)
+    gps_noise_m: float = ranged(10.0, ge=0)
+    # Each (low, high) pair bounds a uniform or power-law draw.
+    low_range: tuple[int, int] = ranged((1, 5), ge=0)
+    mid_range: tuple[int, int] = ranged((6, 999), ge=1)
+    heavy_range: tuple[int, int] = ranged((1000, 1800), ge=0)
+    mid_alpha: float = ranged(2.5, gt=1)
+    cheater_checkins: tuple[int, int] = ranged((30, 90), ge=0)
+    evader_venues: tuple[int, int] = ranged((12, 30), ge=1)
 
-    def validate(self) -> None:
-        if self.n_users < 0 or self.n_venues < 1:
-            raise InvalidConfig("need n_users >= 0 and n_venues >= 1")
+    def check(self) -> None:
         fracs = (self.zero_frac, self.low_frac, self.mid_frac, self.heavy_frac)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise InvalidConfig(f"activity fractions must be >= 0 and sum to 1, got {fracs}")
-        if not 0.0 <= self.cheater_fraction <= 1.0:
-            raise InvalidConfig("cheater_fraction must be in [0, 1]")
-        if self.cheater_strategy not in ("naive_teleport", "scheduled_evader"):
-            raise InvalidConfig(f"unknown cheater strategy {self.cheater_strategy!r}")
-        if not 0.0 <= self.mayor_special_fraction <= 1.0:
-            raise InvalidConfig("mayor_special_fraction must be in [0, 1]")
-        region = self.region
-        if region.min_lat >= region.max_lat or region.min_lon >= region.max_lon:
-            raise InvalidConfig(f"degenerate region {region}")
-        if self.duration_days < 1:
-            raise InvalidConfig("duration_days must be >= 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PopulationConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown population config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "region" in kwargs:
-            kwargs["region"] = BBox(*kwargs["region"])
-        for key in ("low_range", "mid_range", "heavy_range", "cheater_checkins", "evader_venues"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfig(str(exc)) from exc
-        cfg.validate()
-        return cfg
-
-
-_SCENARIO_KEYS = {"population", "rules", "badges", "routers", "attacks", "detection"}
-_ROUTER_KEYS = {"coverage", "entries", "range_m", "strict"}
-_ROUTER_ENTRY_KEYS = {"venue_id", "range_m", "processing_delay_s"}
-_DETECTION_KEYS = {f.name for f in dataclasses.fields(analytics.DetectionThresholds)}
-# Keys each attack kind reads, besides "kind", "true_location" and "start_delay_s".
-_ATTACK_KEYS = {
-    "tour": {"start", "steps", "step_deg"},
-    "vacancy_sweep": {"require_mayor_special", "require_vacant_mayor", "name_filter", "limit"},
-    "mayor_denial": {"victim"},
-}
+        if abs(sum(fracs) - 1.0) > 1e-9:
+            raise InvalidConfig(f"activity fractions must sum to 1, got {list(fracs)}")
+        if self.region.min_lat >= self.region.max_lat or self.region.min_lon >= self.region.max_lon:
+            raise InvalidConfig(f"must have min < max, got {list(self.region)}", "region")
+        for name in ("low_range", "mid_range", "heavy_range", "cheater_checkins", "evader_venues"):
+            if getattr(self, name)[0] > getattr(self, name)[1]:
+                raise InvalidConfig(f"must be [low, high], got {list(getattr(self, name))}", name)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class RouterEntry(Section):
+    venue_id: int = ranged(ge=1)  # at most n_venues, which ScenarioConfig checks
+    range_m: Optional[float] = ranged(None, gt=0)  # None: the routers' range_m
+    processing_delay_s: float = ranged(2e-6, ge=0)
+
+
+@dataclass(frozen=True)
+class Routers(Section):
+    coverage: Literal["none", "full", "listed"] = "none"
+    entries: tuple[RouterEntry, ...] = ()  # installed under "listed" coverage
+    range_m: float = ranged(100.0, gt=0)
+    strict: bool = False
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Attack(Section):
+    kind: str
+    # ScenarioConfig requires a true_location; attack-plan plans without one.
+    true_location: Optional[GeoPoint] = None
+    start_delay_s: int = ranged(START_DELAY_S, ge=0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Tour(_Attack):  # a virtual walking tour of `steps` venues from `start` or venue 1
+    kind: Literal["tour"] = "tour"
+    start: Optional[GeoPoint] = None
+    steps: int = ranged(25, ge=1)
+    step_deg: float = ranged(TOUR_STEP_DEG, gt=0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class VacancySweep(_Attack):  # check into the first `limit` venues that match
+    kind: Literal["vacancy_sweep"] = "vacancy_sweep"
+    require_mayor_special: bool = True
+    require_vacant_mayor: bool = True
+    name_filter: Optional[str] = None
+    limit: int = ranged(100, ge=1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class MayorDenial(_Attack):  # check in wherever `victim` shows in the public tables
+    kind: Literal["mayor_denial"] = "mayor_denial"
+    victim: int = ranged(ge=1)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(Section):
     population: PopulationConfig
     rules: RuleConfig = RuleConfig()
     badges: tuple[BadgeSpec, ...] = DEFAULT_BADGE_CATALOG
-    router_coverage: str = "none"  # none | full | listed
-    router_entries: tuple = ()
-    router_range_m: float = 100.0
-    strict_verify: bool = False
-    attacks: tuple = ()
-    thresholds: analytics.DetectionThresholds = analytics.DetectionThresholds()
+    routers: Routers = Routers()
+    attacks: tuple[Union[Tour, VacancySweep, MayorDenial], ...] = ()
+    detection: analytics.DetectionThresholds = analytics.DetectionThresholds()
+
+    def check(self) -> None:
+        n_users, n_venues = self.population.n_users, self.population.n_venues
+        for i, entry in enumerate(self.routers.entries):
+            _at_most(entry.venue_id, n_venues, "n_venues", f"routers.entries[{i}].venue_id")
+        for i, attack in enumerate(self.attacks):
+            if attack.true_location is None:
+                raise InvalidConfig("is required", f"attacks[{i}].true_location")
+            if isinstance(attack, Tour):
+                _at_most(attack.steps, n_venues, "n_venues", f"attacks[{i}].steps")
+            elif isinstance(attack, MayorDenial):  # a user generated or an earlier attacker
+                _at_most(attack.victim, n_users + i, "the users before it", f"attacks[{i}].victim")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        unknown = set(data) - _SCENARIO_KEYS
-        if unknown:
-            raise InvalidConfig(f"unknown scenario config keys: {sorted(unknown)}")
-        if "population" not in data:
-            raise InvalidConfig("scenario config needs a 'population' section")
-        population = PopulationConfig.from_dict(data["population"])
-        try:
-            rules = RuleConfig.from_dict(data.get("rules", {}))
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
-        badges = tuple(BadgeSpec.from_dict(b) for b in data["badges"]) if "badges" in data \
-            else DEFAULT_BADGE_CATALOG
-        routers = data.get("routers", {})
-        unknown = set(routers) - _ROUTER_KEYS
-        if unknown:
-            raise InvalidConfig(f"unknown routers config keys: {sorted(unknown)}")
-        coverage = routers.get("coverage", "none")
-        if coverage not in ("none", "full", "listed"):
-            raise InvalidConfig(f"unknown router coverage {coverage!r}")
-        router_range_m = _config_number("routers.range_m", routers.get("range_m", 100.0))
-        entries = routers.get("entries", [])
-        if not isinstance(entries, list):
-            raise InvalidConfig(f"routers.entries must be a list, got {entries!r}")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise InvalidConfig(f"routers.entries[{i}] must be an object, got {entry!r}")
-            unknown = set(entry) - _ROUTER_ENTRY_KEYS
-            if unknown:
-                raise InvalidConfig(f"routers.entries[{i}]: unknown keys {sorted(unknown)}")
-            venue_id = entry.get("venue_id")
-            if type(venue_id) is not int or not 1 <= venue_id <= population.n_venues:
-                raise InvalidConfig(f"routers.entries[{i}].venue_id must be a venue id in "
-                                    f"[1, {population.n_venues}], got {venue_id!r}")
-            if "range_m" in entry:
-                _config_number(f"routers.entries[{i}].range_m", entry["range_m"])
-            if "processing_delay_s" in entry:
-                _config_number(f"routers.entries[{i}].processing_delay_s",
-                               entry["processing_delay_s"], allow_zero=True)
-        strict = routers.get("strict", False)
-        if type(strict) is not bool:
-            raise InvalidConfig(f"routers.strict must be true or false, got {strict!r}")
-        detection = data.get("detection", {})
-        unknown = set(detection) - _DETECTION_KEYS
-        if unknown:
-            raise InvalidConfig(f"unknown detection config keys: {sorted(unknown)}")
-        for key, value in detection.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidConfig(f"detection.{key} must be a number, got {value!r}")
-        for key in ("cluster_radius_m", "v_travel_m_per_s"):
-            if key in detection:
-                _config_number(f"detection.{key}", detection[key])
-        thresholds = analytics.DetectionThresholds(**detection)
-        attacks = data.get("attacks", [])
-        _check_attacks(attacks)
-        return cls(
-            population=population,
-            rules=rules,
-            badges=badges,
-            router_coverage=coverage,
-            router_entries=tuple(entries),
-            router_range_m=float(router_range_m),
-            strict_verify=strict,
-            attacks=tuple(attacks),
-            thresholds=thresholds,
-        )
+        return load(cls, data)
 
 
-def _config_number(where: str, value, allow_zero: bool = False):
-    """``value`` if it is a finite int or float (not a bool) above 0, or at
-    least 0 with ``allow_zero``; otherwise ``InvalidConfig`` naming ``where``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (0 <= value if allow_zero else 0 < value) or not math.isfinite(value):
-        raise InvalidConfig(f"{where} must be a finite number {'>= 0' if allow_zero else '> 0'}, "
-                            f"got {value!r}")
-    return value
+def _at_most(value: int, most: int, what: str, path: str) -> None:
+    if value > most:
+        raise InvalidConfig(f"must be at most {what} ({most}), got {value}", path)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise InvalidConfig(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_dict(data)
@@ -278,7 +211,7 @@ def _jitter(rng, p: GeoPoint, radius_m: float) -> GeoPoint:
     theta = rng.uniform(0.0, 2.0 * math.pi)
     dlat = r * math.cos(theta) / METERS_PER_DEG
     dlon = r * math.sin(theta) / (METERS_PER_DEG * max(0.2, math.cos(math.radians(p.lat))))
-    return GeoPoint(p.lat + dlat, p.lon + dlon)
+    return GeoPoint(min(90.0, max(-90.0, p.lat + dlat)), min(180.0, max(-180.0, p.lon + dlon)))
 
 
 def _sample_mid(rng, config: PopulationConfig) -> int:
@@ -302,8 +235,9 @@ def _honest_checkins(rng, user_id: int, count: int, pool, duration_s: float,
     for _ in range(count):
         venue_id, vloc = pool[rng.randrange(n_pool)]
         if noise_m > 0.0:
-            reported = GeoPoint(vloc.lat + rng.gauss(0.0, lat_noise),
-                                vloc.lon + rng.gauss(0.0, lon_noise))
+            # clamped, for venues at a pole or the antimeridian
+            reported = GeoPoint(min(90.0, max(-90.0, vloc.lat + rng.gauss(0.0, lat_noise))),
+                                min(180.0, max(-180.0, vloc.lon + rng.gauss(0.0, lon_noise))))
         else:
             reported = vloc
         out.append((int(t), user_id, venue_id, reported, reported))
@@ -347,11 +281,10 @@ def build_world(scenario: ScenarioConfig,
     population = scenario.population
     if seed is not None:
         population = dataclasses.replace(population, seed=seed)
-    population.validate()
     world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
-                  seed=population.seed, strict_verify=scenario.strict_verify)
+                  seed=population.seed, strict_verify=scenario.routers.strict)
     _register_venues(world, population)
-    _install_routers(world, scenario)
+    _install_routers(world, scenario.routers)
     index = venue_index(world)
     _generate_checkins(world, population, index)
     return world, index
@@ -413,64 +346,32 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
 # attack scripts
 # ---------------------------------------------------------------------------
 
-def _check_attacks(attacks) -> None:
-    """Refuse ``attacks`` unless it is a list of objects of known kinds and keys."""
-    if not isinstance(attacks, (list, tuple)):
-        raise InvalidConfig(f"attacks must be a list, got {attacks!r}")
-    for i, spec in enumerate(attacks):
-        if not isinstance(spec, dict):
-            raise InvalidConfig(f"attacks[{i}] must be an object, got {spec!r}")
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
-            raise InvalidConfig(f"attacks[{i}]: unknown attack kind {kind!r}")
-        unknown = set(spec) - {"kind", "true_location", "start_delay_s"} - _ATTACK_KEYS[kind]
-        if unknown:
-            raise InvalidConfig(f"attacks[{i}]: unknown {kind!r} attack keys: {sorted(unknown)}")
-        if "true_location" not in spec:
-            raise InvalidConfig(f"attacks[{i}]: attack {kind!r} needs a true_location")
-        if kind == "mayor_denial" and "victim" not in spec:
-            raise InvalidConfig(f"attacks[{i}]: attack 'mayor_denial' needs a victim")
+def plan(attack: _Attack, world: World, index: VenueGridIndex) -> list[int]:
+    """The venue ids ``attack`` checks into, in order."""
+    if isinstance(attack, Tour):
+        start = attack.start if attack.start is not None else world.venues[0].location
+        return plan_tour(index, start, attack.steps, step_deg=attack.step_deg)
+    if isinstance(attack, VacancySweep):
+        criteria = TargetCriteria(attack.require_mayor_special, attack.require_vacant_mayor,
+                                  name_filter=attack.name_filter)
+        return select_targets(world.venues, criteria)[: attack.limit]
+    return plan_mayor_denial(attack.victim, tables_from_world(world))
 
 
-def _run_attack(world: World, spec: dict, index: VenueGridIndex) -> dict:
-    kind = spec["kind"]
-    true_location = GeoPoint(*spec["true_location"])
-    attacker_id = world.register_user(true_location, is_cheater=True)
-    start_time = world.clock.now + int(spec.get("start_delay_s", START_DELAY_S))
-
-    if kind == "tour":
-        start = GeoPoint(*spec["start"]) if "start" in spec else world.venues[0].location
-        venue_ids = plan_tour(index, start, int(spec.get("steps", TOUR_STEPS)),
-                              step_deg=float(spec.get("step_deg", TOUR_STEP_DEG)))
-    elif kind == "vacancy_sweep":
-        criteria = TargetCriteria(
-            require_mayor_special=bool(spec.get("require_mayor_special", True)),
-            require_vacant_mayor=bool(spec.get("require_vacant_mayor", True)),
-            name_filter=spec.get("name_filter"),
-        )
-        venue_ids = select_targets(world.venues, criteria)[: int(spec.get("limit", SWEEP_LIMIT))]
-    else:  # mayor_denial
-        victim = int(spec["victim"])
-        venue_ids = plan_mayor_denial(victim, tables_from_world(world))
-
-    if not venue_ids:
-        return {"kind": kind, "user_id": attacker_id, "checkins": 0, "valid": 0,
-                "points": 0, "badges": [], "mayorships": 0}
-
-    schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids], start_time)
-    records = execute(world, attacker_id, schedule, true_location)
+def _run_attack(world: World, attack: _Attack, index: VenueGridIndex) -> dict:
+    attacker_id = world.register_user(attack.true_location, is_cheater=True)
+    venue_ids = plan(attack, world, index)
+    records = []
+    if venue_ids:
+        schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids],
+                                  world.clock.now + attack.start_delay_s)
+        records = execute(world, attacker_id, schedule, attack.true_location)
     attacker = world.user(attacker_id)
-    summary = {
-        "kind": kind,
-        "user_id": attacker_id,
-        "checkins": len(records),
-        "valid": sum(1 for r in records if r.accepted),
-        "points": attacker.points,
-        "badges": sorted(attacker.badges),
-        "mayorships": attacker.total_mayorships,
-    }
-    if kind == "mayor_denial":
-        summary["victim"] = int(spec["victim"])
+    summary = {"kind": attack.kind, "user_id": attacker_id, "checkins": len(records),
+               "valid": sum(1 for r in records if r.accepted), "points": attacker.points,
+               "badges": sorted(attacker.badges), "mayorships": attacker.total_mayorships}
+    if isinstance(attack, MayorDenial) and venue_ids:  # an empty plan's summary names no victim
+        summary["victim"] = attack.victim
     return summary
 
 
@@ -519,17 +420,16 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     whole run.
     """
     out = Path(out_dir)
-    _check_attacks(scenario.attacks)
     world, index = build_world(scenario, seed)
-    attack_summaries = [_run_attack(world, spec, index) for spec in scenario.attacks]
+    attack_summaries = [_run_attack(world, attack, index) for attack in scenario.attacks]
     tables, paths = write_exports(world, out)
-    report = analytics.build_report(tables, world.events, scenario.thresholds)
+    report = analytics.build_report(tables, world.events, scenario.detection)
     paths["report"] = analytics.write_report_csv(report, out / "report.csv")
     paths["recent_curve"] = analytics.write_curve_csv(
-        analytics.compute_curve(tables, "recent_checkins", scenario.thresholds.curve_max_total),
+        analytics.compute_curve(tables, "recent_checkins", scenario.detection.curve_max_total),
         out / "recent_ratio_curve.csv", "mean_recent_checkins")
     paths["badge_curve"] = analytics.write_curve_csv(
-        analytics.compute_curve(tables, "total_badges", scenario.thresholds.curve_max_total),
+        analytics.compute_curve(tables, "total_badges", scenario.detection.curve_max_total),
         out / "badge_curve.csv", "mean_badges")
 
     metrics = _metrics(world, report, attack_summaries)
@@ -552,21 +452,16 @@ def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str
     return tables, paths
 
 
-def _install_routers(world: World, scenario: ScenarioConfig) -> None:
-    if scenario.router_coverage == "none":
-        return
-    if scenario.router_coverage == "full":
+def _install_routers(world: World, routers: Routers) -> None:
+    if routers.coverage == "full":
         for venue in world.venues:
             world.register_router(RouterRegistration(venue.venue_id, venue.location,
-                                                     range_m=scenario.router_range_m))
-        return
-    for entry in scenario.router_entries:
-        venue = world.venue(entry["venue_id"])
-        world.register_router(RouterRegistration(
-            venue.venue_id, venue.location,
-            range_m=float(entry.get("range_m", scenario.router_range_m)),
-            processing_delay_s=float(entry.get("processing_delay_s", 2e-6)),
-        ))
+                                                     range_m=float(routers.range_m)))
+    for entry in routers.entries if routers.coverage == "listed" else ():
+        venue = world.venue(entry.venue_id)
+        range_m = routers.range_m if entry.range_m is None else entry.range_m
+        world.register_router(RouterRegistration(venue.venue_id, venue.location, float(range_m),
+                                                 float(entry.processing_delay_s)))
 
 
 def _metrics(world: World, report, attack_summaries: list[dict]) -> dict:

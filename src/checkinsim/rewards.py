@@ -11,7 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+from .config import InvalidConfig, Section, ranged
 
 DAY_S = 86_400
 BASE_POINTS = 1  # flat points per valid check-in
@@ -25,32 +27,16 @@ class BadgeKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class BadgeSpec:
+class BadgeSpec(Section):
     badge_id: str
     kind: BadgeKind
-    threshold: int
-    window_days: Optional[int] = None
+    threshold: int = ranged(ge=1)
+    window_days: Optional[int] = ranged(None, ge=1)
 
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("badge threshold must be >= 1")
+    def check(self) -> None:
         if (self.kind == BadgeKind.CHECKINS_IN_WINDOW) != (self.window_days is not None):
-            raise ValueError("window_days is required exactly for checkins_in_window badges")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BadgeSpec":
-        return cls(
-            badge_id=data["badge_id"],
-            kind=BadgeKind(data["kind"]),
-            threshold=int(data["threshold"]),
-            window_days=None if data.get("window_days") is None else int(data["window_days"]),
-        )
-
-    def to_dict(self) -> dict:
-        d = {"badge_id": self.badge_id, "kind": self.kind.value, "threshold": self.threshold}
-        if self.window_days is not None:
-            d["window_days"] = self.window_days
-        return d
+            raise InvalidConfig("must be set exactly for checkins_in_window badges, got "
+                                f"{self.window_days!r}", "window_days")
 
 
 DEFAULT_BADGE_CATALOG: tuple[BadgeSpec, ...] = (
@@ -171,7 +157,7 @@ class RewardsEngine:
     def __init__(self, catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG) -> None:
         self.catalog = tuple(catalog)
         if len({spec.badge_id for spec in self.catalog}) != len(self.catalog):
-            raise ValueError("duplicate badge ids in catalog")
+            raise InvalidConfig("must have distinct badge ids", "badges")
         self._window_badges = tuple(
             s for s in self.catalog if s.kind == BadgeKind.CHECKINS_IN_WINDOW
         )

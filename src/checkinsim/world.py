@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .anticheat import RuleConfig, RuleVerdict, UserRuleState
+from .config import dump
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
 from .tables import PublicTables, write_events, write_tables
@@ -288,7 +289,7 @@ class World:
 
         feed(("clock", self.clock.now))
         feed(("rng", self.rng.getstate()))
-        feed(("config", self.rule_config.to_dict(), self.recent_list_len, self.strict_verify))
+        feed(("config", dump(self.rule_config), self.recent_list_len, self.strict_verify))
         for u in self.users:
             feed((u.user_id, u.home, u.total_checkins, u.points, sorted(u.badges),
                   u.total_mayorships, u.is_cheater_ground_truth))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from checkinsim.anticheat import Flag, RuleConfig, UserRuleState, offline_verdicts
+from checkinsim.config import InvalidConfig, dump, load
 from checkinsim.geo import GeoPoint, MILE_M, offset_point
 
 from oracles import brute_verdicts
@@ -246,17 +247,17 @@ class TestRuleConfig:
         ("gps_radius_m", True), ("rapidfire_count", "4"), ("frequent_window_s", None),
     ])
     def test_rejects_non_numbers_and_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=rf"^rules\.{field} must be a finite number > 0"):
+        with pytest.raises(InvalidConfig, match=rf"^{field}: must be (a finite number|an integer) > 0"):
             RuleConfig(**{field: value})
 
-    def test_from_dict_round_trip(self):
-        cfg = RuleConfig.from_dict({"gps_radius_m": 250.0})
+    def test_load_round_trip(self):
+        cfg = load(RuleConfig, {"gps_radius_m": 250.0})
         assert cfg.gps_radius_m == 250.0
-        assert RuleConfig.from_dict(cfg.to_dict()) == cfg
+        assert load(RuleConfig, dump(cfg)) == cfg
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            RuleConfig.from_dict({"max_speed": 3.0})
+    def test_load_rejects_unknown_keys(self):
+        with pytest.raises(InvalidConfig, match="'max_speed'"):
+            load(RuleConfig, {"max_speed": 3.0})
 
     def test_default_speed_limit_is_mile_per_five_minutes(self):
         assert CFG.max_speed_m_per_s == MILE_M / 300.0

@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -70,6 +72,115 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any world was built
+
+    @pytest.mark.parametrize("population, sections, field", [
+        ({"n_users": "10"}, {}, "population.n_users"),
+        ({"seed": True}, {}, "population.seed"),
+        ({"n_venues": 1.5}, {}, "population.n_venues"),
+        ({"duration_days": 1.5}, {}, "population.duration_days"),
+        ({"venues_per_city": 0}, {}, "population.venues_per_city"),
+        ({"mid_alpha": 1}, {}, "population.mid_alpha"),
+        ({"gps_noise_m": float("nan")}, {}, "population.gps_noise_m"),
+        ({"low_range": [5, 1]}, {}, "population.low_range"),
+        ({"region": [1, 2]}, {}, "population.region"),
+        ({"region": [0, 0, 91, 1]}, {}, "population.region[2]"),
+        ({}, {"badges": [{"kind": "distinct_venues", "threshold": 3}]}, "badges[0].badge_id"),
+        ({}, {"badges": [{"badge_id": "a", "kind": "distinct_venues", "threshold": "x"}]},
+         "badges[0].threshold"),
+        ({}, {"badges": [{"badge_id": "a", "kind": "nope", "threshold": 3}]}, "badges[0].kind"),
+        ({}, {"badges": 5}, "badges"),
+        ({}, {"badges": [{"badge_id": "a", "kind": "distinct_venues", "threshold": 3},
+                         {"badge_id": "a", "kind": "distinct_venues", "threshold": 5}]}, "badges"),
+        ({}, {"attacks": [{"kind": "tour", "steps": 0, "true_location": [1, 2]}]},
+         "attacks[0].steps"),
+        ({}, {"attacks": [{"kind": "tour", "steps": "x", "true_location": [1, 2]}]},
+         "attacks[0].steps"),
+        ({}, {"attacks": [{"kind": "tour", "true_location": [1]}]}, "attacks[0].true_location"),
+        ({}, {"attacks": [{"kind": "tour", "true_location": [999, 0]}]},
+         "attacks[0].true_location[0]"),
+        ({}, {"attacks": [{"kind": "mayor_denial", "victim": "a", "true_location": [1, 2]}]},
+         "attacks[0].victim"),
+        ({}, {"attacks": [{"kind": "vacancy_sweep", "limit": -1, "true_location": [1, 2]}]},
+         "attacks[0].limit"),
+        ({}, {"detection": {"dispersion_min_clusters": 0}}, "detection.dispersion_min_clusters"),
+        ({}, {"detection": {"dispersion_min_clusters": 1.5}}, "detection.dispersion_min_clusters"),
+        ({}, {"detection": {"daily_rate_max": float("nan")}}, "detection.daily_rate_max"),
+        ({}, {"detection": {"min_account_age_days": 0.5}}, "detection.min_account_age_days"),
+        # checks that span sections: the population bounds victims and tour lengths
+        ({}, {"attacks": [{"kind": "mayor_denial", "victim": 9999, "true_location": [1, 2]}]},
+         "attacks[0].victim"),
+        ({}, {"attacks": [{"kind": "tour", "true_location": [1, 2]},
+                          {"kind": "mayor_denial", "victim": 62, "true_location": [1, 2]}]},
+         "attacks[1].victim"),
+        ({}, {"attacks": [{"kind": "tour", "steps": 41, "true_location": [1, 2]}]},
+         "attacks[0].steps"),
+    ])
+    def test_bad_typed_field_exits_1(self, tmp_path, capsys, population, sections, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"population": {**SCENARIO["population"], **population},
+                                    **sections}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any world was built
+
+    @pytest.mark.parametrize("region", [[89.99, 0, 90, 1], [0, 179.99, 1, 180],
+                                        [-90, -180, -89.99, -179.99]])
+    def test_region_at_a_pole_or_the_antimeridian_runs(self, tmp_path, region):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"population": {**SCENARIO["population"], "region": region},
+                                    "attacks": SCENARIO["attacks"]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_mutated_configs_exit_0_or_1(self, tmp_path, capsys):
+        # one field of a small config set to a value from a pool, 60 times over
+        base = {
+            "population": {"n_users": 30, "n_venues": 20, "seed": 2, "duration_days": 10,
+                           "cheater_fraction": 0.1, "region": [40.0, -80.0, 40.5, -79.5],
+                           "low_range": [1, 5], "mid_range": [6, 40], "heavy_range": [50, 60]},
+            "rules": {"gps_radius_m": 500.0, "rapidfire_count": 4},
+            "badges": [{"badge_id": "adventurer", "kind": "distinct_venues", "threshold": 10},
+                       {"badge_id": "month", "kind": "checkins_in_window", "threshold": 5,
+                        "window_days": 30}],
+            "routers": {"coverage": "listed", "range_m": 100.0, "strict": True,
+                        "entries": [{"venue_id": 2, "range_m": 60.0, "processing_delay_s": 1e-6}]},
+            "attacks": [
+                {"kind": "tour", "steps": 5, "step_deg": 0.01, "start": [40.2, -79.8],
+                 "true_location": [35.0, -90.0], "start_delay_s": 60},
+                {"kind": "vacancy_sweep", "limit": 5, "require_mayor_special": False,
+                 "name_filter": "a", "true_location": [35.0, -90.0]},
+                {"kind": "mayor_denial", "victim": 3, "true_location": [35.0, -90.0]},
+            ],
+            "detection": {"cluster_radius_m": 10_000.0, "dispersion_min_clusters": 3,
+                          "daily_rate_max": 16.0, "min_account_age_days": 30.0},
+        }
+        pool = [True, False, "x", "", None, [], {}, float("inf"), float("-inf"), float("nan"),
+                -1, 0, 0.5, 1, 7]
+
+        def slots(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                yield path + (key,)
+                if isinstance(value, (dict, list)):
+                    yield from slots(value, path + (key,))
+
+        rng = random.Random(11)
+        every = list(slots(base))
+        codes = set()
+        for i in range(60):
+            config = copy.deepcopy(base)
+            *parents, last = rng.choice(every)
+            node = config
+            for key in parents:
+                node = node[key]
+            node[last] = rng.choice(pool)
+            path = tmp_path / f"scenario{i}.json"
+            path.write_text(json.dumps(config))
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (parents, last, node[last], err)
+            assert "Traceback" not in err
+            codes.add(code)
+        assert codes == {0, 1}
 
     def test_unreadable_snapshot_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "junk.snap"
@@ -280,6 +391,36 @@ class TestGenerateAndAttack:
         files = ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv", "events.jsonl")
         assert read_all(tmp_path / "gen", files) == read_all(tmp_path / "run", files)
         assert "PresenceUnverified" in (tmp_path / "gen" / "events.jsonl").read_text()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--mode", "tour", "--start", "999,-100"], "--start"),
+        (["--mode", "tour", "--start", "38.5,-98.0", "--step-deg", "nan"], "step_deg"),
+        (["--mode", "tour", "--start", "38.5,-98.0", "--steps", "0"], "steps"),
+        (["--mode", "targets", "--limit", "-1"], "limit"),
+        (["--mode", "step", "--at", "0,181"], "--at"),
+    ])
+    def test_bad_plan_flags_exit_1(self, tmp_path, scenario_path, capsys, flags, field):
+        gen_dir = tmp_path / "gen"
+        main(["generate", "--config", str(scenario_path), "--out", str(gen_dir), "--snapshot"])
+        argv = ["attack-plan", "--snapshot", str(gen_dir / "world.snap"),
+                "--out", str(tmp_path / "s.jsonl"), *flags]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bad LAT,LON
+            code = exc.code
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_targets_mode_plans_every_match_up_to_the_limit(self, tmp_path, scenario_path,
+                                                            capsys):
+        gen_dir = tmp_path / "gen"
+        main(["generate", "--config", str(scenario_path), "--out", str(gen_dir), "--snapshot"])
+        for limit, planned in (("100", 40), ("7", 7)):
+            sched = tmp_path / f"s{limit}.jsonl"
+            assert main(["attack-plan", "--snapshot", str(gen_dir / "world.snap"), "--mode",
+                         "targets", "--limit", limit, "--out", str(sched)]) == 0
+            assert len(sched.read_text().splitlines()) == planned
 
     def test_step_mode_emits_chosen_venue(self, tmp_path, scenario_path, capsys):
         gen_dir = tmp_path / "gen"

@@ -7,10 +7,14 @@ import pytest
 from checkinsim import harness
 from checkinsim.analytics import speed_feasibility
 from checkinsim.attacker import BBox
+from checkinsim.config import load
+from checkinsim.geo import GeoPoint
 from checkinsim.harness import (
     DEFAULT_REGION,
     InvalidConfig,
+    MayorDenial,
     PopulationConfig,
+    Routers,
     ScenarioConfig,
     generate_population,
     largest_remainder,
@@ -35,24 +39,23 @@ class TestLargestRemainder:
 class TestConfigValidation:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(InvalidConfig):
-            PopulationConfig(n_users=10, n_venues=5, zero_frac=0.9).validate()
+            PopulationConfig(n_users=10, n_venues=5, zero_frac=0.9)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(InvalidConfig):
-            PopulationConfig(n_users=10, n_venues=5, cheater_strategy="drive_fast").validate()
+            PopulationConfig(n_users=10, n_venues=5, cheater_strategy="drive_fast")
 
     def test_degenerate_region_rejected(self):
         with pytest.raises(InvalidConfig):
-            PopulationConfig(n_users=10, n_venues=5,
-                             region=BBox(40, -100, 39, -101)).validate()
+            PopulationConfig(n_users=10, n_venues=5, region=BBox(40, -100, 39, -101))
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InvalidConfig):
-            PopulationConfig.from_dict({"n_users": 10, "n_venues": 5, "color": "red"})
+    def test_load_rejects_unknown_keys(self):
+        with pytest.raises(InvalidConfig, match="'color'"):
+            load(PopulationConfig, {"n_users": 10, "n_venues": 5, "color": "red"})
 
-    def test_from_dict_parses_region(self):
-        cfg = PopulationConfig.from_dict(
-            {"n_users": 10, "n_venues": 5, "region": [39.0, -105.0, 41.0, -100.0]})
+    def test_load_parses_region(self):
+        cfg = load(PopulationConfig,
+                   {"n_users": 10, "n_venues": 5, "region": [39.0, -105.0, 41.0, -100.0]})
         assert cfg.region == BBox(39.0, -105.0, 41.0, -100.0)
 
 
@@ -165,8 +168,7 @@ class TestRunScenario:
     def test_strict_router_scenario_blocks_spoofer(self, tmp_path):
         scenario = self._scenario(
             population=dict(n_users=20, n_venues=30, seed=4),
-            router_coverage="full",
-            strict_verify=True,
+            routers=Routers(coverage="full", strict=True),
             attacks=({"kind": "tour", "steps": 8, "true_location": [35.68, 139.69]},),
         )
         result = run_scenario(scenario, tmp_path / "out")
@@ -174,10 +176,9 @@ class TestRunScenario:
         assert attack["checkins"] == 8 and attack["valid"] == 0
         assert attack["mayorships"] == 0
 
-    def test_unknown_attack_kind_rejected(self, tmp_path):
-        scenario = self._scenario(attacks=({"kind": "bribe", "true_location": [0, 0]},))
-        with pytest.raises(InvalidConfig):
-            run_scenario(scenario, tmp_path / "out")
+    def test_unknown_attack_kind_rejected(self):
+        with pytest.raises(InvalidConfig, match=re.escape("attacks[0].kind")):
+            self._scenario(attacks=({"kind": "bribe", "true_location": [0, 0]},))
 
     @pytest.mark.parametrize("attack, key", [
         ({"kind": "tour", "step": 3}, "step"),
@@ -187,11 +188,10 @@ class TestRunScenario:
         ({"kind": "vacancy_sweep", "require_special": True}, "require_special"),
         ({"kind": "mayor_denial", "victim": 1, "limit": 3}, "limit"),
     ])
-    def test_unknown_attack_keys_rejected(self, tmp_path, attack, key):
-        scenario = self._scenario(population=dict(n_users=10, n_venues=6),
-                                  attacks=({**attack, "true_location": [0, 0]},))
+    def test_unknown_attack_keys_rejected(self, attack, key):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):
-            run_scenario(scenario, tmp_path / "out")
+            self._scenario(population=dict(n_users=10, n_venues=6),
+                           attacks=({**attack, "true_location": [0, 0]},))
 
 
 class TestScenarioLoading:
@@ -208,7 +208,7 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.population.n_users == 50
         assert scenario.rules.gps_radius_m == 400.0
-        assert scenario.router_coverage == "full" and scenario.strict_verify
+        assert scenario.routers.coverage == "full" and scenario.routers.strict
         assert scenario.badges[0].badge_id == "adventurer"
 
     def test_listed_router_coverage(self, tmp_path):
@@ -238,8 +238,8 @@ class TestScenarioLoading:
             ScenarioConfig.from_dict({"population": {"n_users": 10, "n_venues": 6}, **config})
 
     @pytest.mark.parametrize("config, field", [
-        ({"attacks": ["tour"]}, "attacks[0] must be an object"),
-        ({"attacks": {"kind": "tour"}}, "attacks must be a list"),
+        ({"attacks": ["tour"]}, "attacks[0]: must be an object"),
+        ({"attacks": {"kind": "tour"}}, "attacks: must be a list"),
         ({"attacks": [{"kind": "bribe", "true_location": [0, 0]}]}, "'bribe'"),
         ({"attacks": [{"kind": "tour", "true_location": [0, 0]},
                       {"kind": "tour", "step": 3, "true_location": [0, 0]}]}, "attacks[1]"),
@@ -303,8 +303,8 @@ class TestScenarioLoading:
                           "dispersion_min_clusters": 3},
             "attacks": [{"kind": "mayor_denial", "victim": 1, "true_location": [0, 0]}],
         })
-        assert scenario.thresholds.cluster_radius_m == 10_000
-        assert scenario.attacks[0]["victim"] == 1
+        assert scenario.detection.cluster_radius_m == 10_000
+        assert scenario.attacks[0] == MayorDenial(victim=1, true_location=GeoPoint(0, 0))
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(InvalidConfig):
@@ -340,11 +340,15 @@ class TestCollectorPolicy:
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_failed_run_restores_collector_state(self, tmp_path, collector_state, enabled):
-        scenario = ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1),
-                                  attacks=({"kind": "bogus"},))
+    def test_failed_run_restores_collector_state(self, tmp_path, monkeypatch, collector_state,
+                                                 enabled):
+        def fail(*args):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(harness, "build_world", fail)
+        scenario = ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1))
         gc.enable() if enabled else gc.disable()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(RuntimeError):
             run_scenario(scenario, tmp_path)
         assert gc.isenabled() is enabled
 

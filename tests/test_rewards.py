@@ -9,6 +9,7 @@ from checkinsim.rewards import (
     DEFAULT_BADGE_CATALOG,
     RewardsEngine,
 )
+from checkinsim.config import dump, load
 from checkinsim.world import UserProfile, World
 from checkinsim.geo import GeoPoint, offset_point
 from oracles import ScanningMayor, scan_badges
@@ -96,7 +97,7 @@ class TestBadges:
 
     def test_badge_spec_round_trip(self):
         for spec in DEFAULT_BADGE_CATALOG:
-            assert BadgeSpec.from_dict(spec.to_dict()) == spec
+            assert load(BadgeSpec, dump(spec)) == spec
 
 
 class TestMayorship:
