@@ -8,53 +8,18 @@ population/scenario harness with a CLI (harness, cli).
 """
 
 from .anticheat import Flag, RuleConfig, RuleVerdict, UserRuleState, offline_verdicts
-from .attacker import (
-    AttackSchedule,
-    BBox,
-    NoVenuesAvailable,
-    TargetCriteria,
-    UnknownVictim,
-    build_schedule,
-    execute,
-    plan_mayor_denial,
-    plan_step,
-    plan_tour,
-    select_targets,
-)
-from .geo import (
-    EARTH_RADIUS_M,
-    GeoPoint,
-    LocalOffset,
-    MILE_M,
-    OutOfProjectionRange,
-    fits_square,
-    haversine_m,
-    offset_point,
-    project_local,
-    unproject_local,
-)
-from .harness import (
-    InvalidConfig,
-    PopulationConfig,
-    ScenarioConfig,
-    generate_population,
-    load_scenario,
-    run_scenario,
-)
+from .attacker import (AttackSchedule, BBox, NoVenuesAvailable, TargetCriteria, UnknownVictim,
+                       build_schedule, execute, plan_mayor_denial, plan_step, plan_tour,
+                       select_targets)
+from .geo import (EARTH_RADIUS_M, GeoPoint, LocalOffset, MILE_M, OutOfProjectionRange, fits_square,
+                  haversine_m, offset_point, project_local, unproject_local)
+from .harness import (InvalidConfig, PopulationConfig, ScenarioConfig, generate_population,
+                      load_scenario, run_scenario)
 from .rewards import BadgeKind, BadgeSpec, DEFAULT_BADGE_CATALOG, MayorState, RewardsEngine
 from .spatial import VenueGridIndex
 from .tables import MissingTables, PublicTables, load_events, load_tables, tables_from_world
 from .verify import PresenceCheck, RouterRegistration, UnregisteredRouter, attest_checkin, verify_presence
-from .world import (
-    CheckInRecord,
-    ClockRegression,
-    CorruptSnapshot,
-    SimClock,
-    UnknownUser,
-    UnknownVenue,
-    UserProfile,
-    Venue,
-    World,
-)
+from .world import (CheckInLog, CheckInRecord, ClockRegression, CorruptSnapshot, SimClock,
+                    UnknownUser, UnknownVenue, UserProfile, Venue, World)
 
 __version__ = "0.1.0"

@@ -9,13 +9,15 @@ export files alone; ground truth never feeds a detector.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .config import Section, ranged
 from .geo import EARTH_RADIUS_M, GeoPoint, distance_bounds_m, haversine_m
-from .tables import CheckIn, PublicTables, write_csv
+from .tables import PublicTables, UnknownVenue, write_csv
 
 
 class CurvePoint(NamedTuple):
@@ -228,31 +230,30 @@ def _list_leader(cells: dict[int, list[GeoPoint]], leader: GeoPoint, corner: int
         cells.setdefault(corner + offset, []).append(leader)
 
 
-def user_traces(
-    tables: PublicTables, events: Sequence[CheckIn]
-) -> dict[int, list[tuple[int, GeoPoint]]]:
-    """Per-user, time-ordered (t, venue location) traces from the check-ins.
-
-    Raises ``ValueError`` for a row whose venue is not in ``VenueInfo.csv``.
-    """
-    location = tables.event_location
-    traces: dict[int, list[tuple[int, GeoPoint]]] = {}
-    for e in events:
-        traces.setdefault(e.user_id, []).append((e.t, location(e)))
+def user_traces(tables: PublicTables,
+                events: Iterable[Sequence]) -> dict[int, list[tuple[int, GeoPoint]]]:
+    """Per-user, time-ordered (t, venue location) traces from the rows of
+    ``build_report``; a row whose venue VenueInfo.csv lacks raises
+    ``UnknownVenue`` carrying it."""
+    points = tables.venue_points
+    traces: dict[int, list[tuple[int, GeoPoint]]] = defaultdict(list)
+    for row in events:
+        point = points.get(row[2])
+        if point is None:
+            raise UnknownVenue(row)
+        traces[row[1]].append((row[0], point))
+    by_time = itemgetter(0)
     for trace in traces.values():
-        trace.sort(key=lambda row: row[0])
-    return traces
+        trace.sort(key=by_time)
+    return dict(traces)
 
 
-def build_report(
-    tables: PublicTables,
-    events: Sequence[CheckIn],
-    thresholds: DetectionThresholds = DetectionThresholds(),
-) -> list[SuspicionRecord]:
+def build_report(tables: PublicTables, events: Iterable[Sequence],
+                 thresholds: DetectionThresholds = DetectionThresholds()) -> list[SuspicionRecord]:
     """Run every detector for every user; rank by reason count, then id.
 
-    ``events`` are ``EventRow``s read from events.jsonl or a world's
-    ``CheckInRecord``s; only their ``t``, ``user_id`` and ``venue_id`` count.
+    ``events`` are rows that start with ``t``, ``user_id`` and ``venue_id``,
+    read once: ``EventRow``s, ``CheckInRecord``s, or a log's three columns zipped.
     """
     traces = user_traces(tables, events)
     n_users = max(tables.users) if tables.users else 0

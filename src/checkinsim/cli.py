@@ -16,8 +16,8 @@ from .anticheat import RuleConfig, offline_verdicts
 from .attacker import (START_DELAY_S, build_schedule, execute, load_schedule, plan_step,
                        save_schedule)
 from .geo import GeoPoint, validate_point
-from .harness import (InvalidConfig, Tour, VacancySweep, build_world, gc_paused, load_scenario,
-                      plan, run_scenario, venue_index, write_exports)
+from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
+                      load_scenario, plan, run_scenario, venue_index, write_exports)
 from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
 
@@ -119,6 +119,8 @@ def _cmd_attack_plan(args) -> int:
     elif args.at is None:
         raise InvalidConfig("step mode needs --at LAT,LON")
     world = World.load_state(args.snapshot)
+    if args.mode == "tour":
+        _at_most(args.steps, len(world.venues), "the snapshot's venues", "steps")
     if args.mode == "step":
         venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
     else:
@@ -186,22 +188,25 @@ def _cmd_verify_replay(args) -> int:
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path)
     config = RuleConfig()
+    points = tables.venue_points
     by_user: dict[int, list] = {}
-    for i, e in enumerate(events):
-        recorded = by_user.get(e.user_id)
-        if recorded is None:
-            by_user[e.user_id] = [e]
-            continue
-        if e.t < recorded[-1].t:  # the rules replay each user's rows in time order
-            raise ValueError(f"{events_path.name}:{event_line(events_path, i)}: user "
-                             f"{e.user_id} at t={e.t} is earlier than the user's previous "
-                             f"row at t={recorded[-1].t}")
-        recorded.append(e)
     agree: dict[tuple, bool] = {}  # (logged flags, verdict flags) -> same rule flags
     mismatches = 0
     with _naming_event_lines(events_path, events):
+        for i, e in enumerate(events):
+            if e.venue_id not in points:
+                raise UnknownVenue(e)
+            recorded = by_user.get(e.user_id)
+            if recorded is None:
+                by_user[e.user_id] = [e]
+                continue
+            if e.t < recorded[-1].t:  # the rules replay each user's rows in time order
+                raise ValueError(f"{events_path.name}:{event_line(events_path, i)}: user "
+                                 f"{e.user_id} at t={e.t} is earlier than the user's "
+                                 f"previous row at t={recorded[-1].t}")
+            recorded.append(e)
         for user_id, recorded in by_user.items():
-            trace = [(e.t, e.venue_id, tables.event_location(e),
+            trace = [(e.t, e.venue_id, points[e.venue_id],
                       GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
             verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
             for e, verdict in zip(recorded, verdicts):

@@ -384,11 +384,11 @@ def gc_paused():
     """Run the block with the cyclic garbage collector off, then restore the
     caller's setting, also when the block raises.
 
-    The bulk phases keep about a million long-lived records at the
-    acceptance size, and the collector re-scans them again and again while
-    they are built: on a 2-vCPU host a 100k-user run took 101 s with it on
-    and 59 s with it off. Those phases make no reference cycle per row, so
-    reference counting alone frees what they drop.
+    The bulk phases keep about a million long-lived tuples (planned
+    check-ins, detector traces) at the acceptance size, and the collector
+    re-scans them again and again while they are built: on a 2-vCPU host a
+    100k-user run took 101 s with it on and 59 s with it off. Those phases
+    make no reference cycle per row, so reference counting frees what they drop.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -413,17 +413,17 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     """Generate, attack, export, detect; write every artifact under out_dir.
 
     Detection runs in memory, on the ``tables_from_world`` projection that
-    ``write_exports`` wrote and on the world's check-in records themselves,
-    so the exports are not re-read: the tables equal what ``load_tables``
-    reads back, and each record has the ``t``, ``user_id`` and ``venue_id``
-    of its events.jsonl row. The cyclic garbage collector is paused for the
-    whole run.
+    ``write_exports`` wrote and on the log's ``t``, ``user_id`` and
+    ``venue_id`` columns, which hold what the exports would read back. The
+    cyclic garbage collector is paused for the whole run.
     """
     out = Path(out_dir)
     world, index = build_world(scenario, seed)
     attack_summaries = [_run_attack(world, attack, index) for attack in scenario.attacks]
     tables, paths = write_exports(world, out)
-    report = analytics.build_report(tables, world.events, scenario.detection)
+    log = world.events
+    report = analytics.build_report(tables, zip(log.t, log.user_id, log.venue_id),
+                                    scenario.detection)
     paths["report"] = analytics.write_report_csv(report, out / "report.csv")
     paths["recent_curve"] = analytics.write_curve_csv(
         analytics.compute_curve(tables, "recent_checkins", scenario.detection.curve_max_total),

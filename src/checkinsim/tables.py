@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint
 
@@ -27,11 +27,13 @@ class MissingTables(Exception):
 
 
 class UnknownVenue(ValueError):
-    """A check-in's venue is not listed in VenueInfo.csv."""
+    """A check-in's venue is not listed in VenueInfo.csv; ``event`` is the row,
+    which starts with its ``t``, ``user_id`` and ``venue_id`` as an ``EventRow`` does."""
 
-    def __init__(self, event: CheckIn) -> None:
-        super().__init__(f"events.jsonl row for user {event.user_id} at t={event.t}: "
-                         f"venue {event.venue_id} is not in VenueInfo.csv")
+    def __init__(self, event: Sequence) -> None:
+        t, user_id, venue_id = event[:3]
+        super().__init__(f"events.jsonl row for user {user_id} at t={t}: "
+                         f"venue {venue_id} is not in VenueInfo.csv")
         self.event = event
 
 
@@ -58,20 +60,6 @@ class VenueRow(NamedTuple):
         return GeoPoint(self.lat, self.lon)
 
 
-class CheckIn(Protocol):
-    """What detection reads of a check-in: an ``EventRow`` read back from
-    events.jsonl, or a live world's ``CheckInRecord``."""
-
-    @property
-    def t(self) -> int: ...
-
-    @property
-    def user_id(self) -> int: ...
-
-    @property
-    def venue_id(self) -> int: ...
-
-
 class EventRow(NamedTuple):
     t: int
     user_id: int
@@ -89,20 +77,9 @@ class PublicTables:
     recent: list[tuple[int, int]]  # (venue_id, user_id)
 
     @cached_property
-    def _venue_points(self) -> dict[int, GeoPoint]:
+    def venue_points(self) -> dict[int, GeoPoint]:
+        """Each venue's ``GeoPoint``, built once: every check-in at a venue shares it."""
         return {venue_id: v.location for venue_id, v in self.venues.items()}
-
-    def event_location(self, event: CheckIn) -> GeoPoint:
-        """Location of a check-in's venue, which VenueInfo must list.
-
-        Every check-in at a venue gets the same ``GeoPoint``, built once from
-        ``venues`` on the first lookup; an unlisted venue raises
-        ``UnknownVenue``.
-        """
-        try:
-            return self._venue_points[event.venue_id]
-        except KeyError:
-            raise UnknownVenue(event) from None
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -267,29 +244,31 @@ def tables_from_world(world) -> PublicTables:
     return PublicTables(users, venues, recent)
 
 
-# One events.jsonl line: what json.dumps(row._asdict(), separators=(",", ":"))
-# writes for the record's EventRow. ``%r`` writes an int as json does and a
-# float as float.__repr__, which is json's float format too.
-_EVENT_LINE = ('{"t":%r,"user_id":%r,"venue_id":%r,"reported_lat":%r,"reported_lon":%r,'
-               '"valid":%s,"flags":%s}\n')
+# The start of an events.jsonl line as json.dumps(row._asdict(),
+# separators=(",", ":")) writes it. ``%r`` writes a float as json does
+# (float.__repr__), and ``%d`` an int, or a float holding one, as json writes the int.
+_EVENT_HEAD = '{"t":%d,"user_id":%d,"venue_id":%d,"reported_lat":'
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def write_events(records: Iterable, path: str | Path) -> Path:
-    """Write check-in records as the events.jsonl log that ``load_events`` reads.
-
-    A record's row is (t, user_id, venue_id, reported lat, reported lon,
-    ``accepted``, ``export_flags()``). Each line is formatted once and must
-    stay byte-equal to the compact JSON encoding of that row.
-    """
+def write_events(log, path: str | Path) -> Path:
+    """Write a world's check-in log (``world.CheckInLog``) as the events.jsonl
+    that ``load_events`` reads: per row (t, user_id, venue_id, reported lat
+    and lon, ``accepted``, the log's ``export_flags``), byte-equal to the
+    compact JSON encoding of that row. The lines are formatted from the
+    columns, by one format per row kind and ``accepted``."""
+    formats = [[_EVENT_HEAD + ("%d" if lat_is_int else "%r") + ',"reported_lon":'
+                + ("%d" if lon_is_int else "%r") + ',"valid":'
+                + ("true" if accepted else "false") + ',"flags":'
+                + _encode_json(log.export_flags(k, accepted)).replace("%", "%%") + "}\n"
+                for k, (_, lat_is_int, lon_is_int) in enumerate(log.kinds)]
+               for accepted in (False, True)]
+    line_formats = map(list.__getitem__, map(formats.__getitem__, log.accepted), log.kind)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            _EVENT_LINE % (r.t, r.user_id, r.venue_id, *r.reported_gps,
-                           "true" if r.accepted else "false",
-                           _encode_json(flags) if (flags := r.export_flags()) else "[]")
-            for r in records)
+        fh.writelines(map(str.__mod__, line_formats, zip(
+            log.t, log.user_id, log.venue_id, log.reported_lat, log.reported_lon)))
     return path
 
 

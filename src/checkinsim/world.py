@@ -4,17 +4,30 @@ Holds venues, users and the append-only check-in log, and runs every
 submission through the anticheat -> attestation -> rewards pipeline. All
 mutation flows through a single logical submission sequence; exports and
 analytics read immutable projections.
+
+The log (``CheckInLog``, ``World.events``) keeps one value per row in each
+of its ``array`` columns and no object per row: ``t``, ``user_id``,
+``venue_id``, reported and true ``lat``/``lon``, ``kind`` (an index into a
+small table of flags and whether each reported coordinate is an int),
+``attested`` (-1 when no router was asked, else 0 or 1) and ``accepted``. A
+rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress
+from operator import not_
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .anticheat import RuleConfig, RuleVerdict, UserRuleState
+from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
@@ -26,7 +39,8 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 4
+_SNAPSHOT_VERSION = 5
+_T_END = 1 << 63  # the log's t column is a signed 64-bit integer
 
 
 class UnknownUser(Exception):
@@ -50,6 +64,8 @@ class SimClock:
     now: int = 0
 
     def advance(self, t: int) -> None:
+        if t.__class__ is not int or t >= _T_END:
+            raise ValueError(f"t={t!r} is not an integer below 2**63")
         if t < self.now:
             raise ClockRegression(f"t={t} is before simulation clock {self.now}")
         self.now = t
@@ -78,8 +94,7 @@ class UserProfile:
     is_cheater_ground_truth: bool = False
 
 
-@dataclass(slots=True)
-class CheckInRecord:
+class CheckInRecord(NamedTuple):
     t: int
     user_id: int
     venue_id: int
@@ -89,24 +104,73 @@ class CheckInRecord:
     attested: Optional[bool] = None
     accepted: bool = False
 
-    def export_flags(self) -> list[str]:
-        flags = self.verdict.flag_names()
-        if self.verdict.valid and not self.accepted:
-            flags.append(PRESENCE_UNVERIFIED)
-        return flags
+
+_new_record = partial(tuple.__new__, CheckInRecord)  # skips the Python-level __new__
+_ATTESTED = (False, True, None)  # by the attested column's value: 0, 1 or -1
+
+
+class CheckInLog(Sequence):
+    """The check-in log's columns (see the module doc). ``kinds`` holds each
+    row kind, (verdict, reported lat is an int, reported lon is an int), in
+    order of first use. As a sequence the log is read-only: item ``i`` is
+    row ``i``'s ``CheckInRecord``, built when asked for."""
+
+    def __init__(self) -> None:
+        self.columns = tuple(map(array, "qIIddddBbB"))
+        (self.t, self.user_id, self.venue_id, self.reported_lat, self.reported_lon,
+         self.true_lat, self.true_lon, self.kind, self.attested, self.accepted) = self.columns
+        self.kinds: list[tuple[RuleVerdict, bool, bool]] = [(VALID_VERDICT, False, False)]
+        self._kind_of: dict[tuple, int] = {((), False, False): 0}
+
+    def append(self, record: CheckInRecord) -> None:
+        """Add a record, one value per column; a value no column holds raises and adds nothing."""
+        t, user_id, venue_id, (lat, lon), true_gps, verdict, attested, accepted = record
+        kind = 0  # a valid verdict and float coordinates, the common row
+        if verdict.flags or lat.__class__ is not float or lon.__class__ is not float:
+            key = (verdict.flags, lat.__class__ is int, lon.__class__ is int)
+            kind = self._kind_of.get(key)
+            if kind is None:
+                kind = self._kind_of[key] = len(self.kinds)
+                self.kinds.append((RuleVerdict(verdict.valid, verdict.flags), *key[1:]))
+        try:
+            self.t.append(t)
+            self.user_id.append(user_id)
+            self.venue_id.append(venue_id)
+            self.reported_lat.append(lat)
+            self.reported_lon.append(lon)
+            self.true_lat.append(true_gps[0])
+            self.true_lon.append(true_gps[1])
+            self.kind.append(kind)
+            self.attested.append(-1 if attested is None else attested)
+            self.accepted.append(accepted)
+        except (TypeError, OverflowError):
+            for column in self.columns:  # the last column holds the rows before this one
+                del column[len(self.accepted):]
+            raise
+
+    def export_flags(self, kind: int, accepted: bool) -> list[str]:
+        """The events.jsonl flags of a row of this kind."""
+        verdict = self.kinds[kind][0]
+        return verdict.flag_names() + [PRESENCE_UNVERIFIED] * (verdict.valid and not accepted)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> CheckInRecord:
+        verdict, lat_is_int, lon_is_int = self.kinds[self.kind[i]]
+        lat, lon = self.reported_lat[i], self.reported_lon[i]
+        reported = GeoPoint(int(lat) if lat_is_int else lat, int(lon) if lon_is_int else lon)
+        return _new_record((self.t[i], self.user_id[i], self.venue_id[i], reported,
+                            GeoPoint(self.true_lat[i], self.true_lon[i]), verdict,
+                            _ATTESTED[self.attested[i]], self.accepted[i] == 1))
 
 
 class World:
     """One simulated deployment of the service."""
 
-    def __init__(
-        self,
-        rule_config: Optional[RuleConfig] = None,
-        badge_catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG,
-        recent_list_len: int = 10,
-        seed: int = 0,
-        strict_verify: bool = False,
-    ) -> None:
+    def __init__(self, rule_config: Optional[RuleConfig] = None,
+                 badge_catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG,
+                 recent_list_len: int = 10, seed: int = 0, strict_verify: bool = False) -> None:
         self.rule_config = rule_config or RuleConfig()
         self.rewards = RewardsEngine(badge_catalog)
         self.recent_list_len = recent_list_len
@@ -115,7 +179,7 @@ class World:
         self.rng = random.Random(seed)
         self.venues: list[Venue] = []
         self.users: list[UserProfile] = []
-        self.events: list[CheckInRecord] = []
+        self.events = CheckInLog()
         self.routers: dict[int, RouterRegistration] = {}
         self._rule_states: dict[int, UserRuleState] = {}
 
@@ -149,14 +213,8 @@ class World:
 
     # -- check-in pipeline -----------------------------------------------------
 
-    def submit_checkin(
-        self,
-        user_id: int,
-        venue_id: int,
-        reported_gps: GeoPoint,
-        t: int,
-        true_gps: Optional[GeoPoint] = None,
-    ) -> CheckInRecord:
+    def submit_checkin(self, user_id: int, venue_id: int, reported_gps: GeoPoint, t: int,
+                       true_gps: Optional[GeoPoint] = None) -> CheckInRecord:
         """Submit one check-in: evaluate rules, then apply counters and rewards.
 
         The rules receive only reported data. ``true_gps`` (defaulting to the
@@ -168,6 +226,8 @@ class World:
         validate_point(reported_gps)
         if true_gps is None:
             true_gps = reported_gps
+        elif true_gps is not reported_gps:
+            validate_point(true_gps)
         self.clock.advance(t)
 
         state = self._rule_states.get(user_id)
@@ -181,6 +241,9 @@ class World:
             attested = attest_checkin(venue_id, true_gps, self.routers)
         accepted = verdict.valid and (not self.strict_verify or bool(attested))
 
+        record = _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict, attested,
+                              accepted))
+        self.events.append(record)
         user.total_checkins += 1
         if accepted:
             state.record_valid(venue_id, venue.location, t)
@@ -193,9 +256,6 @@ class World:
             del recent[self.recent_list_len:]
             _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t)
             self._apply_mayor(venue, mayor)
-
-        record = CheckInRecord(t, user_id, venue_id, reported_gps, true_gps, verdict, attested, accepted)
-        self.events.append(record)
         return record
 
     def _apply_mayor(self, venue: Venue, mayor: Optional[int]) -> None:
@@ -219,12 +279,9 @@ class World:
 
     def export_public_profiles(self, destination: str | Path,
                                tables: PublicTables) -> dict[str, Path]:
-        """Write the crawlable projection: UserInfo, VenueInfo, RecentCheckin.
-
-        ``tables`` is this world's ``tables_from_world`` projection; the
-        caller builds it, so a run that also detects on it projects once.
-        Recent-visitor rows deliberately carry no timestamp, and nothing
-        derived from ground truth is written.
+        """Write the crawlable projection of ``tables``, this world's
+        ``tables_from_world``: UserInfo, VenueInfo, RecentCheckin. Recent-visitor
+        rows carry no timestamp, and nothing derived from ground truth is written.
         """
         return write_tables(tables, destination)
 
@@ -241,16 +298,11 @@ class World:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        header = json.dumps({
-            "format": _SNAPSHOT_FORMAT,
-            "version": _SNAPSHOT_VERSION,
-            "payload_bytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }, sort_keys=True)
+        header = json.dumps({"format": _SNAPSHOT_FORMAT, "version": _SNAPSHOT_VERSION,
+                             "payload_bytes": len(payload),
+                             "sha256": hashlib.sha256(payload).hexdigest()}, sort_keys=True)
         with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
+            fh.writelines((header.encode("utf-8"), b"\n", payload))
         return path
 
     @staticmethod
@@ -267,9 +319,8 @@ class World:
         if header.get("format") != _SNAPSHOT_FORMAT or header.get("version") != _SNAPSHOT_VERSION:
             raise CorruptSnapshot(f"unsupported snapshot header: {header}")
         if len(payload) != header.get("payload_bytes"):
-            raise CorruptSnapshot(
-                f"truncated snapshot: expected {header.get('payload_bytes')} bytes, got {len(payload)}"
-            )
+            raise CorruptSnapshot(f"truncated snapshot: expected {header.get('payload_bytes')} "
+                                  f"bytes, got {len(payload)}")
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
             raise CorruptSnapshot("snapshot checksum mismatch")
         world = pickle.loads(payload)
@@ -296,9 +347,9 @@ class World:
         for v in self.venues:
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
                   len(v.visitor_ids), v.mayor_id, v.recent_visitors))
-        for r in self.events:
-            feed((r.t, r.user_id, r.venue_id, r.reported_gps, r.true_gps,
-                  r.verdict.valid, r.verdict.flags, r.attested, r.accepted))
+        feed(("log", self.events.kinds))
+        for column in self.events.columns:
+            h.update(column)
         for uid in sorted(self._rule_states):
             s = self._rule_states[uid]
             feed((uid, sorted(s.last_valid_t_by_venue.items()), s.last_valid, list(s.recent)))
@@ -307,12 +358,11 @@ class World:
         return h.hexdigest()
 
     def valid_count(self) -> int:
-        return sum(1 for r in self.events if r.accepted)
+        return self.events.accepted.count(1)
 
     def invalid_by_flag(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.events:
-            if not r.accepted:
-                for name in r.export_flags():
-                    counts[name] = counts.get(name, 0) + 1
-        return counts
+        log = self.events
+        counts: Counter[str] = Counter()
+        for kind, n in Counter(compress(log.kind, map(not_, log.accepted))).items():
+            counts.update(dict.fromkeys(log.export_flags(kind, False), n))
+        return dict(counts)

@@ -9,12 +9,14 @@ paths' exactly, as do ``measured_rules``, ``measured_infeasible`` and
 ``measured_attest``, which decide every distance threshold by measuring it
 (the references for the decisions that ``distance_bounds_m`` settles),
 ``encode_event_line``, which is the JSON encoder events.jsonl must stay
-byte-equal to, and ``json_load_events``, the one-``json.loads``-per-line
-reader whose rows and messages the block reader keeps.
+byte-equal to, ``json_load_events``, the one-``json.loads``-per-line
+reader whose rows and messages the block reader keeps, and ``kept_records``,
+the log of record objects that the world's columnar log replaced.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from collections import deque
@@ -25,6 +27,7 @@ from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind
 from checkinsim.tables import EventRow, MissingTables
+from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
 
@@ -232,11 +235,20 @@ def scan_dispersion(trace, cluster_radius_m: float = 50_000.0) -> int:
     return len(leaders)
 
 
+def export_flags(record) -> list[str]:
+    """A check-in record's events.jsonl flags: its rules' flags, then
+    ``PresenceUnverified`` for a rule-valid row that was not accepted."""
+    flags = [flag.value for flag in record.verdict.flags]
+    if record.verdict.valid and not record.accepted:
+        flags.append("PresenceUnverified")
+    return flags
+
+
 def event_row(record) -> EventRow:
     """The events.jsonl row of a check-in record, as ``load_events`` reads it."""
     gps = record.reported_gps
     return EventRow(record.t, record.user_id, record.venue_id, gps.lat, gps.lon,
-                    record.accepted, tuple(record.export_flags()))
+                    record.accepted, tuple(export_flags(record)))
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -317,3 +329,23 @@ def measured_infeasible(trace, v_travel_m_per_s: float) -> int:
 def measured_attest(router, device) -> bool:
     """``verify.attest_checkin`` for a registered router, measuring the distance."""
     return haversine_m(router.location, device) <= router.range_m
+
+
+@contextlib.contextmanager
+def kept_records():
+    """Keep every ``CheckInRecord`` that ``World.submit_checkin`` returns while
+    the block runs, in submission order: the slow reference for a world's
+    log, one object per row as the log was before it became columns."""
+    kept = []
+    submit = World.submit_checkin
+
+    def keeping(self, *args, **kwargs):
+        record = submit(self, *args, **kwargs)
+        kept.append(record)
+        return record
+
+    World.submit_checkin = keeping
+    try:
+        yield kept
+    finally:
+        World.submit_checkin = submit

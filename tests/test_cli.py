@@ -412,6 +412,22 @@ class TestGenerateAndAttack:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    def test_tour_steps_above_the_snapshots_venues_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "small.json"
+        config.write_text(json.dumps({"population": {"n_users": 30, "n_venues": 20, "seed": 3,
+                                                     "duration_days": 10}}))
+        gen_dir = tmp_path / "gen"
+        assert main(["generate", "--config", str(config), "--out", str(gen_dir),
+                     "--snapshot"]) == 0
+        argv = ["attack-plan", "--snapshot", str(gen_dir / "world.snap"), "--mode", "tour",
+                "--start", "38.5,-98.0", "--out", str(tmp_path / "s.jsonl")]
+        capsys.readouterr()
+        assert main([*argv, "--steps", "21"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: steps: must be at most the snapshot's venues (20), got 21" in err
+        assert not (tmp_path / "s.jsonl").exists()
+        assert main([*argv, "--steps", "20"]) == 0
+
     def test_targets_mode_plans_every_match_up_to_the_limit(self, tmp_path, scenario_path,
                                                             capsys):
         gen_dir = tmp_path / "gen"

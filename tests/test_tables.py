@@ -13,7 +13,7 @@ import pytest
 from checkinsim.anticheat import Flag, RuleVerdict
 from checkinsim.geo import GeoPoint
 from checkinsim.tables import EventRow, load_events, load_tables, write_events
-from checkinsim.world import PRESENCE_UNVERIFIED, CheckInRecord
+from checkinsim.world import PRESENCE_UNVERIFIED, CheckInLog, CheckInRecord
 from oracles import encode_event_line, json_load_events
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -26,6 +26,13 @@ def record(t=100, lat=40.0, lon=-100.0, flags=(), accepted=None, user_id=7, venu
         accepted = verdict.valid
     return CheckInRecord(t, user_id, venue_id, GeoPoint(lat, lon), HOME, verdict,
                          None, accepted)
+
+
+def log_of(records):
+    log = CheckInLog()
+    for r in records:
+        log.append(r)
+    return log
 
 
 def random_float(rng):
@@ -51,11 +58,12 @@ def records_under_test():
                      (12.345678901234567, -98.76543210987654), (1e16, 1.5e300)]:
         out.append(record(lat=lat, lon=lon))
         out.append(record(lat=lat, lon=lon, accepted=False))
-    for t in (0, 12.5, 1e-05, 3e20, 2**70, -4):
+    # the log's t column holds any signed 64-bit integer
+    for t in (0, 1, -4, 2**53 + 1, 2**63 - 1, -2**63):
         out.append(record(t=t))
     rng = random.Random(6)
     for _ in range(3000):
-        out.append(record(t=rng.choice([rng.randrange(10**9), random_float(rng)]),
+        out.append(record(t=rng.choice([rng.randrange(10**9), rng.randrange(-2**63, 2**63)]),
                           lat=random_float(rng), lon=rng.uniform(-180.0, 180.0),
                           flags=rng.sample(rules, rng.randrange(3)),
                           accepted=rng.choice([True, False, None]),
@@ -66,14 +74,15 @@ def records_under_test():
 class TestWriteEvents:
     def test_lines_match_json_encoder(self, tmp_path):
         records = records_under_test()
-        path = write_events(records, tmp_path / "events.jsonl")
+        path = write_events(log_of(records), tmp_path / "events.jsonl")
         expected = "".join(encode_event_line(r) for r in records)
         assert path.read_text(encoding="utf-8") == expected
-        assert "-0.0," in expected and "1e-05," in expected and '"t":12.5,' in expected
+        assert "-0.0," in expected and "1e-05," in expected and '"reported_lat":40,' in expected
+        assert '"t":9223372036854775807,' in expected and '"t":-9223372036854775808,' in expected
         assert '"PresenceUnverified"' in expected
 
     def test_empty_log(self, tmp_path):
-        assert write_events([], tmp_path / "events.jsonl").read_bytes() == b""
+        assert write_events(CheckInLog(), tmp_path / "events.jsonl").read_bytes() == b""
 
 
 def write_log(tmp_path, lines):
@@ -456,5 +465,5 @@ def test_golden_log_is_rewritten_byte_for_byte(tmp_path):
         records.append(CheckInRecord(e.t, e.user_id, e.venue_id,
                                      GeoPoint(e.reported_lat, e.reported_lon), HOME,
                                      RuleVerdict(not rule_flags, rule_flags), None, e.valid))
-    path = write_events(records, tmp_path / "events.jsonl")
+    path = write_events(log_of(records), tmp_path / "events.jsonl")
     assert path.read_bytes() == (GOLDEN / "events.jsonl").read_bytes()

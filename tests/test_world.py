@@ -244,14 +244,14 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    def test_version_3_snapshot_refused(self, tmp_path):
-        # Format 3 held its time windows in deques; its payload is intact here
-        # and must still be refused by its version.
+    def test_version_4_snapshot_refused(self, tmp_path):
+        # Format 4 held one record object per log row; its payload is intact
+        # here and must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 4
-        header["version"] = 3
+        assert header["version"] == 5
+        header["version"] = 4
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
             World.load_state(path)
