@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -208,12 +209,42 @@ def save_schedule(schedule: AttackSchedule, path: str | Path) -> Path:
     return path
 
 
-def load_schedule(path: str | Path) -> AttackSchedule:
-    entries = []
+def load_schedule(path: str | Path, venue_ids: Optional[Container[int]] = None,
+                  not_before: Optional[int] = None) -> AttackSchedule:
+    """Read a schedule written by ``save_schedule``. Refuses, naming
+    ``<file>:<line>`` and the field, a line that is not a JSON object of
+    integer ``venue_id`` and ``fire_time``, a venue not in ``venue_ids``, and
+    a fire time before ``not_before`` (the world's clock), before the line
+    above it or from 2**63 on, so that a caller can check a whole schedule
+    before it runs."""
+    path = Path(path)
+    entries: list[ScheduleEntry] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            entries.append(ScheduleEntry(int(obj["venue_id"]), int(obj["fire_time"])))
+            where = f"{path.name}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{where}: not JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            for key in ScheduleEntry._fields:
+                if key not in obj:
+                    raise ValueError(f"{where}: missing key {key!r}")
+                if type(obj[key]) is not int:
+                    raise ValueError(f"{where}: {key} {obj[key]!r} is not an integer")
+            entry = ScheduleEntry(obj["venue_id"], obj["fire_time"])
+            if venue_ids is not None and entry.venue_id not in venue_ids:
+                raise ValueError(f"{where}: venue_id {entry.venue_id} is not a venue of the world")
+            if entries and entry.fire_time < entries[-1].fire_time:
+                raise ValueError(f"{where}: fire_time {entry.fire_time} is before the line "
+                                 f"above it ({entries[-1].fire_time})")
+            if not_before is not None and entry.fire_time < not_before:
+                raise ValueError(f"{where}: fire_time {entry.fire_time} is before the world's "
+                                 f"clock ({not_before})")
+            if entry.fire_time >= 1 << 63:  # the world's clock is a signed 64-bit integer
+                raise ValueError(f"{where}: fire_time {entry.fire_time} is not below 2**63")
+            entries.append(entry)
     return AttackSchedule(entries)

@@ -17,7 +17,8 @@ from .attacker import (START_DELAY_S, build_schedule, execute, load_schedule, pl
                        save_schedule)
 from .geo import GeoPoint, validate_point
 from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
-                      load_scenario, plan, run_scenario, venue_index, write_exports)
+                      load_run_file, load_scenario, plan, run_scenario, seeded, venue_index,
+                      write_exports, write_run_file)
 from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
 
@@ -74,11 +75,13 @@ def build_parser() -> _Parser:
     p.add_argument("--true-location", type=_point, required=True)
     p.add_argument("--out", required=True, help="directory for updated exports")
 
-    p = sub.add_parser("detect", help="run the offline detectors over exports")
+    p = sub.add_parser("detect", help="run the offline detectors over exports, with the "
+                       "detection thresholds of the run.json beside them if there is one")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True, help="report CSV path")
 
-    p = sub.add_parser("verify-replay", help="recheck a log against the rules offline")
+    p = sub.add_parser("verify-replay", help="recheck a log against the rules offline, those "
+                       "of the run.json beside it if there is one")
     p.add_argument("--in", dest="in_dir", required=True)
 
     p = sub.add_parser("export", help="write public exports from a snapshot")
@@ -88,9 +91,11 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    world, _ = build_world(load_scenario(args.config), args.seed)
+    scenario = seeded(load_scenario(args.config), args.seed)
+    world, _ = build_world(scenario)
     out = Path(args.out)
     write_exports(world, out)
+    write_run_file(scenario, out)
     if args.snapshot:
         world.save_state(out / "world.snap")
     print(f"generated {len(world.users)} users, {len(world.venues)} venues, "
@@ -141,7 +146,7 @@ def _cmd_attack_plan(args) -> int:
 
 def _cmd_attack_exec(args) -> int:
     world = World.load_state(args.snapshot)
-    schedule = load_schedule(args.schedule)
+    schedule = load_schedule(args.schedule, range(1, len(world.venues) + 1), world.clock.now)
     attacker_id = world.register_user(args.true_location, is_cheater=True)
     records = execute(world, attacker_id, schedule, args.true_location)
     out = Path(args.out)
@@ -167,11 +172,13 @@ def _naming_event_lines(path: Path, events: list):
 
 
 def _cmd_detect(args) -> int:
+    scenario = load_run_file(args.in_dir)
+    thresholds = scenario.detection if scenario else analytics.DetectionThresholds()
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path) if events_path.is_file() else []
     with _naming_event_lines(events_path, events):
-        report = analytics.build_report(tables, events)
+        report = analytics.build_report(tables, events, thresholds)
     analytics.write_report_csv(report, args.out)
     flagged = sum(1 for r in report if r.suspicious)
     print(f"report for {len(report)} users, {flagged} flagged -> {args.out}")
@@ -184,10 +191,11 @@ def _rule_flags(event) -> set[str]:
 
 
 def _cmd_verify_replay(args) -> int:
+    scenario = load_run_file(args.in_dir)
+    config = scenario.rules if scenario else RuleConfig()
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path)
-    config = RuleConfig()
     points = tables.venue_points
     by_user: dict[int, list] = {}
     agree: dict[tuple, bool] = {}  # (logged flags, verdict flags) -> same rule flags

@@ -110,6 +110,33 @@ def distance_bounds_m(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
     return (_NAN, _NAN)
 
 
+def reach_deg(lat: float, radius_m: float) -> tuple[float, float, float]:
+    """``(lat_lo, lat_hi, lon_reach)``: a point within ``radius_m`` of one at
+    latitude ``lat`` lies in the band [lat_lo, lat_hi], and its longitude gap
+    to that one, wrapped to [0, 180], is at most ``lon_reach`` degrees.
+
+    Proof, with R, h and d as for ``distance_bounds_m``. The band holds every
+    point whose low bound there, slack and floor included, is <= radius_m.
+    With L the band's largest |latitude| and g the wrapped gap (sin^2(dlon/2)
+    has period 360 and is even), h >= cos^2 L sin^2(g/2). For radius_m <
+    pi R, d <= radius_m gives sqrt(h) <= sin(radius_m / 2R), so sin(g/2),
+    which increases in g, is at most sin(radius_m / 2R) / cos L; when that is
+    1 or more, or radius_m is within meters of pi R (where haversine_m rounds
+    most) and puts a pole in the band, any g can hold a hit. The reach gets a
+    relative slack of 1e-9 inside the asin, where its argument nears 1, and
+    a floor of 1e-9 degrees, far above the rounding of either side.
+    """
+    half = (radius_m + _BOUND_FLOOR_M) / _LOW_SCALE
+    lat_lo = lat - half
+    lat_hi = lat + half
+    far = max(-lat_lo, lat_hi)
+    s = math.sin(radius_m / (2.0 * EARTH_RADIUS_M)) * (1.0 + 1e-9)
+    if far < 90.0 and s < math.cos(math.radians(far)):
+        lon_reach = math.degrees(2.0 * math.asin(s / math.cos(math.radians(far))))
+        return (lat_lo, lat_hi, lon_reach + 1e-9)
+    return (lat_lo, lat_hi, 180.0)
+
+
 def project_local(origin: GeoPoint, p: GeoPoint) -> LocalOffset:
     """Equirectangular projection of ``p`` about ``origin``.
 

@@ -21,7 +21,7 @@ from . import analytics
 from .anticheat import RuleConfig
 from .attacker import (START_DELAY_S, TOUR_STEP_DEG, BBox, TargetCriteria, build_schedule, execute,
                        plan_mayor_denial, plan_tour, select_targets)
-from .config import InvalidConfig, Section, load, ranged
+from .config import InvalidConfig, Section, dump, load, ranged
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
 from .spatial import VenueGridIndex
@@ -31,6 +31,7 @@ from .verify import RouterRegistration
 from .world import World
 
 DEFAULT_REGION = BBox(32.0, -120.0, 45.0, -75.0)
+RUN_FILE = "run.json"  # the resolved scenario beside a run's exports
 
 _CHAINS = (
     "Starbucks", "Bean Scene", "Burger Barn", "Noodle House", "Corner Mart",
@@ -202,8 +203,8 @@ def _register_venues(world: World, config: PopulationConfig) -> None:
                              has_mayor_special=rng.random() < config.mayor_special_fraction)
 
 
-def venue_index(world: World, cell_size_deg: float = 0.02) -> VenueGridIndex:
-    return VenueGridIndex(((v.venue_id, v.location) for v in world.venues), cell_size_deg)
+def venue_index(world: World) -> VenueGridIndex:
+    return VenueGridIndex((v.venue_id, v.location) for v in world.venues)
 
 
 def _jitter(rng, p: GeoPoint, radius_m: float) -> GeoPoint:
@@ -271,16 +272,20 @@ def generate_population(config: PopulationConfig) -> World:
     return world
 
 
-def build_world(scenario: ScenarioConfig,
-                seed: Optional[int] = None) -> tuple[World, VenueGridIndex]:
+def seeded(scenario: ScenarioConfig, seed: Optional[int]) -> ScenarioConfig:
+    """The scenario with ``seed``, when given, as its population seed."""
+    if seed is None:
+        return scenario
+    return dataclasses.replace(scenario,
+                               population=dataclasses.replace(scenario.population, seed=seed))
+
+
+def build_world(scenario: ScenarioConfig) -> tuple[World, VenueGridIndex]:
     """Register venues, install routers, index venues and generate check-ins.
 
-    ``seed`` overrides the population seed. Returns the world and its venue
-    index, which attacks plan against.
+    Returns the world and its venue index, which attacks plan against.
     """
     population = scenario.population
-    if seed is not None:
-        population = dataclasses.replace(population, seed=seed)
     world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
                   seed=population.seed, strict_verify=scenario.routers.strict)
     _register_venues(world, population)
@@ -418,7 +423,8 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     cyclic garbage collector is paused for the whole run.
     """
     out = Path(out_dir)
-    world, index = build_world(scenario, seed)
+    scenario = seeded(scenario, seed)
+    world, index = build_world(scenario)
     attack_summaries = [_run_attack(world, attack, index) for attack in scenario.attacks]
     tables, paths = write_exports(world, out)
     log = world.events
@@ -436,6 +442,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     paths["metrics"] = out / "metrics.json"
     paths["metrics"].write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
                                 encoding="utf-8")
+    paths["run"] = write_run_file(scenario, out)
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
 
 
@@ -450,6 +457,30 @@ def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str
     paths = world.export_public_profiles(out, tables)
     paths["events"] = world.export_events(out / "events.jsonl")
     return tables, paths
+
+
+def write_run_file(scenario: ScenarioConfig, out: str | Path) -> Path:
+    """Write ``run.json``: the package version and the resolved scenario, the
+    seed used included. It holds no timing, so equal runs write equal bytes."""
+    from . import __version__  # set by the package after it imports this module
+    path = Path(out) / RUN_FILE
+    path.write_text(json.dumps({"version": __version__, "scenario": dump(scenario)},
+                               indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def load_run_file(directory: str | Path) -> Optional[ScenarioConfig]:
+    """The scenario recorded in ``directory``'s ``run.json``; None without one."""
+    path = Path(directory) / RUN_FILE
+    if not path.is_file():
+        return None
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"must be an object, got {data!r}")
+        return load(ScenarioConfig, data.get("scenario"), "scenario")
+    except (OSError, UnicodeDecodeError, ValueError) as exc:  # InvalidConfig is a ValueError
+        raise InvalidConfig(f"{path}: {exc}") from None
 
 
 def _install_routers(world: World, routers: Routers) -> None:

@@ -15,6 +15,7 @@ rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from array import array
@@ -40,6 +41,18 @@ PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
 _SNAPSHOT_VERSION = 5
+# Every global a saved world references; load_state refuses any other, so a
+# crafted payload cannot call into the rest of the interpreter.
+_SNAPSHOT_GLOBALS = frozenset(
+    [("checkinsim.world", name)
+     for name in ("World", "SimClock", "Venue", "UserProfile", "CheckInLog")]
+    + [("checkinsim.anticheat", name)
+       for name in ("RuleConfig", "RuleVerdict", "Flag", "UserRuleState")]
+    + [("checkinsim.rewards", name)
+       for name in ("RewardsEngine", "MayorState", "_BadgeProgress", "BadgeSpec", "BadgeKind")]
+    + [("checkinsim.geo", "GeoPoint"), ("checkinsim.verify", "RouterRegistration"),
+       ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
+       ("random", "Random")])
 _T_END = 1 << 63  # the log's t column is a signed 64-bit integer
 
 
@@ -323,7 +336,15 @@ class World:
                                   f"bytes, got {len(payload)}")
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
             raise CorruptSnapshot("snapshot checksum mismatch")
-        world = pickle.loads(payload)
+
+        class WorldUnpickler(pickle.Unpickler):
+            def find_class(self, module, name):
+                if (module, name) not in _SNAPSHOT_GLOBALS:
+                    raise CorruptSnapshot(f"snapshot payload references {module}.{name}, "
+                                          f"which no saved world holds")
+                return super().find_class(module, name)
+
+        world = WorldUnpickler(io.BytesIO(payload)).load()
         if not isinstance(world, World):
             raise CorruptSnapshot("snapshot payload is not a world")
         return world

@@ -105,7 +105,7 @@ def test_criterion_1_rule_fidelity():
 
 def tour_world_and_schedule(**world_kwargs):
     world = city_grid_world(**world_kwargs)
-    index = venue_index(world, cell_size_deg=0.005)
+    index = venue_index(world)
     tour = plan_tour(index, CITY, 25, step_deg=0.005)
     schedule = build_schedule([(vid, world.venue(vid).location) for vid in tour], 600)
     return world, tour, schedule

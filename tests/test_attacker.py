@@ -280,6 +280,6 @@ class TestGridIndex:
 
         world = generate_population(PopulationConfig(n_users=0, n_venues=200))
         entries = [(v.venue_id, v.location) for v in world.venues]
-        index = VenueGridIndex(entries, cell_size_deg=0.5)
+        index = VenueGridIndex(entries)
         for q in (GeoPoint(-40.0, 170.0), GeoPoint(-30.0, 150.0), GeoPoint(10.0, 120.0)):
             assert index.nearest(q) == nearest_linear(entries, q)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import checkinsim
 from checkinsim import cli
 from checkinsim.cli import main
+from checkinsim.harness import ScenarioConfig, load_scenario, seeded
+from checkinsim.world import World
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -208,6 +211,58 @@ class TestRunAndDetect:
                      "--out", str(tmp_path / "report2.csv")]) == 0
         produced = (tmp_path / "report2.csv").read_bytes()
         assert produced == (tmp_path / "out" / "report.csv").read_bytes()
+
+    def test_run_json_records_the_resolved_scenario(self, tmp_path, scenario_path):
+        for command, out in (("run", "a"), ("run", "b"), ("generate", "gen")):
+            assert main([command, "--config", str(scenario_path), "--seed", "77",
+                         "--out", str(tmp_path / out)]) == 0
+        data = (tmp_path / "a" / "run.json").read_bytes()
+        assert data == (tmp_path / "b" / "run.json").read_bytes()
+        assert data == (tmp_path / "gen" / "run.json").read_bytes()
+        run = json.loads(data)
+        assert run["version"] == checkinsim.__version__
+        assert run["scenario"]["population"]["seed"] == 77
+        assert ScenarioConfig.from_dict(run["scenario"]) == \
+            seeded(load_scenario(scenario_path), 77)
+
+    def test_replay_uses_the_runs_rules(self, tmp_path, capsys):
+        config = tmp_path / "rules.json"
+        config.write_text(json.dumps({
+            "population": {"n_users": 300, "n_venues": 60, "seed": 3},
+            "rules": {"frequent_window_s": 60, "gps_radius_m": 5}}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify-replay", "--in", str(tmp_path / "out")]) == 0
+        assert "3086 events, 0 mismatches" in capsys.readouterr().out
+
+    def test_detect_uses_the_runs_detection(self, tmp_path, capsys):
+        config = tmp_path / "detection.json"
+        config.write_text(json.dumps({
+            "population": {"n_users": 300, "n_venues": 60, "seed": 3, "cheater_fraction": 0.05},
+            "detection": {"cluster_radius_m": 1000, "dispersion_min_clusters": 3}}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "flagged 47" in capsys.readouterr().out
+        assert main(["detect", "--in", str(tmp_path / "out"),
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert "47 flagged" in capsys.readouterr().out
+        assert (tmp_path / "report.csv").read_bytes() == \
+            (tmp_path / "out" / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    @pytest.mark.parametrize("text, where", [
+        ('{"version": "0.1.0", "scenario": {"population": {"n_users": 5, "n_venues": 3}, '
+         '"detection": {"cluster_radius_m": -1}}}', "scenario.detection.cluster_radius_m"),
+        ('{"version": "0.1.0"}', "scenario"),
+        ("not json", "Expecting value"),
+    ])
+    def test_bad_run_json_exits_1(self, tmp_path, scenario_path, capsys, command, text, where):
+        out = tmp_path / "out"
+        main(["run", "--config", str(scenario_path), "--out", str(out)])
+        (out / "run.json").write_text(text)
+        argv = [command, "--in", str(out)] + (["--out", str(tmp_path / "r.csv")]
+                                              if command == "detect" else [])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"config error: {out / 'run.json'}: {where}" in capsys.readouterr().err
 
     def test_detect_matches_golden_report(self, tmp_path):
         # frozen exports from a verified run; detect must reproduce its report
@@ -448,6 +503,53 @@ class TestGenerateAndAttack:
         line = capsys.readouterr().out.splitlines()[0]
         venue_id, lat, lon, name = line.split("\t")
         assert int(venue_id) >= 1 and name
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """A generated world's snapshot (40 venues) and its clock."""
+    gen_dir = tmp_path_factory.mktemp("gen")
+    scenario = gen_dir / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    assert main(["generate", "--config", str(scenario), "--out", str(gen_dir), "--snapshot"]) == 0
+    return gen_dir / "world.snap", World.load_state(gen_dir / "world.snap").clock.now
+
+
+class TestScheduleRefusals:
+    # "@t" is a fire time after the snapshot's clock "@c"; a "line" ending in a
+    # newline is the schedule's first line, otherwise its second.
+    @pytest.mark.parametrize("line, message", [
+        ('{"venue_id": 2}', "sched.jsonl:2: missing key 'fire_time'"),
+        ("venue 2 at noon", "sched.jsonl:2: not JSON"),
+        ('{"venue_id": 1.7, "fire_time": @t}', "sched.jsonl:2: venue_id 1.7 is not an integer"),
+        ('{"venue_id": true, "fire_time": @t}', "sched.jsonl:2: venue_id True is not an integer"),
+        ('{"venue_id": 41, "fire_time": @t}', "sched.jsonl:2: venue_id 41 is not a venue"),
+        ('{"venue_id": 2, "fire_time": @t-1}',
+         "sched.jsonl:2: fire_time @t-1 is before the line above it (@t)"),
+        ('{"venue_id": 2, "fire_time": @c-1}\n',
+         "sched.jsonl:1: fire_time @c-1 is before the world's clock (@c)"),
+        ('{"venue_id": 2, "fire_time": 9223372036854775808}',
+         "sched.jsonl:2: fire_time 9223372036854775808 is not below 2**63"),
+    ])
+    def test_bad_schedule_exits_2_before_any_check_in(self, tmp_path, snapshot, capsys,
+                                                      line, message):
+        snap, clock = snapshot
+
+        def numbers(text):
+            for token, value in (("@t-1", clock + 599), ("@t", clock + 600),
+                                 ("@c-1", clock - 1), ("@c", clock)):
+                text = text.replace(token, str(value))
+            return text
+
+        first = numbers('{"venue_id": 1, "fire_time": @t}\n')
+        sched = tmp_path / "sched.jsonl"
+        sched.write_text(numbers(line) if line.endswith("\n") else first + numbers(line) + "\n")
+        before = snap.read_bytes()
+        capsys.readouterr()
+        assert main(["attack-exec", "--snapshot", str(snap), "--schedule", str(sched),
+                     "--true-location", "64.8,-147.7", "--out", str(tmp_path / "post")]) == 2
+        assert numbers(message) in capsys.readouterr().err
+        assert not (tmp_path / "post").exists() and snap.read_bytes() == before
 
 
 class TestCollectorPolicy:

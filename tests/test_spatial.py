@@ -1,11 +1,17 @@
-"""The venue grid index against a full ``haversine_m`` scan.
+"""The venue index against a full ``haversine_m`` scan.
 
-``VenueGridIndex.within_radius`` scans only the cell rows that the query's
-latitude band reaches and skips entries outside that band unmeasured. These
-worlds put entries on the band's edge and within 1e-9 of it, at high
-latitudes and around queries outside the venue region, and take some radii
-as the exact distance to an entry, so a band without its margin or a hit
-test that drops an entry at exactly the radius shows.
+``VenueGridIndex.within_radius`` bisects its latitude-sorted entries for the
+query's latitude band and measures only those whose wrapped longitude gap is
+within the reach of ``geo.reach_deg``; ``nearest`` walks outward in latitude
+and stops on ``distance_bounds_m``'s low bound. These worlds put entries on
+the band's edge and within 1e-9 of it, at the longitude reach and 1e-9
+either side of it, on both sides of the antimeridian, near the poles and
+near a query's antipode, where ``haversine_m`` rounds most and gives equal
+distances that only the id orders. They take radii down to 1 cm and the
+exact distance to an entry, pairs a millimeter apart across the
+antimeridian among them, so a bound without its slack or floor, a gap that
+is not wrapped, or a hit test that drops an entry at exactly the radius
+shows.
 """
 
 import math
@@ -13,7 +19,9 @@ import random
 
 import pytest
 
-from checkinsim.geo import GeoPoint, METERS_PER_DEG, haversine_m
+from checkinsim.attacker import BBox
+from checkinsim.geo import GeoPoint, METERS_PER_DEG, haversine_m, reach_deg
+from checkinsim.harness import PopulationConfig, generate_population
 from checkinsim.spatial import VenueGridIndex
 from oracles import scan_within_radius
 
@@ -82,16 +90,19 @@ def test_nearest_matches_a_full_scan(seed, region):
 def polar_world(seed, sign):
     """400 entries at 88.6-89.9 degrees (north for sign 1, south for -1) and
     queries there: random ones at radii of 5-50 km, the pole itself, and one
-    on the antimeridian whose hits lie on both sides of it."""
+    on the antimeridian whose hits lie on both sides of it or across the
+    pole."""
     rng = random.Random(seed)
     points = [GeoPoint(sign * rng.uniform(88.6, 89.9), rng.uniform(-180.0, 180.0))
               for _ in range(400)]
-    points += [GeoPoint(sign * 89.5, 179.9), GeoPoint(sign * 89.5, -179.9),
-               GeoPoint(sign * 90.0, 0.0)]
+    points += [GeoPoint(sign * 89.8, 0.0), GeoPoint(sign * 89.5, 179.9),
+               GeoPoint(sign * 89.5, -179.9), GeoPoint(sign * 90.0, 0.0)]
     queries = [(GeoPoint(sign * rng.uniform(88.6, 89.9), rng.uniform(-180.0, 180.0)),
                 rng.uniform(5_000.0, 50_000.0)) for _ in range(50)]
     queries += [(GeoPoint(sign * 90.0, lon), radius)
                 for lon in (0.0, 123.4) for radius in (5_000.0, 50_000.0)]
+    # across the pole to an entry at a longitude gap of exactly 180 degrees
+    queries.append((GeoPoint(sign * 89.5, 180.0), 100_000.0))
     queries.append((GeoPoint(sign * 89.5, 180.0), 2_000.0))
     return list(enumerate(points, 1)), queries
 
@@ -107,5 +118,117 @@ def test_near_pole_queries_match_a_full_scan(seed, sign):
         assert index.nearest(q) == scan_within_radius(entries, q, math.inf)[0]
     straddle = index.within_radius(*queries[-1])
     assert {entries[-3][0], entries[-2][0]} <= {venue_id for venue_id, _ in straddle}
-    pole = index.within_radius(*queries[-2])
+    assert entries[-4][0] in {venue_id for venue_id, _ in index.within_radius(*queries[-2])}
+    pole = index.within_radius(*queries[-3])
     assert len(pole) > 10 and len({round(entries[i - 1][1].lon) for i, _ in pole}) > 10
+
+
+def assert_matches_scan(entries, queries):
+    """within_radius, nearest and nearest past the three closest entries all
+    equal the full scan's answers."""
+    index = VenueGridIndex(entries)
+    hits = 0
+    for q, radius in queries:
+        got = index.within_radius(q, radius)
+        assert got == scan_within_radius(entries, q, radius), (q, radius)
+        hits += len(got)
+        ranked = scan_within_radius(entries, q, math.inf)
+        assert index.nearest(q) == ranked[0], q
+        assert index.nearest(q, exclude={venue_id for venue_id, _ in ranked[:3]}) == ranked[3], q
+    assert hits > len(queries)
+
+
+REACH_LATS = (0.0, 40.0, -34.0, 78.0, -84.0)
+
+
+def reach_world(seed, lat):
+    """Queries at ``lat`` with entries on their parallel at the longitude
+    reach of each radius and 1e-9 either side of it (relative), and entries
+    within a millimeter across the antimeridian, where the wrapped gap rounds
+    by more than the reach's relative slack; with the radii that reach each
+    of those entries exactly."""
+    rng = random.Random(seed)
+    points, queries = [], []
+    for radius in (0.01, 1.0, 100.0, 10_000.0):
+        reach = reach_deg(lat, radius)[2]
+        for _ in range(10):
+            q = GeoPoint(lat, rng.uniform(-179.0, 179.0))
+            edge = [GeoPoint(lat, q.lon + sign * reach * (1.0 + rel))
+                    for sign in (1, -1) for rel in (0.0, 1e-9, -1e-9)]
+            points += edge
+            queries.append((q, radius))
+            queries += [(q, haversine_m(q, e)) for e in edge]
+    for _ in range(20):
+        q = GeoPoint(lat, 180.0 - rng.uniform(0.0, 1e-8))
+        e = GeoPoint(lat, -180.0 + rng.uniform(0.0, 1e-8))
+        points.append(e)
+        queries.append((q, haversine_m(q, e)))
+    return list(enumerate(points, 1)), queries
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("lat", REACH_LATS)
+def test_entries_at_the_longitude_reach_match_a_full_scan(seed, lat):
+    entries, queries = reach_world(seed, lat)
+    assert_matches_scan(entries, queries)
+
+
+def antimeridian_world(seed):
+    """500 entries at |lon| 179-180 and 300 queries there, some on it."""
+    rng = random.Random(seed)
+
+    def near():
+        return GeoPoint(rng.uniform(10.0, 12.0), rng.choice((1, -1)) * rng.uniform(179.0, 180.0))
+
+    points = [near() for _ in range(500)]
+    queries = [(near(), rng.uniform(1_000.0, 100_000.0)) for _ in range(290)]
+    queries += [(GeoPoint(rng.uniform(10.0, 12.0), lon), radius)
+                for lon in (180.0, -180.0) for radius in (5_000.0, 20_000.0, 50_000.0, 100_000.0,
+                                                           200_000.0)]
+    return list(enumerate(points, 1)), queries
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_antimeridian_world_matches_a_full_scan(seed):
+    entries, queries = antimeridian_world(seed)
+    assert_matches_scan(entries, queries)
+    east_of_it = {venue_id for venue_id, loc in entries if loc.lon > 0}
+    across = [hit for q, radius in queries
+              for hit, _ in VenueGridIndex(entries).within_radius(q, radius)
+              if (hit in east_of_it) != (q.lon > 0)]
+    assert len(across) > 100
+
+
+def test_whole_world_region_matches_a_full_scan():
+    """A scenario's venues over region [-60, -180, 60, 180], queried at every
+    tenth venue and from both sides of the antimeridian near the venues by it."""
+    world = generate_population(PopulationConfig(n_users=0, n_venues=400, venues_per_city=4,
+                                                 seed=6, region=BBox(-60.0, -180.0, 60.0, 180.0)))
+    entries = [(v.venue_id, v.location) for v in world.venues]
+    queries = [(loc, radius) for _, loc in entries[::10]
+               for radius in (2_500.0, 50_000.0, 1_000_000.0)]
+    by_it = [loc for _, loc in entries if abs(loc.lon) > 179.0]
+    across = [(GeoPoint(loc.lat, lon), radius) for loc in by_it
+              for lon in (180.0, -180.0, math.copysign(179.9, -loc.lon))
+              for radius in (20_000.0, 200_000.0)]
+    assert_matches_scan(entries, queries + across)
+    index = VenueGridIndex(entries)
+    assert any((index.location_of(hit).lon > 0) != (q.lon > 0) for q, radius in across
+               if abs(q.lon) < 180.0 for hit, _ in index.within_radius(q, radius))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_queries_near_their_antipode_match_a_full_scan(seed):
+    """A query at or by the north pole and entries within 3e-6 degrees of
+    the south pole: haversine_m rounds their distances, up to a pole-to-pole
+    one, into ties that fall out of latitude order."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        lon = rng.uniform(-180.0, 180.0)
+        q = GeoPoint(90.0 - rng.choice((0.0, rng.uniform(0.0, 1e-6))), lon)
+        points = [GeoPoint(-90.0 + rng.uniform(0.0, 3e-6), rng.choice((lon, rng.uniform(-180.0, 180.0))))
+                  for _ in range(20)]
+        entries = list(enumerate(points, 1))
+        ranked = scan_within_radius(entries, q, math.inf)
+        assert len({d for _, d in ranked}) < len(ranked)
+        assert_matches_scan(entries, [(q, d) for _, d in ranked[::4]])

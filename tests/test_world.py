@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pickle
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from checkinsim.anticheat import Flag, RuleVerdict
+from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.tables import tables_from_world
 from checkinsim.world import (
@@ -255,6 +257,21 @@ class TestSnapshots:
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
             World.load_state(path)
+
+    def test_payload_calling_outside_the_world_never_runs(self, tmp_path, capsys):
+        # The header's checksum is whatever the writer put there, so a payload
+        # behind a valid header must not reach builtins.open.
+        target = tmp_path / "written-by-the-payload"
+        payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
+        header = {"format": "checkinsim-snapshot", "version": 5, "payload_bytes": len(payload),
+                  "sha256": hashlib.sha256(payload).hexdigest()}
+        path = tmp_path / "w.snap"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(CorruptSnapshot, match="references builtins.open"):
+            World.load_state(path)
+        assert main(["export", "--snapshot", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "references builtins.open" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_rejected_verdict_round_trip(self):
         verdict = RuleVerdict(False, (Flag.RAPID_FIRE,), {Flag.RAPID_FIRE: 4.0})
