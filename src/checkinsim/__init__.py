@@ -7,6 +7,8 @@ detection (analytics), venue-side presence verification (verify), and a
 population/scenario harness with a CLI (harness, cli).
 """
 
+__version__ = "0.1.0"  # set before the submodules import, so that harness can read it
+
 from .anticheat import Flag, RuleConfig, RuleVerdict, UserRuleState, offline_verdicts
 from .attacker import (AttackSchedule, BBox, NoVenuesAvailable, TargetCriteria, UnknownVictim,
                        build_schedule, execute, plan_mayor_denial, plan_step, plan_tour,
@@ -21,5 +23,3 @@ from .tables import MissingTables, PublicTables, load_events, load_tables, table
 from .verify import PresenceCheck, RouterRegistration, UnregisteredRouter, attest_checkin, verify_presence
 from .world import (CheckInLog, CheckInRecord, ClockRegression, CorruptSnapshot, SimClock,
                     UnknownUser, UnknownVenue, UserProfile, Venue, World)
-
-__version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from pathlib import Path
 
@@ -15,10 +16,10 @@ from . import analytics
 from .anticheat import RuleConfig, offline_verdicts
 from .attacker import (START_DELAY_S, build_schedule, execute, load_schedule, plan_step,
                        save_schedule)
-from .geo import GeoPoint, validate_point
+from .geo import GeoPoint, OutOfProjectionRange, validate_point
 from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
                       load_run_file, load_scenario, plan, run_scenario, seeded, venue_index,
-                      write_exports, write_run_file)
+                      write_exports)
 from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
 from .world import PRESENCE_UNVERIFIED, World
 
@@ -91,11 +92,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    scenario = seeded(load_scenario(args.config), args.seed)
-    world, _ = build_world(scenario)
+    world, _ = build_world(seeded(load_scenario(args.config), args.seed))
     out = Path(args.out)
     write_exports(world, out)
-    write_run_file(scenario, out)
     if args.snapshot:
         world.save_state(out / "world.snap")
     print(f"generated {len(world.users)} users, {len(world.venues)} venues, "
@@ -104,8 +103,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.config)
-    result = run_scenario(scenario, args.out, seed=args.seed)
+    result = run_scenario(load_scenario(args.config), args.out, seed=args.seed)
     detector = result.metrics["detector"]
     print(f"scenario complete: {result.metrics['valid_checkins']} valid / "
           f"{result.metrics['total_checkins']} check-ins, "
@@ -127,18 +125,25 @@ def _cmd_attack_plan(args) -> int:
     if args.mode == "tour":
         _at_most(args.steps, len(world.venues), "the snapshot's venues", "steps")
     if args.mode == "step":
-        venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
+        try:
+            venue_ids = [plan_step(args.at, args.bearing, args.distance_m, venue_index(world))]
+        except (ValueError, OutOfProjectionRange) as exc:  # offset_point refuses the flag
+            flag = "--distance-m" if math.isfinite(args.bearing) else "--bearing"
+            raise InvalidConfig(str(exc), flag) from None
     else:
         venue_ids = plan(attack, world, venue_index(world))
         if not venue_ids:
             print("no venues match the criteria", file=sys.stderr)
             return 2
-    if args.mode != "targets":
-        for vid in venue_ids:
-            venue = world.venue(vid)
-            print(f"{vid}\t{venue.location.lat}\t{venue.location.lon}\t{venue.name}")
+    venues = [world.venue(vid) for vid in venue_ids]
     start_time = args.start_time if args.start_time is not None else world.clock.now + START_DELAY_S
-    schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids], start_time)
+    schedule = build_schedule([(v.venue_id, v.location) for v in venues], start_time)
+    if start_time < world.clock.now or schedule.entries[-1].fire_time >= 1 << 63:
+        raise InvalidConfig(f"must be at least the snapshot's clock ({world.clock.now}) and put "
+                            f"every check-in below 2**63, got {start_time}", "--start-time")
+    if args.mode != "targets":
+        for v in venues:
+            print(f"{v.venue_id}\t{v.location.lat}\t{v.location.lon}\t{v.name}")
     save_schedule(schedule, args.out)
     print(f"schedule with {len(schedule.entries)} check-ins -> {args.out}")
     return 0
@@ -149,13 +154,11 @@ def _cmd_attack_exec(args) -> int:
     schedule = load_schedule(args.schedule, range(1, len(world.venues) + 1), world.clock.now)
     attacker_id = world.register_user(args.true_location, is_cheater=True)
     records = execute(world, attacker_id, schedule, args.true_location)
-    out = Path(args.out)
-    write_exports(world, out)
-    world.save_state(out / "world.snap")
-    valid = sum(1 for r in records if r.accepted)
-    print(f"attacker {attacker_id}: {valid}/{len(records)} check-ins valid, "
-          f"{world.user(attacker_id).points} points, "
-          f"{world.user(attacker_id).total_mayorships} mayorships")
+    write_exports(world, args.out)
+    world.save_state(Path(args.out) / "world.snap")
+    attacker = world.user(attacker_id)
+    print(f"attacker {attacker_id}: {sum(r.accepted for r in records)}/{len(records)} check-ins "
+          f"valid, {attacker.points} points, {attacker.total_mayorships} mayorships")
     return 0
 
 
@@ -232,10 +235,8 @@ def _cmd_verify_replay(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    world = World.load_state(args.snapshot)
-    out = Path(args.out)
-    write_exports(world, out)
-    print(f"exports written to {out}")
+    write_exports(World.load_state(args.snapshot), args.out)
+    print(f"exports written to {Path(args.out)}")
     return 0
 
 

@@ -192,6 +192,8 @@ def offset_point(origin: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoin
     Exact on the sphere, so a haversine back-check reproduces dist_m to well
     under the 0.1% contract.
     """
+    if not math.isfinite(bearing_deg):
+        raise ValueError(f"bearing must be finite, got {bearing_deg}")
     if not math.isfinite(dist_m) or dist_m < 0:
         raise ValueError(f"distance must be finite and non-negative, got {dist_m}")
     if dist_m > _MAX_OFFSET_M:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Optional, Sequence, Union
 
-from . import analytics
+from . import __version__, analytics
 from .anticheat import RuleConfig
 from .attacker import (START_DELAY_S, TOUR_STEP_DEG, BBox, TargetCriteria, build_schedule, execute,
                        plan_mayor_denial, plan_tour, select_targets)
@@ -268,8 +268,7 @@ def _evader_checkins(rng, user_id: int, home: GeoPoint, config: PopulationConfig
 
 def generate_population(config: PopulationConfig) -> World:
     """Build a seeded world: venues, users, and their full check-in history."""
-    world, _ = build_world(ScenarioConfig(population=config))
-    return world
+    return build_world(ScenarioConfig(population=config))[0]
 
 
 def seeded(scenario: ScenarioConfig, seed: Optional[int]) -> ScenarioConfig:
@@ -283,11 +282,13 @@ def seeded(scenario: ScenarioConfig, seed: Optional[int]) -> ScenarioConfig:
 def build_world(scenario: ScenarioConfig) -> tuple[World, VenueGridIndex]:
     """Register venues, install routers, index venues and generate check-ins.
 
-    Returns the world and its venue index, which attacks plan against.
+    Returns the world, carrying its ``run.json`` document, and its venue
+    index, which attacks plan against.
     """
     population = scenario.population
     world = World(rule_config=scenario.rules, badge_catalog=scenario.badges,
                   seed=population.seed, strict_verify=scenario.routers.strict)
+    world.run = {"version": __version__, "scenario": dump(scenario)}
     _register_venues(world, population)
     _install_routers(world, scenario.routers)
     index = venue_index(world)
@@ -442,12 +443,12 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     paths["metrics"] = out / "metrics.json"
     paths["metrics"].write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
                                 encoding="utf-8")
-    paths["run"] = write_run_file(scenario, out)
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
 
 
 def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str, Path]]:
-    """Write the public profiles and ``events.jsonl`` under ``out``.
+    """Write the public profiles, ``events.jsonl`` and, if the world carries
+    one, its run document as ``run.json`` under ``out``.
 
     Returns the world's ``tables_from_world`` projection, the one written,
     and the paths.
@@ -456,17 +457,11 @@ def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str
     tables = tables_from_world(world)
     paths = world.export_public_profiles(out, tables)
     paths["events"] = world.export_events(out / "events.jsonl")
+    if world.run is not None:
+        paths["run"] = out / RUN_FILE
+        paths["run"].write_text(json.dumps(world.run, indent=2, sort_keys=True) + "\n",
+                                encoding="utf-8")
     return tables, paths
-
-
-def write_run_file(scenario: ScenarioConfig, out: str | Path) -> Path:
-    """Write ``run.json``: the package version and the resolved scenario, the
-    seed used included. It holds no timing, so equal runs write equal bytes."""
-    from . import __version__  # set by the package after it imports this module
-    path = Path(out) / RUN_FILE
-    path.write_text(json.dumps({"version": __version__, "scenario": dump(scenario)},
-                               indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def load_run_file(directory: str | Path) -> Optional[ScenarioConfig]:

@@ -40,7 +40,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 5
+_SNAPSHOT_VERSION = 6
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
@@ -54,6 +54,7 @@ _SNAPSHOT_GLOBALS = frozenset(
        ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
        ("random", "Random")])
 _T_END = 1 << 63  # the log's t column is a signed 64-bit integer
+RECENT_LIST_LEN = 10  # a venue's public recent-visitor list, most recent first
 
 
 class UnknownUser(Exception):
@@ -183,11 +184,11 @@ class World:
 
     def __init__(self, rule_config: Optional[RuleConfig] = None,
                  badge_catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG,
-                 recent_list_len: int = 10, seed: int = 0, strict_verify: bool = False) -> None:
+                 seed: int = 0, strict_verify: bool = False) -> None:
         self.rule_config = rule_config or RuleConfig()
         self.rewards = RewardsEngine(badge_catalog)
-        self.recent_list_len = recent_list_len
         self.strict_verify = strict_verify
+        self.run: Optional[dict] = None  # run.json's document; harness.build_world sets it
         self.clock = SimClock()
         self.rng = random.Random(seed)
         self.venues: list[Venue] = []
@@ -266,7 +267,7 @@ class World:
             if user_id in recent:
                 recent.remove(user_id)
             recent.insert(0, user_id)
-            del recent[self.recent_list_len:]
+            del recent[RECENT_LIST_LEN:]
             _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t)
             self._apply_mayor(venue, mayor)
         return record
@@ -361,7 +362,7 @@ class World:
 
         feed(("clock", self.clock.now))
         feed(("rng", self.rng.getstate()))
-        feed(("config", dump(self.rule_config), self.recent_list_len, self.strict_verify))
+        feed(("config", dump(self.rule_config), self.strict_verify, self.run))
         for u in self.users:
             feed((u.user_id, u.home, u.total_checkins, u.points, sorted(u.badges),
                   u.total_mayorships, u.is_cheater_ground_truth))

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import checkinsim
-from checkinsim import cli
+from checkinsim import analytics, cli
 from checkinsim.cli import main
 from checkinsim.harness import ScenarioConfig, load_scenario, seeded
+from checkinsim.tables import load_events, load_tables
 from checkinsim.world import World
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -453,6 +454,17 @@ class TestGenerateAndAttack:
         (["--mode", "tour", "--start", "38.5,-98.0", "--steps", "0"], "steps"),
         (["--mode", "targets", "--limit", "-1"], "limit"),
         (["--mode", "step", "--at", "0,181"], "--at"),
+        (["--mode", "step", "--at", "38.5,-98.0", "--bearing", "nan"], "--bearing"),
+        (["--mode", "step", "--at", "38.5,-98.0", "--bearing", "inf"], "--bearing"),
+        (["--mode", "step", "--at", "38.5,-98.0", "--distance-m", "-5"], "--distance-m"),
+        (["--mode", "step", "--at", "38.5,-98.0", "--distance-m", "nan"], "--distance-m"),
+        (["--mode", "step", "--at", "38.5,-98.0", "--distance-m", "1e308"], "--distance-m"),
+        (["--mode", "tour", "--start", "38.5,-98.0", "--start-time", "5"], "--start-time"),
+        (["--mode", "tour", "--start", "38.5,-98.0", "--start-time", str(2**63)],
+         "--start-time"),
+        # a first fire time below 2**63 whose later check-ins reach it
+        (["--mode", "tour", "--start", "38.5,-98.0", "--start-time", str(2**63 - 1)],
+         "--start-time"),
     ])
     def test_bad_plan_flags_exit_1(self, tmp_path, scenario_path, capsys, flags, field):
         gen_dir = tmp_path / "gen"
@@ -503,6 +515,58 @@ class TestGenerateAndAttack:
         line = capsys.readouterr().out.splitlines()[0]
         venue_id, lat, lon, name = line.split("\t")
         assert int(venue_id) >= 1 and name
+
+
+# Rules and detection thresholds that differ from the defaults, so a re-reader
+# that falls back to the defaults disagrees with the run.
+NON_DEFAULT = {
+    "population": {"n_users": 300, "n_venues": 60, "seed": 3},
+    "rules": {"frequent_window_s": 60, "gps_radius_m": 5},
+    "detection": {"cluster_radius_m": 1000, "dispersion_min_clusters": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def attacked(tmp_path_factory):
+    """generate --snapshot, a 5-step tour and attack-exec ("post"), and an
+    export of the post-attack snapshot ("export"), under NON_DEFAULT."""
+    root = tmp_path_factory.mktemp("attacked")
+    config, sched = root / "config.json", root / "tour.jsonl"
+    config.write_text(json.dumps(NON_DEFAULT))
+    for argv in (
+            ["generate", "--config", str(config), "--out", str(root / "gen"), "--snapshot"],
+            ["attack-plan", "--snapshot", str(root / "gen" / "world.snap"), "--mode", "tour",
+             "--start", "38.5,-98.0", "--steps", "5", "--out", str(sched)],
+            ["attack-exec", "--snapshot", str(root / "gen" / "world.snap"), "--schedule",
+             str(sched), "--true-location", "64.8,-147.7", "--out", str(root / "post")],
+            ["export", "--snapshot", str(root / "post" / "world.snap"),
+             "--out", str(root / "export")]):
+        assert main(argv) == 0
+    return root
+
+
+@pytest.mark.parametrize("directory", ["post", "export"])
+class TestDirectoriesFromASnapshot:
+    """attack-exec and export write the run.json of the scenario that made the snapshot."""
+
+    def test_run_json_is_the_generate_directorys(self, attacked, directory):
+        assert (attacked / directory / "run.json").read_bytes() == \
+            (attacked / "gen" / "run.json").read_bytes()
+
+    def test_replay_uses_the_scenarios_rules(self, attacked, directory, capsys):
+        capsys.readouterr()
+        assert main(["verify-replay", "--in", str(attacked / directory)]) == 0
+        assert "verify-replay: 3091 events, 0 mismatches" in capsys.readouterr().out
+
+    def test_detect_uses_the_scenarios_thresholds(self, attacked, directory, tmp_path, capsys):
+        exports = attacked / directory
+        capsys.readouterr()
+        assert main(["detect", "--in", str(exports), "--out", str(tmp_path / "report.csv")]) == 0
+        assert "39 flagged" in capsys.readouterr().out
+        report = analytics.build_report(load_tables(exports), load_events(exports / "events.jsonl"),
+                                        ScenarioConfig.from_dict(NON_DEFAULT).detection)
+        analytics.write_report_csv(report, tmp_path / "expected.csv")
+        assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from checkinsim.harness import (
     load_scenario,
     run_scenario,
 )
+from checkinsim.world import World
 
 SMALL = dict(n_users=400, n_venues=120, seed=5, duration_days=60)
 
@@ -121,6 +122,15 @@ class TestRunScenario:
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert metrics["n_users"] == 400
         assert metrics["total_checkins"] == len(result.world.events)
+
+    def test_only_a_world_with_a_run_document_writes_run_json(self, tmp_path):
+        paths = harness.write_exports(World(), tmp_path / "bare")[1]
+        assert "run" not in paths and not (tmp_path / "bare" / "run.json").exists()
+        world, _ = harness.build_world(self._scenario())
+        loaded = World.load_state(world.save_state(tmp_path / "w.snap"))
+        assert loaded.run == world.run
+        harness.write_exports(loaded, tmp_path / "out")
+        assert harness.load_run_file(tmp_path / "out") == self._scenario()
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = self._scenario(population={"cheater_fraction": 0.05})

@@ -14,6 +14,7 @@ from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.tables import tables_from_world
 from checkinsim.world import (
+    RECENT_LIST_LEN,
     ClockRegression,
     CorruptSnapshot,
     UnknownUser,
@@ -86,17 +87,18 @@ class TestSubmitPipeline:
             world.submit_checkin(2, 1, world.venue(1).location, 999)
 
     def test_recent_visitors_bounded_dedup_front(self):
-        world = World(recent_list_len=3)
+        world = World()
         world.register_venue("V", CITY)
-        for i in range(5):
+        n = RECENT_LIST_LEN + 3
+        for _ in range(n):
             world.register_user(CITY)
         t = 100
-        for uid in (1, 2, 3, 4, 2):
+        for uid in (*range(1, n + 1), n - 1):  # a repeat visitor moves to the front
             world.submit_checkin(uid, 1, CITY, t)
             t += 4000
         recent = world.venue(1).recent_visitors
-        assert recent == [2, 4, 3]
-        assert len(recent) <= 3
+        assert recent == [n - 1, n, *range(n - 2, 3, -1)]
+        assert len(recent) == RECENT_LIST_LEN
 
     def test_total_checkins_is_valid_plus_invalid(self):
         world = small_world()
@@ -246,14 +248,14 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    def test_version_4_snapshot_refused(self, tmp_path):
-        # Format 4 held one record object per log row; its payload is intact
-        # here and must still be refused by its version.
+    def test_version_5_snapshot_refused(self, tmp_path):
+        # Format 5 held no run document; its payload is intact here and must
+        # still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 5
-        header["version"] = 4
+        assert header["version"] == 6
+        header["version"] = 5
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
             World.load_state(path)
@@ -263,7 +265,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 5, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 6, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
