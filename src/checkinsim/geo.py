@@ -32,15 +32,19 @@ class LocalOffset(NamedTuple):
 
 
 def validate_point(p: GeoPoint) -> GeoPoint:
-    """Check latitude/longitude ranges and finiteness, returning the point."""
+    """Check latitude/longitude ranges and finiteness (a bool is refused), returning
+    a ``GeoPoint`` of floats: ``p`` itself if it is one, so ``40`` and ``40.0`` give one point."""
     lat, lon = p
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        raise ValueError(f"coordinates must be finite, got ({lat}, {lon})")
+    if (p.__class__ is GeoPoint and lat.__class__ is float and lon.__class__ is float
+            and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails every comparison
+        return p
+    if bool in (lat.__class__, lon.__class__) or not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"coordinates must be finite numbers, got ({lat}, {lon})")
     if not -90.0 <= lat <= 90.0:
         raise ValueError(f"latitude {lat} outside [-90, 90]")
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude {lon} outside [-180, 180]")
-    return p
+    return GeoPoint(float(lat), float(lon))
 
 
 def _wrap_lon(lon: float) -> float:

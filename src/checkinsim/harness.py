@@ -85,13 +85,12 @@ class PopulationConfig(Section):
 class RouterEntry(Section):
     venue_id: int = ranged(ge=1)  # at most n_venues, which ScenarioConfig checks
     range_m: Optional[float] = ranged(None, gt=0)  # None: the routers' range_m
-    processing_delay_s: float = ranged(2e-6, ge=0)
 
 
 @dataclass(frozen=True)
 class Routers(Section):
     coverage: Literal["none", "full", "listed"] = "none"
-    entries: tuple[RouterEntry, ...] = ()  # installed under "listed" coverage
+    entries: tuple[RouterEntry, ...] = ()  # only under "listed" coverage
     range_m: float = ranged(100.0, gt=0)
     strict: bool = False
 
@@ -138,8 +137,16 @@ class ScenarioConfig(Section):
 
     def check(self) -> None:
         n_users, n_venues = self.population.n_users, self.population.n_venues
+        if self.routers.entries and self.routers.coverage != "listed":
+            raise InvalidConfig(f'must be empty unless coverage is "listed", got coverage '
+                                f'{self.routers.coverage!r}', "routers.entries")
+        listed: set[int] = set()
         for i, entry in enumerate(self.routers.entries):
-            _at_most(entry.venue_id, n_venues, "n_venues", f"routers.entries[{i}].venue_id")
+            path = f"routers.entries[{i}].venue_id"
+            _at_most(entry.venue_id, n_venues, "n_venues", path)
+            if entry.venue_id in listed:
+                raise InvalidConfig(f"venue {entry.venue_id} is listed twice", path)
+            listed.add(entry.venue_id)
         for i, attack in enumerate(self.attacks):
             if attack.true_location is None:
                 raise InvalidConfig("is required", f"attacks[{i}].true_location")
@@ -483,11 +490,10 @@ def _install_routers(world: World, routers: Routers) -> None:
         for venue in world.venues:
             world.register_router(RouterRegistration(venue.venue_id, venue.location,
                                                      range_m=float(routers.range_m)))
-    for entry in routers.entries if routers.coverage == "listed" else ():
+    for entry in routers.entries:
         venue = world.venue(entry.venue_id)
         range_m = routers.range_m if entry.range_m is None else entry.range_m
-        world.register_router(RouterRegistration(venue.venue_id, venue.location, float(range_m),
-                                                 float(entry.processing_delay_s)))
+        world.register_router(RouterRegistration(venue.venue_id, venue.location, float(range_m)))
 
 
 def _metrics(world: World, report, attack_summaries: list[dict]) -> dict:

@@ -245,25 +245,21 @@ def tables_from_world(world) -> PublicTables:
 
 
 # The start of an events.jsonl line as json.dumps(row._asdict(),
-# separators=(",", ":")) writes it. ``%r`` writes a float as json does
-# (float.__repr__), and ``%d`` an int, or a float holding one, as json writes the int.
-_EVENT_HEAD = '{"t":%d,"user_id":%d,"venue_id":%d,"reported_lat":'
+# separators=(",", ":")) writes it; ``%r`` writes a float as json does.
+_EVENT_HEAD = '{"t":%d,"user_id":%d,"venue_id":%d,"reported_lat":%r,"reported_lon":%r,"valid":'
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_events(log, path: str | Path) -> Path:
     """Write a world's check-in log (``world.CheckInLog``) as the events.jsonl
     that ``load_events`` reads: per row (t, user_id, venue_id, reported lat
-    and lon, ``accepted``, the log's ``export_flags``), byte-equal to the
-    compact JSON encoding of that row. The lines are formatted from the
-    columns, by one format per row kind and ``accepted``."""
-    formats = [[_EVENT_HEAD + ("%d" if lat_is_int else "%r") + ',"reported_lon":'
-                + ("%d" if lon_is_int else "%r") + ',"valid":'
-                + ("true" if accepted else "false") + ',"flags":'
-                + _encode_json(log.export_flags(k, accepted)).replace("%", "%%") + "}\n"
-                for k, (_, lat_is_int, lon_is_int) in enumerate(log.kinds)]
-               for accepted in (False, True)]
-    line_formats = map(list.__getitem__, map(formats.__getitem__, log.accepted), log.kind)
+    and lon, and its outcome's accepted and flags), byte-equal to the compact
+    JSON encoding of that row. The lines are formatted from the columns, by
+    one format per outcome."""
+    formats = [_EVENT_HEAD + _encode_json(accepted) + ',"flags":'
+               + _encode_json(flags).replace("%", "%%") + "}\n"
+               for _, accepted, flags in log.outcomes]
+    line_formats = map(formats.__getitem__, log.outcome)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

@@ -7,10 +7,10 @@ analytics read immutable projections.
 
 The log (``CheckInLog``, ``World.events``) keeps one value per row in each
 of its ``array`` columns and no object per row: ``t``, ``user_id``,
-``venue_id``, reported and true ``lat``/``lon``, ``kind`` (an index into a
-small table of flags and whether each reported coordinate is an int),
-``attested`` (-1 when no router was asked, else 0 or 1) and ``accepted``. A
-rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
+``venue_id``, reported and true ``lat``/``lon`` (floats, as ``validate_point``
+returns them), ``outcome`` (an index into a small table of verdict, accepted
+and events.jsonl flags) and ``attested`` (-1 when no router was asked, else 0
+or 1). A rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
-from operator import not_
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -40,7 +38,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 6
+_SNAPSHOT_VERSION = 7
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
@@ -124,28 +122,29 @@ _ATTESTED = (False, True, None)  # by the attested column's value: 0, 1 or -1
 
 
 class CheckInLog(Sequence):
-    """The check-in log's columns (see the module doc). ``kinds`` holds each
-    row kind, (verdict, reported lat is an int, reported lon is an int), in
-    order of first use. As a sequence the log is read-only: item ``i`` is
-    row ``i``'s ``CheckInRecord``, built when asked for."""
+    """The check-in log's columns (see the module doc). ``outcomes`` is the
+    outcome table, in order of first use; outcome 0 is an accepted valid row.
+    As a sequence the log is read-only: item ``i`` is row ``i``'s
+    ``CheckInRecord``, built when asked for."""
 
     def __init__(self) -> None:
-        self.columns = tuple(map(array, "qIIddddBbB"))
+        self.columns = tuple(map(array, "qIIddddBb"))
         (self.t, self.user_id, self.venue_id, self.reported_lat, self.reported_lon,
-         self.true_lat, self.true_lon, self.kind, self.attested, self.accepted) = self.columns
-        self.kinds: list[tuple[RuleVerdict, bool, bool]] = [(VALID_VERDICT, False, False)]
-        self._kind_of: dict[tuple, int] = {((), False, False): 0}
+         self.true_lat, self.true_lon, self.outcome, self.attested) = self.columns
+        self.outcomes: list[tuple[RuleVerdict, bool, tuple[str, ...]]] = [(VALID_VERDICT, True, ())]
+        self._outcome_of: dict[tuple, int] = {(True, (), True): 0}
 
     def append(self, record: CheckInRecord) -> None:
         """Add a record, one value per column; a value no column holds raises and adds nothing."""
         t, user_id, venue_id, (lat, lon), true_gps, verdict, attested, accepted = record
-        kind = 0  # a valid verdict and float coordinates, the common row
-        if verdict.flags or lat.__class__ is not float or lon.__class__ is not float:
-            key = (verdict.flags, lat.__class__ is int, lon.__class__ is int)
-            kind = self._kind_of.get(key)
-            if kind is None:
-                kind = self._kind_of[key] = len(self.kinds)
-                self.kinds.append((RuleVerdict(verdict.valid, verdict.flags), *key[1:]))
+        outcome = 0  # an accepted valid row, the common one
+        if verdict is not VALID_VERDICT or not accepted:
+            key = (verdict.valid, verdict.flags, accepted)
+            outcome = self._outcome_of.get(key)
+            if outcome is None:
+                outcome = self._outcome_of[key] = len(self.outcomes)
+                flags = verdict.flag_names() + [PRESENCE_UNVERIFIED] * (key[0] and not accepted)
+                self.outcomes.append((RuleVerdict(*key[:2]), accepted, tuple(flags)))
         try:
             self.t.append(t)
             self.user_id.append(user_id)
@@ -154,29 +153,22 @@ class CheckInLog(Sequence):
             self.reported_lon.append(lon)
             self.true_lat.append(true_gps[0])
             self.true_lon.append(true_gps[1])
-            self.kind.append(kind)
+            self.outcome.append(outcome)
             self.attested.append(-1 if attested is None else attested)
-            self.accepted.append(accepted)
         except (TypeError, OverflowError):
             for column in self.columns:  # the last column holds the rows before this one
-                del column[len(self.accepted):]
+                del column[len(self.attested):]
             raise
-
-    def export_flags(self, kind: int, accepted: bool) -> list[str]:
-        """The events.jsonl flags of a row of this kind."""
-        verdict = self.kinds[kind][0]
-        return verdict.flag_names() + [PRESENCE_UNVERIFIED] * (verdict.valid and not accepted)
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, i: int) -> CheckInRecord:
-        verdict, lat_is_int, lon_is_int = self.kinds[self.kind[i]]
-        lat, lon = self.reported_lat[i], self.reported_lon[i]
-        reported = GeoPoint(int(lat) if lat_is_int else lat, int(lon) if lon_is_int else lon)
-        return _new_record((self.t[i], self.user_id[i], self.venue_id[i], reported,
+        verdict, accepted, _ = self.outcomes[self.outcome[i]]
+        return _new_record((self.t[i], self.user_id[i], self.venue_id[i],
+                            GeoPoint(self.reported_lat[i], self.reported_lon[i]),
                             GeoPoint(self.true_lat[i], self.true_lon[i]), verdict,
-                            _ATTESTED[self.attested[i]], self.accepted[i] == 1))
+                            _ATTESTED[self.attested[i]], accepted))
 
 
 class World:
@@ -200,15 +192,14 @@ class World:
     # -- registration --------------------------------------------------------
 
     def register_venue(self, name: str, location: GeoPoint, has_mayor_special: bool = False) -> int:
-        validate_point(location)
         venue_id = len(self.venues) + 1
-        self.venues.append(Venue(venue_id, name, GeoPoint(*location), has_mayor_special))
+        self.venues.append(Venue(venue_id, name, validate_point(location), has_mayor_special))
         return venue_id
 
     def register_user(self, home: GeoPoint, is_cheater: bool = False) -> int:
-        validate_point(home)
         user_id = len(self.users) + 1
-        self.users.append(UserProfile(user_id, GeoPoint(*home), is_cheater_ground_truth=is_cheater))
+        self.users.append(UserProfile(user_id, validate_point(home),
+                                      is_cheater_ground_truth=is_cheater))
         return user_id
 
     def register_router(self, router: RouterRegistration) -> None:
@@ -237,11 +228,10 @@ class World:
         """
         user = self.user(user_id)
         venue = self.venue(venue_id)
-        validate_point(reported_gps)
-        if true_gps is None:
-            true_gps = reported_gps
-        elif true_gps is not reported_gps:
-            validate_point(true_gps)
+        if true_gps is None or true_gps is reported_gps:
+            true_gps = reported_gps = validate_point(reported_gps)
+        else:
+            reported_gps, true_gps = validate_point(reported_gps), validate_point(true_gps)
         self.clock.advance(t)
 
         state = self._rule_states.get(user_id)
@@ -369,7 +359,7 @@ class World:
         for v in self.venues:
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
                   len(v.visitor_ids), v.mayor_id, v.recent_visitors))
-        feed(("log", self.events.kinds))
+        feed(("log", self.events.outcomes))
         for column in self.events.columns:
             h.update(column)
         for uid in sorted(self._rule_states):
@@ -380,11 +370,14 @@ class World:
         return h.hexdigest()
 
     def valid_count(self) -> int:
-        return self.events.accepted.count(1)
+        outcomes = self.events.outcomes
+        return sum(n for i, n in Counter(self.events.outcome).items() if outcomes[i][1])
 
     def invalid_by_flag(self) -> dict[str, int]:
-        log = self.events
+        outcomes = self.events.outcomes
         counts: Counter[str] = Counter()
-        for kind, n in Counter(compress(log.kind, map(not_, log.accepted))).items():
-            counts.update(dict.fromkeys(log.export_flags(kind, False), n))
+        for i, n in Counter(self.events.outcome).items():  # outcomes in order of first use
+            _, accepted, flags = outcomes[i]
+            if not accepted:
+                counts.update(dict.fromkeys(flags, n))
         return dict(counts)

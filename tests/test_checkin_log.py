@@ -108,7 +108,7 @@ def test_a_value_no_column_holds_adds_no_row():
         assert {len(c) for c in log.columns} == {1}
     (row,) = log
     assert row == good._replace(verdict=RuleVerdict(False, (Flag.RAPID_FIRE,)))
-    assert type(row.reported_gps.lon) is int and type(row.reported_gps.lat) is float
+    assert type(row.reported_gps.lon) is float and type(row.reported_gps.lat) is float
 
 
 @pytest.mark.parametrize("t", [12.5, 2**63])

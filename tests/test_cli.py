@@ -47,6 +47,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("config, key", [
         ({"attacks": [{"kind": "tour", "step": 3, "true_location": [35.0, -90.0]}]}, "step"),
         ({"detection": {"v_travel": 1}}, "v_travel"),
+        ({"routers": {"coverage": "listed",
+                      "entries": [{"venue_id": 1, "processing_delay_s": 1e-6}]}},
+         "processing_delay_s"),
     ])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -64,8 +67,12 @@ class TestExitCodes:
         ('"routers": {"coverage": "full", "strict": true, "range_m": NaN}', "routers.range_m"),
         ('"routers": {"coverage": "full", "strict": true, "range_m": true}', "routers.range_m"),
         ('"routers": {"coverage": "full", "range_m": "x"}', "routers.range_m"),
-        ('"routers": {"coverage": "listed", "entries": [{"venue_id": 1, '
-         '"processing_delay_s": -Infinity}]}', "routers.entries[0].processing_delay_s"),
+        ('"routers": {"coverage": "full", "entries": [{"venue_id": 2, "range_m": 60}]}',
+         "routers.entries"),
+        ('"routers": {"coverage": "none", "entries": [{"venue_id": 2, "range_m": 60}]}',
+         "routers.entries"),
+        ('"routers": {"coverage": "listed", "entries": [{"venue_id": 2, "range_m": 60}, '
+         '{"venue_id": 2, "range_m": 500}]}', "routers.entries[1].venue_id"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, field):
         # a str is a config's JSON text as written, NaN and Infinity included
@@ -146,7 +153,7 @@ class TestExitCodes:
                        {"badge_id": "month", "kind": "checkins_in_window", "threshold": 5,
                         "window_days": 30}],
             "routers": {"coverage": "listed", "range_m": 100.0, "strict": True,
-                        "entries": [{"venue_id": 2, "range_m": 60.0, "processing_delay_s": 1e-6}]},
+                        "entries": [{"venue_id": 2, "range_m": 60.0}]},
             "attacks": [
                 {"kind": "tour", "steps": 5, "step_deg": 0.01, "start": [40.2, -79.8],
                  "true_location": [35.0, -90.0], "start_delay_s": 60},
@@ -434,6 +441,20 @@ class TestGenerateAndAttack:
                      "--true-location", "64.8,-147.7", "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "5/5 check-ins valid" in out
+
+    def test_int_and_float_region_generate_the_same_exports(self, tmp_path):
+        # venues clamped to the region's edge hold its coordinates as given
+        files = ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv", "events.jsonl")
+        exports = []
+        for region in ([30, -100, 30.05, -99], [30.0, -100.0, 30.05, -99.0]):
+            config = tmp_path / "scenario.json"
+            config.write_text(json.dumps({"population": {
+                "n_users": 300, "n_venues": 60, "seed": 3, "gps_noise_m": 0, "region": region}}))
+            out = tmp_path / type(region[0]).__name__
+            assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+            exports.append(read_all(out, files))
+        assert exports[0] == exports[1]
+        assert b",30.0," in exports[0]["VenueInfo.csv"]
 
     def test_generate_matches_run_under_strict_routers(self, tmp_path):
         config = tmp_path / "strict.json"

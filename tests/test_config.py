@@ -105,7 +105,8 @@ def test_sections_built_in_code_are_checked_and_converted():
     (lambda: ScenarioConfig(PopulationConfig(n_users=1, n_venues=1),
                             attacks=[{"kind": "tour", "steps": 1}]), "attacks[0].true_location"),
     (lambda: ScenarioConfig(PopulationConfig(n_users=1, n_venues=1),
-                            routers={"entries": [{"venue_id": 2}]}), "routers.entries[0].venue_id"),
+                            routers={"coverage": "listed", "entries": [{"venue_id": 2}]}),
+     "routers.entries[0].venue_id"),
 ])
 def test_refusals_name_the_path(build, path):
     with pytest.raises(InvalidConfig) as err:

@@ -141,6 +141,19 @@ class TestValidatePoint:
         validate_point(GeoPoint(90, 180))
         validate_point(GeoPoint(-90, -180))
 
+    def test_returns_a_point_of_floats(self):
+        p = GeoPoint(40.5, -100.0)
+        assert validate_point(p) is p
+        for given in (GeoPoint(40, -100), (40.0, -100.0), [40, -100.0]):
+            point = validate_point(given)
+            assert type(point) is GeoPoint and point == (40.0, -100.0)
+            assert type(point.lat) is float and type(point.lon) is float
+
+    @pytest.mark.parametrize("lat,lon", [(True, 0.5), (0.5, False), (False, True)])
+    def test_rejects_bools(self, lat, lon):
+        with pytest.raises(ValueError, match="finite numbers"):
+            validate_point(GeoPoint(lat, lon))
+
     @pytest.mark.parametrize("lat,lon", [(91, 0), (-91, 0), (0, 181), (0, -181),
                                          (float("nan"), 0), (0, float("inf"))])
     def test_rejects_out_of_range(self, lat, lon):

@@ -226,7 +226,7 @@ class TestScenarioLoading:
             "population": {"n_users": 10, "n_venues": 6, "seed": 1},
             "routers": {"coverage": "listed", "strict": True,
                         "entries": [{"venue_id": 1, "range_m": 60},
-                                    {"venue_id": 2, "processing_delay_s": 1e-6}]},
+                                    {"venue_id": 2}]},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
@@ -235,7 +235,7 @@ class TestScenarioLoading:
         routers = result.world.routers
         assert set(routers) == {1, 2}
         assert routers[1].range_m == 60
-        assert routers[2].processing_delay_s == 1e-6
+        assert routers[2].range_m == 100.0
 
     @pytest.mark.parametrize("config, key", [
         ({"export_snapshot": True}, "export_snapshot"),
@@ -285,11 +285,15 @@ class TestScenarioLoading:
         ({"routers": {"coverage": "listed", "entries": [{"venue_id": 1, "range_m": False}]}},
          "routers.entries[0].range_m"),
         ({"routers": {"coverage": "listed",
-                      "entries": [{"venue_id": 1, "processing_delay_s": -1e-6}]}},
-         "routers.entries[0].processing_delay_s"),
-        ({"routers": {"coverage": "listed",
-                      "entries": [{"venue_id": 1, "processing_delay_s": float("nan")}]}},
-         "routers.entries[0].processing_delay_s"),
+                      "entries": [{"venue_id": 1, "processing_delay_s": 1e-6}]}},
+         "routers.entries[0]: unknown keys ['processing_delay_s']"),
+        ({"routers": {"coverage": "full", "entries": [{"venue_id": 2, "range_m": 60}]}},
+         "routers.entries: must be empty"),
+        ({"routers": {"coverage": "none", "entries": [{"venue_id": 2, "range_m": 60}]}},
+         "routers.entries: must be empty"),
+        ({"routers": {"coverage": "listed", "entries": [{"venue_id": 2, "range_m": 60},
+                                                        {"venue_id": 2, "range_m": 500}]}},
+         "routers.entries[1].venue_id: venue 2 is listed twice"),
         ({"routers": {"coverage": "listed", "entries": [{"range_m": 60}]}},
          "routers.entries[0].venue_id"),
         ({"routers": {"coverage": "listed", "entries": [{"venue_id": 1}, {"venue_id": 7}]}},

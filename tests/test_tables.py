@@ -75,9 +75,13 @@ class TestWriteEvents:
     def test_lines_match_json_encoder(self, tmp_path):
         records = records_under_test()
         path = write_events(log_of(records), tmp_path / "events.jsonl")
-        expected = "".join(encode_event_line(r) for r in records)
+        # the log holds float coordinates, so an int 40 is written as 40.0
+        expected = "".join(encode_event_line(r._replace(reported_gps=GeoPoint(*map(
+            float, r.reported_gps)))) for r in records)
         assert path.read_text(encoding="utf-8") == expected
-        assert "-0.0," in expected and "1e-05," in expected and '"reported_lat":40,' in expected
+        assert "-0.0," in expected and "1e-05," in expected
+        assert '"reported_lat":40.0,"reported_lon":-100.0,' in expected
+        assert '"reported_lat":-90.0,"reported_lon":180.0,' in expected
         assert '"t":9223372036854775807,' in expected and '"t":-9223372036854775808,' in expected
         assert '"PresenceUnverified"' in expected
 

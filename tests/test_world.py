@@ -53,6 +53,19 @@ class TestRegistration:
         with pytest.raises(UnknownUser):
             world.submit_checkin(99, 1, CITY, 10)
 
+    @pytest.mark.parametrize("call", [
+        lambda w: w.register_venue("A", GeoPoint(True, 0.5)),
+        lambda w: w.register_user(GeoPoint(False, -100.0)),
+        lambda w: w.submit_checkin(1, 1, GeoPoint(True, -100.0), 10),
+        lambda w: w.submit_checkin(1, 1, CITY, 10, true_gps=GeoPoint(False, -100.0)),
+    ])
+    def test_bool_coordinates_refused(self, call):
+        world = small_world()
+        before = world.fingerprint()
+        with pytest.raises(ValueError, match="finite numbers"):
+            call(world)
+        assert world.fingerprint() == before
+
     def test_invalid_coordinates_rejected(self):
         world = World()
         with pytest.raises(ValueError):
@@ -185,6 +198,22 @@ class TestExports:
         assert rows[0]["valid"] is True and rows[0]["flags"] == []
         assert rows[1]["valid"] is False and rows[1]["flags"] == ["FrequentCheckin"]
 
+    def test_int_and_float_coordinates_export_the_same_bytes(self, tmp_path):
+        exports = []
+        for lat, lon in ((40, -100), (40.0, -100.0)):
+            world = World()
+            world.register_venue("A", GeoPoint(lat, lon))
+            world.register_user(GeoPoint(lat, lon))
+            world.submit_checkin(1, 1, GeoPoint(lat, lon), 10, true_gps=GeoPoint(lat, lon))
+            world.submit_checkin(1, 1, GeoPoint(lat + 1, lon), 100_000)  # GpsMismatch
+            out = tmp_path / type(lat).__name__
+            world.export_public_profiles(out, tables_from_world(world))
+            world.export_events(out / "events.jsonl")
+            exports.append([(out / name).read_bytes() for name in ("events.jsonl", "VenueInfo.csv")])
+        assert exports[0] == exports[1]
+        assert b'"reported_lat":41.0,"reported_lon":-100.0,' in exports[0][0]
+        assert b",40.0,-100.0," in exports[0][1]
+
     def test_ground_truth_never_exported(self, tmp_path):
         world = small_world()
         world.users[0].is_cheater_ground_truth = True
@@ -248,14 +277,14 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    def test_version_5_snapshot_refused(self, tmp_path):
-        # Format 5 held no run document; its payload is intact here and must
-        # still be refused by its version.
+    def test_version_6_snapshot_refused(self, tmp_path):
+        # Format 6 logged int bits and an accepted column; its payload is
+        # intact here and must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 6
-        header["version"] = 5
+        assert header["version"] == 7
+        header["version"] = 6
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
             World.load_state(path)
@@ -265,7 +294,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 6, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 7, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
