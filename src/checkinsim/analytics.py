@@ -9,7 +9,7 @@ export files alone; ground truth never feeds a detector.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -230,22 +230,30 @@ def _list_leader(cells: dict[int, list[GeoPoint]], leader: GeoPoint, corner: int
         cells.setdefault(corner + offset, []).append(leader)
 
 
+_BY_TIME = itemgetter(0)  # traces sort by t alone, so same-t rows keep their order
+
+
 def user_traces(tables: PublicTables,
-                events: Iterable[Sequence]) -> dict[int, list[tuple[int, GeoPoint]]]:
-    """Per-user, time-ordered (t, venue location) traces from the rows of
-    ``build_report``; a row whose venue VenueInfo.csv lacks raises
-    ``UnknownVenue`` carrying it."""
+                events: Iterable[Sequence]) -> dict[int, tuple[array, list[GeoPoint]]]:
+    """Per user, the ``t`` and venue location of each of their rows of
+    ``build_report``, in row order: an int64 ``array`` (a list once a ``t``
+    it cannot hold comes) and a list of the shared ``venue_points``. A row
+    whose venue VenueInfo.csv lacks raises ``UnknownVenue`` carrying it."""
     points = tables.venue_points
-    traces: dict[int, list[tuple[int, GeoPoint]]] = defaultdict(list)
+    traces: dict[int, tuple] = {}
     for row in events:
         point = points.get(row[2])
         if point is None:
             raise UnknownVenue(row)
-        traces[row[1]].append((row[0], point))
-    by_time = itemgetter(0)
-    for trace in traces.values():
-        trace.sort(key=by_time)
-    return dict(traces)
+        trace = traces.get(row[1])
+        if trace is None:
+            trace = traces[row[1]] = (array("q"), [])
+        try:
+            trace[0].append(row[0])
+        except (TypeError, OverflowError):
+            trace = traces[row[1]] = ([*trace[0], row[0]], trace[1])
+        trace[1].append(point)
+    return traces
 
 
 def build_report(tables: PublicTables, events: Iterable[Sequence],
@@ -253,7 +261,9 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
     """Run every detector for every user; rank by reason count, then id.
 
     ``events`` are rows that start with ``t``, ``user_id`` and ``venue_id``,
-    read once: ``EventRow``s, ``CheckInRecord``s, or a log's three columns zipped.
+    read once: ``EventRow``s, ``CheckInRecord``s, or a log's three columns
+    zipped. A user's time-ordered (t, venue location) trace is built only
+    while that user is scored.
     """
     traces = user_traces(tables, events)
     n_users = max(tables.users) if tables.users else 0
@@ -274,7 +284,7 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
         if flag_daily_rate(u.total_checkins, age, thresholds):
             reasons.append("daily_rate")
 
-        trace = traces.get(user_id, [])
+        trace = sorted(zip(*traces.get(user_id, ((), ()))), key=_BY_TIME)
         infeasible = speed_feasibility(trace, thresholds.v_travel_m_per_s)
         clusters = dispersion(trace, thresholds.cluster_radius_m) if trace else 0
         if infeasible > 0:

@@ -4,6 +4,14 @@ Generates seeded synthetic worlds (clustered venues, home-anchored honest
 users, cheater overlays), runs scripted attacks, exports every public
 artifact, and feeds the exports back through the offline detectors. A
 (config, seed) pair fully determines every output byte.
+
+Planning draws every random number and keeps no object per check-in: each
+planned row is one value in each of the ``array`` columns ``t``, ``user_id``,
+``venue_id`` and reported ``lat``/``lon``, where NaN marks a row that
+reports its venue's own point and is submitted with the venue's
+``location`` object itself. No true point is planned: it is the home for a
+cheater and the reported point for anyone else. Rows are submitted in one
+sort by (t, user_id) that keeps planning order among ties.
 """
 
 from __future__ import annotations
@@ -13,9 +21,12 @@ import dataclasses
 import gc
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, NamedTuple, Optional, Sequence, Union
 
 from . import __version__, analytics
 from .anticheat import RuleConfig
@@ -39,6 +50,10 @@ _CHAINS = (
 )
 
 _TIER_ZERO, _TIER_LOW, _TIER_MID, _TIER_HEAVY = range(4)
+_POOL_SIZE = 12  # an honest user's venue pool: the venues nearest home, within its radius
+_VENUE_POINT = math.nan  # a planned row's lat/lon when it reports its venue's own point
+_ROW_MASK = (1 << 32) - 1  # a submission-order key's row-index bits
+_new_point = partial(tuple.__new__, GeoPoint)  # skips the Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,27 @@ def _sample_mid(rng, config: PopulationConfig) -> int:
     return min(hi, max(lo, int(x)))
 
 
+class _Plan(NamedTuple):
+    """Planned check-ins, one value per row in each column (see the module doc)."""
+    t: array
+    user_id: array
+    venue_id: array
+    lat: array
+    lon: array
+
+
+def _plan_rows(plan: _Plan, user_id: int, times: list, venue_ids: list,
+               lats: Sequence[float] = (), lons: Sequence[float] = ()) -> None:
+    """Add one user's rows; without ``lats``/``lons`` each reports its venue's point."""
+    plan.t.extend(times)
+    plan.user_id.extend(repeat(user_id, len(times)))
+    plan.venue_id.extend(venue_ids)
+    plan.lat.extend(lats or repeat(_VENUE_POINT, len(times)))
+    plan.lon.extend(lons or repeat(_VENUE_POINT, len(times)))
+
+
 def _honest_checkins(rng, user_id: int, count: int, pool, duration_s: float,
-                     noise_m: float, cos_lat: float, out: list) -> None:
+                     noise_m: float, cos_lat: float, plan: _Plan) -> None:
     if count == 0 or not pool:
         return
     t = rng.uniform(0.0, DAY_S)
@@ -240,37 +274,66 @@ def _honest_checkins(rng, user_id: int, count: int, pool, duration_s: float,
     n_pool = len(pool)
     lat_noise = noise_m / METERS_PER_DEG
     lon_noise = noise_m / (METERS_PER_DEG * cos_lat)
+    times: list[int] = []
+    venue_ids: list[int] = []
+    lats: list[float] = []
+    lons: list[float] = []
     for _ in range(count):
         venue_id, vloc = pool[rng.randrange(n_pool)]
         if noise_m > 0.0:
             # clamped, for venues at a pole or the antimeridian
-            reported = GeoPoint(min(90.0, max(-90.0, vloc.lat + rng.gauss(0.0, lat_noise))),
-                                min(180.0, max(-180.0, vloc.lon + rng.gauss(0.0, lon_noise))))
-        else:
-            reported = vloc
-        out.append((int(t), user_id, venue_id, reported, reported))
+            lats.append(min(90.0, max(-90.0, vloc.lat + rng.gauss(0.0, lat_noise))))
+            lons.append(min(180.0, max(-180.0, vloc.lon + rng.gauss(0.0, lon_noise))))
+        times.append(int(t))
+        venue_ids.append(venue_id)
         t += 3600.0 + rng.expovariate(1.0 / gap_mean)
+    _plan_rows(plan, user_id, times, venue_ids, lats, lons)
 
 
-def _teleport_checkins(rng, user_id: int, home: GeoPoint, config: PopulationConfig,
-                       venues, out: list) -> None:
+def _teleport_checkins(rng, user_id: int, config: PopulationConfig, venues,
+                       plan: _Plan) -> None:
     count = rng.randint(*config.cheater_checkins)
     t = rng.uniform(0.0, DAY_S)
     n_venues = len(venues)
+    times: list[int] = []
+    venue_ids: list[int] = []
     for _ in range(count):
-        venue = venues[rng.randrange(n_venues)]
-        out.append((int(t), user_id, venue.venue_id, venue.location, home))
+        venue_ids.append(venues[rng.randrange(n_venues)].venue_id)
+        times.append(int(t))
         t += rng.uniform(60.0, 900.0)
+    _plan_rows(plan, user_id, times, venue_ids)
 
 
-def _evader_checkins(rng, user_id: int, home: GeoPoint, config: PopulationConfig,
-                     venues, out: list) -> None:
+def _evader_checkins(rng, user_id: int, config: PopulationConfig, venues,
+                     plan: _Plan) -> None:
     m = min(rng.randint(*config.evader_venues), len(venues))
     chosen = rng.sample(range(len(venues)), m)
     seq = [(venues[i].venue_id, venues[i].location) for i in chosen]
     schedule = build_schedule(seq, start_time=int(rng.uniform(0.0, DAY_S)))
-    for venue_id, fire_time in schedule.entries:
-        out.append((fire_time, user_id, venue_id, venues[venue_id - 1].location, home))
+    _plan_rows(plan, user_id, [e.fire_time for e in schedule.entries],
+               [e.venue_id for e in schedule.entries])
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Run the block with the cyclic garbage collector off, then restore the
+    caller's setting, also when the block raises.
+
+    The submit loop grows the world's per-user and per-venue state (rule
+    windows, badge and mayorship records, recent-visitor lists) to millions
+    of containers at the acceptance size, and the collector re-scans them
+    again and again while they grow. ``build_world`` (and so
+    ``generate_population``), ``run_scenario`` and every CLI command run
+    under it. Those phases make no reference cycle per row, so reference
+    counting frees what they drop.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def generate_population(config: PopulationConfig) -> World:
@@ -286,6 +349,7 @@ def seeded(scenario: ScenarioConfig, seed: Optional[int]) -> ScenarioConfig:
                                population=dataclasses.replace(scenario.population, seed=seed))
 
 
+@gc_paused()
 def build_world(scenario: ScenarioConfig) -> tuple[World, VenueGridIndex]:
     """Register venues, install routers, index venues and generate check-ins.
 
@@ -299,11 +363,12 @@ def build_world(scenario: ScenarioConfig) -> tuple[World, VenueGridIndex]:
     _register_venues(world, population)
     _install_routers(world, scenario.routers)
     index = venue_index(world)
-    _generate_checkins(world, population, index)
+    _submit_planned(world, _plan_checkins(world, population, index))
     return world, index
 
 
-def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridIndex) -> None:
+def _plan_checkins(world: World, config: PopulationConfig, index: VenueGridIndex) -> _Plan:
+    """Register the users and plan their check-ins, drawing every random number."""
     rng = world.rng
     venues = world.venues
     duration_s = float(config.duration_days * DAY_S)
@@ -319,7 +384,7 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
     n_cheaters = round(config.cheater_fraction * config.n_users)
     cheaters = set(rng.sample(range(1, config.n_users + 1), n_cheaters)) if n_cheaters else set()
 
-    events: list[tuple] = []
+    plan = _Plan(array("q"), array("I"), array("I"), array("d"), array("d"))
     for i in range(config.n_users):
         anchor = venues[rng.randrange(len(venues))].location
         home = _jitter(rng, anchor, config.home_radius_m)
@@ -327,9 +392,9 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
 
         if user_id in cheaters:
             if config.cheater_strategy == "naive_teleport":
-                _teleport_checkins(rng, user_id, home, config, venues, events)
+                _teleport_checkins(rng, user_id, config, venues, plan)
             else:
-                _evader_checkins(rng, user_id, home, config, venues, events)
+                _evader_checkins(rng, user_id, config, venues, plan)
             continue
 
         tier = tiers[i]
@@ -342,17 +407,43 @@ def _generate_checkins(world: World, config: PopulationConfig, index: VenueGridI
         else:
             count = rng.randint(*config.heavy_range)
         pool = [(vid, venues[vid - 1].location)
-                for vid, _ in index.within_radius(home, config.venue_pool_radius_m)[:12]]
+                for vid, _ in index.within_radius(home, config.venue_pool_radius_m, _POOL_SIZE)]
         if not pool:
             nearest = index.nearest(home)
             pool = [(nearest[0], venues[nearest[0] - 1].location)]
         cos_lat = max(0.2, math.cos(math.radians(home.lat)))
-        _honest_checkins(rng, user_id, count, pool, duration_s, config.gps_noise_m, cos_lat, events)
+        _honest_checkins(rng, user_id, count, pool, duration_s, config.gps_noise_m, cos_lat, plan)
+    return plan
 
-    events.sort(key=lambda e: (e[0], e[1]))
+
+def _submission_order(plan: _Plan) -> array:
+    """Row indexes sorted by (t, user_id), ties in planning order.
+
+    Planning adds each user's rows after those of every lower id, so the row
+    index orders (user_id, planning order) and one sort of integer keys that
+    pack t and the row index does it.
+    """
+    keys = [(t << 32) | i for i, t in enumerate(plan.t)]
+    keys.sort()
+    return array("I", map(_ROW_MASK.__and__, keys))
+
+
+def _submit_planned(world: World, plan: _Plan) -> None:
+    """Submit the planned check-ins in ``_submission_order``. A marked row
+    reports its venue's own ``location`` object; a cheater's true point is
+    the home, anyone else's the reported point. Ids are passed as the
+    world's own int objects, as the state they key then shares them."""
     submit = world.submit_checkin
-    for t, user_id, venue_id, reported, true in events:
-        submit(user_id, venue_id, reported, t, true)
+    people = [None] + [(u.user_id, u.home if u.is_cheater_ground_truth else None)
+                       for u in world.users]
+    places = [None] + [(v.venue_id, v.location) for v in world.venues]
+    ts, user_ids, venue_ids, lats, lons = plan
+    for i in _submission_order(plan):
+        user_id, true = people[user_ids[i]]
+        venue_id, location = places[venue_ids[i]]
+        lat = lats[i]
+        submit(user_id, venue_id, location if lat != lat else _new_point((lat, lons[i])), ts[i],
+               true)
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +482,6 @@ def _run_attack(world: World, attack: _Attack, index: VenueGridIndex) -> dict:
 # ---------------------------------------------------------------------------
 # scenario runner
 # ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def gc_paused():
-    """Run the block with the cyclic garbage collector off, then restore the
-    caller's setting, also when the block raises.
-
-    The bulk phases keep about a million long-lived tuples (planned
-    check-ins, detector traces) at the acceptance size, and the collector
-    re-scans them again and again while they are built: on a 2-vCPU host a
-    100k-user run took 101 s with it on and 59 s with it off. Those phases
-    make no reference cycle per row, so reference counting frees what they drop.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
 
 @dataclass
 class ScenarioResult:

@@ -138,13 +138,14 @@ class CheckInLog(Sequence):
         """Add a record, one value per column; a value no column holds raises and adds nothing."""
         t, user_id, venue_id, (lat, lon), true_gps, verdict, attested, accepted = record
         outcome = 0  # an accepted valid row, the common one
+        entry = None  # a new outcome, registered once the row is in
         if verdict is not VALID_VERDICT or not accepted:
             key = (verdict.valid, verdict.flags, accepted)
             outcome = self._outcome_of.get(key)
             if outcome is None:
-                outcome = self._outcome_of[key] = len(self.outcomes)
+                outcome = len(self.outcomes)
                 flags = verdict.flag_names() + [PRESENCE_UNVERIFIED] * (key[0] and not accepted)
-                self.outcomes.append((RuleVerdict(*key[:2]), accepted, tuple(flags)))
+                entry = (RuleVerdict(*key[:2]), accepted, tuple(flags))
         try:
             self.t.append(t)
             self.user_id.append(user_id)
@@ -159,6 +160,9 @@ class CheckInLog(Sequence):
             for column in self.columns:  # the last column holds the rows before this one
                 del column[len(self.attested):]
             raise
+        if entry is not None:
+            self._outcome_of[key] = outcome
+            self.outcomes.append(entry)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -10,8 +10,10 @@ paths' exactly, as do ``measured_rules``, ``measured_infeasible`` and
 (the references for the decisions that ``distance_bounds_m`` settles),
 ``encode_event_line``, which is the JSON encoder events.jsonl must stay
 byte-equal to, ``json_load_events``, the one-``json.loads``-per-line
-reader whose rows and messages the block reader keeps, and ``kept_records``,
-the log of record objects that the world's columnar log replaced.
+reader whose rows and messages the block reader keeps, ``kept_records``,
+the log of record objects that the world's columnar log replaced, and
+``tuple_submissions`` and ``tuple_build_report``, the planned-check-in tuples
+and per-user trace tuples that columns replaced.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from collections import deque
+from collections import defaultdict, deque
 from pathlib import Path
 from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind
-from checkinsim.tables import EventRow, MissingTables
+from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
+                                  flag_badge_anomaly, flag_daily_rate, speed_feasibility)
+from checkinsim.tables import EventRow, MissingTables, UnknownVenue
 from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
@@ -349,3 +353,53 @@ def kept_records():
         yield kept
     finally:
         World.submit_checkin = submit
+
+
+def tuple_submissions(world: World, plan) -> list[tuple]:
+    """The (user_id, venue_id, reported, t, true) arguments ``submit_checkin``
+    gets for a planned world, as the tuple planner made them: one tuple per
+    planned row, sorted by (t, user_id) with Python's stable sort.
+
+    A row whose planned lat is NaN reports its venue's own ``location``; a
+    cheater's true point is the home, anyone else's is None (the reported one).
+    """
+    rows = []
+    for t, user_id, venue_id, lat, lon in zip(*plan):
+        user = world.users[user_id - 1]
+        reported = world.venues[venue_id - 1].location if math.isnan(lat) else GeoPoint(lat, lon)
+        rows.append((t, user_id, venue_id, reported,
+                     user.home if user.is_cheater_ground_truth else None))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return [(user_id, venue_id, reported, t, true) for t, user_id, venue_id, reported, true in rows]
+
+
+def tuple_build_report(tables, events, thresholds) -> list[SuspicionRecord]:
+    """``analytics.build_report`` with a (t, venue location) tuple per row in
+    each user's trace, kept for the whole report and sorted by t."""
+    points = tables.venue_points
+    traces = defaultdict(list)
+    for row in events:
+        if row[2] not in points:
+            raise UnknownVenue(row)
+        traces[row[1]].append((row[0], points[row[2]]))
+    for trace in traces.values():
+        trace.sort(key=lambda pair: pair[0])
+    n_users = max(tables.users) if tables.users else 0
+    report = []
+    for user_id in sorted(tables.users):
+        u = tables.users[user_id]
+        age = account_age_days(user_id, n_users, thresholds)
+        trace = traces.get(user_id, [])
+        badge_flag = flag_badge_anomaly(u.total_checkins, u.total_badges, thresholds)
+        infeasible = speed_feasibility(trace, thresholds.v_travel_m_per_s)
+        clusters = dispersion(trace, thresholds.cluster_radius_m) if trace else 0
+        reasons = tuple(name for name, fired in (
+            ("badge_rate", badge_flag),
+            ("daily_rate", flag_daily_rate(u.total_checkins, age, thresholds)),
+            ("speed", infeasible > 0),
+            ("dispersion", clusters >= thresholds.dispersion_min_clusters)) if fired)
+        report.append(SuspicionRecord(
+            user_id, u.recent_checkins / u.total_checkins if u.total_checkins else 0.0,
+            badge_flag, u.total_checkins / age, infeasible, clusters, bool(reasons), reasons))
+    report.sort(key=lambda r: (-len(r.reasons), r.user_id))
+    return report

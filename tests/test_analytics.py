@@ -19,6 +19,7 @@ from checkinsim.tables import (
     EventRow,
     MissingTables,
     PublicTables,
+    UnknownVenue,
     UserRow,
     VenueRow,
     load_events,
@@ -28,7 +29,7 @@ from checkinsim.tables import (
 )
 from checkinsim.harness import ScenarioConfig, build_world, write_exports
 from checkinsim.world import PRESENCE_UNVERIFIED, World
-from oracles import event_row, scan_dispersion
+from oracles import event_row, scan_dispersion, tuple_build_report
 
 NYC = GeoPoint(40.7128, -74.0060)
 LA = GeoPoint(34.0522, -118.2437)
@@ -292,6 +293,51 @@ class TestBuildReport:
         tables = PublicTables({1: user_row(1, 0, recent=5)}, {}, [])
         with pytest.raises(ValueError, match="user 1: recent_checkins 5 exceeds total_checkins 0"):
             build_report(tables, [])
+
+
+class TestTraceColumns:
+    """``build_report`` keeps each user's times and venue points as columns
+    and sorts a user's (t, point) trace only while scoring that user;
+    ``oracles.tuple_build_report`` keeps a tuple per row for the whole report."""
+
+    CITIES = (NYC, LA, GeoPoint(41.88, -87.63), GeoPoint(29.76, -95.37))
+
+    def tables(self, n_users):
+        venues = {i + 1: venue_row(i + 1, loc) for i, loc in enumerate(self.CITIES)}
+        users = {u: user_row(u, 1500 if u % 7 == 0 else 20, recent=3)
+                 for u in range(1, n_users + 1)}
+        return PublicTables(users, venues, [])
+
+    def test_same_time_rows_out_of_order_match_the_tuple_reference(self):
+        rng = random.Random(12)
+        tables = self.tables(30)
+        events = [EventRow(rng.choice((0, 50, 100, 100, 5000, 10**7)), rng.randint(1, 30),
+                           rng.randint(1, 4), 0.0, 0.0, True, ()) for _ in range(600)]
+        # user 31 has no UserInfo row; user 1's equal-time rows only flag in this order
+        events += [EventRow(100, 1, 1, 0.0, 0.0, True, ()), EventRow(100, 31, 2, 0.0, 0.0, True, ())]
+        expected = tuple_build_report(tables, events, THRESH)
+        assert build_report(tables, events) == expected
+        assert build_report(tables, [tuple(row[:3]) for row in events]) == expected
+        assert any(r.infeasible_pairs for r in expected) and any(r.clusters > 1 for r in expected)
+        swapped = sorted(events, key=lambda row: -row.venue_id)  # same-t rows in another order
+        assert build_report(tables, swapped) == tuple_build_report(tables, swapped, THRESH)
+        assert build_report(tables, swapped) != expected
+
+    def test_times_no_int64_holds_match_the_tuple_reference(self):
+        tables = self.tables(3)
+        events = [EventRow(t, user_id, venue_id, 0.0, 0.0, True, ()) for t, user_id, venue_id in
+                  ((5, 1, 1), (2**70, 1, 2), (7, 1, 3), (2**63, 2, 1), (-2**64, 2, 4),
+                   (1.5, 3, 1), (0, 3, 2), (True, 3, 4))]
+        assert build_report(tables, events) == tuple_build_report(tables, events, THRESH)
+
+    def test_unknown_venue_raises_carrying_its_row(self):
+        tables = self.tables(3)
+        events = [EventRow(10, 1, 1, 0.0, 0.0, True, ()), EventRow(20, 2, 9, 0.0, 0.0, True, ()),
+                  EventRow(30, 3, 2, 0.0, 0.0, True, ())]
+        for report in (build_report, lambda t, e: tuple_build_report(t, e, THRESH)):
+            with pytest.raises(UnknownVenue) as caught:
+                report(tables, iter(events))
+            assert caught.value.event is events[1]
 
 
 class TestCurveSeparatesPlantedCheaters:

@@ -121,3 +121,20 @@ def test_submit_refuses_a_time_the_log_cannot_hold(t):
         world.submit_checkin(1, 1, GeoPoint(40.0, -100.0), t)
     assert world.fingerprint() == before
     assert world.user(1).total_checkins == 0
+
+
+def test_a_refused_row_registers_no_outcome():
+    """A row the columns refuse leaves the outcome table as it was, so the
+    fingerprint cannot see an outcome that no row has."""
+    world = World()
+    before = world.fingerprint()
+    log = world.events
+    rapid = CheckInRecord(2**63, 1, 1, GeoPoint(1.0, 2.0), GeoPoint(1.0, 2.0),
+                          RuleVerdict(False, (Flag.RAPID_FIRE,)), None, False)
+    with pytest.raises(OverflowError):
+        log.append(rapid)
+    assert len(log) == 0 and len(log.outcomes) == 1
+    assert world.fingerprint() == before
+    log.append(rapid._replace(t=5))
+    assert len(log) == 1 and len(log.outcomes) == 2 and log.outcome[0] == 1
+    assert log[0] == rapid._replace(t=5)

@@ -366,6 +366,32 @@ class TestCollectorPolicy:
             run_scenario(scenario, tmp_path)
         assert gc.isenabled() is enabled
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_world_submits_with_the_collector_off(self, monkeypatch, collector_state,
+                                                        enabled):
+        seen = []
+        submit = World.submit_checkin
+        monkeypatch.setattr(World, "submit_checkin",
+                            lambda *args: seen.append(gc.isenabled()) or submit(*args))
+        gc.enable() if enabled else gc.disable()
+        world = generate_population(PopulationConfig(n_users=30, n_venues=20, seed=1,
+                                                     duration_days=10))
+        assert len(seen) == len(world.events) > 0 and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_build_world_restores_collector_state(self, monkeypatch, collector_state,
+                                                         enabled):
+        def fail(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("submit failed")
+
+        monkeypatch.setattr(World, "submit_checkin", fail)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="submit failed"):
+            harness.build_world(ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1)))
+        assert gc.isenabled() is enabled
+
     def test_cyclic_garbage_does_not_grow_with_run_size(self, tmp_path, collector_state):
         found, checkins = [], []
         for n_users in (30, 600):

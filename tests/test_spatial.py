@@ -1,9 +1,11 @@
 """The venue index against a full ``haversine_m`` scan.
 
-``VenueGridIndex.within_radius`` bisects its latitude-sorted entries for the
-query's latitude band and measures only those whose wrapped longitude gap is
-within the reach of ``geo.reach_deg``; ``nearest`` walks outward in latitude
-and stops on ``distance_bounds_m``'s low bound. These worlds put entries on
+``VenueGridIndex.within_radius`` walks its latitude-sorted entries outward
+from the query within the latitude band and measures only those whose
+wrapped longitude gap is within the reach of ``geo.reach_deg``; with a hit
+limit k it narrows both to the k-th distance and must return the scan's
+first k hits (``KS``). ``nearest`` walks outward in latitude and stops on
+``distance_bounds_m``'s low bound. These worlds put entries on
 the band's edge and within 1e-9 of it, at the longitude reach and 1e-9
 either side of it, on both sides of the antimeridian, near the poles and
 near a query's antipode, where ``haversine_m`` rounds most and gives equal
@@ -22,6 +24,7 @@ import pytest
 from checkinsim.attacker import BBox
 from checkinsim.geo import GeoPoint, METERS_PER_DEG, haversine_m, reach_deg
 from checkinsim.harness import PopulationConfig, generate_population
+from checkinsim import spatial
 from checkinsim.spatial import VenueGridIndex
 from oracles import scan_within_radius
 
@@ -29,6 +32,16 @@ RADII_M = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 50_000.0)
 REGIONS = {"mid": (40.0, -100.0), "south": (-33.9, 151.2), "arctic": (78.0, 15.0),
            "antarctic": (-84.0, 40.0)}
 EDGE_OFFSETS = (0.0, 1e-9, -1e-9, 1e-12, -1e-12)  # relative to the band's half-width
+KS = (None, 1, 2, 3, 12)  # hit limits: None for every hit
+
+
+def within_radius_matches_scan(index, entries, q, radius):
+    """``within_radius`` with each limit of ``KS`` against the scan's first
+    k hits; returns the unlimited query's hits."""
+    expected = scan_within_radius(entries, q, radius)
+    for k in KS:
+        assert index.within_radius(q, radius, k) == expected[:k], (q, radius, k)
+    return expected
 
 
 def seeded_world(seed, center):
@@ -69,9 +82,7 @@ def test_within_radius_matches_a_full_scan(seed, region):
     index = VenueGridIndex(entries)
     hits = 0
     for q, radius in queries:
-        got = index.within_radius(q, radius)
-        assert got == scan_within_radius(entries, q, radius), (q, radius)
-        hits += len(got)
+        hits += len(within_radius_matches_scan(index, entries, q, radius))
     assert hits > len(queries)
 
 
@@ -113,8 +124,7 @@ def test_near_pole_queries_match_a_full_scan(seed, sign):
     entries, queries = polar_world(seed, sign)
     index = VenueGridIndex(entries)
     for q, radius in queries:
-        got = index.within_radius(q, radius)
-        assert got == scan_within_radius(entries, q, radius), (q, radius)
+        within_radius_matches_scan(index, entries, q, radius)
         assert index.nearest(q) == scan_within_radius(entries, q, math.inf)[0]
     straddle = index.within_radius(*queries[-1])
     assert {entries[-3][0], entries[-2][0]} <= {venue_id for venue_id, _ in straddle}
@@ -124,14 +134,12 @@ def test_near_pole_queries_match_a_full_scan(seed, sign):
 
 
 def assert_matches_scan(entries, queries):
-    """within_radius, nearest and nearest past the three closest entries all
-    equal the full scan's answers."""
+    """within_radius with each hit limit, nearest and nearest past the three
+    closest entries all equal the full scan's answers."""
     index = VenueGridIndex(entries)
     hits = 0
     for q, radius in queries:
-        got = index.within_radius(q, radius)
-        assert got == scan_within_radius(entries, q, radius), (q, radius)
-        hits += len(got)
+        hits += len(within_radius_matches_scan(index, entries, q, radius))
         ranked = scan_within_radius(entries, q, math.inf)
         assert index.nearest(q) == ranked[0], q
         assert index.nearest(q, exclude={venue_id for venue_id, _ in ranked[:3]}) == ranked[3], q
@@ -232,3 +240,50 @@ def test_queries_near_their_antipode_match_a_full_scan(seed):
         ranked = scan_within_radius(entries, q, math.inf)
         assert len({d for _, d in ranked}) < len(ranked)
         assert_matches_scan(entries, [(q, d) for _, d in ranked[::4]])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hit_limit_cuts_equal_distances_by_id(seed):
+    """Repeated points, and mirror pairs about the prime meridian, lie at
+    equal distances from the query; a limit that falls inside such a tie
+    keeps the lowest ids, as the scan's (distance, id) order does. Queries
+    sit on the equator, at mid latitude, by both poles and on the
+    antimeridian."""
+    rng = random.Random(seed)
+    for lat in (0.0, 45.0, -89.99, 89.99):
+        for lon in (0.0, 180.0, -179.9995):
+            q = GeoPoint(lat, lon)
+            points = []
+            for _ in range(12):
+                dlat, dlon = rng.uniform(-0.002, 0.002), rng.uniform(0.0, 0.002)
+                east = q.lon + dlon
+                p = GeoPoint(q.lat + dlat, east - 360.0 * (east > 180.0))
+                points += [p] * rng.randint(1, 3)
+                if lon == 0.0:
+                    points.append(GeoPoint(p.lat, -p.lon))
+            entries = list(enumerate(rng.sample(points, len(points)), 1))
+            ranked = scan_within_radius(entries, q, math.inf)
+            assert len({d for _, d in ranked}) < len(ranked) - 8
+            index = VenueGridIndex(entries)
+            for radius in (50.0, 150.0, 400.0, 2.1e7):
+                expected = within_radius_matches_scan(index, entries, q, radius)
+                for k in range(1, len(entries) + 2):
+                    assert index.within_radius(q, radius, k) == expected[:k], (q, radius, k)
+
+
+def test_hit_limit_measures_fewer_entries(monkeypatch):
+    """A home-pool query (12 hits within 2.5 km) over a scenario's venues
+    measures fewer entries than the unlimited query it cuts."""
+    world = generate_population(PopulationConfig(n_users=0, n_venues=2000, seed=3))
+    entries = [(v.venue_id, v.location) for v in world.venues]
+    index = VenueGridIndex(entries)
+    measured = []
+    monkeypatch.setattr(spatial, "haversine_m",
+                        lambda a, b: measured.append(1) or haversine_m(a, b))
+    counts = {}
+    for k in (None, 12):
+        measured.clear()
+        for _, loc in entries[::20]:
+            index.within_radius(loc, 2_500.0, k)
+        counts[k] = len(measured)
+    assert counts[12] < 0.8 * counts[None], counts
