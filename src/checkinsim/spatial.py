@@ -1,21 +1,22 @@
 """Venue index for nearest-venue and radius queries.
 
-Entries are kept in one list sorted by (latitude, id). Both queries walk
-outward from the query's latitude. A radius query measures only the entries
-of its latitude band whose longitude gap, wrapped across the antimeridian,
-is within the reach that ``geo.reach_deg`` proves, and with a hit limit k it
-narrows both to the k-th distance once k hits are found. A nearest query
-stops once the latitude low bound of ``geo.distance_bounds_m`` exceeds the
-best distance found. Both are exact at the poles and across the
+Entries are kept in one list sorted by (latitude, id). A radius query
+walks north, then south, from the query's latitude and measures only the
+entries of its latitude band whose longitude gap, wrapped across the
+antimeridian, is within the reach that ``geo.reach_deg`` proves; with a hit
+limit k it narrows the band to the k-th distance once k hits are found. A
+nearest query walks outward from the query's latitude and stops once the
+latitude low bound of ``geo.distance_bounds_m`` exceeds the best distance
+found. Both are exact at the poles and across the
 antimeridian, for coordinates within [-90, 90] and [-180, 180].
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Optional
 
-from .geo import GeoPoint, distance_bounds_m, haversine_m, reach_deg
+from .geo import GeoPoint, distance_bounds_m, haversine_m, lat_band_deg, reach_deg
 
 
 class VenueGridIndex:
@@ -65,36 +66,29 @@ class VenueGridIndex:
         """Entries within radius_m of p, sorted by (distance, id); with ``k``,
         only the first k of them.
 
-        The walk goes outward in latitude from p, as ``nearest``'s does.
-        Entries outside the latitude band or longitude reach of ``reach_deg``
-        are skipped unmeasured; once k hits are found, band and reach shrink
-        to the k-th distance, since no entry beyond it can displace a hit.
+        Two walks go out from p's latitude, north then south, and measure
+        only entries inside the latitude band and longitude reach of
+        ``reach_deg``. Once k hits are found, the band shrinks to the k-th
+        distance's ``lat_band_deg``, since no entry beyond it can displace a hit.
         """
         lats, entries = self._lats, self._entries
         lat, lon = p[0], p[1]
         lat_lo, lat_hi, reach = reach_deg(lat, radius_m)
-        above = bisect_left(lats, lat)
-        below = above - 1
-        n = len(lats)
+        mid = bisect_left(lats, lat)
         hits: list[tuple[float, int]] = []
-        while True:
-            up = above < n and lats[above] <= lat_hi
-            if up and (below < 0 or lats[below] < lat_lo or lats[above] - lat <= lat - lats[below]):
-                venue_id, loc = entries[above]
-                above += 1
-            elif below >= 0 and lats[below] >= lat_lo:
-                venue_id, loc = entries[below]
-                below -= 1
-            else:
-                break
-            gap = abs(loc[1] - lon)
-            if gap > 180.0:
-                gap = 360.0 - gap
-            if gap <= reach:
-                hit = (haversine_m(p, loc), venue_id)
-                if hit[0] <= radius_m and (k is None or len(hits) < k or hits and hit < hits[-1]):
-                    insort(hits, hit)
-                    if k is not None and len(hits) >= k:
-                        del hits[k:]
-                        lat_lo, lat_hi, reach = reach_deg(lat, hits[-1][0])
+        for walk in (entries[mid:bisect_right(lats, lat_hi)],
+                     entries[bisect_left(lats, lat_lo):mid][::-1]):
+            for venue_id, loc in walk:
+                if not lat_lo <= loc[0] <= lat_hi:
+                    break
+                gap = abs(loc[1] - lon)
+                if gap > 180.0:
+                    gap = 360.0 - gap
+                if gap <= reach:
+                    hit = (haversine_m(p, loc), venue_id)
+                    if hit[0] <= radius_m and (k is None or len(hits) < k or hits and hit < hits[-1]):
+                        insort(hits, hit)
+                        if k is not None and len(hits) >= k:
+                            del hits[k:]
+                            lat_lo, lat_hi = lat_band_deg(lat, hits[-1][0])
         return [(venue_id, d) for d, venue_id in hits]
