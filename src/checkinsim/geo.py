@@ -114,14 +114,6 @@ def distance_bounds_m(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
     return (_NAN, _NAN)
 
 
-def lat_band_deg(lat: float, radius_m: float) -> tuple[float, float]:
-    """``(lat_lo, lat_hi)``: the latitudes where a point's ``distance_bounds_m``
-    low bound to one at latitude ``lat``, slack and floor included, is at
-    most ``radius_m``; every point within ``radius_m`` of it lies there."""
-    half = (radius_m + _BOUND_FLOOR_M) / _LOW_SCALE
-    return lat - half, lat + half
-
-
 def reach_deg(lat: float, radius_m: float) -> tuple[float, float, float]:
     """``(lat_lo, lat_hi, lon_reach)``: a point within ``radius_m`` of one at
     latitude ``lat`` lies in the band [lat_lo, lat_hi], and its longitude gap
@@ -138,7 +130,9 @@ def reach_deg(lat: float, radius_m: float) -> tuple[float, float, float]:
     relative slack of 1e-9 inside the asin, where its argument nears 1, and
     a floor of 1e-9 degrees, far above the rounding of either side.
     """
-    lat_lo, lat_hi = lat_band_deg(lat, radius_m)
+    half = (radius_m + _BOUND_FLOOR_M) / _LOW_SCALE
+    lat_lo = lat - half
+    lat_hi = lat + half
     far = max(-lat_lo, lat_hi)
     s = math.sin(radius_m / (2.0 * EARTH_RADIUS_M)) * (1.0 + 1e-9)
     if far < 90.0 and s < math.cos(math.radians(far)):

@@ -1,10 +1,9 @@
 """Venue index for nearest-venue and radius queries.
 
 Entries are kept in one list sorted by (latitude, id). A radius query
-walks north, then south, from the query's latitude and measures only the
-entries of its latitude band whose longitude gap, wrapped across the
-antimeridian, is within the reach that ``geo.reach_deg`` proves; with a hit
-limit k it narrows the band to the k-th distance once k hits are found. A
+bisects for its latitude band and measures only entries whose longitude
+gap, wrapped across the antimeridian, is within the reach that
+``geo.reach_deg`` proves; it sorts the hits and keeps the first k. A
 nearest query walks outward from the query's latitude and stops once the
 latitude low bound of ``geo.distance_bounds_m`` exceeds the best distance
 found. Both are exact at the poles and across the
@@ -13,10 +12,10 @@ antimeridian, for coordinates within [-90, 90] and [-180, 180].
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional
 
-from .geo import GeoPoint, distance_bounds_m, haversine_m, lat_band_deg, reach_deg
+from .geo import GeoPoint, distance_bounds_m, haversine_m, reach_deg
 
 
 class VenueGridIndex:
@@ -61,34 +60,21 @@ class VenueGridIndex:
                     best = found
         return None if best is None else (best[1], best[0])
 
-    def within_radius(self, p: GeoPoint, radius_m: float,
-                      k: Optional[int] = None) -> list[tuple[int, float]]:
-        """Entries within radius_m of p, sorted by (distance, id); with ``k``,
-        only the first k of them.
-
-        Two walks go out from p's latitude, north then south, and measure
-        only entries inside the latitude band and longitude reach of
-        ``reach_deg``. Once k hits are found, the band shrinks to the k-th
-        distance's ``lat_band_deg``, since no entry beyond it can displace a hit.
-        """
-        lats, entries = self._lats, self._entries
-        lat, lon = p[0], p[1]
-        lat_lo, lat_hi, reach = reach_deg(lat, radius_m)
-        mid = bisect_left(lats, lat)
+    def within_radius(self, p: GeoPoint, radius_m: float, k: int) -> list[tuple[int, float]]:
+        """The first k entries within radius_m of p, sorted by (distance, id);
+        entries outside p's latitude band or longitude reach are skipped
+        unmeasured."""
+        lat_lo, lat_hi, reach = reach_deg(p[0], radius_m)
+        lon = p[1]
         hits: list[tuple[float, int]] = []
-        for walk in (entries[mid:bisect_right(lats, lat_hi)],
-                     entries[bisect_left(lats, lat_lo):mid][::-1]):
-            for venue_id, loc in walk:
-                if not lat_lo <= loc[0] <= lat_hi:
-                    break
-                gap = abs(loc[1] - lon)
-                if gap > 180.0:
-                    gap = 360.0 - gap
-                if gap <= reach:
-                    hit = (haversine_m(p, loc), venue_id)
-                    if hit[0] <= radius_m and (k is None or len(hits) < k or hits and hit < hits[-1]):
-                        insort(hits, hit)
-                        if k is not None and len(hits) >= k:
-                            del hits[k:]
-                            lat_lo, lat_hi = lat_band_deg(lat, hits[-1][0])
-        return [(venue_id, d) for d, venue_id in hits]
+        for venue_id, loc in self._entries[bisect_left(self._lats, lat_lo):
+                                           bisect_right(self._lats, lat_hi)]:
+            gap = abs(loc[1] - lon)
+            if gap > 180.0:
+                gap = 360.0 - gap
+            if gap <= reach:
+                d = haversine_m(p, loc)
+                if d <= radius_m:
+                    hits.append((d, venue_id))
+        hits.sort()
+        return [(venue_id, d) for d, venue_id in hits[:k]]

@@ -253,7 +253,7 @@ class TestGridIndex:
         for _ in range(50):
             q = offset_point(CITY, rng.uniform(0, 360), rng.uniform(0, 1500))
             radius = rng.uniform(100, 900)
-            got = index.within_radius(q, radius)
+            got = index.within_radius(q, radius, len(entries))
             expected = sorted(
                 ((haversine_m(q, loc), vid) for vid, loc in entries
                  if haversine_m(q, loc) <= radius)

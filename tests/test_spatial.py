@@ -1,11 +1,10 @@
 """The venue index against a full ``haversine_m`` scan.
 
-``VenueGridIndex.within_radius`` walks its latitude-sorted entries outward
-from the query within the latitude band and measures only those whose
-wrapped longitude gap is within the reach of ``geo.reach_deg``; with a hit
-limit k it narrows both to the k-th distance and must return the scan's
-first k hits (``KS``). ``nearest`` walks outward in latitude and stops on
-``distance_bounds_m``'s low bound. These worlds put entries on
+``VenueGridIndex.within_radius`` bisects its latitude-sorted entries for the
+query's latitude band and measures only those whose wrapped longitude gap is
+within the reach of ``geo.reach_deg``; with a hit limit k it must return the
+scan's first k hits (``KS``, and every hit). ``nearest`` walks outward in
+latitude and stops on ``distance_bounds_m``'s low bound. These worlds put entries on
 the band's edge and within 1e-9 of it, at the longitude reach and 1e-9
 either side of it, on both sides of the antimeridian, near the poles and
 near a query's antipode, where ``haversine_m`` rounds most and gives equal
@@ -24,7 +23,6 @@ import pytest
 from checkinsim.attacker import BBox
 from checkinsim.geo import GeoPoint, METERS_PER_DEG, haversine_m, reach_deg
 from checkinsim.harness import PopulationConfig, generate_population
-from checkinsim import spatial
 from checkinsim.spatial import VenueGridIndex
 from oracles import scan_within_radius
 
@@ -32,14 +30,14 @@ RADII_M = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 50_000.0)
 REGIONS = {"mid": (40.0, -100.0), "south": (-33.9, 151.2), "arctic": (78.0, 15.0),
            "antarctic": (-84.0, 40.0)}
 EDGE_OFFSETS = (0.0, 1e-9, -1e-9, 1e-12, -1e-12)  # relative to the band's half-width
-KS = (None, 1, 2, 3, 12)  # hit limits: None for every hit
+KS = (1, 2, 3, 12)  # hit limits, besides one that keeps every hit
 
 
 def within_radius_matches_scan(index, entries, q, radius):
-    """``within_radius`` with each limit of ``KS`` against the scan's first
-    k hits; returns the unlimited query's hits."""
+    """``within_radius`` with each limit of ``KS``, and with ``len(entries)``,
+    against the scan's first k hits; returns the scan's hits."""
     expected = scan_within_radius(entries, q, radius)
-    for k in KS:
+    for k in KS + (len(entries),):
         assert index.within_radius(q, radius, k) == expected[:k], (q, radius, k)
     return expected
 
@@ -126,10 +124,11 @@ def test_near_pole_queries_match_a_full_scan(seed, sign):
     for q, radius in queries:
         within_radius_matches_scan(index, entries, q, radius)
         assert index.nearest(q) == scan_within_radius(entries, q, math.inf)[0]
-    straddle = index.within_radius(*queries[-1])
+    straddle = index.within_radius(*queries[-1], len(entries))
     assert {entries[-3][0], entries[-2][0]} <= {venue_id for venue_id, _ in straddle}
-    assert entries[-4][0] in {venue_id for venue_id, _ in index.within_radius(*queries[-2])}
-    pole = index.within_radius(*queries[-3])
+    near_pole = index.within_radius(*queries[-2], len(entries))
+    assert entries[-4][0] in {venue_id for venue_id, _ in near_pole}
+    pole = index.within_radius(*queries[-3], len(entries))
     assert len(pole) > 10 and len({round(entries[i - 1][1].lon) for i, _ in pole}) > 10
 
 
@@ -202,7 +201,7 @@ def test_antimeridian_world_matches_a_full_scan(seed):
     assert_matches_scan(entries, queries)
     east_of_it = {venue_id for venue_id, loc in entries if loc.lon > 0}
     across = [hit for q, radius in queries
-              for hit, _ in VenueGridIndex(entries).within_radius(q, radius)
+              for hit, _ in VenueGridIndex(entries).within_radius(q, radius, len(entries))
               if (hit in east_of_it) != (q.lon > 0)]
     assert len(across) > 100
 
@@ -222,7 +221,7 @@ def test_whole_world_region_matches_a_full_scan():
     assert_matches_scan(entries, queries + across)
     index = VenueGridIndex(entries)
     assert any((index.location_of(hit).lon > 0) != (q.lon > 0) for q, radius in across
-               if abs(q.lon) < 180.0 for hit, _ in index.within_radius(q, radius))
+               if abs(q.lon) < 180.0 for hit, _ in index.within_radius(q, radius, len(entries)))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -270,20 +269,3 @@ def test_hit_limit_cuts_equal_distances_by_id(seed):
                 for k in range(1, len(entries) + 2):
                     assert index.within_radius(q, radius, k) == expected[:k], (q, radius, k)
 
-
-def test_hit_limit_measures_fewer_entries(monkeypatch):
-    """A home-pool query (12 hits within 2.5 km) over a scenario's venues
-    measures fewer entries than the unlimited query it cuts."""
-    world = generate_population(PopulationConfig(n_users=0, n_venues=2000, seed=3))
-    entries = [(v.venue_id, v.location) for v in world.venues]
-    index = VenueGridIndex(entries)
-    measured = []
-    monkeypatch.setattr(spatial, "haversine_m",
-                        lambda a, b: measured.append(1) or haversine_m(a, b))
-    counts = {}
-    for k in (None, 12):
-        measured.clear()
-        for _, loc in entries[::20]:
-            index.within_radius(loc, 2_500.0, k)
-        counts[k] = len(measured)
-    assert counts[12] < 0.8 * counts[None], counts
