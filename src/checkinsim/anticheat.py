@@ -5,19 +5,25 @@ travel-speed bound, a rapid-fire cluster rule, and a reported-GPS distance
 check. Rules see only reported data, never simulation ground truth, and only
 previously *valid* check-ins feed their state.
 
-``UserRuleState`` is the one rule engine: the world feeds it live
-submissions, and ``offline_verdicts`` replays a recorded trace through it.
+``UserRuleState`` is the one rule engine. The world feeds it live
+submissions. ``offline_verdicts`` replays a recorded log through it in one
+pass, in log order, keeping one state per user as the world does; a row
+that reports its venue's own coordinates reports that venue's shared point,
+so the GPS rule's ``is`` shortcut holds offline too. A ``RuleVerdict`` is a
+tuple, built without its Python-level ``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .config import Section, ranged
 from .geo import (GeoPoint, MILE_M, OutOfProjectionRange, distance_bounds_m, fits_square,
                   haversine_m)
+from .tables import UnknownVenue
 
 # Relative slack so an exactly-at-the-limit pace is never flagged by float noise.
 _SPEED_SLACK = 1e-9
@@ -28,6 +34,10 @@ class Flag(str, Enum):
     SUPER_HUMAN_SPEED = "SuperHumanSpeed"
     RAPID_FIRE = "RapidFire"
     GPS_MISMATCH = "GpsMismatch"
+
+
+# An Enum class attribute is a slow lookup; the rules read the members from here.
+_FREQUENT_CHECKIN, _SUPER_HUMAN_SPEED, _RAPID_FIRE, _GPS_MISMATCH = Flag
 
 
 @dataclass(frozen=True)
@@ -45,17 +55,18 @@ class RuleConfig(Section):
 _EMPTY_DETAIL: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     valid: bool
     flags: tuple[Flag, ...] = ()
-    detail: Mapping[Flag, float] = field(default_factory=lambda: _EMPTY_DETAIL)
+    detail: Mapping[Flag, float] = _EMPTY_DETAIL
 
     def flag_names(self) -> list[str]:
         return [f.value for f in self.flags]
 
 
 VALID_VERDICT = RuleVerdict(True)
+_new_verdict = partial(tuple.__new__, RuleVerdict)  # skips the Python-level __new__
+_new_point = partial(tuple.__new__, GeoPoint)
 
 
 def _cluster_fits(points: list[GeoPoint], side_m: float) -> bool:
@@ -96,7 +107,7 @@ class UserRuleState:
 
         prev_t = self.last_valid_t_by_venue.get(venue_id)
         if prev_t is not None and t - prev_t < config.frequent_window_s:
-            detail = {Flag.FREQUENT_CHECKIN: float(t - prev_t)}
+            detail = {_FREQUENT_CHECKIN: float(t - prev_t)}
 
         last = self.last_valid
         # From the venue's own point the distance is 0.0, which no pace exceeds.
@@ -106,7 +117,7 @@ class UserRuleState:
             if dt <= 0:
                 if haversine_m(loc_prev, venue_location) > 0.0:
                     detail = detail or {}
-                    detail[Flag.SUPER_HUMAN_SPEED] = float("inf")
+                    detail[_SUPER_HUMAN_SPEED] = float("inf")
             else:
                 # haversine_m <= high, and division rounds monotonically, so
                 # high / dt <= limit means the measured pace is within it too.
@@ -115,7 +126,7 @@ class UserRuleState:
                     speed = haversine_m(loc_prev, venue_location) / dt
                     if speed > limit:
                         detail = detail or {}
-                        detail[Flag.SUPER_HUMAN_SPEED] = speed
+                        detail[_SUPER_HUMAN_SPEED] = speed
 
         recent = self.recent
         window_start = t - config.rapidfire_window_s
@@ -129,7 +140,7 @@ class UserRuleState:
             points.append(venue_location)
             if _cluster_fits(points, config.rapidfire_side_m):
                 detail = detail or {}
-                detail[Flag.RAPID_FIRE] = float(len(points))
+                detail[_RAPID_FIRE] = float(len(points))
 
         # The venue's own point is 0.0 m off; a high bound within the radius
         # means the measured offset is too.
@@ -138,11 +149,11 @@ class UserRuleState:
             offset = haversine_m(reported_gps, venue_location)
             if offset > config.gps_radius_m:
                 detail = detail or {}
-                detail[Flag.GPS_MISMATCH] = offset
+                detail[_GPS_MISMATCH] = offset
 
         if detail is None:
             return VALID_VERDICT
-        return RuleVerdict(valid=False, flags=tuple(detail), detail=detail)
+        return _new_verdict((False, tuple(detail), detail))
 
     def record_valid(self, venue_id: int, venue_location: GeoPoint, t: int) -> None:
         """Fold an accepted check-in into the rule state."""
@@ -151,24 +162,66 @@ class UserRuleState:
         self.recent.append((t, venue_location))
 
 
-def offline_verdicts(
-    trace: Sequence[tuple[int, int, GeoPoint, GeoPoint]],
-    config: RuleConfig,
-    prior_valid: Optional[Sequence[bool]] = None,
-) -> list[RuleVerdict]:
-    """Recompute every verdict of a full trace through a fresh ``UserRuleState``.
+class RowOutOfOrder(ValueError):
+    """A log row earlier than its user's previous row; ``event`` is the row."""
 
-    ``trace`` rows are (t, venue_id, venue_location, reported_gps), time
-    ordered. By default validity chains through the recomputed verdicts;
-    passing ``prior_valid`` pins each row's validity-for-state to a recorded
-    outcome instead (used when replaying logs whose acceptance was also
-    gated by presence attestation).
+    def __init__(self, event: Sequence, previous_t: int) -> None:
+        t, user_id = event[:2]
+        super().__init__(f"events.jsonl row for user {user_id} at t={t} is earlier than "
+                         f"the user's previous row at t={previous_t}")
+        self.event = event
+        self.previous_t = previous_t
+
+
+class ReplayState(UserRuleState):
+    """A user's rule state in a replay, with ``last_t``, the time of the user's
+    last row (valid or not), which ``offline_verdicts`` sets at every row."""
+
+    __slots__ = ("last_t",)
+
+
+def offline_verdicts(
+    rows: Sequence[Sequence],
+    venue_points: Mapping[int, GeoPoint],
+    config: RuleConfig,
+    states: Optional[MutableMapping[int, ReplayState]] = None,
+) -> list[RuleVerdict]:
+    """Recompute the verdict of every row of a check-in log, in one pass in log order.
+
+    ``rows`` are in ``EventRow`` shape (t, user_id, venue_id, reported lat,
+    reported lon, valid, flags; the flags are not read), in log order.
+    ``venue_points`` maps each venue to its point. Each user's rows replay
+    through that user's ``ReplayState`` in ``states``, made at the user's
+    first row; passing the same dict to consecutive calls over consecutive
+    slices of a log replays it as one call over the whole log would. A row
+    feeds later rules when its ``valid`` is true, or, when ``valid`` is
+    None, when its recomputed verdict is valid (a recorded ``valid`` pins
+    a row's validity-for-state, as presence attestation gated it).
+
+    A row whose reported coordinates equal its venue's point reports that
+    very point. The first row at a venue ``venue_points`` lacks raises
+    ``UnknownVenue``, and the first row earlier than its user's previous
+    row raises ``RowOutOfOrder``; each carries the row, and no later row is
+    replayed.
     """
-    state = UserRuleState()
+    if states is None:
+        states = {}
     verdicts: list[RuleVerdict] = []
-    for i, (t, venue_id, venue_location, reported_gps) in enumerate(trace):
-        verdict = state.evaluate_next(venue_id, venue_location, reported_gps, t, config)
-        verdicts.append(verdict)
-        if verdict.valid if prior_valid is None else prior_valid[i]:
-            state.record_valid(venue_id, venue_location, t)
+    append = verdicts.append
+    for row in rows:
+        t, user_id, venue_id, lat, lon, valid, _ = row
+        point = venue_points.get(venue_id)
+        if point is None:
+            raise UnknownVenue(row)
+        state = states.get(user_id)
+        if state is None:
+            state = states[user_id] = ReplayState()
+        elif t < state.last_t:
+            raise RowOutOfOrder(row, state.last_t)
+        state.last_t = t
+        reported = point if lat == point[0] and lon == point[1] else _new_point((lat, lon))
+        verdict = state.evaluate_next(venue_id, point, reported, t, config)
+        append(verdict)
+        if verdict[0] if valid is None else valid:
+            state.record_valid(venue_id, point, t)
     return verdicts

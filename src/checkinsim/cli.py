@@ -10,10 +10,11 @@ import argparse
 import contextlib
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import analytics
-from .anticheat import RuleConfig, offline_verdicts
+from .anticheat import RowOutOfOrder, RuleConfig, offline_verdicts
 from .attacker import (START_DELAY_S, build_schedule, execute, load_schedule, plan_step,
                        save_schedule)
 from .geo import GeoPoint, OutOfProjectionRange, validate_point
@@ -164,14 +165,19 @@ def _cmd_attack_exec(args) -> int:
 
 @contextlib.contextmanager
 def _naming_event_lines(path: Path, events: list):
-    """Name the events.jsonl line of a check-in whose venue VenueInfo.csv lacks."""
+    """Name the events.jsonl line of a check-in whose venue VenueInfo.csv lacks,
+    or that is earlier than its user's previous row."""
     try:
         yield
-    except UnknownVenue as exc:
+    except (UnknownVenue, RowOutOfOrder) as exc:
         e = exc.event
         index = next(i for i, row in enumerate(events) if row is e)
-        raise ValueError(f"{path.name}:{event_line(path, index)}: venue {e.venue_id} of user "
-                         f"{e.user_id} at t={e.t} is not in VenueInfo.csv") from exc
+        where = f"{path.name}:{event_line(path, index)}"
+        if isinstance(exc, RowOutOfOrder):
+            raise ValueError(f"{where}: user {e.user_id} at t={e.t} is earlier than the "
+                             f"user's previous row at t={exc.previous_t}") from exc
+        raise ValueError(f"{where}: venue {e.venue_id} of user {e.user_id} at t={e.t} "
+                         f"is not in VenueInfo.csv") from exc
 
 
 def _cmd_detect(args) -> int:
@@ -193,6 +199,27 @@ def _rule_flags(event) -> set[str]:
     return set(event.flags) - {PRESENCE_UNVERIFIED}
 
 
+# Rows per offline_verdicts call: no slice's verdicts outlive it.
+_REPLAY_SLICE = 256
+_NO_ROWS = [None] * _REPLAY_SLICE
+_row_valid, _row_flags, _verdict_flags = itemgetter(5), itemgetter(6), itemgetter(1)
+
+
+def _consistent(valid: bool, logged: tuple[str, ...], recomputed: tuple) -> bool:
+    """Whether a logged row agrees with itself (a world logs ``valid`` exactly
+    when it logs no flag) and with its recomputed verdict's rule flags."""
+    return (valid == (not logged)
+            and set(logged) - {PRESENCE_UNVERIFIED} == {f.value for f in recomputed})
+
+
+def _mismatch(e, verdict) -> str:
+    where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
+    logged, names = _rule_flags(e), verdict.flag_names()
+    if logged == set(names):  # the rules agree; valid contradicts the flags
+        return f"{where} valid={'true' if e.valid else 'false'} with flags {list(e.flags)}"
+    return f"{where} {sorted(logged)} recomputed {names}"
+
+
 def _cmd_verify_replay(args) -> int:
     scenario = load_run_file(args.in_dir)
     config = scenario.rules if scenario else RuleConfig()
@@ -200,38 +227,29 @@ def _cmd_verify_replay(args) -> int:
     events_path = Path(args.in_dir) / "events.jsonl"
     events = load_events(events_path)
     points = tables.venue_points
-    by_user: dict[int, list] = {}
-    agree: dict[tuple, bool] = {}  # (logged flags, verdict flags) -> same rule flags
-    mismatches = 0
+    states: dict = {}
+    agree: dict[tuple, bool] = {}  # (valid, logged flags, verdict flags) -> consistent
+    mismatches: list[str] = []  # printed once the whole log has replayed
+    n_events = len(events)
     with _naming_event_lines(events_path, events):
-        for i, e in enumerate(events):
-            if e.venue_id not in points:
-                raise UnknownVenue(e)
-            recorded = by_user.get(e.user_id)
-            if recorded is None:
-                by_user[e.user_id] = [e]
+        for start in range(0, n_events, _REPLAY_SLICE):
+            stop = start + _REPLAY_SLICE
+            rows = events[start:stop]
+            verdicts = offline_verdicts(rows, points, config, states)
+            events[start:stop] = _NO_ROWS[:len(rows)]  # a replayed row is not read again
+            keys = set(zip(map(_row_valid, rows), map(_row_flags, rows),
+                           map(_verdict_flags, verdicts)))
+            for key in keys.difference(agree):
+                agree[key] = _consistent(*key)
+            if all(map(agree.__getitem__, keys)):
                 continue
-            if e.t < recorded[-1].t:  # the rules replay each user's rows in time order
-                raise ValueError(f"{events_path.name}:{event_line(events_path, i)}: user "
-                                 f"{e.user_id} at t={e.t} is earlier than the user's "
-                                 f"previous row at t={recorded[-1].t}")
-            recorded.append(e)
-        for user_id, recorded in by_user.items():
-            trace = [(e.t, e.venue_id, points[e.venue_id],
-                      GeoPoint(e.reported_lat, e.reported_lon)) for e in recorded]
-            verdicts = offline_verdicts(trace, config, prior_valid=[e.valid for e in recorded])
-            for e, verdict in zip(recorded, verdicts):
-                key = (e.flags, verdict.flags)
-                same = agree.get(key)
-                if same is None:
-                    same = agree[key] = _rule_flags(e) == {f.value for f in verdict.flags}
-                if not same:
-                    mismatches += 1
-                    print(f"mismatch: user {user_id} t={e.t} venue {e.venue_id}: "
-                          f"logged {sorted(_rule_flags(e))} recomputed {verdict.flag_names()}",
-                          file=sys.stderr)
-    print(f"verify-replay: {len(events)} events, {mismatches} mismatches")
-    return 0 if mismatches == 0 else 2
+            for e, verdict in zip(rows, verdicts):
+                if not agree[e.valid, e.flags, verdict.flags]:
+                    mismatches.append(_mismatch(e, verdict))
+    for line in mismatches:
+        print(line, file=sys.stderr)
+    print(f"verify-replay: {n_events} events, {len(mismatches)} mismatches")
+    return 0 if not mismatches else 2
 
 
 def _cmd_export(args) -> int:

@@ -13,7 +13,10 @@ byte-equal to, ``json_load_events``, the one-``json.loads``-per-line
 reader whose rows and messages the block reader keeps, ``kept_records``,
 the log of record objects that the world's columnar log replaced, and
 ``tuple_submissions`` and ``tuple_build_report``, the planned-check-in tuples
-and per-user trace tuples that columns replaced.
+and per-user trace tuples that columns replaced. ``by_user_mismatch_lines``
+is ``verify-replay`` as it was before its one pass over the log: rows
+grouped by user, each user's trace replayed alone (here through
+``brute_verdicts``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from checkinsim.geo import GeoPoint, MILE_M, haversine_m
 from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind
 from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
                                   flag_badge_anomaly, flag_daily_rate, speed_feasibility)
-from checkinsim.tables import EventRow, MissingTables, UnknownVenue
+from checkinsim.anticheat import Flag
+from checkinsim.tables import EventRow, MissingTables, UnknownVenue, load_events, load_tables
 from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
@@ -403,3 +407,32 @@ def tuple_build_report(tables, events, thresholds) -> list[SuspicionRecord]:
             badge_flag, u.total_checkins / age, infeasible, clusters, bool(reasons), reasons))
     report.sort(key=lambda r: (-len(r.reasons), r.user_id))
     return report
+
+
+def by_user_mismatch_lines(directory, config) -> list[str]:
+    """The mismatch lines ``verify-replay`` prints for a run directory whose
+    log is in each user's time order, in log order: each user's rows replayed
+    alone by ``brute_verdicts``, validity pinned to the logged ``valid``.
+
+    A row mismatches when its rule flags (its flags but ``PresenceUnverified``)
+    differ from the recomputed ones, or else when its ``valid`` is not
+    exactly "no flags logged".
+    """
+    points = load_tables(directory).venue_points
+    by_user: dict[int, list[tuple[int, EventRow]]] = defaultdict(list)
+    for i, e in enumerate(load_events(Path(directory) / "events.jsonl")):
+        by_user[e.user_id].append((i, e))
+    lines = []
+    for rows in by_user.values():
+        trace = [(e.t, e.venue_id, points[e.venue_id], GeoPoint(e.reported_lat, e.reported_lon))
+                 for _, e in rows]
+        oracle = brute_verdicts(trace, config, prior_valid=[e.valid for _, e in rows])
+        for (i, e), (_, flags) in zip(rows, oracle):
+            logged = set(e.flags) - {"PresenceUnverified"}
+            where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
+            if logged != flags:
+                recomputed = [f.value for f in Flag if f.value in flags]  # firing order
+                lines.append((i, f"{where} {sorted(logged)} recomputed {recomputed}"))
+            elif e.valid != (not e.flags):
+                lines.append((i, f"{where} valid={json.dumps(e.valid)} with flags {list(e.flags)}"))
+    return [line for _, line in sorted(lines)]

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from checkinsim.anticheat import Flag, RuleConfig, UserRuleState, offline_verdicts
+from checkinsim.anticheat import (Flag, ReplayState, RowOutOfOrder, RuleConfig, UserRuleState,
+                                  offline_verdicts)
 from checkinsim.config import InvalidConfig, dump, load
 from checkinsim.geo import GeoPoint, MILE_M, offset_point
+from checkinsim.tables import EventRow, UnknownVenue
 
 from oracles import brute_verdicts
 
@@ -25,6 +27,16 @@ def judge(state, venue_id, loc, t, reported=None):
     return state.evaluate_next(venue_id, loc, loc if reported is None else reported, t, CFG)
 
 
+def replay_trace(trace, config=CFG, prior_valid=None):
+    """``offline_verdicts`` over one user's (t, venue_id, venue_location,
+    reported_gps) trace, validity pinned to ``prior_valid`` if given."""
+    points = {venue_id: loc for _, venue_id, loc, _ in trace}
+    pins = [None] * len(trace) if prior_valid is None else prior_valid
+    rows = [EventRow(t, 1, venue_id, reported.lat, reported.lon, valid, ())
+            for (t, venue_id, _, reported), valid in zip(trace, pins)]
+    return offline_verdicts(rows, points, config)
+
+
 class TestRuleFrequent:
     def test_same_venue_half_hour_later_flags(self):
         verdict = judge(state_after((1000, 7, ORIGIN)), 7, ORIGIN, 1000 + 1800)
@@ -39,7 +51,7 @@ class TestRuleFrequent:
 
     def test_invalid_prior_does_not_count(self):
         trace = [(1000, 7, ORIGIN, ORIGIN), (1060, 7, ORIGIN, ORIGIN)]
-        assert offline_verdicts(trace, CFG, prior_valid=[False, True])[1].valid
+        assert replay_trace(trace, prior_valid=[False, True])[1].valid
 
 
 class TestRuleSpeed:
@@ -193,7 +205,7 @@ class TestEngineEquivalence:
                             and rng.random() < 0.7)
                 if pins[-1]:
                     state.record_valid(venue_id, venue_loc, t)
-            replay = offline_verdicts(trace, CFG, prior_valid=pins)
+            replay = replay_trace(trace, prior_valid=pins)
             oracle = brute_verdicts(trace, CFG, prior_valid=pins)
             for verdict, (ok, flags) in zip(replay, oracle):
                 assert verdict.valid == ok
@@ -203,7 +215,130 @@ class TestEngineEquivalence:
         rng = random.Random(5)
         for _ in range(200):
             trace = random_trace(rng)
-            assert offline_verdicts(trace, CFG) == engine_verdicts(trace, CFG)
+            assert replay_trace(trace) == engine_verdicts(trace, CFG)
+
+
+def random_log(rng, pinned, n_rows=60):
+    """A multi-user log in log order over a small venue map: (venue points, rows).
+
+    Users interleave, runs of rows share a ``t``, half the rows go to venues
+    1-4, which lie 4 m from one point (so rapid-fire fires), the rest to
+    venues up to 30 km apart, and most rows report their venue's own
+    coordinates. Each row's ``valid`` is
+    None (chained), or a random pin when ``pinned``.
+    """
+    base = GeoPoint(rng.uniform(-60, 60), rng.uniform(-170, 170))
+    points = {venue_id: offset_point(base, 90 * venue_id, 4) for venue_id in range(1, 5)}
+    points.update((venue_id, offset_point(base, rng.uniform(0, 360), rng.uniform(0, 30_000)))
+                  for venue_id in range(5, 13))
+    n_users = rng.randint(1, 5)
+    t = rng.randint(0, 10_000)
+    rows = []
+    for _ in range(n_rows):
+        venue_id = rng.randint(1, 4) if rng.random() < 0.5 else rng.randint(5, 12)
+        reported = points[venue_id]
+        if rng.random() < 0.3:
+            reported = offset_point(reported, rng.uniform(0, 360), rng.uniform(0, 2_000))
+        rows.append(EventRow(t, rng.randint(1, n_users), venue_id, reported.lat, reported.lon,
+                             rng.random() < 0.6 if pinned else None, ()))
+        t += rng.choice((0, 0, rng.randint(1, 30), rng.randint(30, 5_000)))
+    return points, rows
+
+
+def user_traces(points, rows):
+    """Each user's (row indexes, (t, venue_id, venue point, reported point)
+    trace, pins or None), the reported point equal to but never the venue's."""
+    by_user = {}
+    for i, (t, user_id, venue_id, lat, lon, valid, _) in enumerate(rows):
+        indexes, trace, pins = by_user.setdefault(user_id, ([], [], []))
+        indexes.append(i)
+        trace.append((t, venue_id, points[venue_id], GeoPoint(lat, lon)))
+        pins.append(valid)
+    return [(indexes, trace, None if pins[0] is None else pins)
+            for indexes, trace, pins in by_user.values()]
+
+
+class TestOnePassReplay:
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_brute_force_oracle_user_by_user(self, pinned):
+        rng = random.Random(41 + pinned)
+        for _ in range(400):
+            points, rows = random_log(rng, pinned)
+            replay = offline_verdicts(rows, points, CFG)
+            assert len(replay) == len(rows)
+            for indexes, trace, pins in user_traces(points, rows):
+                oracle = brute_verdicts(trace, CFG, prior_valid=pins)
+                for i, (ok, flags) in zip(indexes, oracle):
+                    assert replay[i].valid == ok
+                    assert {f.value for f in replay[i].flags} == flags
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_one_engine_per_user(self, pinned):
+        # Verdicts, detail included, equal a UserRuleState fed each user's
+        # trace alone with reported points that are never the venue's own.
+        rng = random.Random(43 + pinned)
+        for _ in range(200):
+            points, rows = random_log(rng, pinned)
+            replay = offline_verdicts(rows, points, CFG)
+            for indexes, trace, pins in user_traces(points, rows):
+                state = UserRuleState()
+                for k, (i, (t, venue_id, loc, reported)) in enumerate(zip(indexes, trace)):
+                    verdict = state.evaluate_next(venue_id, loc, reported, t, CFG)
+                    assert replay[i] == verdict
+                    if verdict.valid if pins is None else pins[k]:
+                        state.record_valid(venue_id, loc, t)
+
+    @pytest.mark.parametrize("size", [1, 2, 256])
+    def test_slices_sharing_states_replay_as_one_call(self, size):
+        rng = random.Random(size)
+        for _ in range(60):
+            points, rows = random_log(rng, rng.random() < 0.5, n_rows=rng.randint(1, 600))
+            states = {}
+            sliced = []
+            for start in range(0, len(rows), size):
+                sliced += offline_verdicts(rows[start:start + size], points, CFG, states)
+            assert sliced == offline_verdicts(rows, points, CFG)
+            assert all(type(state) is ReplayState for state in states.values())
+            assert sorted(states) == sorted({row.user_id for row in rows})
+
+    def test_a_row_at_its_venues_coordinates_reports_the_venues_point(self, monkeypatch):
+        seen = []
+        evaluate = UserRuleState.evaluate_next
+
+        def spy(self, venue_id, venue_location, reported_gps, t, config):
+            seen.append(reported_gps is venue_location)
+            return evaluate(self, venue_id, venue_location, reported_gps, t, config)
+
+        monkeypatch.setattr(UserRuleState, "evaluate_next", spy)
+        away = offset_point(ORIGIN, 0, 10)
+        rows = [EventRow(0, 1, 1, ORIGIN.lat, ORIGIN.lon, None, ()),
+                EventRow(10, 2, 1, away.lat, away.lon, None, ()),
+                EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, None, ())]
+        offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, CFG)
+        assert seen == [True, False, True]
+
+    def test_first_unknown_venue_raises_with_its_row(self):
+        rows = [EventRow(0, 1, 1, 40.0, -100.0, None, ()),
+                EventRow(5, 2, 9, 40.0, -100.0, None, ()),
+                EventRow(-5, 1, 1, 40.0, -100.0, None, ())]  # out of order, but later
+        with pytest.raises(UnknownVenue) as info:
+            offline_verdicts(rows, {1: ORIGIN}, CFG)
+        assert info.value.event is rows[1]
+
+    @pytest.mark.parametrize("slice_size", [1, 3])
+    def test_first_row_out_of_time_order_raises_with_its_row(self, slice_size):
+        rows = [EventRow(100, 1, 1, 40.0, -100.0, None, ()),
+                EventRow(50, 2, 1, 40.0, -100.0, None, ()),  # user 2's first row
+                EventRow(99, 1, 1, 40.0, -100.0, None, ()),
+                EventRow(120, 1, 9, 40.0, -100.0, None, ())]
+        states = {}
+        with pytest.raises(RowOutOfOrder) as info:
+            for start in range(0, len(rows), slice_size):
+                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, CFG, states)
+        assert info.value.event is rows[2]
+        assert info.value.previous_t == 100
+        assert str(info.value) == ("events.jsonl row for user 1 at t=99 is earlier than "
+                                   "the user's previous row at t=100")
 
 
 class TestRuleStateHygiene:
@@ -229,9 +364,9 @@ class TestRuleStateHygiene:
         tighter_gps = RuleConfig(gps_radius_m=100.0)
         for _ in range(300):
             trace = random_trace(rng, n_checkins=8)
-            base = offline_verdicts(trace, CFG)
+            base = replay_trace(trace)
             for tight in (tighter_speed, tighter_gps):
-                strict = offline_verdicts(trace, tight, prior_valid=[v.valid for v in base])
+                strict = replay_trace(trace, tight, prior_valid=[v.valid for v in base])
                 for b, st in zip(base, strict):
                     if not b.valid:
                         assert not st.valid

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import checkinsim
+import oracles
 from checkinsim import analytics, cli
+from checkinsim.anticheat import RuleConfig
 from checkinsim.cli import main
 from checkinsim.harness import ScenarioConfig, load_scenario, seeded
 from checkinsim.tables import load_events, load_tables
@@ -421,6 +423,72 @@ class TestRunAndDetect:
         lines[-1] = json.dumps(row, separators=(",", ":"))
         log.write_text("\n".join(lines) + "\n")
         assert main(["verify-replay", "--in", str(tmp_path / "out")]) == 2
+
+
+    def test_replay_counts_rows_whose_valid_contradicts_their_flags(self, tmp_path, capsys):
+        # A world logs valid: true exactly when it logs no flag.
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        last_of_user = {row["user_id"]: i for i, row in enumerate(rows)}
+        clean = [i for i, row in enumerate(rows) if row["valid"] and not row["flags"]]
+        # unpinning a user's last row changes no later verdict
+        unpinned = next(i for i in clean if last_of_user[rows[i]["user_id"]] == i)
+        flagged = next(i for i in clean if i != unpinned)
+        rows[unpinned]["valid"] = False
+        rows[flagged]["flags"] = ["PresenceUnverified"]
+        log.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+        assert main(["verify-replay", "--in", str(exports)]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"verify-replay: {len(rows)} events, 2 mismatches\n"
+        where = {i: f"mismatch: user {rows[i]['user_id']} t={rows[i]['t']} "
+                    f"venue {rows[i]['venue_id']}: logged " for i in (unpinned, flagged)}
+        assert sorted(err.splitlines()) == sorted([
+            where[unpinned] + "valid=false with flags []",
+            where[flagged] + "valid=true with flags ['PresenceUnverified']"])
+        assert oracles.by_user_mismatch_lines(exports, RuleConfig()) == err.splitlines()
+
+    @pytest.mark.parametrize("unknown, named", [
+        (1099, "events.jsonl:624: user 36 at t=31 is earlier than the user's previous row "
+               "at t=135079"),
+        (9, "events.jsonl:10: venue 999 of user {user_id} at t={t} is not in VenueInfo.csv"),
+    ])
+    def test_replay_names_the_first_bad_row_in_file_order(self, tmp_path, capsys, unknown, named):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        lines[0], lines[623] = lines[623], lines[0]  # user 36's rows: line 624 is out of order
+        row = json.loads(lines[unknown])
+        row["venue_id"] = 999
+        lines[unknown] = json.dumps(row, separators=(",", ":"))
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["verify-replay", "--in", str(exports)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"checkinsim: error: {named.format(**row)}\n")
+
+    def test_replay_mismatch_lines_match_a_by_user_replay_in_log_order(self, tmp_path, capsys):
+        config = tmp_path / "cheaters.json"
+        config.write_text(json.dumps({
+            "population": {"n_users": 300, "n_venues": 60, "seed": 3, "cheater_fraction": 0.1}}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+        log = out_dir / "events.jsonl"
+        lines = log.read_text().splitlines()
+        for i in random.Random(2).sample(range(len(lines)), 40):
+            row = json.loads(lines[i])
+            row["valid"] = not row["valid"]
+            row["flags"] = [] if row["flags"] else ["SuperHumanSpeed"]
+            lines[i] = json.dumps(row, separators=(",", ":"))
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify-replay", "--in", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        expected = oracles.by_user_mismatch_lines(out_dir, load_scenario(config).rules)
+        assert len(expected) > 40  # a flipped valid also changes later verdicts
+        assert out == f"verify-replay: {len(lines)} events, {len(expected)} mismatches\n"
+        assert err.splitlines() == expected
 
 
 class TestGenerateAndAttack:

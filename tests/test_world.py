@@ -277,14 +277,16 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    def test_version_6_snapshot_refused(self, tmp_path):
-        # Format 6 logged int bits and an accepted column; its payload is
-        # intact here and must still be refused by its version.
+    @pytest.mark.parametrize("version", [6, 7])
+    def test_older_snapshot_refused(self, tmp_path, version):
+        # Format 6 logged int bits and an accepted column, format 7 pickled
+        # RuleVerdict as a dataclass; an intact payload behind either header
+        # must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 7
-        header["version"] = 6
+        assert header["version"] == 8
+        header["version"] = version
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
             World.load_state(path)
@@ -294,7 +296,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 7, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 8, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
