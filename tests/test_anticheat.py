@@ -313,9 +313,13 @@ class TestOnePassReplay:
         away = offset_point(ORIGIN, 0, 10)
         rows = [EventRow(0, 1, 1, ORIGIN.lat, ORIGIN.lon, None, ()),
                 EventRow(10, 2, 1, away.lat, away.lon, None, ()),
-                EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, None, ())]
-        offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, CFG)
-        assert seen == [True, False, True]
+                EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, None, ()),
+                EventRow(30, 3, 1, ORIGIN.lat, ORIGIN.lon + 0.01, None, ()),  # 850 m east
+                EventRow(40, 4, 1, ORIGIN.lat + 0.01, ORIGIN.lon, None, ())]  # 1.1 km north
+        verdicts = offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, CFG)
+        assert seen == [True, False, True, False, False]
+        assert [v.flags for v in verdicts] == [(), (), (Flag.FREQUENT_CHECKIN,),
+                                               (Flag.GPS_MISMATCH,), (Flag.GPS_MISMATCH,)]
 
     def test_first_unknown_venue_raises_with_its_row(self):
         rows = [EventRow(0, 1, 1, 40.0, -100.0, None, ()),
