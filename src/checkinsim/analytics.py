@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .config import Section, ranged
 from .geo import EARTH_RADIUS_M, GeoPoint, distance_bounds_m, haversine_m
-from .tables import PublicTables, UnknownVenue, write_csv
+from .tables import PublicTables, UnknownUser, UnknownVenue, write_csv
 
 
 class CurvePoint(NamedTuple):
@@ -238,8 +238,9 @@ def user_traces(tables: PublicTables,
     """Per user, the ``t`` and venue location of each of their rows of
     ``build_report``, in row order: an int64 ``array`` (a list once a ``t``
     it cannot hold comes) and a list of the shared ``venue_points``. A row
-    whose venue VenueInfo.csv lacks raises ``UnknownVenue`` carrying it."""
-    points = tables.venue_points
+    whose venue VenueInfo.csv lacks raises ``UnknownVenue`` carrying it, and
+    a user's first row, when UserInfo.csv lacks the user, ``UnknownUser``."""
+    points, users = tables.venue_points, tables.users
     traces: dict[int, tuple] = {}
     for row in events:
         point = points.get(row[2])
@@ -247,6 +248,8 @@ def user_traces(tables: PublicTables,
             raise UnknownVenue(row)
         trace = traces.get(row[1])
         if trace is None:
+            if row[1] not in users:
+                raise UnknownUser(row)
             trace = traces[row[1]] = (array("q"), [])
         try:
             trace[0].append(row[0])

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Mapping, MutableMapping, NamedTuple, Optional, Sequence
+from typing import Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .config import Section, ranged
 from .geo import (GeoPoint, MILE_M, OutOfProjectionRange, distance_bounds_m, fits_square,
                   haversine_m)
-from .tables import UnknownVenue
+from .tables import UnknownUser, UnknownVenue
 
 # Relative slack so an exactly-at-the-limit pace is never flagged by float noise.
 _SPEED_SLACK = 1e-9
@@ -183,6 +183,7 @@ class ReplayState(UserRuleState):
 def offline_verdicts(
     rows: Sequence[Sequence],
     venue_points: Mapping[int, GeoPoint],
+    user_ids: Container[int],
     config: RuleConfig,
     states: Optional[MutableMapping[int, ReplayState]] = None,
 ) -> list[RuleVerdict]:
@@ -190,9 +191,10 @@ def offline_verdicts(
 
     ``rows`` are in ``EventRow`` shape (t, user_id, venue_id, reported lat,
     reported lon, valid, flags; the flags are not read), in log order.
-    ``venue_points`` maps each venue to its point. Each user's rows replay
-    through that user's ``ReplayState`` in ``states``, made at the user's
-    first row; passing the same dict to consecutive calls over consecutive
+    ``venue_points`` maps each venue to its point, and ``user_ids`` holds
+    the users the log may name. Each user's rows replay through that
+    user's ``ReplayState`` in ``states``, made at the user's first row;
+    passing the same dict to consecutive calls over consecutive
     slices of a log replays it as one call over the whole log would. A row
     feeds later rules when its ``valid`` is true, or, when ``valid`` is
     None, when its recomputed verdict is valid (a recorded ``valid`` pins
@@ -200,9 +202,9 @@ def offline_verdicts(
 
     A row whose reported coordinates equal its venue's point reports that
     very point. The first row at a venue ``venue_points`` lacks raises
-    ``UnknownVenue``, and the first row earlier than its user's previous
-    row raises ``RowOutOfOrder``; each carries the row, and no later row is
-    replayed.
+    ``UnknownVenue``, the first row of a user ``user_ids`` lacks
+    ``UnknownUser``, and the first row earlier than its user's previous row
+    ``RowOutOfOrder``; each carries the row, and no later row is replayed.
     """
     if states is None:
         states = {}
@@ -215,6 +217,8 @@ def offline_verdicts(
             raise UnknownVenue(row)
         state = states.get(user_id)
         if state is None:
+            if user_id not in user_ids:
+                raise UnknownUser(row)
             state = states[user_id] = ReplayState()
         elif t < state.last_t:
             raise RowOutOfOrder(row, state.last_t)

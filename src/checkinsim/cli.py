@@ -21,7 +21,8 @@ from .geo import GeoPoint, OutOfProjectionRange, validate_point
 from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
                       load_run_file, load_scenario, plan, run_scenario, seeded, venue_index,
                       write_exports)
-from .tables import MissingTables, UnknownVenue, event_line, load_events, load_tables
+from .tables import (MissingTables, UnknownUser, UnknownVenue, event_line, load_events,
+                     load_tables)
 from .world import PRESENCE_UNVERIFIED, World
 
 
@@ -165,17 +166,20 @@ def _cmd_attack_exec(args) -> int:
 
 @contextlib.contextmanager
 def _naming_event_lines(path: Path, events: list):
-    """Name the events.jsonl line of a check-in whose venue VenueInfo.csv lacks,
-    or that is earlier than its user's previous row."""
+    """Name the events.jsonl line of a check-in whose venue VenueInfo.csv or
+    whose user UserInfo.csv lacks, or that is earlier than its user's previous row."""
     try:
         yield
-    except (UnknownVenue, RowOutOfOrder) as exc:
+    except (UnknownVenue, UnknownUser, RowOutOfOrder) as exc:
         e = exc.event
         index = next(i for i, row in enumerate(events) if row is e)
         where = f"{path.name}:{event_line(path, index)}"
         if isinstance(exc, RowOutOfOrder):
             raise ValueError(f"{where}: user {e.user_id} at t={e.t} is earlier than the "
                              f"user's previous row at t={exc.previous_t}") from exc
+        if isinstance(exc, UnknownUser):
+            raise ValueError(f"{where}: user {e.user_id} at t={e.t} is not in UserInfo.csv") \
+                from exc
         raise ValueError(f"{where}: venue {e.venue_id} of user {e.user_id} at t={e.t} "
                          f"is not in VenueInfo.csv") from exc
 
@@ -235,7 +239,7 @@ def _cmd_verify_replay(args) -> int:
         for start in range(0, n_events, _REPLAY_SLICE):
             stop = start + _REPLAY_SLICE
             rows = events[start:stop]
-            verdicts = offline_verdicts(rows, points, config, states)
+            verdicts = offline_verdicts(rows, points, tables.users, config, states)
             events[start:stop] = _NO_ROWS[:len(rows)]  # a replayed row is not read again
             keys = set(zip(map(_row_valid, rows), map(_row_flags, rows),
                            map(_verdict_flags, verdicts)))

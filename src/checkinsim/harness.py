@@ -320,7 +320,8 @@ def gc_paused():
     caller's setting, also when the block raises.
 
     The submit loop grows the world's per-user and per-venue state (rule
-    windows, badge and mayorship records, recent-visitor lists) to millions
+    states, whose venue times are the one record of who visited where,
+    badge-window lists, mayorship records, recent-visitor lists) to millions
     of containers at the acceptance size, and the collector re-scans them
     again and again while they grow. ``build_world`` (and so
     ``generate_population``), ``run_scenario`` and every CLI command run

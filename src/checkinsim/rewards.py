@@ -1,7 +1,9 @@
 """Progressive reward mechanics: points, achievement badges, and the
 60-day mayorship competition.
 
-Mutated only from the world's single submission sequence.
+Mutated only from the world's single submission sequence. The world keeps
+the one record of which venues each user has visited, in the user's rule
+state, and passes its size with each valid check-in.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .config import InvalidConfig, Section, ranged
 
@@ -43,19 +45,6 @@ DEFAULT_BADGE_CATALOG: tuple[BadgeSpec, ...] = (
     BadgeSpec("adventurer", BadgeKind.DISTINCT_VENUES, 10),
     BadgeSpec("marathon-month", BadgeKind.CHECKINS_IN_WINDOW, 30, window_days=30),
 )
-
-
-class _BadgeProgress:
-    """One user's badge state: the distinct venues visited, and for each
-    window badge not yet earned a time-ordered list of the valid check-in
-    times not yet pruned; a badge's list is deleted when it is earned."""
-
-    __slots__ = ("venues", "windows", "complete")
-
-    def __init__(self, window_badges: Sequence[BadgeSpec]) -> None:
-        self.venues: set[int] = set()
-        self.windows: dict[str, list[int]] = {spec.badge_id: [] for spec in window_badges}
-        self.complete = False
 
 
 class MayorState:
@@ -152,50 +141,21 @@ class MayorState:
 
 
 class RewardsEngine:
-    """Applies points, badges and mayorship updates for valid check-ins."""
+    """Applies points, badges and mayorship updates for valid check-ins.
+
+    ``_windows`` maps a user to a time-ordered list of the valid check-in
+    times not yet pruned for each window badge not yet earned; an earned
+    badge's list is deleted.
+    """
 
     def __init__(self, catalog: Iterable[BadgeSpec] = DEFAULT_BADGE_CATALOG) -> None:
         self.catalog = tuple(catalog)
         if len({spec.badge_id for spec in self.catalog}) != len(self.catalog):
             raise InvalidConfig("must have distinct badge ids", "badges")
-        self._window_badges = tuple(
-            s for s in self.catalog if s.kind == BadgeKind.CHECKINS_IN_WINDOW
-        )
-        self._venue_badges = tuple(
-            s for s in self.catalog if s.kind == BadgeKind.DISTINCT_VENUES
-        )
-        self._progress: dict[int, _BadgeProgress] = {}
+        self._window_badges = tuple(s for s in self.catalog if s.window_days is not None)
+        self._venue_badges = tuple(s for s in self.catalog if s.window_days is None)
+        self._windows: dict[int, dict[str, list[int]]] = {}
         self._mayors: dict[int, MayorState] = {}
-
-    # -- badges ------------------------------------------------------------
-
-    def update_badges(self, user, t: int) -> tuple[str, ...]:
-        """Grant any catalog badges whose predicate now holds. Permanent."""
-        progress = self._progress.get(user.user_id)
-        if progress is None or progress.complete:
-            return ()
-        new: list[str] = []
-        for spec in self._venue_badges:
-            if spec.badge_id not in user.badges and len(progress.venues) >= spec.threshold:
-                user.badges.add(spec.badge_id)
-                new.append(spec.badge_id)
-        for spec in self._window_badges:
-            if spec.badge_id in user.badges:
-                continue
-            window = progress.windows[spec.badge_id]
-            window_start = t - spec.window_days * DAY_S
-            if window and window[0] <= window_start:
-                k = 1
-                while k < len(window) and window[k] <= window_start:
-                    k += 1
-                del window[:k]
-            if len(window) >= spec.threshold:
-                user.badges.add(spec.badge_id)
-                new.append(spec.badge_id)
-                del progress.windows[spec.badge_id]  # never read again
-        if len(user.badges) >= len(self.catalog):
-            progress.complete = True
-        return tuple(new)
 
     # -- mayorship ----------------------------------------------------------
 
@@ -233,22 +193,35 @@ class RewardsEngine:
 
     # -- pipeline hook -------------------------------------------------------
 
-    def on_valid_checkin(self, user, venue_id: int, t: int) -> tuple[int, tuple[str, ...], Optional[int]]:
-        """Apply all reward effects of one valid check-in.
+    def on_valid_checkin(self, user, venue_id: int, t: int,
+                         distinct_venues: int) -> tuple[int, tuple[str, ...], Optional[int]]:
+        """Apply all reward effects of one valid check-in by a user with valid
+        check-ins at ``distinct_venues`` venues, this one included: a point,
+        the catalog badges whose predicate now holds (for good), the mayor.
 
         Returns (points awarded, newly granted badge ids, mayor after update).
         """
         user.points += BASE_POINTS
-        progress = self._progress.get(user.user_id)
-        if progress is None:
-            progress = _BadgeProgress(self._window_badges)
-            self._progress[user.user_id] = progress
-        if not progress.complete:
-            progress.venues.add(venue_id)
-            for window in progress.windows.values():
-                window.append(t)
-        badges = self.update_badges(user, t)
+        windows = self._windows.get(user.user_id)
+        if windows is None:
+            windows = self._windows[user.user_id] = {s.badge_id: [] for s in self._window_badges}
+        badges: list[str] = []
+        for spec in self._venue_badges:
+            if distinct_venues >= spec.threshold and spec.badge_id not in user.badges:
+                user.badges.add(spec.badge_id)
+                badges.append(spec.badge_id)
+        for spec in self._window_badges:
+            if spec.badge_id in user.badges:
+                continue
+            window = windows[spec.badge_id]
+            window.append(t)
+            window_start = t - spec.window_days * DAY_S
+            if window[0] <= window_start:
+                del window[:bisect_right(window, window_start)]
+            if len(window) >= spec.threshold:
+                user.badges.add(spec.badge_id)
+                badges.append(spec.badge_id)
+                del windows[spec.badge_id]  # never read again
         state = self.mayor_state(venue_id)
         state.note_checkin(user.user_id, t)
-        mayor = self.recompute_mayor(venue_id, t, state)
-        return BASE_POINTS, badges, mayor
+        return BASE_POINTS, tuple(badges), self.recompute_mayor(venue_id, t, state)

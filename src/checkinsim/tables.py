@@ -37,6 +37,16 @@ class UnknownVenue(ValueError):
         self.event = event
 
 
+class UnknownUser(ValueError):
+    """A check-in's user is not listed in UserInfo.csv; ``event`` is the row,
+    which starts with its ``t`` and ``user_id`` as an ``EventRow`` does."""
+
+    def __init__(self, event: Sequence) -> None:
+        t, user_id = event[:2]
+        super().__init__(f"events.jsonl row at t={t}: user {user_id} is not in UserInfo.csv")
+        self.event = event
+
+
 class UserRow(NamedTuple):
     user_id: int
     total_checkins: int
@@ -238,7 +248,7 @@ def tables_from_world(world) -> PublicTables:
     }
     venues = {
         v.venue_id: VenueRow(v.venue_id, v.name, v.location.lat, v.location.lon,
-                             v.total_checkins, len(v.visitor_ids), v.mayor_id, v.has_mayor_special)
+                             v.total_checkins, v.unique_visitors, v.mayor_id, v.has_mayor_special)
         for v in world.venues
     }
     return PublicTables(users, venues, recent)

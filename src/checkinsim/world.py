@@ -38,7 +38,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 8  # 8: RuleVerdict is a tuple
+_SNAPSHOT_VERSION = 9  # 9: no Venue.visitor_ids, no _BadgeProgress
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
@@ -47,7 +47,7 @@ _SNAPSHOT_GLOBALS = frozenset(
     + [("checkinsim.anticheat", name)
        for name in ("RuleConfig", "RuleVerdict", "Flag", "UserRuleState")]
     + [("checkinsim.rewards", name)
-       for name in ("RewardsEngine", "MayorState", "_BadgeProgress", "BadgeSpec", "BadgeKind")]
+       for name in ("RewardsEngine", "MayorState", "BadgeSpec", "BadgeKind")]
     + [("checkinsim.geo", "GeoPoint"), ("checkinsim.verify", "RouterRegistration"),
        ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
        ("random", "Random")])
@@ -92,7 +92,7 @@ class Venue:
     total_checkins: int = 0
     mayor_id: Optional[int] = None
     recent_visitors: list[int] = field(default_factory=list)
-    visitor_ids: set[int] = field(default_factory=set)
+    unique_visitors: int = 0
 
 
 @dataclass(slots=True)
@@ -254,15 +254,17 @@ class World:
         self.events.append(record)
         user.total_checkins += 1
         if accepted:
+            visited = state.last_valid_t_by_venue  # the one record of who visited where
+            if venue_id not in visited:
+                venue.unique_visitors += 1
             state.record_valid(venue_id, venue.location, t)
             venue.total_checkins += 1
-            venue.visitor_ids.add(user_id)
             recent = venue.recent_visitors
             if user_id in recent:
                 recent.remove(user_id)
             recent.insert(0, user_id)
             del recent[RECENT_LIST_LEN:]
-            _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t)
+            _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t, len(visited))
             self._apply_mayor(venue, mayor)
         return record
 
@@ -362,7 +364,7 @@ class World:
                   u.total_mayorships, u.is_cheater_ground_truth))
         for v in self.venues:
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
-                  len(v.visitor_ids), v.mayor_id, v.recent_visitors))
+                  v.unique_visitors, v.mayor_id, v.recent_visitors))
         feed(("log", self.events.outcomes))
         for column in self.events.columns:
             h.update(column)

@@ -16,7 +16,9 @@ the log of record objects that the world's columnar log replaced, and
 and per-user trace tuples that columns replaced. ``by_user_mismatch_lines``
 is ``verify-replay`` as it was before its one pass over the log: rows
 grouped by user, each user's trace replayed alone (here through
-``brute_verdicts``).
+``brute_verdicts``). ``scan_visits`` recounts who visited where from a
+log's columns alone. ``VenueCountingEngine`` is a test driver, not a
+reference: a ``RewardsEngine`` that keeps each user's venues itself.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
-from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind
+from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind, RewardsEngine
 from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
                                   flag_badge_anomaly, flag_daily_rate, speed_feasibility)
 from checkinsim.anticheat import Flag
-from checkinsim.tables import EventRow, MissingTables, UnknownVenue, load_events, load_tables
+from checkinsim.tables import (EventRow, MissingTables, UnknownUser, UnknownVenue, load_events,
+                              load_tables)
 from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
@@ -226,6 +229,36 @@ def scan_badges(catalog, stream) -> list[frozenset[str]]:
     return out
 
 
+class VenueCountingEngine(RewardsEngine):
+    """A ``RewardsEngine`` driven with (user, venue_id, t) alone: it keeps the
+    set of venues each user has a valid check-in at, as a world's rule state
+    does, and passes its size to ``on_valid_checkin``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.visited: dict[int, set[int]] = defaultdict(set)
+
+    def on_valid_checkin(self, user, venue_id: int, t: int):
+        visited = self.visited[user.user_id]
+        visited.add(venue_id)
+        return super().on_valid_checkin(user, venue_id, t, len(visited))
+
+
+def scan_visits(log) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """Over the accepted rows of a world's ``CheckInLog``, read from its
+    columns and outcome table: each venue's count of distinct users, and
+    each user's set of venues. The reference for ``Venue.unique_visitors``
+    and for the distinct-venue count the rewards are given."""
+    accepted = [outcome[1] for outcome in log.outcomes]
+    visitors: dict[int, set[int]] = defaultdict(set)
+    venues: dict[int, set[int]] = defaultdict(set)
+    for user_id, venue_id, outcome in zip(log.user_id, log.venue_id, log.outcome):
+        if accepted[outcome]:
+            visitors[venue_id].add(user_id)
+            venues[user_id].add(venue_id)
+    return {venue_id: len(users) for venue_id, users in visitors.items()}, dict(venues)
+
+
 def scan_dispersion(trace, cluster_radius_m: float = 50_000.0) -> int:
     """Leader clustering by full scan: the reference for ``analytics.dispersion``.
 
@@ -385,6 +418,8 @@ def tuple_build_report(tables, events, thresholds) -> list[SuspicionRecord]:
     for row in events:
         if row[2] not in points:
             raise UnknownVenue(row)
+        if row[1] not in tables.users:
+            raise UnknownUser(row)
         traces[row[1]].append((row[0], points[row[2]]))
     for trace in traces.values():
         trace.sort(key=lambda pair: pair[0])

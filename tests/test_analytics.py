@@ -19,6 +19,7 @@ from checkinsim.tables import (
     EventRow,
     MissingTables,
     PublicTables,
+    UnknownUser,
     UnknownVenue,
     UserRow,
     VenueRow,
@@ -313,8 +314,8 @@ class TestTraceColumns:
         tables = self.tables(30)
         events = [EventRow(rng.choice((0, 50, 100, 100, 5000, 10**7)), rng.randint(1, 30),
                            rng.randint(1, 4), 0.0, 0.0, True, ()) for _ in range(600)]
-        # user 31 has no UserInfo row; user 1's equal-time rows only flag in this order
-        events += [EventRow(100, 1, 1, 0.0, 0.0, True, ()), EventRow(100, 31, 2, 0.0, 0.0, True, ())]
+        # user 1's equal-time rows only flag in this order
+        events.append(EventRow(100, 1, 1, 0.0, 0.0, True, ()))
         expected = tuple_build_report(tables, events, THRESH)
         assert build_report(tables, events) == expected
         assert build_report(tables, [tuple(row[:3]) for row in events]) == expected
@@ -336,6 +337,15 @@ class TestTraceColumns:
                   EventRow(30, 3, 2, 0.0, 0.0, True, ())]
         for report in (build_report, lambda t, e: tuple_build_report(t, e, THRESH)):
             with pytest.raises(UnknownVenue) as caught:
+                report(tables, iter(events))
+            assert caught.value.event is events[1]
+
+    def test_unknown_user_raises_carrying_its_first_row(self):
+        tables = self.tables(3)
+        events = [EventRow(10, 1, 1, 0.0, 0.0, True, ()), EventRow(20, 4, 2, 0.0, 0.0, True, ()),
+                  EventRow(30, 4, 9, 0.0, 0.0, True, ()), EventRow(40, 5, 2, 0.0, 0.0, True, ())]
+        for report in (build_report, lambda t, e: tuple_build_report(t, e, THRESH)):
+            with pytest.raises(UnknownUser) as caught:
                 report(tables, iter(events))
             assert caught.value.event is events[1]
 

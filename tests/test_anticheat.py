@@ -7,12 +7,13 @@ from checkinsim.anticheat import (Flag, ReplayState, RowOutOfOrder, RuleConfig, 
                                   offline_verdicts)
 from checkinsim.config import InvalidConfig, dump, load
 from checkinsim.geo import GeoPoint, MILE_M, offset_point
-from checkinsim.tables import EventRow, UnknownVenue
+from checkinsim.tables import EventRow, UnknownUser, UnknownVenue
 
 from oracles import brute_verdicts
 
 CFG = RuleConfig()
 ORIGIN = GeoPoint(40.0, -100.0)
+USERS = range(1, 6)  # every user id the logs below name
 
 
 def state_after(*valid_priors):
@@ -34,7 +35,7 @@ def replay_trace(trace, config=CFG, prior_valid=None):
     pins = [None] * len(trace) if prior_valid is None else prior_valid
     rows = [EventRow(t, 1, venue_id, reported.lat, reported.lon, valid, ())
             for (t, venue_id, _, reported), valid in zip(trace, pins)]
-    return offline_verdicts(rows, points, config)
+    return offline_verdicts(rows, points, USERS, config)
 
 
 class TestRuleFrequent:
@@ -264,7 +265,7 @@ class TestOnePassReplay:
         rng = random.Random(41 + pinned)
         for _ in range(400):
             points, rows = random_log(rng, pinned)
-            replay = offline_verdicts(rows, points, CFG)
+            replay = offline_verdicts(rows, points, USERS, CFG)
             assert len(replay) == len(rows)
             for indexes, trace, pins in user_traces(points, rows):
                 oracle = brute_verdicts(trace, CFG, prior_valid=pins)
@@ -279,7 +280,7 @@ class TestOnePassReplay:
         rng = random.Random(43 + pinned)
         for _ in range(200):
             points, rows = random_log(rng, pinned)
-            replay = offline_verdicts(rows, points, CFG)
+            replay = offline_verdicts(rows, points, USERS, CFG)
             for indexes, trace, pins in user_traces(points, rows):
                 state = UserRuleState()
                 for k, (i, (t, venue_id, loc, reported)) in enumerate(zip(indexes, trace)):
@@ -296,8 +297,8 @@ class TestOnePassReplay:
             states = {}
             sliced = []
             for start in range(0, len(rows), size):
-                sliced += offline_verdicts(rows[start:start + size], points, CFG, states)
-            assert sliced == offline_verdicts(rows, points, CFG)
+                sliced += offline_verdicts(rows[start:start + size], points, USERS, CFG, states)
+            assert sliced == offline_verdicts(rows, points, USERS, CFG)
             assert all(type(state) is ReplayState for state in states.values())
             assert sorted(states) == sorted({row.user_id for row in rows})
 
@@ -316,7 +317,7 @@ class TestOnePassReplay:
                 EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, None, ()),
                 EventRow(30, 3, 1, ORIGIN.lat, ORIGIN.lon + 0.01, None, ()),  # 850 m east
                 EventRow(40, 4, 1, ORIGIN.lat + 0.01, ORIGIN.lon, None, ())]  # 1.1 km north
-        verdicts = offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, CFG)
+        verdicts = offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, USERS, CFG)
         assert seen == [True, False, True, False, False]
         assert [v.flags for v in verdicts] == [(), (), (Flag.FREQUENT_CHECKIN,),
                                                (Flag.GPS_MISMATCH,), (Flag.GPS_MISMATCH,)]
@@ -326,8 +327,22 @@ class TestOnePassReplay:
                 EventRow(5, 2, 9, 40.0, -100.0, None, ()),
                 EventRow(-5, 1, 1, 40.0, -100.0, None, ())]  # out of order, but later
         with pytest.raises(UnknownVenue) as info:
-            offline_verdicts(rows, {1: ORIGIN}, CFG)
+            offline_verdicts(rows, {1: ORIGIN}, USERS, CFG)
         assert info.value.event is rows[1]
+
+    @pytest.mark.parametrize("slice_size", [1, 4])
+    def test_first_row_of_an_unknown_user_raises_with_its_row(self, slice_size):
+        rows = [EventRow(0, 1, 1, 40.0, -100.0, None, ()),
+                EventRow(5, 99999, 1, 40.0, -100.0, None, ()),
+                EventRow(6, 99999, 1, 40.0, -100.0, None, ()),
+                EventRow(7, 2, 9, 40.0, -100.0, None, ())]  # an unknown venue, but later
+        states = {}
+        with pytest.raises(UnknownUser) as info:
+            for start in range(0, len(rows), slice_size):
+                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
+        assert info.value.event is rows[1]
+        assert sorted(states) == [1]
+        assert str(info.value) == "events.jsonl row at t=5: user 99999 is not in UserInfo.csv"
 
     @pytest.mark.parametrize("slice_size", [1, 3])
     def test_first_row_out_of_time_order_raises_with_its_row(self, slice_size):
@@ -338,7 +353,7 @@ class TestOnePassReplay:
         states = {}
         with pytest.raises(RowOutOfOrder) as info:
             for start in range(0, len(rows), slice_size):
-                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, CFG, states)
+                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
         assert info.value.event is rows[2]
         assert info.value.previous_t == 100
         assert str(info.value) == ("events.jsonl row for user 1 at t=99 is earlier than "

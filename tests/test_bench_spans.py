@@ -19,7 +19,7 @@ from checkinsim.geo import GeoPoint
 from checkinsim.rewards import RewardsEngine
 from checkinsim.tables import load_events
 from checkinsim.world import UserProfile, World
-from oracles import json_load_events
+from oracles import VenueCountingEngine, json_load_events
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 GOLDEN_LOG = Path(__file__).resolve().parent / "data" / "golden" / "events.jsonl"
@@ -55,7 +55,7 @@ def test_every_counter_belongs_to_a_span():
 
 def test_mayor_candidate_counter_reads_the_engine():
     spans = load_spans()
-    engine = RewardsEngine()
+    engine = VenueCountingEngine()
     mayor = engine.on_valid_checkin(UserProfile(user_id=3, home=GeoPoint(40.0, -100.0)), 7, 100)[2]
     counters = Counter()
     spans.AFTER["rewards.recompute_mayor"](counters, (engine, 7, 100), mayor)

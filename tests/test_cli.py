@@ -313,6 +313,27 @@ class TestRunAndDetect:
                 "is not in VenueInfo.csv") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_event_of_unknown_user_exits_2(self, tmp_path, capsys, command):
+        # Rows of users UserInfo.csv lacks, and a later unknown venue: the first is named.
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        lines = log.read_text().splitlines()
+        rows = [json.loads(lines[i]) for i in (4, 6, 8)]
+        for i, row, key, value in ((4, rows[0], "user_id", 99999), (6, rows[1], "user_id", 99998),
+                                   (8, rows[2], "venue_id", 999)):
+            row[key] = value
+            lines[i] = json.dumps(row, separators=(",", ":"))
+        log.write_text("\n".join(lines) + "\n")
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"checkinsim: error: events.jsonl:5: user 99999 at "
+                                  f"t={rows[0]['t']} is not in UserInfo.csv\n")
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     def test_nan_venue_latitude_exits_2(self, tmp_path, capsys, command):
         exports = tmp_path / "exports"
         shutil.copytree(GOLDEN, exports)

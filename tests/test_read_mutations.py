@@ -74,6 +74,9 @@ def events_mutation(kind, lines, rng, i=None):
     elif kind == "unknown_venue":
         row["venue_id"] = 10_000 + rng.randrange(100)
         lines[i] = dumps(row)
+    elif kind == "unknown_user":  # a world logs only the users UserInfo.csv lists
+        row["user_id"] = 10_000 + rng.randrange(100)
+        lines[i] = dumps(row)
     elif kind == "trailing_data":
         lines[i] += rng.choice([" x", "{}", ",", " 1", " []"])
     elif kind == "blank_line":
@@ -177,7 +180,7 @@ def check(run_dir, tmp_path, capsys, name, mutate, kind, seed):
 
 
 EVENT_MUTATIONS = ["truncate", "drop_key", "swap_type", "string_user_id", "non_finite",
-                   "unknown_venue", "trailing_data", "blank_line"]
+                   "unknown_venue", "trailing_data", "blank_line", "unknown_user"]
 
 
 def test_events_log_spans_blocks(run_dir):

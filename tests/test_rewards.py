@@ -7,12 +7,11 @@ from checkinsim.rewards import (
     BadgeSpec,
     DAY_S,
     DEFAULT_BADGE_CATALOG,
-    RewardsEngine,
 )
 from checkinsim.config import dump, load
 from checkinsim.world import UserProfile, World
 from checkinsim.geo import GeoPoint, offset_point
-from oracles import ScanningMayor, scan_badges
+from oracles import ScanningMayor, VenueCountingEngine, scan_badges
 
 HOME = GeoPoint(40.0, -100.0)
 
@@ -23,13 +22,13 @@ def make_user(user_id=1):
 
 class TestPoints:
     def test_one_valid_checkin_one_point(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         points, _, _ = engine.on_valid_checkin(user, 1, 100)
         assert points == 1 and user.points == 1
 
     def test_twenty_five_checkins_twenty_five_points(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         t = 0
         for venue_id in range(1, 26):
@@ -40,7 +39,7 @@ class TestPoints:
 
 class TestBadges:
     def test_tenth_distinct_venue_grants_adventurer(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         for venue_id in range(1, 10):
             engine.on_valid_checkin(user, venue_id, venue_id * 1000)
@@ -49,7 +48,7 @@ class TestBadges:
         assert "adventurer" in new and "adventurer" in user.badges
 
     def test_revisits_do_not_count_as_distinct(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         t = 0
         for _ in range(15):  # same venue over and over
@@ -58,7 +57,7 @@ class TestBadges:
         assert "adventurer" not in user.badges
 
     def test_thirty_checkins_in_thirty_days_grants_window_badge(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         t = 0
         for i in range(30):
@@ -67,7 +66,7 @@ class TestBadges:
         assert "marathon-month" in user.badges
 
     def test_slow_checkins_never_fill_the_window(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         t = 0
         for _ in range(40):
@@ -76,7 +75,7 @@ class TestBadges:
         assert "marathon-month" not in user.badges
 
     def test_badges_are_permanent_and_monotone(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user()
         granted = set()
         rng = random.Random(3)
@@ -102,7 +101,7 @@ class TestBadges:
 
 class TestMayorship:
     def test_four_distinct_days_wins_vacant_venue(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user(5)
         mayor = None
         for day in range(4):
@@ -111,13 +110,13 @@ class TestMayorship:
         assert engine.mayor_state(1).mayor_id == 5
 
     def test_single_checkin_takes_unvisited_venue(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         user = make_user(9)
         _, _, mayor = engine.on_valid_checkin(user, 3, 500)
         assert mayor == 9
 
     def test_same_day_checkins_count_once(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a, b = make_user(1), make_user(2)
         # b: two distinct days; a: five check-ins on one day
         engine.on_valid_checkin(b, 1, 0)
@@ -128,7 +127,7 @@ class TestMayorship:
 
     def test_duplicating_same_day_checkin_never_changes_mayor(self):
         rng = random.Random(8)
-        base_engine, dup_engine = RewardsEngine(), RewardsEngine()
+        base_engine, dup_engine = VenueCountingEngine(), VenueCountingEngine()
         users_a = {uid: make_user(uid) for uid in (1, 2, 3)}
         users_b = {uid: make_user(uid) for uid in (1, 2, 3)}
         t = 0
@@ -141,7 +140,7 @@ class TestMayorship:
             assert base_engine.mayor_state(1).mayor_id == dup_engine.mayor_state(1).mayor_id
 
     def test_tie_keeps_incumbent(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a, b = make_user(7), make_user(2)
         for day in range(5):
             engine.on_valid_checkin(a, 1, day * DAY_S + 50)
@@ -149,7 +148,7 @@ class TestMayorship:
         assert mayor == 7  # challenger only tied, user 7 keeps the title
 
     def test_out_of_order_checkin_rejected(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         engine.on_valid_checkin(make_user(1), 1, 100 * DAY_S)
         with pytest.raises(ValueError, match="earlier"):
             engine.on_valid_checkin(make_user(2), 1, 0)
@@ -157,7 +156,7 @@ class TestMayorship:
         engine.on_valid_checkin(make_user(3), 2, 0)  # other venues keep their own order
 
     def test_expired_incumbent_loses_to_active_challenger(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a, b = make_user(1), make_user(2)
         engine.on_valid_checkin(a, 1, 0)
         assert engine.mayor_state(1).mayor_id == 1
@@ -166,7 +165,7 @@ class TestMayorship:
         assert mayor == 2
 
     def test_expired_incumbent_tie_breaks_to_lowest_id(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a, b, c = make_user(1), make_user(3), make_user(2)
         engine.on_valid_checkin(a, 1, 0)          # mayor: 1
         engine.on_valid_checkin(b, 1, 30 * DAY_S)  # 1 day each, incumbent ties
@@ -176,14 +175,14 @@ class TestMayorship:
         assert engine.recompute_mayor(1, 65 * DAY_S) == 2
 
     def test_fully_idle_venue_retains_mayor(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a = make_user(4)
         engine.on_valid_checkin(a, 1, 0)
         assert engine.recompute_mayor(1, 200 * DAY_S) == 4
 
     def test_recompute_is_idempotent_at_fixed_time(self):
         rng = random.Random(21)
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         users = {uid: make_user(uid) for uid in range(1, 6)}
         t = 0
         for _ in range(150):
@@ -194,7 +193,7 @@ class TestMayorship:
             assert engine.recompute_mayor(1, t) == mayor
 
     def test_distinct_day_counts_window(self):
-        engine = RewardsEngine()
+        engine = VenueCountingEngine()
         a = make_user(1)
         for day in (0, 1, 2, 30):
             engine.on_valid_checkin(a, 1, day * DAY_S + 10)
@@ -207,7 +206,7 @@ def replay_against_oracle(steps):
     engine and to the scanning oracle; after every step the mayor and the
     number of in-window users at that venue must agree. Returns the mayors.
     """
-    engine = RewardsEngine()
+    engine = VenueCountingEngine()
     oracles = {}
     users = {}
     mayors = []
@@ -334,7 +333,7 @@ def badge_stream(rng, n_users, n_venues, n_checkins, gap_s):
 def replay_badges(catalog, stream):
     """Feed ``stream`` to a ``RewardsEngine`` and compare every check-in's
     badges with ``oracles.scan_badges``; return the users' final badges."""
-    engine = RewardsEngine(catalog)
+    engine = VenueCountingEngine(catalog)
     users: dict[int, UserProfile] = {}
     held: dict[int, frozenset] = {}
     for (user_id, venue_id, t), expected in zip(stream, scan_badges(catalog, stream)):
@@ -344,7 +343,7 @@ def replay_badges(catalog, stream):
         assert set(new) == expected - held.get(user_id, frozenset()), (user_id, t)
         assert len(new) == len(set(new))
         held[user_id] = expected
-        windows = engine._progress[user_id].windows
+        windows = engine._windows[user_id]
         assert not set(windows) & user.badges  # an earned badge keeps no window list
     return {user_id: user.badges for user_id, user in users.items()}
 

@@ -12,7 +12,9 @@ import pytest
 from checkinsim.anticheat import Flag, RuleVerdict
 from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
-from checkinsim.tables import tables_from_world
+from checkinsim.harness import ScenarioConfig, build_world
+from checkinsim.rewards import DAY_S
+from checkinsim.tables import load_tables, tables_from_world
 from checkinsim.world import (
     RECENT_LIST_LEN,
     ClockRegression,
@@ -21,6 +23,7 @@ from checkinsim.world import (
     UnknownVenue,
     World,
 )
+from oracles import scan_badges, scan_visits
 
 CITY = GeoPoint(40.0, -100.0)
 
@@ -277,15 +280,16 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    @pytest.mark.parametrize("version", [6, 7])
+    @pytest.mark.parametrize("version", [6, 7, 8])
     def test_older_snapshot_refused(self, tmp_path, version):
         # Format 6 logged int bits and an accepted column, format 7 pickled
-        # RuleVerdict as a dataclass; an intact payload behind either header
-        # must still be refused by its version.
+        # RuleVerdict as a dataclass, format 8 Venue.visitor_ids and the
+        # rewards' _BadgeProgress; an intact payload behind any of these
+        # headers must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 8
+        assert header["version"] == 9
         header["version"] = version
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
@@ -296,7 +300,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 8, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 9, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -320,7 +324,62 @@ class TestSnapshots:
         for target in (world, loaded):
             target.submit_checkin(2, 3, target.venue(3).location, 200_000)
         assert loaded.fingerprint() == world.fingerprint()
-        assert loaded.rewards._progress[1].windows == {}
+        assert loaded.rewards._windows[1] == {}
+
+
+def check_visits(world, directory):
+    """The one record of who visited where against ``oracles.scan_visits``
+    over the log's accepted rows: ``Venue.unique_visitors``, VenueInfo.csv's
+    ``unique_visitors``, each user's rule-state venues, and the badges
+    ``oracles.scan_badges`` grants for those rows."""
+    visitors, venues = scan_visits(world.events)
+    expected = {v.venue_id: visitors.get(v.venue_id, 0) for v in world.venues}
+    assert {v.venue_id: v.unique_visitors for v in world.venues} == expected
+    world.export_public_profiles(directory, tables_from_world(world))
+    assert {vid: row.unique_visitors for vid, row in load_tables(directory).venues.items()} \
+        == expected
+    log = world.events
+    accepted = [outcome[1] for outcome in log.outcomes]
+    stream = [(user_id, venue_id, t) for t, user_id, venue_id, outcome
+              in zip(log.t, log.user_id, log.venue_id, log.outcome) if accepted[outcome]]
+    badges = dict(zip((user_id for user_id, _, _ in stream),
+                      scan_badges(world.rewards.catalog, stream)))  # the last row's, per user
+    for user in world.users:
+        state = world._rule_states.get(user.user_id)
+        assert set(state.last_valid_t_by_venue if state else ()) == \
+            venues.get(user.user_id, set())
+        assert user.badges == badges.get(user.user_id, frozenset())
+    return len(stream), sum(map(len, venues.values()))
+
+
+class TestOneVisitRecord:
+    """Who visited where is kept once, in each user's rule state; the venue
+    counts and the badges that read it must match a recount of the log."""
+
+    @pytest.mark.parametrize("strategy", ["naive_teleport", "scheduled_evader"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_counts_match_the_accepted_rows(self, tmp_path, strategy, strict):
+        for seed in (1, 2):
+            world, _ = build_world(ScenarioConfig.from_dict({
+                "population": {"n_users": 120, "n_venues": 40, "seed": seed, "duration_days": 60,
+                               "cheater_fraction": 0.2, "cheater_strategy": strategy,
+                               "gps_noise_m": 60.0, "mid_range": [6, 150],
+                               "venues_per_city": 10},
+                "routers": {"coverage": "full", "range_m": 100.0, "strict": strict}}))
+            check_visits(world, tmp_path / f"{seed}-built")
+            world = World.load_state(world.save_state(tmp_path / f"{seed}.snap"))
+            rng = random.Random(seed)
+            t = world.clock.now
+            for _ in range(400):  # revisits from up to 200 m off, some reporting the venue
+                t += rng.choice((0, 30, 600, 4_000, DAY_S))
+                venue = world.venue(rng.randint(1, len(world.venues)))
+                true = offset_point(venue.location, rng.uniform(0, 360), rng.uniform(0, 200))
+                world.submit_checkin(rng.randint(1, len(world.users)), venue.venue_id,
+                                     rng.choice((venue.location, true)), t, true)
+            rows, pairs = check_visits(world, tmp_path / f"{seed}-resumed")
+            assert rows > pairs > 0  # repeat visits
+            unaccepted_valid = any(v.valid and not ok for v, ok, _ in world.events.outcomes)
+            assert unaccepted_valid == strict
 
 
 def test_importing_the_package_loads_no_snapshot_codec():
