@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,7 +25,6 @@ class CurvePoint(NamedTuple):
     n_users: int
 
 
-@dataclass(frozen=True)
 class DetectionThresholds(Section):
     """Detector tuning; defaults separate the bundled honest/cheater fixtures."""
 
@@ -41,8 +39,7 @@ class DetectionThresholds(Section):
     min_account_age_days: float = ranged(30.0, ge=1)  # flag_daily_rate needs an age >= 1
 
 
-@dataclass(frozen=True)
-class SuspicionRecord:
+class SuspicionRecord(NamedTuple):
     user_id: int
     recent_ratio: float
     badge_flag: bool

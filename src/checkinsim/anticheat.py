@@ -15,7 +15,6 @@ tuple, built without its Python-level ``__new__``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
@@ -40,7 +39,6 @@ class Flag(str, Enum):
 _FREQUENT_CHECKIN, _SUPER_HUMAN_SPEED, _RAPID_FIRE, _GPS_MISMATCH = Flag
 
 
-@dataclass(frozen=True)
 class RuleConfig(Section):
     """Tunable rule thresholds (SI units, seconds/meters)."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Container
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -43,8 +42,7 @@ class BBox(NamedTuple):
         return self.min_lat <= p.lat <= self.max_lat and self.min_lon <= p.lon <= self.max_lon
 
 
-@dataclass(frozen=True)
-class TargetCriteria:
+class TargetCriteria(NamedTuple):
     require_mayor_special: bool = False
     require_vacant_mayor: bool = False
     region: Optional[BBox] = None
@@ -56,8 +54,7 @@ class ScheduleEntry(NamedTuple):
     fire_time: int
 
 
-@dataclass
-class AttackSchedule:
+class AttackSchedule(NamedTuple):
     """Ordered (venue, fire time) plan; reported GPS is the venue location."""
 
     entries: list[ScheduleEntry]

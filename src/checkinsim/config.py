@@ -1,12 +1,11 @@
 """Typed config sections, checked field by field by one walk (``_value``).
 
-A section is a frozen dataclass subclassing ``Section``; ``load`` builds one
+A section is a frozen record subclassing ``Section``; ``load`` builds one
 from parsed JSON and ``dump`` is its inverse.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import sys
 import typing
@@ -32,21 +31,78 @@ def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if name else prefix
 
 
-def ranged(default=dataclasses.MISSING, **bounds):
+_REQUIRED = object()  # the default of a field without one
+
+
+class _Ranged(tuple):
+    """(default, bounds) of a field declared by ``ranged``."""
+
+
+def ranged(default=_REQUIRED, **bounds) -> _Ranged:
     """A field whose value, or each element of it, is ``>= ge``, ``> gt`` and ``<= le``."""
-    return dataclasses.field(default=default, metadata=bounds)
+    return _Ranged((default, bounds))
 
 
 class Section:
-    """Building a section checks every field, then ``check`` checks across fields."""
+    """A frozen record of its class's annotated fields, after its base's (a redeclared
+    field keeps its place); defaults stay class attributes, and ``__dict__`` holds the
+    fields in order. Arguments bind as in a call (keywords only if ``kw_only``); each
+    field is checked, then ``check`` runs across fields."""
 
-    def __post_init__(self) -> None:
-        for name, tp, bounds, _ in _fields(type(self)):
-            object.__setattr__(self, name, _value(tp, getattr(self, name), name, bounds))
+    _spec: dict = {}  # name -> (default, bounds), in field order
+    _positional: tuple = ()  # the fields an argument may bind by position
+
+    def __init_subclass__(cls, kw_only: bool = False) -> None:
+        spec = dict(cls._spec)
+        for name in cls.__dict__.get("__annotations__", ()):
+            value = cls.__dict__.get(name, _REQUIRED)
+            default, _ = spec[name] = value if isinstance(value, _Ranged) else (value, {})
+            if default is not _REQUIRED:
+                setattr(cls, name, default)
+            elif name in cls.__dict__:
+                delattr(cls, name)
+        cls._spec, cls._positional = spec, () if kw_only else tuple(spec)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        named = dict(zip(cls._positional, args))
+        if len(named) < len(args) or named.keys() & kwargs:
+            raise TypeError(f"{cls.__qualname__}() takes at most {len(cls._positional)} positional "
+                            f"arguments, none also passed by keyword; got {len(args)} and "
+                            f"keywords {sorted(kwargs)}")
+        kwargs.update(named)
+        unknown = kwargs.keys() - cls._spec.keys()
+        missing = [name for name, (default, _) in cls._spec.items()
+                   if default is _REQUIRED and name not in kwargs]
+        if unknown or missing:
+            raise TypeError(f"{cls.__qualname__}() got unknown arguments {sorted(unknown)} "
+                            f"and lacks required arguments {missing}")
+        for name, tp, bounds in _fields(cls):
+            value = kwargs[name] if name in kwargs else getattr(cls, name)
+            object.__setattr__(self, name, _value(tp, value, name, bounds))
         self.check()
 
     def check(self) -> None:
         pass
+
+    def replace(self, **changes) -> "Section":
+        """A copy with ``changes``, checked as a new section is."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __setattr__(self, name, *value) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -54,10 +110,8 @@ _hints = functools.cache(typing.get_type_hints)
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, annotation, bounds, required) per field, resolved once per class."""
-    return tuple((f.name, _hints(cls)[f.name], f.metadata,
-                  f.default is f.default_factory is dataclasses.MISSING)
-                 for f in dataclasses.fields(cls))
+    """(name, annotation, bounds) per field, resolved once per class."""
+    return tuple((name, _hints(cls)[name], bounds) for name, (_, bounds) in cls._spec.items())
 
 
 def load(cls, data, path: str = ""):
@@ -66,12 +120,11 @@ def load(cls, data, path: str = ""):
         return data
     if not isinstance(data, dict):
         raise InvalidConfig(f"must be an object, got {data!r}", path)
-    fields = _fields(cls)
-    unknown = set(data) - {name for name, *_ in fields}
+    unknown = set(data) - cls._spec.keys()
     if unknown:
         raise InvalidConfig(f"unknown keys {sorted(map(str, unknown))}", path)
-    for name, _, _, required in fields:
-        if required and name not in data:
+    for name, (default, _) in cls._spec.items():
+        if default is _REQUIRED and name not in data:
             raise InvalidConfig("is required", name).within(path)
     try:
         return cls(**data)
@@ -82,7 +135,7 @@ def load(cls, data, path: str = ""):
 def dump(value):
     """The JSON value ``load`` builds ``value`` from."""
     if isinstance(value, Section):
-        return {name: dump(getattr(value, name)) for name, *_ in _fields(type(value))}
+        return {name: dump(getattr(value, name)) for name in value._spec}
     if isinstance(value, tuple):
         return [dump(v) for v in value]
     return value.value if isinstance(value, Enum) else value

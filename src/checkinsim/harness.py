@@ -17,12 +17,10 @@ sort by (t, user_id) that keeps planning order among ties.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -56,7 +54,6 @@ _ROW_MASK = (1 << 32) - 1  # a submission-order key's row-index bits
 _new_point = partial(tuple.__new__, GeoPoint)  # skips the Python-level __new__
 
 
-@dataclass(frozen=True)
 class PopulationConfig(Section):
     n_users: int = ranged(ge=0)
     n_venues: int = ranged(ge=1)
@@ -71,7 +68,8 @@ class PopulationConfig(Section):
     cheater_strategy: Literal["naive_teleport", "scheduled_evader"] = "naive_teleport"
     mayor_special_fraction: float = ranged(0.10, ge=0, le=1)
     region: BBox = DEFAULT_REGION
-    duration_days: int = ranged(180, ge=1)
+    # at most ~2,700 years, so every planned time stays exact in a float and far below 2**63
+    duration_days: int = ranged(180, ge=1, le=1_000_000)
     venues_per_city: int = ranged(40, ge=1)
     city_sigma_m: float = ranged(1000.0, ge=0)
     home_radius_m: float = ranged(1000.0, ge=0)
@@ -96,13 +94,11 @@ class PopulationConfig(Section):
                 raise InvalidConfig(f"must be [low, high], got {list(getattr(self, name))}", name)
 
 
-@dataclass(frozen=True)
 class RouterEntry(Section):
     venue_id: int = ranged(ge=1)  # at most n_venues, which ScenarioConfig checks
     range_m: Optional[float] = ranged(None, gt=0)  # None: the routers' range_m
 
 
-@dataclass(frozen=True)
 class Routers(Section):
     coverage: Literal["none", "full", "listed"] = "none"
     entries: tuple[RouterEntry, ...] = ()  # only under "listed" coverage
@@ -110,24 +106,21 @@ class Routers(Section):
     strict: bool = False
 
 
-@dataclass(frozen=True, kw_only=True)
-class _Attack(Section):
+class _Attack(Section, kw_only=True):
     kind: str
     # ScenarioConfig requires a true_location; attack-plan plans without one.
     true_location: Optional[GeoPoint] = None
     start_delay_s: int = ranged(START_DELAY_S, ge=0)
 
 
-@dataclass(frozen=True, kw_only=True)
-class Tour(_Attack):  # a virtual walking tour of `steps` venues from `start` or venue 1
+class Tour(_Attack, kw_only=True):  # a virtual tour of `steps` venues from `start` or venue 1
     kind: Literal["tour"] = "tour"
     start: Optional[GeoPoint] = None
     steps: int = ranged(25, ge=1)
     step_deg: float = ranged(TOUR_STEP_DEG, gt=0)
 
 
-@dataclass(frozen=True, kw_only=True)
-class VacancySweep(_Attack):  # check into the first `limit` venues that match
+class VacancySweep(_Attack, kw_only=True):  # check into the first `limit` venues that match
     kind: Literal["vacancy_sweep"] = "vacancy_sweep"
     require_mayor_special: bool = True
     require_vacant_mayor: bool = True
@@ -135,13 +128,11 @@ class VacancySweep(_Attack):  # check into the first `limit` venues that match
     limit: int = ranged(100, ge=1)
 
 
-@dataclass(frozen=True, kw_only=True)
-class MayorDenial(_Attack):  # check in wherever `victim` shows in the public tables
+class MayorDenial(_Attack, kw_only=True):  # check in wherever `victim` shows in the public tables
     kind: Literal["mayor_denial"] = "mayor_denial"
     victim: int = ranged(ge=1)
 
 
-@dataclass(frozen=True)
 class ScenarioConfig(Section):
     population: PopulationConfig
     rules: RuleConfig = RuleConfig()
@@ -346,8 +337,7 @@ def seeded(scenario: ScenarioConfig, seed: Optional[int]) -> ScenarioConfig:
     """The scenario with ``seed``, when given, as its population seed."""
     if seed is None:
         return scenario
-    return dataclasses.replace(scenario,
-                               population=dataclasses.replace(scenario.population, seed=seed))
+    return scenario.replace(population=scenario.population.replace(seed=seed))
 
 
 @gc_paused()
@@ -463,13 +453,17 @@ def plan(attack: _Attack, world: World, index: VenueGridIndex) -> list[int]:
     return plan_mayor_denial(attack.victim, tables_from_world(world))
 
 
-def _run_attack(world: World, attack: _Attack, index: VenueGridIndex) -> dict:
+def _run_attack(world: World, attack: _Attack, index: VenueGridIndex, i: int) -> dict:
     attacker_id = world.register_user(attack.true_location, is_cheater=True)
     venue_ids = plan(attack, world, index)
     records = []
     if venue_ids:
         schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids],
                                   world.clock.now + attack.start_delay_s)
+        if schedule.entries[-1].fire_time >= 1 << 63:  # as attack-plan checks --start-time
+            raise InvalidConfig(f"must put every check-in below 2**63 after the clock "
+                                f"({world.clock.now}), got {attack.start_delay_s}",
+                                f"attacks[{i}].start_delay_s")
         records = execute(world, attacker_id, schedule, attack.true_location)
     attacker = world.user(attacker_id)
     summary = {"kind": attack.kind, "user_id": attacker_id, "checkins": len(records),
@@ -484,12 +478,11 @@ def _run_attack(world: World, attack: _Attack, index: VenueGridIndex) -> dict:
 # scenario runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     world: World
     out_dir: Path
     metrics: dict
-    paths: dict[str, Path] = field(default_factory=dict)
+    paths: dict[str, Path]
 
 
 @gc_paused()
@@ -505,7 +498,8 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     out = Path(out_dir)
     scenario = seeded(scenario, seed)
     world, index = build_world(scenario)
-    attack_summaries = [_run_attack(world, attack, index) for attack in scenario.attacks]
+    attack_summaries = [_run_attack(world, attack, index, i)
+                        for i, attack in enumerate(scenario.attacks)]
     tables, paths = write_exports(world, out)
     log = world.events
     report = analytics.build_report(tables, zip(log.t, log.user_id, log.venue_id),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -28,7 +27,6 @@ class BadgeKind(str, Enum):
     CHECKINS_IN_WINDOW = "checkins_in_window"
 
 
-@dataclass(frozen=True)
 class BadgeSpec(Section):
     badge_id: str
     kind: BadgeKind

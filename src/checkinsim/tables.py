@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter
@@ -80,11 +79,14 @@ class EventRow(NamedTuple):
     flags: tuple[str, ...]
 
 
-@dataclass
 class PublicTables:
-    users: dict[int, UserRow]
-    venues: dict[int, VenueRow]
-    recent: list[tuple[int, int]]  # (venue_id, user_id)
+    def __init__(self, users: dict[int, UserRow], venues: dict[int, VenueRow],
+                 recent: list[tuple[int, int]]) -> None:  # recent: (venue_id, user_id)
+        self.users, self.venues, self.recent = users, venues, recent
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PublicTables) and \
+            (self.users, self.venues, self.recent) == (other.users, other.venues, other.recent)
 
     @cached_property
     def venue_points(self) -> dict[int, GeoPoint]:

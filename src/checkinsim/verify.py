@@ -8,8 +8,7 @@ device's true location, by physics rather than by trusting reported GPS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .geo import GeoPoint, distance_bounds_m, haversine_m
 
@@ -20,21 +19,21 @@ class UnregisteredRouter(Exception):
     """Only routers registered over a trusted channel may attest presence."""
 
 
-@dataclass(frozen=True)
 class RouterRegistration:
-    venue_id: int
-    location: GeoPoint
-    range_m: float = 100.0
-    processing_delay_s: float = 2e-6
-    registered: bool = True
+    """A venue's router; ``World.fingerprint`` feeds its repr, snapshots its ``__dict__``."""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.range_m, bool) or not 0 < self.range_m < math.inf:
-            raise ValueError(f"router range must be a finite number > 0, got {self.range_m!r}")
+    def __init__(self, venue_id: int, location: GeoPoint, range_m: float = 100.0,
+                 processing_delay_s: float = 2e-6, registered: bool = True) -> None:
+        if isinstance(range_m, bool) or not 0 < range_m < math.inf:
+            raise ValueError(f"router range must be a finite number > 0, got {range_m!r}")
+        self.venue_id, self.location, self.range_m = venue_id, location, range_m
+        self.processing_delay_s, self.registered = processing_delay_s, registered
+
+    def __repr__(self) -> str:
+        return f"RouterRegistration({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-@dataclass(frozen=True)
-class PresenceCheck:
+class PresenceCheck(NamedTuple):
     passed: bool
     distance_m: float
     rtt_s: float

@@ -21,7 +21,6 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -71,9 +70,11 @@ class CorruptSnapshot(Exception):
     """Snapshot file is truncated, malformed, or fails its checksum."""
 
 
-@dataclass(slots=True)
 class SimClock:
-    now: int = 0
+    __slots__ = ("now",)
+
+    def __init__(self, now: int = 0) -> None:
+        self.now = now
 
     def advance(self, t: int) -> None:
         if t.__class__ is not int or t >= _T_END:
@@ -83,27 +84,27 @@ class SimClock:
         self.now = t
 
 
-@dataclass(slots=True)
 class Venue:
-    venue_id: int
-    name: str
-    location: GeoPoint
-    has_mayor_special: bool = False
-    total_checkins: int = 0
-    mayor_id: Optional[int] = None
-    recent_visitors: list[int] = field(default_factory=list)
-    unique_visitors: int = 0
+    __slots__ = ("venue_id", "name", "location", "has_mayor_special", "total_checkins",
+                 "mayor_id", "recent_visitors", "unique_visitors")
+
+    def __init__(self, venue_id: int, name: str, location: GeoPoint,
+                 has_mayor_special: bool = False) -> None:
+        self.venue_id, self.name, self.location = venue_id, name, location
+        self.has_mayor_special = has_mayor_special
+        self.total_checkins, self.mayor_id, self.unique_visitors = 0, None, 0
+        self.recent_visitors: list[int] = []  # most recent first
 
 
-@dataclass(slots=True)
 class UserProfile:
-    user_id: int
-    home: GeoPoint
-    total_checkins: int = 0
-    points: int = 0
-    badges: set[str] = field(default_factory=set)
-    total_mayorships: int = 0
-    is_cheater_ground_truth: bool = False
+    __slots__ = ("user_id", "home", "total_checkins", "points", "badges", "total_mayorships",
+                 "is_cheater_ground_truth")
+
+    def __init__(self, user_id: int, home: GeoPoint, is_cheater_ground_truth: bool = False) -> None:
+        self.user_id, self.home = user_id, home
+        self.is_cheater_ground_truth = is_cheater_ground_truth
+        self.total_checkins = self.points = self.total_mayorships = 0
+        self.badges: set[str] = set()
 
 
 class CheckInRecord(NamedTuple):

@@ -12,7 +12,7 @@ import oracles
 from checkinsim import analytics, cli
 from checkinsim.anticheat import RuleConfig
 from checkinsim.cli import main
-from checkinsim.harness import ScenarioConfig, load_scenario, seeded
+from checkinsim.harness import ScenarioConfig, build_world, load_scenario, seeded
 from checkinsim.tables import load_events, load_tables
 from checkinsim.world import World
 
@@ -91,6 +91,7 @@ class TestExitCodes:
         ({"seed": True}, {}, "population.seed"),
         ({"n_venues": 1.5}, {}, "population.n_venues"),
         ({"duration_days": 1.5}, {}, "population.duration_days"),
+        ({"duration_days": 200_000_000_000_000}, {}, "population.duration_days"),
         ({"venues_per_city": 0}, {}, "population.venues_per_city"),
         ({"mid_alpha": 1}, {}, "population.mid_alpha"),
         ({"gps_noise_m": float("nan")}, {}, "population.gps_noise_m"),
@@ -135,6 +136,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any world was built
+
+    @pytest.mark.parametrize("short_of_2_63", [0, 1])
+    def test_start_delay_past_2_63_exits_1_naming_the_attack(self, tmp_path, capsys,
+                                                              short_of_2_63):
+        # The first check-in lands at 2**63, or just below it with the second past it.
+        # An empty sweep before the tour leaves the clock where generation left it.
+        population = {"n_users": 10, "n_venues": 2}
+        clock = build_world(ScenarioConfig.from_dict({"population": population}))[0].clock.now
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"population": population, "attacks": [
+            {"kind": "vacancy_sweep", "name_filter": "no such venue", "true_location": [40, -100]},
+            {"kind": "tour", "steps": 2, "true_location": [40, -100],
+             "start_delay_s": 2 ** 63 - clock - short_of_2_63}]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: attacks[1].start_delay_s: must put every check-in below 2**63" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("region", [[89.99, 0, 90, 1], [0, 179.99, 1, 180],
                                         [-90, -180, -89.99, -179.99]])

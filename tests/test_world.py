@@ -1,3 +1,4 @@
+import copyreg
 import hashlib
 import json
 import os
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from checkinsim.anticheat import Flag, RuleVerdict
+from checkinsim.anticheat import Flag, RuleConfig, RuleVerdict
 from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.harness import ScenarioConfig, build_world
 from checkinsim.rewards import DAY_S
 from checkinsim.tables import load_tables, tables_from_world
+from checkinsim.verify import RouterRegistration
 from checkinsim.world import (
     RECENT_LIST_LEN,
     ClockRegression,
@@ -310,6 +312,56 @@ class TestSnapshots:
         assert "references builtins.open" in capsys.readouterr().err
         assert not target.exists()
 
+    @pytest.mark.parametrize("build, fields", [
+        (lambda world: world.clock, ("now",)),
+        (lambda world: world.venue(2), ("venue_id", "name", "location", "has_mayor_special",
+                                        "total_checkins", "mayor_id", "recent_visitors",
+                                        "unique_visitors")),
+        (lambda world: world.user(1), ("user_id", "home", "total_checkins", "points", "badges",
+                                       "total_mayorships", "is_cheater_ground_truth")),
+        (lambda world: world.routers[2], ("venue_id", "location", "range_m",
+                                          "processing_delay_s", "registered")),
+        (lambda world: world.rule_config, tuple(RuleConfig._spec)),
+        (lambda world: world.rewards.catalog[1], ("badge_id", "kind", "threshold",
+                                                  "window_days")),
+    ])
+    def test_snapshot_classes_keep_their_pickled_shape(self, build, fields):
+        # Format 9 holds each of these as copyreg.__newobj__(cls) and a state of
+        # (None, {slot: value}) for a slotted class, else the instance's __dict__,
+        # both in field order; a parent-format snapshot thus still loads.
+        world = small_world(rule_config=RuleConfig(gps_radius_m=80.0))
+        world.register_router(RouterRegistration(2, world.venue(2).location, range_m=75.0))
+        for i in range(12):
+            world.submit_checkin(1, 2, world.venue(2).location, 4_000 * i)
+        obj = build(world)
+        rebuild, args, state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
+        assert (rebuild, args) == (copyreg.__newobj__, (type(obj),))
+        values = state
+        if hasattr(type(obj), "__slots__"):  # no __dict__, so (None, {slot: value})
+            assert state[0] is None
+            values = state[1]
+        assert list(values) == list(fields)
+        assert values == {name: getattr(obj, name) for name in fields}
+        copy = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is type(obj)
+        assert copy.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] == state
+
+    def test_fingerprint_survives_a_round_trip_with_routers_and_sections(self, tmp_path):
+        world = small_world(rule_config=RuleConfig(gps_radius_m=80.0), strict_verify=True)
+        for vid in (2, 5):
+            world.register_router(RouterRegistration(vid, world.venue(vid).location, 75.0))
+        for i in range(30):
+            vid = 1 + i % 8
+            world.submit_checkin(1 + i % 4, vid, world.venue(vid).location, 4_000 * i, CITY)
+        # fingerprint() feeds this repr, so it must not change: each field by name, in order
+        assert repr(world.routers[2]) == (
+            f"RouterRegistration(venue_id=2, location={world.venue(2).location!r}, "
+            "range_m=75.0, processing_delay_s=2e-06, registered=True)")
+        loaded = World.load_state(world.save_state(tmp_path / "w.snap"))
+        assert loaded.fingerprint() == world.fingerprint()
+        assert loaded.rule_config == world.rule_config
+        assert loaded.rewards.catalog == world.rewards.catalog
+
     def test_rejected_verdict_round_trip(self):
         verdict = RuleVerdict(False, (Flag.RAPID_FIRE,), {Flag.RAPID_FIRE: 4.0})
         assert not hasattr(verdict, "__dict__")
@@ -384,9 +436,11 @@ class TestOneVisitRecord:
 
 def test_importing_the_package_loads_no_snapshot_codec():
     # hashlib (with OpenSSL) and pickle are imported by snapshots and
-    # fingerprint() only, so a run, detect or replay process never pays for them.
+    # fingerprint() only, so a run, detect or replay process never pays for them;
+    # no process pays for dataclasses and the source-inspection modules it loads.
     code = ("import sys; import checkinsim, checkinsim.cli, checkinsim.harness; "
-            "print(sorted({'hashlib', '_hashlib', 'pickle'} & set(sys.modules)))")
+            "print(sorted({'hashlib', '_hashlib', 'pickle', 'dataclasses', 'inspect', 'ast', "
+            "'dis', 'tokenize'} & set(sys.modules)))")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
