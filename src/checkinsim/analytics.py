@@ -105,16 +105,19 @@ def speed_feasibility(
 ) -> int:
     """Count consecutive check-in pairs no physical journey could connect.
 
-    A pair whose pace is at least ``v_travel_m_per_s`` by its low distance
-    bound, or at most that by its high one (``distance_bounds_m``), is
-    settled unmeasured: division rounds monotonically, so the pace by
-    ``haversine_m`` lies on the same side.
+    A pair at one shared point object (two check-ins at the same venue's
+    ``venue_points`` entry) is 0 m apart, so feasible, and is settled
+    without bounding or measuring it. Any other pair whose pace is at least
+    ``v_travel_m_per_s`` by its low distance bound, or at most that by its
+    high one (``distance_bounds_m``), is settled unmeasured: division
+    rounds monotonically, so the pace by ``haversine_m`` lies on the same
+    side.
     """
     infeasible = 0
     prev_t: Optional[int] = None
     prev_loc: Optional[GeoPoint] = None
     for t, loc in trace:
-        if prev_loc is not None:
+        if loc is not prev_loc and prev_loc is not None:
             dt = t - prev_t
             if dt <= 0:
                 if haversine_m(prev_loc, loc) > 0.0:
@@ -130,8 +133,26 @@ def speed_feasibility(
     return infeasible
 
 
+class CellTable(dict):
+    """Each point's ``_cell_keys`` at one cluster radius, computed when a
+    ``dispersion`` call first asks for them: ``build_report`` keeps one table
+    for the whole report, so a venue point's cells are computed once, however
+    many traces visit it."""
+
+    def __init__(self, cluster_radius_m: float) -> None:
+        super().__init__()
+        chord = 2.0 * math.sin(min(cluster_radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2))
+        self.cluster_radius_m = cluster_radius_m
+        self.halves = 1.0 / (max(chord, 1e-9) * 1.001)  # half-cells per unit length
+
+    def __missing__(self, p: GeoPoint) -> tuple[int, int]:
+        keys = self[p] = _cell_keys(p, self.halves)
+        return keys
+
+
 def dispersion(
-    trace: Sequence[tuple[int, GeoPoint]], cluster_radius_m: float = 50_000.0
+    trace: Sequence[tuple[int, GeoPoint]], cluster_radius_m: float = 50_000.0,
+    cells: Optional[CellTable] = None,
 ) -> int:
     """Number of geographic clusters in a check-in history.
 
@@ -159,17 +180,25 @@ def dispersion(
     the radius of one and leaders are never removed (this needs a radius
     > 0); and the leader the previous point matched is tried first.
     Non-finite coordinates raise ``ValueError``.
+
+    A point's cell keys are computed once per ``cells`` table: pass one
+    ``CellTable(cluster_radius_m)`` to many calls and a point that many
+    traces share is placed once for all of them. Without one, the call
+    keeps its own. A table built for another radius raises ``ValueError``.
     """
     if not trace:
         raise ValueError("dispersion needs a non-empty trace")
     if not cluster_radius_m > 0:
         raise ValueError(f"cluster_radius_m must be > 0, got {cluster_radius_m!r}")
+    if cells is None:
+        cells = CellTable(cluster_radius_m)
+    elif cells.cluster_radius_m != cluster_radius_m:
+        raise ValueError(f"a cell table for cluster_radius_m {cells.cluster_radius_m!r} "
+                         f"cannot serve {cluster_radius_m!r}")
     ordered = sorted(trace)  # (t, (lat, lon)) pairs: by time, then position
-    chord = 2.0 * math.sin(min(cluster_radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2))
-    halves = 1.0 / (max(chord, 1e-9) * 1.001)  # half-cells per unit length
-    cells: dict[int, list[GeoPoint]] = {}
+    leaders: dict[int, list[GeoPoint]] = {}
     last = ordered[0][1]
-    _list_leader(cells, last, _cell_keys(last, halves)[1])
+    _list_leader(leaders, last, cells[last][1])
     seen = {last}
     clusters = 1
     for _, loc in ordered:
@@ -178,13 +207,13 @@ def dispersion(
         seen.add(loc)
         if _within(last, loc, cluster_radius_m):
             continue
-        home, corner = _cell_keys(loc, halves)
-        for leader in cells.get(home, ()):
+        home, corner = cells[loc]
+        for leader in leaders.get(home, ()):
             if _within(leader, loc, cluster_radius_m):
                 last = leader
                 break
         else:
-            _list_leader(cells, loc, corner)
+            _list_leader(leaders, loc, corner)
             last = loc
             clusters += 1
     return clusters
@@ -263,9 +292,12 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
     ``events`` are rows that start with ``t``, ``user_id`` and ``venue_id``,
     read once: ``EventRow``s, ``CheckInRecord``s, or a log's three columns
     zipped. A user's time-ordered (t, venue location) trace is built only
-    while that user is scored.
+    while that user is scored. Every trace holds the shared ``venue_points``,
+    and one ``CellTable`` serves the whole report, so each venue point's
+    dispersion cells are computed once per report.
     """
     traces = user_traces(tables, events)
+    cells = CellTable(thresholds.cluster_radius_m)
     n_users = max(tables.users) if tables.users else 0
     report: list[SuspicionRecord] = []
     for user_id in sorted(tables.users):
@@ -286,7 +318,7 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
 
         trace = sorted(zip(*traces.get(user_id, ((), ()))), key=_BY_TIME)
         infeasible = speed_feasibility(trace, thresholds.v_travel_m_per_s)
-        clusters = dispersion(trace, thresholds.cluster_radius_m) if trace else 0
+        clusters = dispersion(trace, thresholds.cluster_radius_m, cells) if trace else 0
         if infeasible > 0:
             reasons.append("speed")
         if clusters >= thresholds.dispersion_min_clusters:

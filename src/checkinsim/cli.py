@@ -189,7 +189,7 @@ def _cmd_detect(args) -> int:
     thresholds = scenario.detection if scenario else analytics.DetectionThresholds()
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
-    events = load_events(events_path) if events_path.is_file() else []
+    events = load_events(events_path)
     with _naming_event_lines(events_path, events):
         report = analytics.build_report(tables, events, thresholds)
     analytics.write_report_csv(report, args.out)

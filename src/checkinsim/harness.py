@@ -50,7 +50,6 @@ _CHAINS = (
 _TIER_ZERO, _TIER_LOW, _TIER_MID, _TIER_HEAVY = range(4)
 _POOL_SIZE = 12  # an honest user's venue pool: the venues nearest home, within its radius
 _VENUE_POINT = math.nan  # a planned row's lat/lon when it reports its venue's own point
-_ROW_MASK = (1 << 32) - 1  # a submission-order key's row-index bits
 _new_point = partial(tuple.__new__, GeoPoint)  # skips the Python-level __new__
 
 
@@ -411,12 +410,9 @@ def _submission_order(plan: _Plan) -> array:
     """Row indexes sorted by (t, user_id), ties in planning order.
 
     Planning adds each user's rows after those of every lower id, so the row
-    index orders (user_id, planning order) and one sort of integer keys that
-    pack t and the row index does it.
+    index orders (user_id, planning order) and one stable sort by t does it.
     """
-    keys = [(t << 32) | i for i, t in enumerate(plan.t)]
-    keys.sort()
-    return array("I", map(_ROW_MASK.__and__, keys))
+    return array("I", sorted(range(len(plan.t)), key=plan.t.__getitem__))
 
 
 def _submit_planned(world: World, plan: _Plan) -> None:

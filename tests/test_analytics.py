@@ -5,6 +5,7 @@ import pytest
 
 from checkinsim import analytics
 from checkinsim.analytics import (
+    CellTable,
     DetectionThresholds,
     account_age_days,
     build_report,
@@ -30,7 +31,7 @@ from checkinsim.tables import (
 )
 from checkinsim.harness import ScenarioConfig, build_world, write_exports
 from checkinsim.world import PRESENCE_UNVERIFIED, World
-from oracles import event_row, scan_dispersion, tuple_build_report
+from oracles import event_row, measured_infeasible, scan_dispersion, tuple_build_report
 
 NYC = GeoPoint(40.7128, -74.0060)
 LA = GeoPoint(34.0522, -118.2437)
@@ -117,6 +118,27 @@ class TestSpeedFeasibility:
     def test_same_time_distinct_places_is_infeasible(self):
         trace = [(0, NYC), (0, LA)]
         assert speed_feasibility(trace) == 1
+
+    def test_a_pair_at_one_shared_point_still_moves_the_clock(self):
+        near = offset_point(NYC, 0.0, 1000.0)
+        assert speed_feasibility([(0, NYC), (3600, NYC), (3601, near)]) == 1
+
+    def test_shared_points_and_same_time_rows_match_the_measured_reference(self):
+        # consecutive rows at one shared point object (a venue's venue_points
+        # entry), at another object with its coordinates, and at equal times
+        rng = random.Random(41)
+        pool = [offset_point(NYC, rng.uniform(0, 360), 10 ** rng.uniform(0, 6)) for _ in range(12)]
+        pool.append(GeoPoint(*pool[0]))
+        shared = 0
+        for _ in range(2000):
+            trace, t = [], 0
+            for _ in range(rng.randint(0, 25)):
+                t += rng.choice((0, 0, 1, 60, 600, 3600, 86_400))
+                same = trace and rng.random() < 0.4
+                trace.append((t, trace[-1][1] if same else rng.choice(pool)))
+                shared += bool(same)
+            assert speed_feasibility(trace, 250.0) == measured_infeasible(trace, 250.0), trace
+        assert shared > 1000
 
 
 class TestDispersion:
@@ -248,6 +270,44 @@ class TestDispersionMatchesScan:
                 dispersion(trace)
 
 
+class TestSharedCellTable:
+    """One ``CellTable`` serving many traces, as ``build_report`` keeps one per
+    report, against ``oracles.scan_dispersion`` for each trace."""
+
+    def venue_points(self, tmp_path):
+        """The points of 60 venues, and of a 61st at venue 1's coordinates, as
+        ``load_tables`` reads them back from the exports."""
+        rng = random.Random(31)
+        center = GeoPoint(39.0, -98.0)
+        points = [offset_point(center, rng.uniform(0, 360), 10 ** rng.uniform(1, 6.5))
+                  for _ in range(60)]
+        points.append(GeoPoint(*points[0]))
+        venues = {i + 1: venue_row(i + 1, p) for i, p in enumerate(points)}
+        write_tables(PublicTables({}, venues, []), tmp_path)
+        return load_tables(tmp_path).venue_points
+
+    @pytest.mark.parametrize("radius", [40.0, 1_000.0, 50_000.0, 2_000_000.0])
+    def test_one_table_serves_many_traces(self, tmp_path, radius):
+        points = self.venue_points(tmp_path)
+        assert points[1] == points[61] and points[1] is not points[61]
+        venue_ids = sorted(points)
+        rng = random.Random(f"cells-{radius}")
+        cells = CellTable(radius)
+        for _ in range(300):
+            trace = [(rng.randint(0, 20), points[rng.choice(venue_ids)])
+                     for _ in range(rng.randint(1, 30))]
+            assert dispersion(trace, radius, cells) == scan_dispersion(trace, radius), trace
+        for trace in ([(0, points[1]), (1, points[61])], [(0, points[61]), (0, points[1])]):
+            assert dispersion(trace, radius, cells) == 1
+        assert 0 < len(cells) <= len(set(points.values())) == 60
+
+    def test_table_for_another_radius_is_refused(self):
+        cells = CellTable(50_000.0)
+        assert dispersion([(0, NYC), (1, LA)], 50_000.0, cells) == 2
+        with pytest.raises(ValueError, match="cell table for cluster_radius_m 50000.0"):
+            dispersion([(0, NYC), (1, LA)], 5_000_000.0, cells)
+
+
 class TestBuildReport:
     def _tables_and_events(self):
         center = GeoPoint(39.0, -98.0)
@@ -323,6 +383,20 @@ class TestTraceColumns:
         swapped = sorted(events, key=lambda row: -row.venue_id)  # same-t rows in another order
         assert build_report(tables, swapped) == tuple_build_report(tables, swapped, THRESH)
         assert build_report(tables, swapped) != expected
+
+    def test_reports_at_other_radii_match_the_tuple_reference(self):
+        # each report keeps its own cell table, at its own radius
+        rng = random.Random(13)
+        tables = self.tables(30)
+        events = [EventRow(rng.randrange(10**6), rng.randint(1, 30), rng.randint(1, 4),
+                           0.0, 0.0, True, ()) for _ in range(600)]
+        clusters = []
+        for radius in (50_000.0, 2_000_000.0, 1_200_000.0, 50_000.0):
+            thresholds = DetectionThresholds(cluster_radius_m=radius, dispersion_min_clusters=2)
+            report = build_report(tables, events, thresholds)
+            assert report == tuple_build_report(tables, events, thresholds), radius
+            clusters.append(sorted(r.clusters for r in report))
+        assert len({tuple(c) for c in clusters}) == 3
 
     def test_times_no_int64_holds_match_the_tuple_reference(self):
         tables = self.tables(3)

@@ -313,6 +313,19 @@ class TestRunAndDetect:
                 f"total_checkins {total}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
+    def test_directory_without_event_log_exits_1(self, tmp_path, capsys, command):
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        (exports / "events.jsonl").unlink()
+        args = [command, "--in", str(exports)]
+        if command == "detect":
+            args += ["--out", str(tmp_path / "report.csv")]
+        assert main(args) == 1
+        assert (f"config error: event log not found: {exports / 'events.jsonl'}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     def test_event_at_unknown_venue_exits_2(self, tmp_path, capsys, command):
         exports = tmp_path / "exports"
         shutil.copytree(GOLDEN, exports)
