@@ -11,7 +11,8 @@ planned row is one value in each of the ``array`` columns ``t``, ``user_id``,
 reports its venue's own point and is submitted with the venue's
 ``location`` object itself. No true point is planned: it is the home for a
 cheater and the reported point for anyone else. Rows are submitted in one
-sort by (t, user_id) that keeps planning order among ties.
+sort by (t, user_id) that keeps planning order among ties, through
+``World.submit_planned``, which checks the columns once, not once per row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import gc
 import json
 import math
 from array import array
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Literal, NamedTuple, Optional, Sequence, Union
@@ -50,7 +50,6 @@ _CHAINS = (
 _TIER_ZERO, _TIER_LOW, _TIER_MID, _TIER_HEAVY = range(4)
 _POOL_SIZE = 12  # an honest user's venue pool: the venues nearest home, within its radius
 _VENUE_POINT = math.nan  # a planned row's lat/lon when it reports its venue's own point
-_new_point = partial(tuple.__new__, GeoPoint)  # skips the Python-level __new__
 
 
 class PopulationConfig(Section):
@@ -416,21 +415,8 @@ def _submission_order(plan: _Plan) -> array:
 
 
 def _submit_planned(world: World, plan: _Plan) -> None:
-    """Submit the planned check-ins in ``_submission_order``. A marked row
-    reports its venue's own ``location`` object; a cheater's true point is
-    the home, anyone else's the reported point. Ids are passed as the
-    world's own int objects, as the state they key then shares them."""
-    submit = world.submit_checkin
-    people = [None] + [(u.user_id, u.home if u.is_cheater_ground_truth else None)
-                       for u in world.users]
-    places = [None] + [(v.venue_id, v.location) for v in world.venues]
-    ts, user_ids, venue_ids, lats, lons = plan
-    for i in _submission_order(plan):
-        user_id, true = people[user_ids[i]]
-        venue_id, location = places[venue_ids[i]]
-        lat = lats[i]
-        submit(user_id, venue_id, location if lat != lat else _new_point((lat, lons[i])), ts[i],
-               true)
+    """Submit the planned check-ins in ``_submission_order`` (``World.submit_planned``)."""
+    world.submit_planned(*plan, _submission_order(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,18 @@ of its ``array`` columns and no object per row: ``t``, ``user_id``,
 returns them), ``outcome`` (an index into a small table of verdict, accepted
 and events.jsonl flags) and ``attested`` (-1 when no router was asked, else 0
 or 1). A rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
+
+Rows go in two ways, through one pipeline body (``World._submit``) that has
+no argument checks of its own. ``submit_checkin`` checks one row's arguments
+(ids, points, ``t`` against the clock), advances the clock and still returns
+the row's ``CheckInRecord``. ``submit_planned`` takes planned rows as
+``array`` columns and checks each column once, before any state changes:
+the typecodes ``qIIdd``, ids by min and max against the registered counts,
+``t`` non-decreasing in submission order and not before the clock, every
+non-NaN coordinate in range (and lon not NaN where lat is not). It raises
+what ``submit_checkin`` raises for the first bad value (``UnknownUser``,
+``UnknownVenue``, ``ClockRegression``, ``ValueError``), naming its row and
+value, and leaves the clock at the last row's ``t``.
 """
 
 from __future__ import annotations
@@ -22,13 +34,16 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from functools import partial
+from itertools import chain
+from math import isnan
+from operator import gt
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
-from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
+from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, MAYOR_WINDOW_DAYS, RewardsEngine
 from .tables import PublicTables, write_events, write_tables
 from .verify import RouterRegistration, attest_checkin
 
@@ -119,6 +134,7 @@ class CheckInRecord(NamedTuple):
 
 
 _new_record = partial(tuple.__new__, CheckInRecord)  # skips the Python-level __new__
+_new_point = partial(tuple.__new__, GeoPoint)
 _ATTESTED = (False, True, None)  # by the attested column's value: 0, 1 or -1
 
 
@@ -135,9 +151,11 @@ class CheckInLog(Sequence):
         self.outcomes: list[tuple[RuleVerdict, bool, tuple[str, ...]]] = [(VALID_VERDICT, True, ())]
         self._outcome_of: dict[tuple, int] = {(True, (), True): 0}
 
-    def append(self, record: CheckInRecord) -> None:
-        """Add a record, one value per column; a value no column holds raises and adds nothing."""
-        t, user_id, venue_id, (lat, lon), true_gps, verdict, attested, accepted = record
+    def append(self, t: int, user_id: int, venue_id: int, reported: GeoPoint, true: GeoPoint,
+               verdict: RuleVerdict, attested: Optional[bool], accepted: bool) -> None:
+        """Add one row, given as a ``CheckInRecord``'s fields; a value no column
+        holds raises and adds nothing."""
+        lat, lon = reported
         outcome = 0  # an accepted valid row, the common one
         entry = None  # a new outcome, registered once the row is in
         if verdict is not VALID_VERDICT or not accepted:
@@ -153,8 +171,8 @@ class CheckInLog(Sequence):
             self.venue_id.append(venue_id)
             self.reported_lat.append(lat)
             self.reported_lon.append(lon)
-            self.true_lat.append(true_gps[0])
-            self.true_lon.append(true_gps[1])
+            self.true_lat.append(true[0])
+            self.true_lon.append(true[1])
             self.outcome.append(outcome)
             self.attested.append(-1 if attested is None else attested)
         except (TypeError, OverflowError):
@@ -174,6 +192,47 @@ class CheckInLog(Sequence):
                             GeoPoint(self.reported_lat[i], self.reported_lon[i]),
                             GeoPoint(self.true_lat[i], self.true_lon[i]), verdict,
                             _ATTESTED[self.attested[i]], accepted))
+
+
+# The planned columns: name, typecode, and what submit_checkin raises for a
+# value of another type.
+_PLANNED = (("t", "q", ValueError), ("user_id", "I", UnknownUser),
+            ("venue_id", "I", UnknownVenue), ("lat", "d", ValueError), ("lon", "d", ValueError))
+
+
+def _check_planned(world: "World", t: array, user_id: array, venue_id: array, lat: array,
+                   lon: array, order: Sequence[int]) -> None:
+    """Refuse planned columns holding a value ``submit_checkin`` refuses,
+    with the class it raises, naming the first bad row. Each check is one
+    pass over a column (the last one over ``order``) and builds no list."""
+    columns = (t, user_id, venue_id, lat, lon)
+    for column, (name, code, error) in zip(columns, _PLANNED):
+        if not isinstance(column, array) or column.typecode != code:
+            raise error(f"the {name} column must be an array of typecode {code!r}, got "
+                        f"{getattr(column, 'typecode', type(column).__name__)!r}")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"planned columns differ in length: {[len(c) for c in columns]}")
+    for column, count, what, error in ((user_id, len(world.users), "user", UnknownUser),
+                                       (venue_id, len(world.venues), "venue", UnknownVenue)):
+        if column and (0 in column or max(column) > count):  # 'I' holds no negative id
+            i = next(i for i, v in enumerate(column) if not 1 <= v <= count)
+            raise error(f"row {i}: {what} {column[i]} is not registered")
+    for column, bound, what in ((lat, 90.0, "latitude"), (lon, 180.0, "longitude")):
+        # NaN fails every comparison, so it neither raises nor lowers these
+        if max(chain((-bound,), column)) > bound or min(chain((bound,), column)) < -bound:
+            i = next(i for i, v in enumerate(column) if v > bound or v < -bound)
+            raise ValueError(f"row {i}: {what} {column[i]} outside [{-bound:g}, {bound:g}]")
+    if any(map(gt, map(isnan, lon), map(isnan, lat))):
+        i = next(i for i, v in enumerate(lon) if isnan(v) and not isnan(lat[i]))
+        raise ValueError(f"row {i}: longitude nan with latitude {lat[i]}")
+    now, before = world.clock.now, None
+    for i in order:  # an index with no row raises IndexError here
+        row_t = t[i]
+        if row_t < now:
+            raise ClockRegression(f"row {i}: t={row_t} is before "
+                                  + (f"simulation clock {now}" if before is None
+                                     else f"t={now} of row {before}, submitted before it"))
+        now, before = row_t, i
 
 
 class World:
@@ -212,13 +271,13 @@ class World:
         self.routers[router.venue_id] = router
 
     def venue(self, venue_id: int) -> Venue:
-        if not 1 <= venue_id <= len(self.venues):
-            raise UnknownVenue(f"venue {venue_id} is not registered")
+        if venue_id.__class__ is not int or not 1 <= venue_id <= len(self.venues):
+            raise UnknownVenue(f"venue {venue_id!r} is not registered")
         return self.venues[venue_id - 1]
 
     def user(self, user_id: int) -> UserProfile:
-        if not 1 <= user_id <= len(self.users):
-            raise UnknownUser(f"user {user_id} is not registered")
+        if user_id.__class__ is not int or not 1 <= user_id <= len(self.users):
+            raise UnknownUser(f"user {user_id!r} is not registered")
         return self.users[user_id - 1]
 
     # -- check-in pipeline -----------------------------------------------------
@@ -229,7 +288,7 @@ class World:
 
         The rules receive only reported data. ``true_gps`` (defaulting to the
         reported position) exists for ground-truth bookkeeping and presence
-        attestation only.
+        attestation only. Returns the row's record, its verdict with ``detail``.
         """
         user = self.user(user_id)
         venue = self.venue(venue_id)
@@ -238,21 +297,52 @@ class World:
         else:
             reported_gps, true_gps = validate_point(reported_gps), validate_point(true_gps)
         self.clock.advance(t)
+        verdict = self._submit(user, venue, reported_gps, true_gps, t)
+        log = self.events
+        return _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict,
+                            _ATTESTED[log.attested[-1]], log.outcomes[log.outcome[-1]][1]))
 
+    def submit_planned(self, t: array, user_id: array, venue_id: array, lat: array, lon: array,
+                       order: Sequence[int]) -> None:
+        """Submit planned rows, given as columns, in ``order`` (row indexes).
+
+        A row whose ``lat`` is NaN reports its venue's own ``location``
+        object; a ground-truth cheater's true point is the home, anyone
+        else's the reported point. The columns are checked once, before any
+        state changes (see the module doc); the clock ends at the last row's ``t``.
+        """
+        _check_planned(self, t, user_id, venue_id, lat, lon, order)
+        users, venues, submit = self.users, self.venues, self._submit
+        i = None
+        try:
+            for i in order:
+                user = users[user_id[i] - 1]
+                venue = venues[venue_id[i] - 1]
+                row_lat = lat[i]
+                reported = venue.location if row_lat != row_lat else _new_point((row_lat, lon[i]))
+                submit(user, venue, reported, user.home if user.is_cheater_ground_truth else reported,
+                       t[i])
+        finally:
+            if i is not None:  # the clock is never behind a row in the log
+                self.clock.now = t[i]
+
+    def _submit(self, user: UserProfile, venue: Venue, reported: GeoPoint, true: GeoPoint,
+                t: int) -> RuleVerdict:
+        """The pipeline body for one row whose arguments are checked and whose
+        ``t`` is not before any logged row's: rules, attestation, the log, the
+        counters, rewards and the mayor. Returns the rules' verdict."""
+        user_id, venue_id = user.user_id, venue.venue_id  # the world's own int objects
         state = self._rule_states.get(user_id)
         if state is None:
-            state = UserRuleState()
-            self._rule_states[user_id] = state
-        verdict = state.evaluate_next(venue_id, venue.location, reported_gps, t, self.rule_config)
+            state = self._rule_states[user_id] = UserRuleState()
+        verdict = state.evaluate_next(venue_id, venue.location, reported, t, self.rule_config)
 
         attested: Optional[bool] = None
         if self.routers:
-            attested = attest_checkin(venue_id, true_gps, self.routers)
+            attested = attest_checkin(venue_id, true, self.routers)
         accepted = verdict.valid and (not self.strict_verify or bool(attested))
 
-        record = _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict, attested,
-                              accepted))
-        self.events.append(record)
+        self.events.append(t, user_id, venue_id, reported, true, verdict, attested, accepted)
         user.total_checkins += 1
         if accepted:
             visited = state.last_valid_t_by_venue  # the one record of who visited where
@@ -267,7 +357,7 @@ class World:
             del recent[RECENT_LIST_LEN:]
             _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t, len(visited))
             self._apply_mayor(venue, mayor)
-        return record
+        return verdict
 
     def _apply_mayor(self, venue: Venue, mayor: Optional[int]) -> None:
         old = venue.mayor_id
@@ -350,7 +440,11 @@ class World:
     # -- integrity helpers ----------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """Stable digest of all observable state; equal worlds hash equal."""
+        """Stable digest of all observable state; equal worlds hash equal.
+
+        It reads the rewards engine too: per user, each unearned window
+        badge's times, and per venue, the ``MayorState`` incumbent and each
+        user's stamps, leaving out what a prune as of ``clock.now`` drops."""
         import hashlib
         h = hashlib.sha256()
 
@@ -360,12 +454,26 @@ class World:
         feed(("clock", self.clock.now))
         feed(("rng", self.rng.getstate()))
         feed(("config", dump(self.rule_config), self.strict_verify, self.run))
+        # The rewards engine, canonically: only what is still inside a window
+        # as of the clock, so a lazy prune (a mayor_of read) changes nothing.
+        now, rewards = self.clock.now, self.rewards
+        window_badges = [(spec.badge_id, now - spec.window_days * DAY_S)
+                         for spec in rewards.catalog if spec.window_days is not None]
         for u in self.users:
+            windows = rewards._windows.get(u.user_id, {})
             feed((u.user_id, u.home, u.total_checkins, u.points, sorted(u.badges),
-                  u.total_mayorships, u.is_cheater_ground_truth))
+                  u.total_mayorships, u.is_cheater_ground_truth,
+                  [[t for t in windows.get(badge_id, ()) if t > start]
+                   for badge_id, start in window_badges if badge_id not in u.badges]))
+        mayor_start = now - MAYOR_WINDOW_DAYS * DAY_S
         for v in self.venues:
+            state = rewards._mayors.get(v.venue_id)
+            stamps = [] if state is None else [
+                (uid, kept) for uid, days in sorted(state.days.items())
+                if (kept := [t for _, t in days if t > mayor_start])]
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
-                  v.unique_visitors, v.mayor_id, v.recent_visitors))
+                  v.unique_visitors, v.mayor_id, v.recent_visitors,
+                  None if state is None else state.mayor_id, stamps))
         feed(("log", self.events.outcomes))
         for column in self.events.columns:
             h.update(column)

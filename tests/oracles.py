@@ -13,7 +13,8 @@ byte-equal to, ``json_load_events``, the one-``json.loads``-per-line
 reader whose rows and messages the block reader keeps, ``kept_records``,
 the log of record objects that the world's columnar log replaced, and
 ``tuple_submissions`` and ``tuple_build_report``, the planned-check-in tuples
-and per-user trace tuples that columns replaced. ``by_user_mismatch_lines``
+and per-user trace tuples that columns replaced, and ``submit_one_by_one``,
+which submits the planned tuples one checked ``submit_checkin`` call at a time. ``by_user_mismatch_lines``
 is ``verify-replay`` as it was before its one pass over the log: rows
 grouped by user, each user's trace replayed alone (here through
 ``brute_verdicts``). ``scan_visits`` recounts who visited where from a
@@ -38,6 +39,7 @@ from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
 from checkinsim.anticheat import Flag
 from checkinsim.tables import (EventRow, MissingTables, UnknownUser, UnknownVenue, load_events,
                               load_tables)
+from checkinsim import harness
 from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
@@ -376,20 +378,21 @@ def measured_attest(router, device) -> bool:
 def kept_records():
     """Keep every ``CheckInRecord`` that ``World.submit_checkin`` returns while
     the block runs, in submission order: the slow reference for a world's
-    log, one object per row as the log was before it became columns."""
+    log, one object per row as the log was before it became columns. Planned
+    rows go in through ``submit_one_by_one`` meanwhile, so they are kept too."""
     kept = []
-    submit = World.submit_checkin
+    submit, submit_planned = World.submit_checkin, harness._submit_planned
 
     def keeping(self, *args, **kwargs):
         record = submit(self, *args, **kwargs)
         kept.append(record)
         return record
 
-    World.submit_checkin = keeping
+    World.submit_checkin, harness._submit_planned = keeping, submit_one_by_one
     try:
         yield kept
     finally:
-        World.submit_checkin = submit
+        World.submit_checkin, harness._submit_planned = submit, submit_planned
 
 
 def tuple_submissions(world: World, plan) -> list[tuple]:
@@ -408,6 +411,13 @@ def tuple_submissions(world: World, plan) -> list[tuple]:
                      user.home if user.is_cheater_ground_truth else None))
     rows.sort(key=lambda row: (row[0], row[1]))
     return [(user_id, venue_id, reported, t, true) for t, user_id, venue_id, reported, true in rows]
+
+
+def submit_one_by_one(world: World, plan) -> None:
+    """``harness._submit_planned`` as it was: each of ``tuple_submissions``'
+    rows through ``World.submit_checkin``, which checks it on its own."""
+    for user_id, venue_id, reported, t, true in tuple_submissions(world, plan):
+        world.submit_checkin(user_id, venue_id, reported, t, true)
 
 
 def tuple_build_report(tables, events, thresholds) -> list[SuspicionRecord]:

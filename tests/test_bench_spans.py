@@ -109,7 +109,10 @@ STRICT_TOUR = {"population": {"n_users": 60, "n_venues": 40, "seed": 5, "duratio
 def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
     # perfbench's run.verify.*, run.anticheat.* and run.rewards.* layers time
     # these seams; each must be crossed once per check-in it is named for.
+    # Planned rows go in through one submit_planned call, attack rows one
+    # submit_checkin call each.
     submits = counting(monkeypatch, World, "submit_checkin")
+    planned = counting(monkeypatch, World, "submit_planned")
     attests = counting(monkeypatch, checkinsim.world, "attest_checkin")
     evaluations = counting(monkeypatch, UserRuleState, "evaluate_next")
     recomputes = counting(monkeypatch, RewardsEngine, "recompute_mayor")
@@ -119,7 +122,9 @@ def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
         result.world.mayor_of(venue.venue_id)
     events = result.world.events
     accepted = sum(1 for r in events if r.accepted)
-    assert len(submits) == len(events) > 0
+    (planned_args,) = planned
+    assert len(planned_args[-1]) + len(submits) == len(events)
+    assert len(submits) == result.metrics["attacks"][0]["checkins"] > 0
     assert len(attests) == len(evaluations) == len(events)
     assert 0 < accepted < len(events)
     assert len(mayor_reads) == len(result.world.venues)

@@ -100,11 +100,11 @@ def test_a_value_no_column_holds_adds_no_row():
     good = CheckInRecord(5, 1, 2, GeoPoint(1.0, 2), GeoPoint(3.0, 4.0),
                          RuleVerdict(False, (Flag.RAPID_FIRE,), {Flag.RAPID_FIRE: 4.0}), True,
                          False)
-    log.append(good)
+    log.append(*good)
     for bad in (good._replace(t=12.5), good._replace(t=2**63), good._replace(user_id=-1),
                 good._replace(true_gps=GeoPoint(None, 4.0))):
         with pytest.raises((TypeError, OverflowError)):
-            log.append(bad)
+            log.append(*bad)
         assert {len(c) for c in log.columns} == {1}
     (row,) = log
     assert row == good._replace(verdict=RuleVerdict(False, (Flag.RAPID_FIRE,)))
@@ -132,9 +132,9 @@ def test_a_refused_row_registers_no_outcome():
     rapid = CheckInRecord(2**63, 1, 1, GeoPoint(1.0, 2.0), GeoPoint(1.0, 2.0),
                           RuleVerdict(False, (Flag.RAPID_FIRE,)), None, False)
     with pytest.raises(OverflowError):
-        log.append(rapid)
+        log.append(*rapid)
     assert len(log) == 0 and len(log.outcomes) == 1
     assert world.fingerprint() == before
-    log.append(rapid._replace(t=5))
+    log.append(*rapid._replace(t=5))
     assert len(log) == 1 and len(log.outcomes) == 2 and log.outcome[0] == 1
     assert log[0] == rapid._replace(t=5)

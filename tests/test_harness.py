@@ -370,13 +370,13 @@ class TestCollectorPolicy:
     def test_build_world_submits_with_the_collector_off(self, monkeypatch, collector_state,
                                                         enabled):
         seen = []
-        submit = World.submit_checkin
-        monkeypatch.setattr(World, "submit_checkin",
-                            lambda *args: seen.append(gc.isenabled()) or submit(*args))
+        submit_planned = World.submit_planned
+        monkeypatch.setattr(World, "submit_planned",
+                            lambda *args: seen.append(gc.isenabled()) or submit_planned(*args))
         gc.enable() if enabled else gc.disable()
         world = generate_population(PopulationConfig(n_users=30, n_venues=20, seed=1,
                                                      duration_days=10))
-        assert len(seen) == len(world.events) > 0 and not any(seen)
+        assert seen == [False] and len(world.events) > 0
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -386,7 +386,7 @@ class TestCollectorPolicy:
             assert not gc.isenabled()
             raise RuntimeError("submit failed")
 
-        monkeypatch.setattr(World, "submit_checkin", fail)
+        monkeypatch.setattr(World, "submit_planned", fail)
         gc.enable() if enabled else gc.disable()
         with pytest.raises(RuntimeError, match="submit failed"):
             harness.build_world(ScenarioConfig(PopulationConfig(n_users=30, n_venues=20, seed=1)))

@@ -1,11 +1,12 @@
 """Planned check-ins as columns against the tuple planner they replaced.
 
 ``harness._plan_checkins`` writes each planned row into ``array`` columns and
-``harness._submit_planned`` submits them in ``_submission_order``.
-``oracles.tuple_submissions`` rebuilds the tuple per row that planning made
-before, sorted by (t, user_id) with Python's stable sort; the arguments each
-``submit_checkin`` call gets must equal it, and a row that reports its
-venue's point must pass the venue's own ``location`` object.
+``harness._submit_planned`` submits them in ``_submission_order`` through
+``World.submit_planned``. ``oracles.tuple_submissions`` rebuilds the tuple per
+row that planning made before, sorted by (t, user_id) with Python's stable
+sort; the log's rows must hold its values in its order, and the rules must
+see the venue's own ``location`` object as the reported point exactly on the
+rows that report it.
 """
 
 import gc
@@ -17,31 +18,53 @@ from array import array
 import pytest
 
 from checkinsim import harness
+from checkinsim.anticheat import UserRuleState
 from checkinsim.geo import GeoPoint
 from checkinsim.world import World
 from oracles import tuple_submissions
 
 
+def venue_point_seen(monkeypatch):
+    """Record, per ``evaluate_next`` call in order, whether the reported
+    point is the venue's own ``location`` object."""
+    seen = []
+    evaluate_next = UserRuleState.evaluate_next
+
+    def evaluating(self, venue_id, venue_location, reported_gps, *rest):
+        seen.append(reported_gps is venue_location)
+        return evaluate_next(self, venue_id, venue_location, reported_gps, *rest)
+
+    monkeypatch.setattr(UserRuleState, "evaluate_next", evaluating)
+    return seen
+
+
+def logged(world):
+    """The log's rows as (user_id, venue_id, reported, t, true) tuples."""
+    return [(r.user_id, r.venue_id, r.reported_gps, r.t, r.true_gps) for r in world.events]
+
+
+def as_logged(expected):
+    """``tuple_submissions``' rows as the log holds them: a true point of None
+    is the reported one."""
+    return [(user_id, venue_id, reported, t, reported if true is None else true)
+            for user_id, venue_id, reported, t, true in expected]
+
+
 def recorded_build(monkeypatch, scenario):
     """Build the world, returning it, its plan, the reference submissions
-    and the arguments of every ``submit_checkin`` call, in order."""
+    and, per submitted row in order, whether it reported its venue's point."""
     seen = {}
     submit_planned = harness._submit_planned
 
     def recording(world, plan):
         seen["expected"] = tuple_submissions(world, plan)
-        submit = world.submit_checkin
-        calls = seen["calls"] = []
-        world.submit_checkin = lambda *args: calls.append(args) or submit(*args)
-        try:
-            submit_planned(world, plan)
-        finally:
-            del world.submit_checkin
         seen["plan"] = plan
+        submit_planned(world, plan)
 
+    venue_points = venue_point_seen(monkeypatch)
     monkeypatch.setattr(harness, "_submit_planned", recording)
     world, _ = harness.build_world(scenario)
-    return world, seen["plan"], seen["expected"], seen["calls"]
+    return world, seen["plan"], seen["expected"], venue_points
 
 
 @pytest.mark.parametrize("strategy, noise_m", [("naive_teleport", 25.0),
@@ -53,24 +76,24 @@ def test_submissions_match_the_tuple_reference(monkeypatch, strategy, noise_m):
                        "gps_noise_m": noise_m, "cheater_fraction": 0.1,
                        "cheater_strategy": strategy},
         "routers": {"coverage": "full", "strict": True}})
-    world, plan, expected, calls = recorded_build(monkeypatch, scenario)
-    assert len(calls) == len(world.events) == len(plan.t) > 1000
-    assert calls == expected
+    world, plan, expected, venue_points = recorded_build(monkeypatch, scenario)
+    assert len(venue_points) == len(world.events) == len(plan.t) > 1000
+    assert logged(world) == as_logged(expected)
     assert list(plan.user_id) == sorted(plan.user_id)  # what _submission_order relies on
-    marked = 0
-    for (user_id, venue_id, reported, _, true), lat in zip(calls, (plan.lat[i] for i in
-                                                                   harness._submission_order(plan))):
-        venue_point = world.venue(venue_id).location
-        assert (reported is venue_point) is math.isnan(lat)
-        marked += reported is venue_point
+    order = harness._submission_order(plan)
+    assert venue_points == [math.isnan(plan.lat[i]) for i in order]
+    assert venue_points == [reported is world.venue(venue_id).location
+                            for _, venue_id, reported, _, _ in expected]
+    for user_id, _, _, _, true in expected:
         user = world.user(user_id)
         assert true is (user.home if user.is_cheater_ground_truth else None)
-    cheater_rows = sum(true is not None for *_, true in calls)
+    cheater_rows = sum(true is not None for *_, true in expected)
     assert cheater_rows > 0
-    assert marked == (len(calls) if noise_m == 0.0 else cheater_rows)
+    assert sum(venue_points) == (len(expected) if noise_m == 0.0 else cheater_rows)
+    assert world.clock.now == expected[-1][3]
 
 
-def test_equal_times_keep_planning_order():
+def test_equal_times_keep_planning_order(monkeypatch):
     """Rows of equal (t, user_id), and equal t across users, submit in
     planning order; a user's rows need not be planned in time order."""
     rng = random.Random(9)
@@ -91,13 +114,11 @@ def test_equal_times_keep_planning_order():
     assert list(order) == sorted(range(n), key=lambda i: (plan.t[i], plan.user_id[i]))
     assert len({(plan.t[i], plan.user_id[i]) for i in range(n)}) < n  # ties within a user
     expected = tuple_submissions(world, plan)
-    calls = []
-    submit = world.submit_checkin
-    world.submit_checkin = lambda *args: calls.append(args) or submit(*args)
+    venue_points = venue_point_seen(monkeypatch)
     harness._submit_planned(world, plan)
-    assert calls == expected
-    assert all((c[2] is world.venue(c[1]).location) is (e[2] is world.venue(e[1]).location)
-               for c, e in zip(calls, expected))
+    assert logged(world) == as_logged(expected)
+    assert venue_points == [reported is world.venue(venue_id).location
+                            for _, venue_id, reported, _, _ in expected]
 
 
 def test_build_world_transient_memory_per_planned_row(collector_state):

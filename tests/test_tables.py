@@ -31,7 +31,7 @@ def record(t=100, lat=40.0, lon=-100.0, flags=(), accepted=None, user_id=7, venu
 def log_of(records):
     log = CheckInLog()
     for r in records:
-        log.append(r)
+        log.append(*r)
     return log
 
 

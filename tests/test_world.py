@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from checkinsim.anticheat import Flag, RuleConfig, RuleVerdict
 from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.harness import ScenarioConfig, build_world
-from checkinsim.rewards import DAY_S
+from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
 from checkinsim.tables import load_tables, tables_from_world
 from checkinsim.verify import RouterRegistration
 from checkinsim.world import (
@@ -57,6 +58,23 @@ class TestRegistration:
             world.submit_checkin(1, 99, CITY, 10)
         with pytest.raises(UnknownUser):
             world.submit_checkin(99, 1, CITY, 10)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1", None])
+    @pytest.mark.parametrize("call, error, what", [
+        (lambda w, bad: w.submit_checkin(bad, 1, CITY, 10), UnknownUser, "user"),
+        (lambda w, bad: w.submit_checkin(1, bad, CITY, 10), UnknownVenue, "venue"),
+        (lambda w, bad: w.register_router(RouterRegistration(bad, CITY)), UnknownVenue, "venue"),
+        (lambda w, bad: w.mayor_of(bad), UnknownVenue, "venue"),
+    ])
+    def test_ids_that_are_not_ints_refused(self, call, error, what, bad):
+        """A bool or float id names no user or venue (``True`` once went into
+        the log as user 1 and out to RecentCheckin.csv as ``True``)."""
+        world = small_world()
+        world.submit_checkin(1, 1, CITY, 5)
+        before, rows = world.fingerprint(), len(world.events)
+        with pytest.raises(error, match=f"^{what} {re.escape(repr(bad))} is not registered$"):
+            call(world, bad)
+        assert world.fingerprint() == before and len(world.events) == rows
 
     @pytest.mark.parametrize("call", [
         lambda w: w.register_venue("A", GeoPoint(True, 0.5)),
@@ -445,6 +463,71 @@ def test_importing_the_package_loads_no_snapshot_codec():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class TestFingerprintSeesRewards:
+    """``fingerprint()`` reads the rewards engine as of the clock: a stamp or a
+    badge-window time inside its window counts, anything a prune would drop
+    does not, so a lazy prune leaves the digest as it was."""
+
+    @staticmethod
+    def twins():
+        worlds = []
+        for _ in range(2):
+            world = small_world()
+            for i in range(6):
+                world.submit_checkin(1 + i % 2, 1, world.venue(1).location, 2 * DAY_S * i)
+            worlds.append(world)
+        assert worlds[0].fingerprint() == worlds[1].fingerprint()
+        return worlds
+
+    def test_one_mayor_stamp_differs(self):
+        world, twin = self.twins()
+        days = twin.rewards.mayor_state(1).days[2]
+        day, t = days[-1]
+        days[-1] = (day, t + 1)
+        assert world.fingerprint() != twin.fingerprint()
+
+    def test_one_badge_window_time_differs(self):
+        world, twin = self.twins()
+        twin.rewards._windows[2]["marathon-month"][-1] -= 1
+        assert world.fingerprint() != twin.fingerprint()
+
+    def test_an_expired_stamp_or_time_counts_for_nothing(self):
+        world, twin = self.twins()
+        start = twin.clock.now - MAYOR_WINDOW_DAYS * DAY_S
+        twin.rewards.mayor_state(1).days[1].insert(0, (start // DAY_S, start))
+        twin.rewards._windows[1]["marathon-month"].insert(0, twin.clock.now - 30 * DAY_S)
+        assert world.fingerprint() == twin.fingerprint()
+
+
+@pytest.fixture(scope="module")
+def world_20k():
+    """A 20k-user, 4k-venue world at the acceptance seed and cheater share."""
+    scenario = ScenarioConfig.from_dict({"population": {
+        "n_users": 20_000, "n_venues": 4_000, "seed": 20100831, "cheater_fraction": 0.05}})
+    return build_world(scenario)[0]
+
+
+def mayor_stamps(world):
+    return sum(len(days) for state in world.rewards._mayors.values()
+               for days in state.days.values())
+
+
+def test_fingerprint_survives_a_20k_round_trip(world_20k, tmp_path):
+    loaded = World.load_state(world_20k.save_state(tmp_path / "w.snap"))
+    assert loaded.fingerprint() == world_20k.fingerprint()
+
+
+def test_reading_every_mayor_keeps_the_fingerprint(world_20k, tmp_path):
+    world = World.load_state(world_20k.save_state(tmp_path / "w.snap"))
+    before, stamps = world.fingerprint(), mayor_stamps(world)
+    mayors = [venue.mayor_id for venue in world.venues]
+    for venue in world.venues:
+        world.mayor_of(venue.venue_id)
+    assert mayor_stamps(world) < stamps / 2  # the reads pruned, lazily, most stamps
+    assert [venue.mayor_id for venue in world.venues] == mayors  # and moved no title
+    assert world.fingerprint() == before
 
 
 class TestMayorReads:
