@@ -10,9 +10,8 @@ population/scenario harness with a CLI (harness, cli).
 __version__ = "0.1.0"  # set before the submodules import, so that harness can read it
 
 from .anticheat import Flag, RuleConfig, RuleVerdict, UserRuleState, offline_verdicts
-from .attacker import (AttackSchedule, BBox, NoVenuesAvailable, TargetCriteria, UnknownVictim,
-                       build_schedule, execute, plan_mayor_denial, plan_step, plan_tour,
-                       select_targets)
+from .attacker import (AttackSchedule, BBox, NoVenuesAvailable, TargetCriteria, build_schedule,
+                       execute, plan_mayor_denial, plan_step, plan_tour, select_targets)
 from .geo import (EARTH_RADIUS_M, GeoPoint, LocalOffset, MILE_M, OutOfProjectionRange, fits_square,
                   haversine_m, offset_point, project_local, unproject_local)
 from .harness import (InvalidConfig, PopulationConfig, ScenarioConfig, generate_population,

@@ -50,7 +50,8 @@ class SuspicionRecord(NamedTuple):
     reasons: tuple[str, ...]
 
 
-def compute_curve(tables: PublicTables, column: str, max_total: int = 2000) -> list[CurvePoint]:
+def compute_curve(tables: PublicTables, column: str,
+                  max_total: int = DetectionThresholds.curve_max_total) -> list[CurvePoint]:
     """Mean of a ``UserRow`` column per total-check-in count (totals <= cap).
 
     ``column`` is ``"recent_checkins"`` for the recent-list curve or
@@ -100,9 +101,8 @@ def account_age_days(
     return max(thresholds.min_account_age_days, age)
 
 
-def speed_feasibility(
-    trace: Sequence[tuple[int, GeoPoint]], v_travel_m_per_s: float = 250.0
-) -> int:
+def speed_feasibility(trace: Sequence[tuple[int, GeoPoint]],
+                      v_travel_m_per_s: float = DetectionThresholds.v_travel_m_per_s) -> int:
     """Count consecutive check-in pairs no physical journey could connect.
 
     A pair at one shared point object (two check-ins at the same venue's
@@ -150,10 +150,9 @@ class CellTable(dict):
         return keys
 
 
-def dispersion(
-    trace: Sequence[tuple[int, GeoPoint]], cluster_radius_m: float = 50_000.0,
-    cells: Optional[CellTable] = None,
-) -> int:
+def dispersion(trace: Sequence[tuple[int, GeoPoint]],
+               cluster_radius_m: float = DetectionThresholds.cluster_radius_m,
+               cells: Optional[CellTable] = None) -> int:
     """Number of geographic clusters in a check-in history.
 
     Greedy leader clustering over a canonical ordering (time, then position),
@@ -271,11 +270,11 @@ def user_traces(tables: PublicTables,
     for row in events:
         point = points.get(row[2])
         if point is None:
-            raise UnknownVenue(row)
+            raise UnknownVenue.in_row(row)
         trace = traces.get(row[1])
         if trace is None:
             if row[1] not in users:
-                raise UnknownUser(row)
+                raise UnknownUser.in_row(row)
             trace = traces[row[1]] = (array("q"), [])
         try:
             trace[0].append(row[0])

@@ -165,8 +165,8 @@ class RowOutOfOrder(ValueError):
 
     def __init__(self, event: Sequence, previous_t: int) -> None:
         t, user_id = event[:2]
-        super().__init__(f"events.jsonl row for user {user_id} at t={t} is earlier than "
-                         f"the user's previous row at t={previous_t}")
+        super().__init__(f"user {user_id} at t={t} is earlier than the user's previous "
+                         f"row at t={previous_t}")
         self.event = event
         self.previous_t = previous_t
 
@@ -212,11 +212,11 @@ def offline_verdicts(
         t, user_id, venue_id, lat, lon, valid, _ = row
         point = venue_points.get(venue_id)
         if point is None:
-            raise UnknownVenue(row)
+            raise UnknownVenue.in_row(row)
         state = states.get(user_id)
         if state is None:
             if user_id not in user_ids:
-                raise UnknownUser(row)
+                raise UnknownUser.in_row(row)
             state = states[user_id] = ReplayState()
         elif t < state.last_t:
             raise RowOutOfOrder(row, state.last_t)

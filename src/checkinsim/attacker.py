@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint, MILE_M, haversine_m, offset_point
 from .spatial import VenueGridIndex
-from .tables import PublicTables
+from .tables import T_END, PublicTables, UnknownUser
 
 MIN_INTERVAL_S = 300  # five minutes between check-ins up to one mile apart
 SAME_VENUE_GAP_S = 3600  # cooldown safety gap for repeat visits
@@ -25,10 +25,6 @@ START_DELAY_S = 600  # wait between the world's clock and an attack's first chec
 
 
 class NoVenuesAvailable(Exception):
-    pass
-
-
-class UnknownVictim(Exception):
     pass
 
 
@@ -190,7 +186,7 @@ def execute(
 def plan_mayor_denial(victim_user_id: int, tables: PublicTables) -> list[int]:
     """Venues where the victim is visible: recent visitor lists or mayorships."""
     if victim_user_id not in tables.users:
-        raise UnknownVictim(f"user {victim_user_id} not present in UserInfo")
+        raise UnknownUser(f"user {victim_user_id} not present in UserInfo")
     venue_ids = {vid for vid, uid in tables.recent if uid == victim_user_id}
     venue_ids.update(v.venue_id for v in tables.venues.values() if v.mayor_id == victim_user_id)
     return sorted(venue_ids)
@@ -241,7 +237,7 @@ def load_schedule(path: str | Path, venue_ids: Optional[Container[int]] = None,
             if not_before is not None and entry.fire_time < not_before:
                 raise ValueError(f"{where}: fire_time {entry.fire_time} is before the world's "
                                  f"clock ({not_before})")
-            if entry.fire_time >= 1 << 63:  # the world's clock is a signed 64-bit integer
+            if entry.fire_time >= T_END:
                 raise ValueError(f"{where}: fire_time {entry.fire_time} is not below 2**63")
             entries.append(entry)
     return AttackSchedule(entries)

@@ -21,7 +21,7 @@ from .geo import GeoPoint, OutOfProjectionRange, validate_point
 from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
                       load_run_file, load_scenario, plan, run_scenario, seeded, venue_index,
                       write_exports)
-from .tables import (MissingTables, UnknownUser, UnknownVenue, event_line, load_events,
+from .tables import (T_END, MissingTables, UnknownUser, UnknownVenue, event_line, load_events,
                      load_tables)
 from .world import PRESENCE_UNVERIFIED, World
 
@@ -140,7 +140,7 @@ def _cmd_attack_plan(args) -> int:
     venues = [world.venue(vid) for vid in venue_ids]
     start_time = args.start_time if args.start_time is not None else world.clock.now + START_DELAY_S
     schedule = build_schedule([(v.venue_id, v.location) for v in venues], start_time)
-    if start_time < world.clock.now or schedule.entries[-1].fire_time >= 1 << 63:
+    if start_time < world.clock.now or schedule.entries[-1].fire_time >= T_END:
         raise InvalidConfig(f"must be at least the snapshot's clock ({world.clock.now}) and put "
                             f"every check-in below 2**63, got {start_time}", "--start-time")
     if args.mode != "targets":
@@ -171,17 +171,8 @@ def _naming_event_lines(path: Path, events: list):
     try:
         yield
     except (UnknownVenue, UnknownUser, RowOutOfOrder) as exc:
-        e = exc.event
-        index = next(i for i, row in enumerate(events) if row is e)
-        where = f"{path.name}:{event_line(path, index)}"
-        if isinstance(exc, RowOutOfOrder):
-            raise ValueError(f"{where}: user {e.user_id} at t={e.t} is earlier than the "
-                             f"user's previous row at t={exc.previous_t}") from exc
-        if isinstance(exc, UnknownUser):
-            raise ValueError(f"{where}: user {e.user_id} at t={e.t} is not in UserInfo.csv") \
-                from exc
-        raise ValueError(f"{where}: venue {e.venue_id} of user {e.user_id} at t={e.t} "
-                         f"is not in VenueInfo.csv") from exc
+        index = next(i for i, row in enumerate(events) if row is exc.event)
+        raise ValueError(f"{path.name}:{event_line(path, index)}: {exc}") from exc
 
 
 def _cmd_detect(args) -> int:

@@ -34,7 +34,7 @@ from .config import InvalidConfig, Section, dump, load, ranged
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
 from .spatial import VenueGridIndex
-from .tables import PublicTables, tables_from_world
+from .tables import T_END, PublicTables, tables_from_world
 from .tables import load_events, load_tables  # unused; perfbench/spans.py wraps these names here
 from .verify import RouterRegistration
 from .world import World
@@ -442,7 +442,7 @@ def _run_attack(world: World, attack: _Attack, index: VenueGridIndex, i: int) ->
     if venue_ids:
         schedule = build_schedule([(vid, world.venue(vid).location) for vid in venue_ids],
                                   world.clock.now + attack.start_delay_s)
-        if schedule.entries[-1].fire_time >= 1 << 63:  # as attack-plan checks --start-time
+        if schedule.entries[-1].fire_time >= T_END:  # as attack-plan checks --start-time
             raise InvalidConfig(f"must put every check-in below 2**63 after the clock "
                                 f"({world.clock.now}), got {attack.start_delay_s}",
                                 f"attacks[{i}].start_delay_s")

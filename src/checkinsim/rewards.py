@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from enum import Enum
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .config import InvalidConfig, Section, ranged
@@ -19,7 +18,6 @@ from .config import InvalidConfig, Section, ranged
 DAY_S = 86_400
 BASE_POINTS = 1  # flat points per valid check-in
 MAYOR_WINDOW_DAYS = 60
-_STAMP = itemgetter(1)  # the timestamp of a MayorState (day, t) entry
 
 
 class BadgeKind(str, Enum):
@@ -48,9 +46,9 @@ DEFAULT_BADGE_CATALOG: tuple[BadgeSpec, ...] = (
 class MayorState:
     """Per-venue mayorship bookkeeping, kept up to date per check-in.
 
-    ``days`` maps user id to a time-ordered list of (day, latest check-in
-    timestamp that day) for the user's valid check-ins at this venue; the
-    window prune keys off the stored timestamps so partial days age out
+    ``days`` maps user id to a time-ordered list of the latest check-in
+    timestamp of each day (``t // DAY_S``) of the user's valid check-ins at
+    this venue; the window prune bisects the stamps so partial days age out
     correctly, and drops a user's expired prefix in one slice. After each
     prune ``days`` holds exactly the users with a day in the window.
 
@@ -71,7 +69,7 @@ class MayorState:
 
     def __init__(self) -> None:
         self.mayor_id: Optional[int] = None
-        self.days: dict[int, list[tuple[int, int]]] = {}
+        self.days: dict[int, list[int]] = {}
         self._expiry: deque[tuple[int, int]] = deque()
         self._buckets: dict[int, set[int]] = {}
         self._best = 0
@@ -81,17 +79,16 @@ class MayorState:
         if expiry and t < expiry[-1][0]:
             raise ValueError(f"check-in by user {user_id} at t={t} is earlier than "
                              f"the venue's last one at t={expiry[-1][0]}")
-        day = t // DAY_S
         expiry.append((t, user_id))
         visits = self.days.get(user_id)
         if visits is None:
-            self.days[user_id] = [(day, t)]
+            self.days[user_id] = [t]
             count = 1
-        elif visits[-1][0] == day:
-            visits[-1] = (day, t)
+        elif visits[-1] // DAY_S == t // DAY_S:
+            visits[-1] = t
             return
         else:
-            visits.append((day, t))
+            visits.append(t)
             count = len(visits)
         self._move(user_id, count - 1, count)
         if count > self._best:
@@ -127,7 +124,7 @@ class MayorState:
             visits = days.get(user_id)
             if visits is None:
                 continue
-            expired = bisect_right(visits, window_start, key=_STAMP)
+            expired = bisect_right(visits, window_start)
             if expired:
                 before = len(visits)
                 del visits[:expired]

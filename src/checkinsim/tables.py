@@ -21,29 +21,40 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .geo import GeoPoint
 
 
+T_END = 1 << 63  # the log's t column is a signed 64-bit integer
+
+
 class MissingTables(Exception):
     """An expected export file is absent."""
 
 
-class UnknownVenue(ValueError):
-    """A check-in's venue is not listed in VenueInfo.csv; ``event`` is the row,
-    which starts with its ``t``, ``user_id`` and ``venue_id`` as an ``EventRow`` does."""
+class _UnknownId(ValueError):
+    """An id that names nothing. ``in_row`` makes one for a log row, which
+    starts with its ``t``, ``user_id`` and ``venue_id`` as an ``EventRow``
+    does: its message is the subclass's ``_IN_ROW`` formatted with those,
+    and it keeps the row as ``event``; any other has ``event`` None."""
 
-    def __init__(self, event: Sequence) -> None:
+    event: Optional[Sequence] = None
+
+    @classmethod
+    def in_row(cls, event: Sequence) -> "_UnknownId":
         t, user_id, venue_id = event[:3]
-        super().__init__(f"events.jsonl row for user {user_id} at t={t}: "
-                         f"venue {venue_id} is not in VenueInfo.csv")
-        self.event = event
+        exc = cls(cls._IN_ROW.format(t=t, user_id=user_id, venue_id=venue_id))
+        exc.event = event
+        return exc
 
 
-class UnknownUser(ValueError):
-    """A check-in's user is not listed in UserInfo.csv; ``event`` is the row,
-    which starts with its ``t`` and ``user_id`` as an ``EventRow`` does."""
+class UnknownVenue(_UnknownId):
+    """A venue the world has not registered, or a log row's venue VenueInfo.csv lacks."""
 
-    def __init__(self, event: Sequence) -> None:
-        t, user_id = event[:2]
-        super().__init__(f"events.jsonl row at t={t}: user {user_id} is not in UserInfo.csv")
-        self.event = event
+    _IN_ROW = "venue {venue_id} of user {user_id} at t={t} is not in VenueInfo.csv"
+
+
+class UnknownUser(_UnknownId):
+    """A user the world has not registered, a victim the tables lack, or a log
+    row's user UserInfo.csv lacks."""
+
+    _IN_ROW = "user {user_id} at t={t} is not in UserInfo.csv"
 
 
 class UserRow(NamedTuple):

@@ -44,7 +44,7 @@ from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, MAYOR_WINDOW_DAYS, RewardsEngine
-from .tables import PublicTables, write_events, write_tables
+from .tables import T_END, PublicTables, UnknownUser, UnknownVenue, write_events, write_tables
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -52,7 +52,7 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 9  # 9: no Venue.visitor_ids, no _BadgeProgress
+_SNAPSHOT_VERSION = 10  # 10: MayorState.days holds stamps, not (day, t)
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
@@ -65,16 +65,7 @@ _SNAPSHOT_GLOBALS = frozenset(
     + [("checkinsim.geo", "GeoPoint"), ("checkinsim.verify", "RouterRegistration"),
        ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
        ("random", "Random")])
-_T_END = 1 << 63  # the log's t column is a signed 64-bit integer
 RECENT_LIST_LEN = 10  # a venue's public recent-visitor list, most recent first
-
-
-class UnknownUser(Exception):
-    pass
-
-
-class UnknownVenue(Exception):
-    pass
 
 
 class ClockRegression(Exception):
@@ -92,7 +83,7 @@ class SimClock:
         self.now = now
 
     def advance(self, t: int) -> None:
-        if t.__class__ is not int or t >= _T_END:
+        if t.__class__ is not int or t >= T_END:
             raise ValueError(f"t={t!r} is not an integer below 2**63")
         if t < self.now:
             raise ClockRegression(f"t={t} is before simulation clock {self.now}")
@@ -470,7 +461,7 @@ class World:
             state = rewards._mayors.get(v.venue_id)
             stamps = [] if state is None else [
                 (uid, kept) for uid, days in sorted(state.days.items())
-                if (kept := [t for _, t in days if t > mayor_start])]
+                if (kept := [t for t in days if t > mayor_start])]
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
                   v.unique_visitors, v.mayor_id, v.recent_visitors,
                   None if state is None else state.mayor_id, stamps))

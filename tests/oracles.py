@@ -427,9 +427,9 @@ def tuple_build_report(tables, events, thresholds) -> list[SuspicionRecord]:
     traces = defaultdict(list)
     for row in events:
         if row[2] not in points:
-            raise UnknownVenue(row)
+            raise UnknownVenue.in_row(row)
         if row[1] not in tables.users:
-            raise UnknownUser(row)
+            raise UnknownUser.in_row(row)
         traces[row[1]].append((row[0], points[row[2]]))
     for trace in traces.values():
         trace.sort(key=lambda pair: pair[0])

@@ -342,7 +342,7 @@ class TestOnePassReplay:
                 offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
         assert info.value.event is rows[1]
         assert sorted(states) == [1]
-        assert str(info.value) == "events.jsonl row at t=5: user 99999 is not in UserInfo.csv"
+        assert str(info.value) == "user 99999 at t=5 is not in UserInfo.csv"
 
     @pytest.mark.parametrize("slice_size", [1, 3])
     def test_first_row_out_of_time_order_raises_with_its_row(self, slice_size):
@@ -356,8 +356,7 @@ class TestOnePassReplay:
                 offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
         assert info.value.event is rows[2]
         assert info.value.previous_t == 100
-        assert str(info.value) == ("events.jsonl row for user 1 at t=99 is earlier than "
-                                   "the user's previous row at t=100")
+        assert str(info.value) == "user 1 at t=99 is earlier than the user's previous row at t=100"
 
 
 class TestRuleStateHygiene:

@@ -9,7 +9,6 @@ from checkinsim.attacker import (
     NoVenuesAvailable,
     ScheduleEntry,
     TargetCriteria,
-    UnknownVictim,
     build_schedule,
     execute,
     load_schedule,
@@ -22,7 +21,7 @@ from checkinsim.attacker import (
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m, offset_point
 from checkinsim.harness import PopulationConfig, generate_population
 from checkinsim.spatial import VenueGridIndex
-from checkinsim.tables import tables_from_world
+from checkinsim.tables import UnknownUser, tables_from_world
 from checkinsim.world import World
 
 from oracles import brute_verdicts, nearest_linear, validate_schedule
@@ -226,7 +225,7 @@ class TestMayorDenial:
         world = World()
         world.register_venue("V", CITY)
         world.register_user(CITY)
-        with pytest.raises(UnknownVictim):
+        with pytest.raises(UnknownUser):
             plan_mayor_denial(99, tables_from_world(world))
 
     def test_invisible_victim_yields_empty_plan(self):

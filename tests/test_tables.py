@@ -1,6 +1,7 @@
 """The events.jsonl writer, the readers, and their errors for malformed exports."""
 
 import itertools
+from array import array
 import json
 import math
 import random
@@ -10,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from checkinsim.anticheat import Flag, RuleVerdict
+from checkinsim import UnknownUser, UnknownVenue, World, plan_mayor_denial
+from checkinsim.analytics import build_report
+from checkinsim.anticheat import Flag, RuleConfig, RuleVerdict, offline_verdicts
+from checkinsim.cli import main
 from checkinsim.geo import GeoPoint
-from checkinsim.tables import EventRow, load_events, load_tables, write_events
+from checkinsim.tables import EventRow, load_events, load_tables, tables_from_world, write_events
 from checkinsim.world import PRESENCE_UNVERIFIED, CheckInLog, CheckInRecord
 from oracles import encode_event_line, json_load_events
 
@@ -471,3 +475,60 @@ def test_golden_log_is_rewritten_byte_for_byte(tmp_path):
                                      RuleVerdict(not rule_flags, rule_flags), None, e.valid))
     path = write_events(log_of(records), tmp_path / "events.jsonl")
     assert path.read_bytes() == (GOLDEN / "events.jsonl").read_bytes()
+
+
+def one_user_world():
+    world = World()
+    world.register_venue("V", HOME)
+    world.register_user(HOME)
+    return world
+
+
+def submit_one_planned(user_id, venue_id):
+    one_user_world().submit_planned(array("q", [0]), array("I", [user_id]),
+                                    array("I", [venue_id]), array("d", [math.nan]),
+                                    array("d", [math.nan]), [0])
+
+
+def replay(tables, events):
+    offline_verdicts(events, tables.venue_points, tables.users, RuleConfig())
+
+
+@pytest.mark.parametrize("error, key, refuse", [
+    (UnknownUser, None, lambda: one_user_world().submit_checkin(2, 1, HOME, 0)),
+    (UnknownVenue, None, lambda: one_user_world().submit_checkin(1, 2, HOME, 0)),
+    (UnknownUser, None, lambda: submit_one_planned(2, 1)),
+    (UnknownVenue, None, lambda: submit_one_planned(1, 2)),
+    (UnknownVenue, None, lambda: one_user_world().mayor_of(2)),
+    (UnknownUser, None, lambda: plan_mayor_denial(2, tables_from_world(one_user_world()))),
+    (UnknownUser, "user_id", build_report),
+    (UnknownVenue, "venue_id", build_report),
+    (UnknownUser, "user_id", replay),
+    (UnknownVenue, "venue_id", replay),
+], ids=["submit_checkin-user", "submit_checkin-venue", "submit_planned-user",
+        "submit_planned-venue", "mayor_of", "plan_mayor_denial", "build_report-user",
+        "build_report-venue", "offline_verdicts-user", "offline_verdicts-venue"])
+def test_the_public_classes_catch_every_unknown_id(tmp_path, capsys, error, key, refuse):
+    """Whatever refuses an id raises ``checkinsim.UnknownUser`` or
+    ``UnknownVenue``; a log row's error carries the row, and its text is the
+    CLI's line for it after the ``events.jsonl:<line>: `` prefix."""
+    if key is None:
+        with pytest.raises(error) as caught:
+            refuse()
+        assert caught.value.event is None
+        return
+    exports = golden_copy(tmp_path)
+    tables, log = load_tables(exports), exports / "events.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row[key] = max(tables.users if key == "user_id" else tables.venues) + 1
+    lines[0] = json.dumps(row, separators=(",", ":")) + "\n"
+    log.write_text("".join(lines))
+    events = load_events(log)
+    with pytest.raises(error) as caught:
+        refuse(tables, events)
+    assert caught.value.event is events[0]
+    args = (["detect", "--out", str(tmp_path / "report.csv")] if refuse is build_report
+            else ["verify-replay"])
+    assert main(args + ["--in", str(exports)]) == 2
+    assert capsys.readouterr().err == f"checkinsim: error: events.jsonl:1: {caught.value}\n"

@@ -300,16 +300,16 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    @pytest.mark.parametrize("version", [6, 7, 8])
+    @pytest.mark.parametrize("version", [6, 7, 8, 9])
     def test_older_snapshot_refused(self, tmp_path, version):
         # Format 6 logged int bits and an accepted column, format 7 pickled
         # RuleVerdict as a dataclass, format 8 Venue.visitor_ids and the
-        # rewards' _BadgeProgress; an intact payload behind any of these
-        # headers must still be refused by its version.
+        # rewards' _BadgeProgress, format 9 (day, t) mayor stamps; an intact
+        # payload behind any of these headers must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 9
+        assert header["version"] == 10
         header["version"] = version
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
@@ -320,7 +320,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 9, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 10, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -483,9 +483,7 @@ class TestFingerprintSeesRewards:
 
     def test_one_mayor_stamp_differs(self):
         world, twin = self.twins()
-        days = twin.rewards.mayor_state(1).days[2]
-        day, t = days[-1]
-        days[-1] = (day, t + 1)
+        twin.rewards.mayor_state(1).days[2][-1] += 1
         assert world.fingerprint() != twin.fingerprint()
 
     def test_one_badge_window_time_differs(self):
@@ -496,7 +494,7 @@ class TestFingerprintSeesRewards:
     def test_an_expired_stamp_or_time_counts_for_nothing(self):
         world, twin = self.twins()
         start = twin.clock.now - MAYOR_WINDOW_DAYS * DAY_S
-        twin.rewards.mayor_state(1).days[1].insert(0, (start // DAY_S, start))
+        twin.rewards.mayor_state(1).days[1].insert(0, start)
         twin.rewards._windows[1]["marathon-month"].insert(0, twin.clock.now - 30 * DAY_S)
         assert world.fingerprint() == twin.fingerprint()
 
