@@ -261,10 +261,11 @@ _BY_TIME = itemgetter(0)  # traces sort by t alone, so same-t rows keep their or
 def user_traces(tables: PublicTables,
                 events: Iterable[Sequence]) -> dict[int, tuple[array, list[GeoPoint]]]:
     """Per user, the ``t`` and venue location of each of their rows of
-    ``build_report``, in row order: an int64 ``array`` (a list once a ``t``
-    it cannot hold comes) and a list of the shared ``venue_points``. A row
-    whose venue VenueInfo.csv lacks raises ``UnknownVenue`` carrying it, and
-    a user's first row, when UserInfo.csv lacks the user, ``UnknownUser``."""
+    ``build_report``, in row order: an int64 ``array`` (a ``t`` outside it
+    raises, as ``load_events`` refuses it) and a list of the shared
+    ``venue_points``. A row whose venue VenueInfo.csv lacks raises
+    ``UnknownVenue`` carrying it, and a user's first row, when UserInfo.csv
+    lacks the user, ``UnknownUser``."""
     points, users = tables.venue_points, tables.users
     traces: dict[int, tuple] = {}
     for row in events:
@@ -276,10 +277,7 @@ def user_traces(tables: PublicTables,
             if row[1] not in users:
                 raise UnknownUser.in_row(row)
             trace = traces[row[1]] = (array("q"), [])
-        try:
-            trace[0].append(row[0])
-        except (TypeError, OverflowError):
-            trace = traces[row[1]] = ([*trace[0], row[0]], trace[1])
+        trace[0].append(row[0])
         trace[1].append(point)
     return traces
 

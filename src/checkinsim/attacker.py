@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint, MILE_M, haversine_m, offset_point
 from .spatial import VenueGridIndex
-from .tables import T_END, PublicTables, UnknownUser
+from .tables import T_END, PublicTables, UnknownUser, json_object
 
 MIN_INTERVAL_S = 300  # five minutes between check-ins up to one mile apart
 SAME_VENUE_GAP_S = 3600  # cooldown safety gap for repeat visits
@@ -212,32 +212,29 @@ def load_schedule(path: str | Path, venue_ids: Optional[Container[int]] = None,
     before it runs."""
     path = Path(path)
     entries: list[ScheduleEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path.name}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{where}: not JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            for key in ScheduleEntry._fields:
-                if key not in obj:
-                    raise ValueError(f"{where}: missing key {key!r}")
-                if type(obj[key]) is not int:
-                    raise ValueError(f"{where}: {key} {obj[key]!r} is not an integer")
-            entry = ScheduleEntry(obj["venue_id"], obj["fire_time"])
-            if venue_ids is not None and entry.venue_id not in venue_ids:
-                raise ValueError(f"{where}: venue_id {entry.venue_id} is not a venue of the world")
-            if entries and entry.fire_time < entries[-1].fire_time:
-                raise ValueError(f"{where}: fire_time {entry.fire_time} is before the line "
-                                 f"above it ({entries[-1].fire_time})")
-            if not_before is not None and entry.fire_time < not_before:
-                raise ValueError(f"{where}: fire_time {entry.fire_time} is before the world's "
-                                 f"clock ({not_before})")
-            if entry.fire_time >= T_END:
-                raise ValueError(f"{where}: fire_time {entry.fire_time} is not below 2**63")
-            entries.append(entry)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                where = f"{path.name}:{lineno}"
+                obj = json_object(where, line, ScheduleEntry._fields)
+                for key in ScheduleEntry._fields:
+                    if type(obj[key]) is not int:
+                        raise ValueError(f"{where}: {key} {obj[key]!r} is not an integer")
+                entry = ScheduleEntry(obj["venue_id"], obj["fire_time"])
+                if venue_ids is not None and entry.venue_id not in venue_ids:
+                    raise ValueError(f"{where}: venue_id {entry.venue_id} is not a venue of "
+                                     f"the world")
+                if entries and entry.fire_time < entries[-1].fire_time:
+                    raise ValueError(f"{where}: fire_time {entry.fire_time} is before the line "
+                                     f"above it ({entries[-1].fire_time})")
+                if not_before is not None and entry.fire_time < not_before:
+                    raise ValueError(f"{where}: fire_time {entry.fire_time} is before the "
+                                     f"world's clock ({not_before})")
+                if entry.fire_time >= T_END:
+                    raise ValueError(f"{where}: fire_time {entry.fire_time} is not below 2**63")
+                entries.append(entry)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
     return AttackSchedule(entries)

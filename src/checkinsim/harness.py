@@ -32,7 +32,7 @@ from .attacker import (START_DELAY_S, TOUR_STEP_DEG, BBox, TargetCriteria, build
                        plan_mayor_denial, plan_tour, select_targets)
 from .config import InvalidConfig, Section, dump, load, ranged
 from .geo import GeoPoint, METERS_PER_DEG
-from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG
+from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, RewardsEngine
 from .spatial import VenueGridIndex
 from .tables import T_END, PublicTables, tables_from_world
 from .tables import load_events, load_tables  # unused; perfbench/spans.py wraps these names here
@@ -140,6 +140,7 @@ class ScenarioConfig(Section):
     detection: analytics.DetectionThresholds = analytics.DetectionThresholds()
 
     def check(self) -> None:
+        RewardsEngine(self.badges)  # refuses a repeated badge id while the config loads
         n_users, n_venues = self.population.n_users, self.population.n_venues
         if self.routers.entries and self.routers.coverage != "listed":
             raise InvalidConfig(f'must be empty unless coverage is "listed", got coverage '
@@ -170,13 +171,24 @@ def _at_most(value: int, most: int, what: str, path: str) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """The scenario JSON document at ``path`` (see ``_read_scenario``)."""
+    return _read_scenario(Path(path))
+
+
+def _read_scenario(path: Path, key: str = "") -> ScenarioConfig:
+    """The scenario a JSON document holds: the whole document or, given
+    ``key``, the value under that key of the document's object. A file that
+    cannot be read, is not UTF-8 JSON, or holds a refused value raises
+    ``InvalidConfig`` starting ``<path>: ``."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
-    return ScenarioConfig.from_dict(data)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if key:
+            if not isinstance(data, dict):
+                raise InvalidConfig(f"must be an object, got {data!r}")
+            data = data.get(key)
+        return load(ScenarioConfig, data, key)
+    except (OSError, ValueError, RecursionError) as exc:  # InvalidConfig is a ValueError
+        raise InvalidConfig(f"{path}: {exc}") from None
 
 
 def largest_remainder(fractions: Sequence[float], n: int) -> list[int]:
@@ -522,15 +534,7 @@ def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str
 def load_run_file(directory: str | Path) -> Optional[ScenarioConfig]:
     """The scenario recorded in ``directory``'s ``run.json``; None without one."""
     path = Path(directory) / RUN_FILE
-    if not path.is_file():
-        return None
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"must be an object, got {data!r}")
-        return load(ScenarioConfig, data.get("scenario"), "scenario")
-    except (OSError, UnicodeDecodeError, ValueError) as exc:  # InvalidConfig is a ValueError
-        raise InvalidConfig(f"{path}: {exc}") from None
+    return _read_scenario(path, "scenario") if path.is_file() else None
 
 
 def _install_routers(world: World, routers: Routers) -> None:

@@ -16,7 +16,7 @@ from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geo import GeoPoint
 
@@ -157,74 +157,58 @@ _VENUE_CELLS = (("venue_id", *_INT), ("name", str, "text"),
 _RECENT_CELLS = (("venue_id", *_INT), ("user_id", *_INT))
 
 
-def _venue_row(venue_id, name, lat, lon, total, unique, mayor, special) -> VenueRow:
-    return VenueRow(int(venue_id), name, _LAT(lat), _LON(lon), int(total), int(unique),
-                    int(mayor) if mayor else None, _FLAG[special])
+def _csv_rows(path: Path, cells, make, keyed: bool = False):
+    """The data rows of a CSV export, each ``make([value, ...])`` of its cells
+    parsed in ``cells`` order from the header's columns, in one pass; blank
+    lines are skipped. ``keyed`` gives a dict by the first field, which must
+    not repeat, and a list otherwise.
 
-
-def _csv_rows(path: Path, cells, convert) -> Iterator:
-    """Yield ``convert(*cells)`` for each data row of a CSV export, its cells
-    taken in ``cells`` order by the header's columns; blank lines are skipped.
-
-    A header without one of the fields, or a row that ``convert`` refuses,
-    raises ``ValueError`` naming ``<file>:<line>: <field>`` and the first bad
-    cell, as its parser in ``cells`` finds it.
+    The first problem in file order raises ``ValueError`` naming
+    ``<file>:<line>``: a header without one of the fields, a row too short
+    to hold a field, a cell its parser refuses (the first of the row in
+    ``cells`` order, with the cell), a repeated key (with the line that first
+    held it), or a line the csv module refuses. Bytes that are not UTF-8 name
+    ``<file>``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for field, _, _ in cells:
-            if field not in header:
-                raise ValueError(f"{path.name}:1: missing column {field!r}")
-        columns = [header.index(field) for field, _, _ in cells]
-        take = itemgetter(*columns)
-        for row in reader:
-            try:
-                yield convert(*take(row))
-            except (ValueError, LookupError):
-                if row:
-                    raise _cell_error(f"{path.name}:{reader.line_num}", row, cells,
-                                      columns) from None
-
-
-def _cell_error(where: str, row: list[str], cells, columns: list[int]) -> ValueError:
-    for (field, parse, what), i in zip(cells, columns):
-        if i >= len(row):
-            return ValueError(f"{where}: {field} is missing (the row has {len(row)} cells)")
-        try:
-            parse(row[i])
-        except (ValueError, KeyError):
-            return ValueError(f"{where}: {field} {row[i]!r} is not {what}")
-    return ValueError(f"{where}: unreadable row {row!r}")
-
-
-def _by_id(path: Path, cells, convert) -> dict:
-    """The rows of a CSV export keyed by their first field, which must not repeat."""
-    rows = list(_csv_rows(path, cells, convert))
-    by_id = {row[0]: row for row in rows}
-    if len(by_id) < len(rows):
-        raise _repeat_error(path, cells[0][0])
-    return by_id
-
-
-def _repeat_error(path: Path, field: str) -> ValueError:
-    """Name the first row of a CSV export whose integer ``field`` an earlier row holds."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        column = next(reader).index(field)
-        first_line: dict[int, int] = {}
-        for row in reader:
-            if row:
-                key = int(row[column])
-                if key in first_line:
-                    return ValueError(f"{path.name}:{reader.line_num}: {field} {key} "
-                                      f"repeats line {first_line[key]}")
-                first_line[key] = reader.line_num
-    return ValueError(f"{path.name}: a {field} repeats")
+    rows: list = []
+    first_line: dict = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for field, _, _ in cells:
+                if field not in header:
+                    raise ValueError(f"{path.name}:1: missing column {field!r}")
+            parsers = [(parse, header.index(field)) for field, parse, _ in cells]
+            for row in reader:
+                if not row:
+                    continue
+                values: list = []
+                try:
+                    for parse, column in parsers:
+                        values.append(parse(row[column]))
+                except (IndexError, ValueError, KeyError) as exc:  # at cell len(values)
+                    (field, _, what), (_, column) = cells[len(values)], parsers[len(values)]
+                    problem = (f"is missing (the row has {len(row)} cells)"
+                               if isinstance(exc, IndexError) else f"{row[column]!r} is not {what}")
+                    raise ValueError(f"{path.name}:{reader.line_num}: {field} {problem}") from None
+                if keyed:
+                    key = values[0]
+                    if key in first_line:
+                        raise ValueError(f"{path.name}:{reader.line_num}: {cells[0][0]} {key} "
+                                         f"repeats line {first_line[key]}")
+                    first_line[key] = reader.line_num
+                rows.append(make(values))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise ValueError(f"{path.name}:{reader.line_num}: {exc}") from exc
+    return dict(zip(first_line, rows)) if keyed else rows
 
 
 def load_tables(directory: str | Path) -> PublicTables:
-    """Read the three public CSV exports from a directory.
+    """Read the three public CSV exports from a directory, each in one pass
+    that stops at its first problem in file order (see ``_csv_rows``).
 
     Blank lines are skipped. A header without a field, a row too short to
     hold a field, or a cell that is not a number where one belongs (empty
@@ -238,12 +222,9 @@ def load_tables(directory: str | Path) -> PublicTables:
     for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv"):
         if not (directory / name).is_file():
             raise MissingTables(f"{name} not found in {directory}")
-    users = _by_id(directory / "UserInfo.csv", _USER_CELLS,
-                   lambda *cells: UserRow(*map(int, cells)))
-    venues = _by_id(directory / "VenueInfo.csv", _VENUE_CELLS, _venue_row)
-    recent = list(_csv_rows(directory / "RecentCheckin.csv", _RECENT_CELLS,
-                            lambda venue_id, user_id: (int(venue_id), int(user_id))))
-    return PublicTables(users, venues, recent)
+    return PublicTables(_csv_rows(directory / "UserInfo.csv", _USER_CELLS, UserRow._make, True),
+                        _csv_rows(directory / "VenueInfo.csv", _VENUE_CELLS, VenueRow._make, True),
+                        _csv_rows(directory / "RecentCheckin.csv", _RECENT_CELLS, tuple))
 
 
 def tables_from_world(world) -> PublicTables:
@@ -393,15 +374,10 @@ def _read_lines(name: str, lineno: int, lines: list[str], events: list) -> None:
             events.append(row)
 
 
-def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
-    """One events.jsonl line read in full: its row, or None for a blank line.
-
-    The errors for a line the ``json.loads`` reader refused keep its
-    messages; the type and range checks name the key.
-    """
-    if not line.strip():
-        return None
-    where = f"{name}:{lineno}"
+def json_object(where: str, line: str, keys: Sequence[str] = ()) -> dict:
+    """The JSON object one line holds, with every key of ``keys``. Anything
+    else raises ``ValueError`` starting ``<where>: ``: ``not JSON (...)``,
+    ``not a JSON object`` or ``missing key '<key>'``."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -410,13 +386,29 @@ def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
         raise ValueError(f"{where}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
-    for key in EventRow._fields:
+    for key in keys:
         if key not in obj:
             raise ValueError(f"{where}: missing key {key!r}")
-    t, user_id, venue_id, lat, lon, valid, flags = _event_fields(obj)
+    return obj
+
+
+def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
+    """One events.jsonl line read in full: its row, or None for a blank line.
+
+    The errors for a line the ``json.loads`` reader refused keep its
+    messages; the type and range checks name the key. A ``t`` must fit the
+    log's int64 column.
+    """
+    if not line.strip():
+        return None
+    where = f"{name}:{lineno}"
+    t, user_id, venue_id, lat, lon, valid, flags = _event_fields(
+        json_object(where, line, EventRow._fields))
     if type(flags) is not list:
         raise ValueError(f"{where}: flags must be a list")
-    for key, value in (("t", t), ("user_id", user_id), ("venue_id", venue_id)):
+    if type(t) is not int or not -T_END <= t < T_END:
+        raise ValueError(f"{where}: t {t!r} is not an integer in [-2**63, 2**63)")
+    for key, value in (("user_id", user_id), ("venue_id", venue_id)):
         if type(value) is not int:
             raise ValueError(f"{where}: {key} {value!r} is not an integer")
     for key, value, limit in (("reported_lat", lat, 90.0), ("reported_lon", lon, 180.0)):

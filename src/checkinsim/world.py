@@ -44,7 +44,8 @@ from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, MAYOR_WINDOW_DAYS, RewardsEngine
-from .tables import T_END, PublicTables, UnknownUser, UnknownVenue, write_events, write_tables
+from .tables import (T_END, PublicTables, UnknownUser, UnknownVenue, json_object, write_events,
+                     write_tables)
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -401,31 +402,33 @@ class World:
     def load_state(path: str | Path) -> "World":
         import hashlib
         import pickle
+        file_name = Path(path).name
         with open(path, "rb") as fh:
             header_line = fh.readline()
             payload = fh.read()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptSnapshot(f"unreadable snapshot header: {exc}") from exc
+        try:  # a byte that is not UTF-8 decodes to U+FFFD, which the header check refuses
+            header = json_object(f"{file_name}: unreadable snapshot header",
+                                 header_line.decode("utf-8", "replace"))
+        except ValueError as exc:
+            raise CorruptSnapshot(str(exc)) from exc
         if header.get("format") != _SNAPSHOT_FORMAT or header.get("version") != _SNAPSHOT_VERSION:
-            raise CorruptSnapshot(f"unsupported snapshot header: {header}")
+            raise CorruptSnapshot(f"{file_name}: unsupported snapshot header: {header}")
         if len(payload) != header.get("payload_bytes"):
-            raise CorruptSnapshot(f"truncated snapshot: expected {header.get('payload_bytes')} "
-                                  f"bytes, got {len(payload)}")
+            raise CorruptSnapshot(f"{file_name}: truncated snapshot: expected "
+                                  f"{header.get('payload_bytes')} bytes, got {len(payload)}")
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise CorruptSnapshot("snapshot checksum mismatch")
+            raise CorruptSnapshot(f"{file_name}: snapshot checksum mismatch")
 
         class WorldUnpickler(pickle.Unpickler):
             def find_class(self, module, name):
                 if (module, name) not in _SNAPSHOT_GLOBALS:
-                    raise CorruptSnapshot(f"snapshot payload references {module}.{name}, "
-                                          f"which no saved world holds")
+                    raise CorruptSnapshot(f"{file_name}: snapshot payload references "
+                                          f"{module}.{name}, which no saved world holds")
                 return super().find_class(module, name)
 
         world = WorldUnpickler(io.BytesIO(payload)).load()
         if not isinstance(world, World):
-            raise CorruptSnapshot("snapshot payload is not a world")
+            raise CorruptSnapshot(f"{file_name}: snapshot payload is not a world")
         return world
 
     # -- integrity helpers ----------------------------------------------------------

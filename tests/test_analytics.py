@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -398,12 +399,25 @@ class TestTraceColumns:
             clusters.append(sorted(r.clusters for r in report))
         assert len({tuple(c) for c in clusters}) == 3
 
-    def test_times_no_int64_holds_match_the_tuple_reference(self):
-        tables = self.tables(3)
-        events = [EventRow(t, user_id, venue_id, 0.0, 0.0, True, ()) for t, user_id, venue_id in
-                  ((5, 1, 1), (2**70, 1, 2), (7, 1, 3), (2**63, 2, 1), (-2**64, 2, 4),
-                   (1.5, 3, 1), (0, 3, 2), (True, 3, 4))]
-        assert build_report(tables, events) == tuple_build_report(tables, events, THRESH)
+    @pytest.mark.parametrize("t", [2**63, 2**70, -2**63 - 1, -2**64])
+    def test_times_no_int64_holds_are_refused(self, tmp_path, t):
+        # load_events refuses a t outside the log's int64 column naming its
+        # line, and build_report's int64 traces refuse one given in memory
+        def line(t):
+            return json.dumps(EventRow(t, 1, 1, 0.0, 0.0, True, [])._asdict())
+
+        path = tmp_path / "events.jsonl"
+        path.write_text(line(5) + "\n" + line(t) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^events\.jsonl:2: t {t} is not an integer "
+                                             rf"in \[-2\*\*63, 2\*\*63\)$"):
+            load_events(path)
+        with pytest.raises(OverflowError):
+            build_report(self.tables(3), [EventRow(t, 1, 1, 0.0, 0.0, True, ())])
+        path.write_text(line(-2**63) + "\n" + line(2**63 - 1) + "\n", encoding="utf-8")
+        events = load_events(path)
+        assert [row.t for row in events] == [-2**63, 2**63 - 1]
+        assert build_report(self.tables(3), events) == \
+            tuple_build_report(self.tables(3), events, THRESH)
 
     def test_unknown_venue_raises_carrying_its_row(self):
         tables = self.tables(3)

@@ -134,7 +134,7 @@ class TestExitCodes:
         path.write_text(json.dumps({"population": {**SCENARIO["population"], **population},
                                     **sections}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: {field}: " in capsys.readouterr().err
+        assert f"config error: {path}: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any world was built
 
     @pytest.mark.parametrize("short_of_2_63", [0, 1])
