@@ -202,8 +202,7 @@ def save_schedule(schedule: AttackSchedule, path: str | Path) -> Path:
     return path
 
 
-def load_schedule(path: str | Path, venue_ids: Optional[Container[int]] = None,
-                  not_before: Optional[int] = None) -> AttackSchedule:
+def load_schedule(path: str | Path, venue_ids: Container[int], not_before: int) -> AttackSchedule:
     """Read a schedule written by ``save_schedule``. Refuses, naming
     ``<file>:<line>`` and the field, a line that is not a JSON object of
     integer ``venue_id`` and ``fire_time``, a venue not in ``venue_ids``, and
@@ -223,13 +222,13 @@ def load_schedule(path: str | Path, venue_ids: Optional[Container[int]] = None,
                     if type(obj[key]) is not int:
                         raise ValueError(f"{where}: {key} {obj[key]!r} is not an integer")
                 entry = ScheduleEntry(obj["venue_id"], obj["fire_time"])
-                if venue_ids is not None and entry.venue_id not in venue_ids:
+                if entry.venue_id not in venue_ids:
                     raise ValueError(f"{where}: venue_id {entry.venue_id} is not a venue of "
                                      f"the world")
                 if entries and entry.fire_time < entries[-1].fire_time:
                     raise ValueError(f"{where}: fire_time {entry.fire_time} is before the line "
                                      f"above it ({entries[-1].fire_time})")
-                if not_before is not None and entry.fire_time < not_before:
+                if entry.fire_time < not_before:
                     raise ValueError(f"{where}: fire_time {entry.fire_time} is before the "
                                      f"world's clock ({not_before})")
                 if entry.fire_time >= T_END:

@@ -105,7 +105,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_scenario(load_scenario(args.config), args.out, seed=args.seed)
+    scenario = load_scenario(args.config)
+    try:  # a start delay is checked against the clock of the world built
+        result = run_scenario(scenario, args.out, seed=args.seed)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{args.config}: {exc}") from None
     detector = result.metrics["detector"]
     print(f"scenario complete: {result.metrics['valid_checkins']} valid / "
           f"{result.metrics['total_checkins']} check-ins, "
@@ -189,11 +193,6 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _rule_flags(event) -> set[str]:
-    """The anticheat flags of a logged row: its flags but presence attestation's."""
-    return set(event.flags) - {PRESENCE_UNVERIFIED}
-
-
 # Rows per offline_verdicts call: no slice's verdicts outlive it.
 _REPLAY_SLICE = 256
 _NO_ROWS = [None] * _REPLAY_SLICE
@@ -209,7 +208,7 @@ def _consistent(valid: bool, logged: tuple[str, ...], recomputed: tuple) -> bool
 
 def _mismatch(e, verdict) -> str:
     where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
-    logged, names = _rule_flags(e), verdict.flag_names()
+    logged, names = set(e.flags) - {PRESENCE_UNVERIFIED}, verdict.flag_names()
     if logged == set(names):  # the rules agree; valid contradicts the flags
         return f"{where} valid={'true' if e.valid else 'false'} with flags {list(e.flags)}"
     return f"{where} {sorted(logged)} recomputed {names}"

@@ -187,7 +187,9 @@ def _read_scenario(path: Path, key: str = "") -> ScenarioConfig:
                 raise InvalidConfig(f"must be an object, got {data!r}")
             data = data.get(key)
         return load(ScenarioConfig, data, key)
-    except (OSError, ValueError, RecursionError) as exc:  # InvalidConfig is a ValueError
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # InvalidConfig is a ValueError
         raise InvalidConfig(f"{path}: {exc}") from None
 
 

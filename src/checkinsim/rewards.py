@@ -94,11 +94,6 @@ class MayorState:
         if count > self._best:
             self._best = count
 
-    def distinct_day_counts(self, t: int) -> dict[int, int]:
-        """Distinct check-in days per user within (t - window, t]."""
-        self._prune(t - MAYOR_WINDOW_DAYS * DAY_S)
-        return {user_id: len(visits) for user_id, visits in self.days.items()}
-
     def _move(self, user_id: int, old: int, new: int) -> None:
         """Move a user from the ``old`` count bucket to ``new`` (0: none)."""
         buckets = self._buckets

@@ -26,9 +26,6 @@ class VenueGridIndex:
         self._lats = [loc[0] for _, loc in self._entries]
         self._locations: Optional[dict[int, GeoPoint]] = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def location_of(self, venue_id: int) -> GeoPoint:
         if self._locations is None:
             self._locations = dict(self._entries)

@@ -10,6 +10,7 @@ bad one, so a damaged export fails loudly instead of skewing a report.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from functools import cached_property, partial
@@ -289,7 +290,8 @@ _event_fields = itemgetter(*EventRow._fields)
 
 
 def load_events(path: str | Path) -> list[EventRow]:
-    """Read an events.jsonl log in blocks of 64 Ki characters.
+    """Read an events.jsonl log in blocks of 64 Ki characters, each completed
+    to its line end.
 
     Every non-blank line must be one JSON value, as ``json.loads`` accepts
     it: an object holding every ``EventRow`` key, with integers (not bools)
@@ -298,15 +300,15 @@ def load_events(path: str | Path) -> list[EventRow]:
     ``valid`` and a list of strings for ``flags``. Anything else raises
     ``ValueError`` naming the file, the line and the key or reason.
 
-    Lines end at ``"\\n"``, as file iteration splits them. The complete lines
-    of a block are taken by one compiled pattern of the line that
+    Lines end at ``"\\n"``, as file iteration splits them. The lines of a
+    block are taken by one compiled pattern of the line that
     ``write_events`` writes; their columns are converted with ``int`` and
     ``float``, the coordinates range-checked by the block's minimum and
     maximum, and each flags text maps to a tuple that is shared by every row
     holding it. A block with a line the pattern does not take, a coordinate
     out of range or a flags text that is not a list of strings is read line
-    by line by ``_event_row``, which says what the log accepts, and so is a
-    last line without ``"\\n"``.
+    by line by ``_event_row``, which says what the log accepts, and so is the
+    block ending in a last line without ``"\\n"``.
     """
     path = Path(path)
     if not path.is_file():
@@ -314,30 +316,23 @@ def load_events(path: str | Path) -> list[EventRow]:
     events: list[EventRow] = []
     flag_tuples: dict[str, tuple[str, ...]] = {"[]": ()}  # flags texts already checked
     lineno = 0  # lines before the block
-    carry = ""  # the incomplete last line of what was read so far
     try:
         with open(path, encoding="utf-8") as fh:
-            while chunk := fh.read(_BLOCK_CHARS):
-                cut = chunk.rfind("\n") + 1
-                if not cut:
-                    carry += chunk
-                    continue
-                block = carry + chunk[:cut]
-                carry = chunk[cut:]
-                lines = block.count("\n")
+            while block := fh.read(_BLOCK_CHARS):
+                block += fh.readline()  # the rest of the line the read cut
+                lines = block.count("\n") + (block[-1] != "\n")
                 if not _take_block(block, lines, flag_tuples, events):
-                    _read_lines(path.name, lineno,
-                                [line + "\n" for line in block[:-1].split("\n")], events)
+                    for n, line in enumerate(io.StringIO(block), lineno + 1):
+                        if (row := _event_row(path.name, n, line)) is not None:
+                            events.append(row)
                 lineno += lines
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
-    if carry:
-        _read_lines(path.name, lineno, [carry], events)
     return events
 
 
 def _take_block(block: str, lines: int, flag_tuples: dict, events: list) -> bool:
-    """Append the rows of a block of complete lines that all match
+    """Append the rows of a block of ``lines`` lines that all match
     ``_ROW_PATTERN``, with coordinates in range and flags texts that are lists
     of strings; False, appending nothing, when one does not."""
     rows = _ROW_PATTERN.findall(block)
@@ -364,14 +359,6 @@ def _take_block(block: str, lines: int, flag_tuples: dict, events: list) -> bool
     events.extend(map(_new_event_row, zip(map(int, t), map(int, user_id), map(int, venue_id),
                                           lat, lon, map("true".__eq__, valid), flags)))
     return True
-
-
-def _read_lines(name: str, lineno: int, lines: list[str], events: list) -> None:
-    """Append the rows of lines read one by one; ``lineno`` lines come before them."""
-    for lineno, line in enumerate(lines, lineno + 1):
-        row = _event_row(name, lineno, line)
-        if row is not None:
-            events.append(row)
 
 
 def json_object(where: str, line: str, keys: Sequence[str] = ()) -> dict:

@@ -239,7 +239,7 @@ class TestScheduleIO:
     def test_jsonl_round_trip(self, tmp_path):
         schedule = AttackSchedule([ScheduleEntry(3, 100), ScheduleEntry(9, 700)])
         path = save_schedule(schedule, tmp_path / "sched.jsonl")
-        assert load_schedule(path) == schedule
+        assert load_schedule(path, {3, 9}, 100) == schedule
 
 
 class TestGridIndex:

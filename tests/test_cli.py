@@ -41,6 +41,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    @pytest.mark.parametrize("name, reason", [("none.json", "No such file or directory"),
+                                              ("adir", "Is a directory")])
+    def test_unreadable_config_named_once(self, tmp_path, capsys, command, name, reason):
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / name
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"checkinsim: config error: {path}: {reason}\n"
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run"])  # missing required arguments
@@ -150,8 +160,8 @@ class TestExitCodes:
             {"kind": "tour", "steps": 2, "true_location": [40, -100],
              "start_delay_s": 2 ** 63 - clock - short_of_2_63}]}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "error: attacks[1].start_delay_s: must put every check-in below 2**63" \
-            in capsys.readouterr().err
+        assert f"config error: {path}: attacks[1].start_delay_s: must put every check-in " \
+            "below 2**63" in capsys.readouterr().err
 
     @pytest.mark.parametrize("region", [[89.99, 0, 90, 1], [0, 179.99, 1, 180],
                                         [-90, -180, -89.99, -179.99]])

@@ -197,8 +197,9 @@ class TestMayorship:
         a = make_user(1)
         for day in (0, 1, 2, 30):
             engine.on_valid_checkin(a, 1, day * DAY_S + 10)
-        counts = engine.mayor_state(1).distinct_day_counts(90 * DAY_S)
-        assert counts == {1: 1}  # only day 30 is inside (t-60d, t]
+        engine.recompute_mayor(1, 90 * DAY_S)
+        # only day 30 is inside (t-60d, t]
+        assert engine.mayor_state(1).days == {1: [30 * DAY_S + 10]}
 
 
 def replay_against_oracle(steps):

@@ -336,6 +336,38 @@ class TestBlockReaderMatchesOracle:
         except ValueError as exc:  # a line that is not JSON: the same message
             assert str(err.value) == str(exc)
 
+    @pytest.mark.parametrize("bad, reason", [
+        # a line end after it would move the error to column 1 of the next line
+        (GOOD_ROW[:-1], f"not JSON (Expecting ',' delimiter at column {len(GOOD_ROW)})"),
+        (GOOD_ROW.replace('"user_id":2', '"user_id":"2"'), "user_id '2' is not an integer"),
+    ])
+    def test_bad_last_line_without_line_end(self, tmp_path, bad, reason):
+        lines = block_log([GOOD_ROW], self.PLACES["straddling"], random.Random(10)) + [bad]
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert path.stat().st_size > 2 * BLOCK
+        with pytest.raises(ValueError) as err:
+            load_events(path)
+        assert str(err.value) == f"events.jsonl:{len(lines)}: {reason}"
+        try:
+            json_load_events(path)
+        except ValueError as exc:  # a line that is not JSON: the same message
+            assert str(err.value) == str(exc)
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_bad_line_longer_than_a_block(self, tmp_path, place):
+        bad = GOOD_ROW.replace('"flags":[]', '"flags":["%s" 1]' % ("x" * (BLOCK + 100)))
+        lines = block_log([bad], self.PLACES[place], random.Random(11))
+        path = write_log(tmp_path, lines)
+        with pytest.raises(ValueError) as err:
+            load_events(path)
+        with pytest.raises(ValueError) as expected:
+            json_load_events(path)
+        column = bad.index(" 1]") + 2
+        assert str(err.value) == str(expected.value) == (
+            f"events.jsonl:{lines.index(bad) + 1}: not JSON (Expecting ',' delimiter at "
+            f"column {column})")
+
     def test_log_shorter_than_a_block_and_empty_log(self, tmp_path):
         path = write_log(tmp_path, [GOOD_ROW] * 3)
         assert load_events(path) == json_load_events(path) != []
