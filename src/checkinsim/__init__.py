@@ -18,7 +18,8 @@ from .harness import (InvalidConfig, PopulationConfig, ScenarioConfig, generate_
                       load_scenario, run_scenario)
 from .rewards import BadgeKind, BadgeSpec, DEFAULT_BADGE_CATALOG, MayorState, RewardsEngine
 from .spatial import VenueGridIndex
-from .tables import MissingTables, PublicTables, load_events, load_tables, tables_from_world
+from .tables import (CheckInLog, MissingTables, PublicTables, load_events, load_tables,
+                     tables_from_world)
 from .verify import PresenceCheck, RouterRegistration, UnregisteredRouter, attest_checkin, verify_presence
-from .world import (CheckInLog, CheckInRecord, ClockRegression, CorruptSnapshot, SimClock,
+from .world import (CheckInRecord, ClockRegression, CorruptSnapshot, SimClock,
                     UnknownUser, UnknownVenue, UserProfile, Venue, World)

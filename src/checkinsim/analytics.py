@@ -264,8 +264,9 @@ def user_traces(tables: PublicTables,
     ``build_report``, in row order: an int64 ``array`` (a ``t`` outside it
     raises, as ``load_events`` refuses it) and a list of the shared
     ``venue_points``. A row whose venue VenueInfo.csv lacks raises
-    ``UnknownVenue`` carrying it, and a user's first row, when UserInfo.csv
-    lacks the user, ``UnknownUser``."""
+    ``UnknownVenue``, and a user's first row, when UserInfo.csv lacks the
+    user, ``UnknownUser``: each names its id, and the row is the first one
+    holding it."""
     points, users = tables.venue_points, tables.users
     traces: dict[int, tuple] = {}
     for row in events:
@@ -287,7 +288,7 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
     """Run every detector for every user; rank by reason count, then id.
 
     ``events`` are rows that start with ``t``, ``user_id`` and ``venue_id``,
-    read once: ``EventRow``s, ``CheckInRecord``s, or a log's three columns
+    read once: ``run`` and ``detect`` pass a ``CheckInLog``'s three columns
     zipped. A user's time-ordered (t, venue location) trace is built only
     while that user is scored. Every trace holds the shared ``venue_points``,
     and one ``CellTable`` serves the whole report, so each venue point's
@@ -299,9 +300,6 @@ def build_report(tables: PublicTables, events: Iterable[Sequence],
     report: list[SuspicionRecord] = []
     for user_id in sorted(tables.users):
         u = tables.users[user_id]
-        if u.recent_checkins > u.total_checkins:
-            raise ValueError(f"UserInfo row for user {user_id}: recent_checkins "
-                             f"{u.recent_checkins} exceeds total_checkins {u.total_checkins}")
         ratio = u.recent_checkins / u.total_checkins if u.total_checkins else 0.0
 
         reasons: list[str] = []

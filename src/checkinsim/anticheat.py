@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
-from typing import Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
+from typing import Container, Mapping, MutableMapping, NamedTuple, Optional
 
 from .config import Section, ranged
 from .geo import (GeoPoint, MILE_M, OutOfProjectionRange, distance_bounds_m, fits_square,
                   haversine_m)
-from .tables import UnknownUser, UnknownVenue
+from .tables import CheckInLog, UnknownUser, UnknownVenue
 
 # Relative slack so an exactly-at-the-limit pace is never flagged by float noise.
 _SPEED_SLACK = 1e-9
@@ -161,14 +161,13 @@ class UserRuleState:
 
 
 class RowOutOfOrder(ValueError):
-    """A log row earlier than its user's previous row; ``event`` is the row."""
+    """A log row earlier than its user's previous row; ``index`` is the row's."""
 
-    def __init__(self, event: Sequence, previous_t: int) -> None:
-        t, user_id = event[:2]
+    def __init__(self, t: int, user_id: int, previous_t: int, index: int) -> None:
         super().__init__(f"user {user_id} at t={t} is earlier than the user's previous "
                          f"row at t={previous_t}")
-        self.event = event
         self.previous_t = previous_t
+        self.index = index
 
 
 class ReplayState(UserRuleState):
@@ -179,51 +178,49 @@ class ReplayState(UserRuleState):
 
 
 def offline_verdicts(
-    rows: Sequence[Sequence],
+    log: CheckInLog,
+    rows: range,
     venue_points: Mapping[int, GeoPoint],
     user_ids: Container[int],
     config: RuleConfig,
     states: Optional[MutableMapping[int, ReplayState]] = None,
 ) -> list[RuleVerdict]:
-    """Recompute the verdict of every row of a check-in log, in one pass in log order.
+    """Recompute the verdict of the ``rows`` (a range of row indexes) of a
+    check-in log, in one pass in log order.
 
-    ``rows`` are in ``EventRow`` shape (t, user_id, venue_id, reported lat,
-    reported lon, valid, flags; the flags are not read), in log order.
     ``venue_points`` maps each venue to its point, and ``user_ids`` holds
     the users the log may name. Each user's rows replay through that
     user's ``ReplayState`` in ``states``, made at the user's first row;
-    passing the same dict to consecutive calls over consecutive
-    slices of a log replays it as one call over the whole log would. A row
-    feeds later rules when its ``valid`` is true, or, when ``valid`` is
-    None, when its recomputed verdict is valid (a recorded ``valid`` pins
-    a row's validity-for-state, as presence attestation gated it).
+    passing the same dict to consecutive calls over consecutive ranges of a
+    log replays it as one call over the whole log would. A row feeds later
+    rules when its logged ``valid`` is true, as presence attestation gated it.
 
-    A row whose reported coordinates equal its venue's point reports that
-    very point. The first row at a venue ``venue_points`` lacks raises
-    ``UnknownVenue``, the first row of a user ``user_ids`` lacks
-    ``UnknownUser``, and the first row earlier than its user's previous row
-    ``RowOutOfOrder``; each carries the row, and no later row is replayed.
+    The first row at a venue ``venue_points`` lacks raises ``UnknownVenue``,
+    the first row of a user ``user_ids`` lacks ``UnknownUser`` (each the
+    first row holding its id), and the first row earlier than its user's
+    previous row ``RowOutOfOrder`` with its index; no later row is replayed.
     """
     if states is None:
         states = {}
+    valid_of = [valid for valid, _ in log.outcomes]
     verdicts: list[RuleVerdict] = []
     append = verdicts.append
-    for row in rows:
-        t, user_id, venue_id, lat, lon, valid, _ = row
+    start = rows.start
+    for t, user_id, venue_id, lat, lon, outcome in zip(*[c[start:rows.stop] for c in log.columns]):
         point = venue_points.get(venue_id)
         if point is None:
-            raise UnknownVenue.in_row(row)
+            raise UnknownVenue.in_row((t, user_id, venue_id))
         state = states.get(user_id)
         if state is None:
             if user_id not in user_ids:
-                raise UnknownUser.in_row(row)
+                raise UnknownUser.in_row((t, user_id, venue_id))
             state = states[user_id] = ReplayState()
         elif t < state.last_t:
-            raise RowOutOfOrder(row, state.last_t)
+            raise RowOutOfOrder(t, user_id, state.last_t, start + len(verdicts))
         state.last_t = t
         reported = point if lat == point[0] and lon == point[1] else _new_point((lat, lon))
         verdict = state.evaluate_next(venue_id, point, reported, t, config)
         append(verdict)
-        if verdict[0] if valid is None else valid:
+        if valid_of[outcome]:
             state.record_valid(venue_id, point, t)
     return verdicts

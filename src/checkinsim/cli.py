@@ -21,8 +21,8 @@ from .geo import GeoPoint, OutOfProjectionRange, validate_point
 from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, gc_paused,
                       load_run_file, load_scenario, plan, run_scenario, seeded, venue_index,
                       write_exports)
-from .tables import (T_END, MissingTables, UnknownUser, UnknownVenue, event_line, load_events,
-                     load_tables)
+from .tables import (T_END, CheckInLog, MissingTables, UnknownUser, UnknownVenue, event_line,
+                     load_events, load_tables)
 from .world import PRESENCE_UNVERIFIED, World
 
 
@@ -169,13 +169,15 @@ def _cmd_attack_exec(args) -> int:
 
 
 @contextlib.contextmanager
-def _naming_event_lines(path: Path, events: list):
+def _naming_event_lines(path: Path, log: CheckInLog):
     """Name the events.jsonl line of a check-in whose venue VenueInfo.csv or
-    whose user UserInfo.csv lacks, or that is earlier than its user's previous row."""
+    whose user UserInfo.csv lacks (the first row holding that id), or that is
+    earlier than its user's previous row (the row at the error's index)."""
     try:
         yield
     except (UnknownVenue, UnknownUser, RowOutOfOrder) as exc:
-        index = next(i for i, row in enumerate(events) if row is exc.event)
+        index = (exc.index if isinstance(exc, RowOutOfOrder)
+                 else getattr(log, exc.column).index(exc.id))
         raise ValueError(f"{path.name}:{event_line(path, index)}: {exc}") from exc
 
 
@@ -184,9 +186,9 @@ def _cmd_detect(args) -> int:
     thresholds = scenario.detection if scenario else analytics.DetectionThresholds()
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
-    events = load_events(events_path)
-    with _naming_event_lines(events_path, events):
-        report = analytics.build_report(tables, events, thresholds)
+    log = load_events(events_path)
+    with _naming_event_lines(events_path, log):
+        report = analytics.build_report(tables, zip(log.t, log.user_id, log.venue_id), thresholds)
     analytics.write_report_csv(report, args.out)
     flagged = sum(1 for r in report if r.suspicious)
     print(f"report for {len(report)} users, {flagged} flagged -> {args.out}")
@@ -195,8 +197,7 @@ def _cmd_detect(args) -> int:
 
 # Rows per offline_verdicts call: no slice's verdicts outlive it.
 _REPLAY_SLICE = 256
-_NO_ROWS = [None] * _REPLAY_SLICE
-_row_valid, _row_flags, _verdict_flags = itemgetter(5), itemgetter(6), itemgetter(1)
+_verdict_flags = itemgetter(1)
 
 
 def _consistent(valid: bool, logged: tuple[str, ...], recomputed: tuple) -> bool:
@@ -219,27 +220,24 @@ def _cmd_verify_replay(args) -> int:
     config = scenario.rules if scenario else RuleConfig()
     tables = load_tables(args.in_dir)
     events_path = Path(args.in_dir) / "events.jsonl"
-    events = load_events(events_path)
+    log = load_events(events_path)
     points = tables.venue_points
     states: dict = {}
-    agree: dict[tuple, bool] = {}  # (valid, logged flags, verdict flags) -> consistent
+    agree: dict[tuple, bool] = {}  # (outcome, verdict flags) -> consistent
     mismatches: list[str] = []  # printed once the whole log has replayed
-    n_events = len(events)
-    with _naming_event_lines(events_path, events):
+    n_events = len(log)
+    with _naming_event_lines(events_path, log):
         for start in range(0, n_events, _REPLAY_SLICE):
-            stop = start + _REPLAY_SLICE
-            rows = events[start:stop]
-            verdicts = offline_verdicts(rows, points, tables.users, config, states)
-            events[start:stop] = _NO_ROWS[:len(rows)]  # a replayed row is not read again
-            keys = set(zip(map(_row_valid, rows), map(_row_flags, rows),
-                           map(_verdict_flags, verdicts)))
+            rows = range(start, min(start + _REPLAY_SLICE, n_events))
+            verdicts = offline_verdicts(log, rows, points, tables.users, config, states)
+            keys = set(zip(log.outcome[start:rows.stop], map(_verdict_flags, verdicts)))
             for key in keys.difference(agree):
-                agree[key] = _consistent(*key)
+                agree[key] = _consistent(*log.outcomes[key[0]], key[1])
             if all(map(agree.__getitem__, keys)):
                 continue
-            for e, verdict in zip(rows, verdicts):
-                if not agree[e.valid, e.flags, verdict.flags]:
-                    mismatches.append(_mismatch(e, verdict))
+            for i, verdict in zip(rows, verdicts):
+                if not agree[log.outcome[i], verdict.flags]:
+                    mismatches.append(_mismatch(log[i], verdict))
     for line in mismatches:
         print(line, file=sys.stderr)
     print(f"verify-replay: {n_events} events, {len(mismatches)} mismatches")

@@ -13,16 +13,19 @@ import csv
 import io
 import json
 import re
-from functools import cached_property, partial
+from array import array
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .geo import GeoPoint
 
 
 T_END = 1 << 63  # the log's t column is a signed 64-bit integer
+ID_END = 1 << 32  # its user_id and venue_id columns are unsigned 32-bit integers
 
 
 class MissingTables(Exception):
@@ -30,24 +33,25 @@ class MissingTables(Exception):
 
 
 class _UnknownId(ValueError):
-    """An id that names nothing. ``in_row`` makes one for a log row, which
-    starts with its ``t``, ``user_id`` and ``venue_id`` as an ``EventRow``
-    does: its message is the subclass's ``_IN_ROW`` formatted with those,
-    and it keeps the row as ``event``; any other has ``event`` None."""
+    """An id that names nothing. ``in_row`` makes one for a log row starting
+    with its ``t``, ``user_id`` and ``venue_id``, worded by the subclass's
+    ``_IN_ROW``, and ``id`` is the id it names: its row is the first whose
+    ``column`` (of a ``CheckInLog``) holds ``id``. Any other has ``id`` None."""
 
-    event: Optional[Sequence] = None
+    id: Optional[int] = None
 
     @classmethod
-    def in_row(cls, event: Sequence) -> "_UnknownId":
-        t, user_id, venue_id = event[:3]
+    def in_row(cls, row: Sequence) -> "_UnknownId":
+        t, user_id, venue_id = row[:3]
         exc = cls(cls._IN_ROW.format(t=t, user_id=user_id, venue_id=venue_id))
-        exc.event = event
+        exc.id = venue_id if cls.column == "venue_id" else user_id
         return exc
 
 
 class UnknownVenue(_UnknownId):
     """A venue the world has not registered, or a log row's venue VenueInfo.csv lacks."""
 
+    column = "venue_id"
     _IN_ROW = "venue {venue_id} of user {user_id} at t={t} is not in VenueInfo.csv"
 
 
@@ -55,6 +59,7 @@ class UnknownUser(_UnknownId):
     """A user the world has not registered, a victim the tables lack, or a log
     row's user UserInfo.csv lacks."""
 
+    column = "user_id"
     _IN_ROW = "user {user_id} at t={t} is not in UserInfo.csv"
 
 
@@ -89,6 +94,10 @@ class EventRow(NamedTuple):
     reported_lon: float
     valid: bool
     flags: tuple[str, ...]
+
+    @property
+    def accepted(self) -> bool:  # valid by CheckInRecord's name
+        return self.valid
 
 
 class PublicTables:
@@ -144,6 +153,13 @@ def _coordinate(limit: float):
     return parse
 
 
+def _user_row(values: list) -> UserRow:
+    _, total, _, _, recent = values
+    if recent > total:
+        raise ValueError(f"recent_checkins {recent} exceeds total_checkins {total}")
+    return UserRow._make(values)
+
+
 _FLAG = {"0": False, "1": True}
 _LAT, _LON = _coordinate(90.0), _coordinate(180.0)
 _INT = (int, "an integer")
@@ -168,8 +184,8 @@ def _csv_rows(path: Path, cells, make, keyed: bool = False):
     ``<file>:<line>``: a header without one of the fields, a row too short
     to hold a field, a cell its parser refuses (the first of the row in
     ``cells`` order, with the cell), a repeated key (with the line that first
-    held it), or a line the csv module refuses. Bytes that are not UTF-8 name
-    ``<file>``.
+    held it), a row ``make`` refuses (with its reason), or a line the csv
+    module refuses. Bytes that are not UTF-8 name ``<file>``.
     """
     rows: list = []
     first_line: dict = {}
@@ -199,7 +215,10 @@ def _csv_rows(path: Path, cells, make, keyed: bool = False):
                         raise ValueError(f"{path.name}:{reader.line_num}: {cells[0][0]} {key} "
                                          f"repeats line {first_line[key]}")
                     first_line[key] = reader.line_num
-                rows.append(make(values))
+                try:
+                    rows.append(make(values))
+                except ValueError as exc:  # a row whose cells disagree with each other
+                    raise ValueError(f"{path.name}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
@@ -209,21 +228,18 @@ def _csv_rows(path: Path, cells, make, keyed: bool = False):
 
 def load_tables(directory: str | Path) -> PublicTables:
     """Read the three public CSV exports from a directory, each in one pass
-    that stops at its first problem in file order (see ``_csv_rows``).
-
-    Blank lines are skipped. A header without a field, a row too short to
-    hold a field, or a cell that is not a number where one belongs (empty
-    cells included, except an empty ``mayor_id``, which means no mayor)
-    raises ``ValueError`` naming ``<file>:<line>: <field>`` and the cell. So
-    does a venue ``lat``/``lon`` that is not finite or out of range, a
-    ``has_mayor_special`` that is not ``0`` or ``1``, and a ``user_id`` or
-    ``venue_id`` that an earlier row of its file holds (naming both lines).
+    that raises ``ValueError`` for its first problem in file order (see
+    ``_csv_rows``). Every cell is a number but a venue's ``name``; an empty
+    ``mayor_id`` means no mayor; a venue ``lat``/``lon`` is finite and in
+    range, and ``has_mayor_special`` ``0`` or ``1``; a ``user_id`` or
+    ``venue_id`` holds one row of its file; and a UserInfo row's
+    ``recent_checkins`` does not exceed its ``total_checkins``.
     """
     directory = Path(directory)
     for name in ("UserInfo.csv", "VenueInfo.csv", "RecentCheckin.csv"):
         if not (directory / name).is_file():
             raise MissingTables(f"{name} not found in {directory}")
-    return PublicTables(_csv_rows(directory / "UserInfo.csv", _USER_CELLS, UserRow._make, True),
+    return PublicTables(_csv_rows(directory / "UserInfo.csv", _USER_CELLS, _user_row, True),
                         _csv_rows(directory / "VenueInfo.csv", _VENUE_CELLS, VenueRow._make, True),
                         _csv_rows(directory / "RecentCheckin.csv", _RECENT_CELLS, tuple))
 
@@ -249,21 +265,66 @@ def tables_from_world(world) -> PublicTables:
     return PublicTables(users, venues, recent)
 
 
+class CheckInLog(Sequence):
+    """The check-in log as events.jsonl holds it, ``World.events`` and what
+    ``load_events`` returns: one value per row in each of six ``array``
+    columns, ``t`` (int64), ``user_id`` and ``venue_id`` (uint32),
+    ``reported_lat`` and ``reported_lon`` (floats) and ``outcome`` (uint32),
+    an index into ``outcomes``, the rows' ``(valid, flags)`` pairs in order
+    of first use (outcome 0 is ``(True, ())``). As a read-only sequence,
+    item ``i`` is row ``i``'s ``EventRow``, built when asked for."""
+
+    def __init__(self) -> None:
+        self.columns = tuple(map(array, "qIIddI"))
+        (self.t, self.user_id, self.venue_id, self.reported_lat, self.reported_lon,
+         self.outcome) = self.columns
+        self.outcomes: list[tuple[bool, tuple[str, ...]]] = [(True, ())]
+        self._outcome_of: dict[tuple, int] = {(True, ()): 0}
+
+    def outcome_of(self, valid: bool, flags: tuple[str, ...]) -> int:
+        """The index of the outcome ``(valid, flags)``, added to ``outcomes`` if new."""
+        outcome = self._outcome_of.get((valid, flags))
+        if outcome is None:
+            outcome = self._outcome_of[valid, flags] = len(self.outcomes)
+            self.outcomes.append((valid, flags))
+        return outcome
+
+    def append(self, t: int, user_id: int, venue_id: int, lat: float, lon: float,
+               outcome: int) -> None:
+        """Add one row; a value no column holds raises and adds nothing."""
+        try:
+            self.t.append(t)
+            self.user_id.append(user_id)
+            self.venue_id.append(venue_id)
+            self.reported_lat.append(lat)
+            self.reported_lon.append(lon)
+            self.outcome.append(outcome)
+        except (TypeError, OverflowError):
+            for column in self.columns:  # the last column holds the rows before this one
+                del column[len(self.outcome):]
+            raise
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> EventRow:
+        return EventRow(self.t[i], self.user_id[i], self.venue_id[i], self.reported_lat[i],
+                        self.reported_lon[i], *self.outcomes[self.outcome[i]])
+
+
 # The start of an events.jsonl line as json.dumps(row._asdict(),
 # separators=(",", ":")) writes it; ``%r`` writes a float as json does.
 _EVENT_HEAD = '{"t":%d,"user_id":%d,"venue_id":%d,"reported_lat":%r,"reported_lon":%r,"valid":'
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def write_events(log, path: str | Path) -> Path:
-    """Write a world's check-in log (``world.CheckInLog``) as the events.jsonl
-    that ``load_events`` reads: per row (t, user_id, venue_id, reported lat
-    and lon, and its outcome's accepted and flags), byte-equal to the compact
-    JSON encoding of that row. The lines are formatted from the columns, by
-    one format per outcome."""
-    formats = [_EVENT_HEAD + _encode_json(accepted) + ',"flags":'
+def write_events(log: CheckInLog, path: str | Path) -> Path:
+    """Write a check-in log as the events.jsonl that ``load_events`` reads:
+    per row, byte-equal to the compact JSON encoding of its ``EventRow``. The
+    lines are formatted from the columns, by one format per outcome."""
+    formats = [_EVENT_HEAD + _encode_json(valid) + ',"flags":'
                + _encode_json(flags).replace("%", "%%") + "}\n"
-               for _, accepted, flags in log.outcomes]
+               for valid, flags in log.outcomes]
     line_formats = map(formats.__getitem__, log.outcome)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -275,89 +336,88 @@ def write_events(log, path: str | Path) -> Path:
 
 # Block reader for events.jsonl. One row as write_events writes it: an int
 # is at most 18 ASCII digits, and a coordinate has a fraction or an exponent
-# (a JSON-int coordinate stays an int, which only _event_row reads). The
-# pattern matches only at a line start and never crosses a "\n", so a block
-# whose match count equals its line count has every line taken.
+# (a JSON-int coordinate is left to _event_row). The pattern matches only at
+# a line start and never crosses a "\n", so a block whose match count
+# equals its line count has every line taken.
 _BLOCK_CHARS = 64 * 1024
 _INT_TOKEN = r"(-?(?:0|[1-9][0-9]{0,17}))"
 _FLOAT_TOKEN = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 _ROW_PATTERN = re.compile(
     r'^\{"t":%s,"user_id":%s,"venue_id":%s,"reported_lat":%s,"reported_lon":%s,'
-    r'"valid":(true|false),"flags":(\[[^\n]*\])\}\n'
+    r'("valid":(?:true|false),"flags":\[[^\n]*\])\}\n'
     % (_INT_TOKEN, _INT_TOKEN, _INT_TOKEN, _FLOAT_TOKEN, _FLOAT_TOKEN), re.MULTILINE)
-_new_event_row = partial(tuple.__new__, EventRow)  # skips EventRow's Python-level __new__
 _event_fields = itemgetter(*EventRow._fields)
 
 
-def load_events(path: str | Path) -> list[EventRow]:
-    """Read an events.jsonl log in blocks of 64 Ki characters, each completed
-    to its line end.
+def load_events(path: str | Path) -> CheckInLog:
+    """Read an events.jsonl log into a ``CheckInLog``, in blocks of 64 Ki
+    characters, each completed to its line end.
 
     Every non-blank line must be one JSON value, as ``json.loads`` accepts
     it: an object holding every ``EventRow`` key, with integers (not bools)
-    for ``t``, ``user_id`` and ``venue_id``, finite numbers in range for
-    ``reported_lat`` (+-90) and ``reported_lon`` (+-180), a bool for
-    ``valid`` and a list of strings for ``flags``. Anything else raises
-    ``ValueError`` naming the file, the line and the key or reason.
+    that fit their columns for ``t``, ``user_id`` and ``venue_id``, finite
+    numbers in range for ``reported_lat`` (+-90) and ``reported_lon``
+    (+-180), a bool for ``valid`` and a list of strings for ``flags``.
+    Anything else raises ``ValueError`` naming the file, the line and the
+    key or reason.
 
-    Lines end at ``"\\n"``, as file iteration splits them. The lines of a
-    block are taken by one compiled pattern of the line that
-    ``write_events`` writes; their columns are converted with ``int`` and
-    ``float``, the coordinates range-checked by the block's minimum and
-    maximum, and each flags text maps to a tuple that is shared by every row
-    holding it. A block with a line the pattern does not take, a coordinate
-    out of range or a flags text that is not a list of strings is read line
-    by line by ``_event_row``, which says what the log accepts, and so is the
-    block ending in a last line without ``"\\n"``.
+    Lines end at ``"\\n"``, as file iteration splits them. ``_take_block``
+    takes a block's lines by one pattern; a block it refuses, and the block
+    ending in a last line without ``"\\n"``, is read line by line by
+    ``_event_row``, which says what the log accepts.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingTables(f"event log not found: {path}")
-    events: list[EventRow] = []
-    flag_tuples: dict[str, tuple[str, ...]] = {"[]": ()}  # flags texts already checked
+    log = CheckInLog()
+    outcome_of = {'"valid":true,"flags":[]': 0}  # outcome texts already read
     lineno = 0  # lines before the block
     try:
         with open(path, encoding="utf-8") as fh:
             while block := fh.read(_BLOCK_CHARS):
                 block += fh.readline()  # the rest of the line the read cut
                 lines = block.count("\n") + (block[-1] != "\n")
-                if not _take_block(block, lines, flag_tuples, events):
+                if not _take_block(block, lines, log, outcome_of):
                     for n, line in enumerate(io.StringIO(block), lineno + 1):
-                        if (row := _event_row(path.name, n, line)) is not None:
-                            events.append(row)
+                        _event_row(log, path.name, n, line)
                 lineno += lines
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
-    return events
+    return log
 
 
-def _take_block(block: str, lines: int, flag_tuples: dict, events: list) -> bool:
-    """Append the rows of a block of ``lines`` lines that all match
-    ``_ROW_PATTERN``, with coordinates in range and flags texts that are lists
-    of strings; False, appending nothing, when one does not."""
+def _take_block(block: str, lines: int, log: CheckInLog, outcome_of: dict) -> bool:
+    """Append to ``log`` the rows of a block of ``lines`` lines that all match
+    ``_ROW_PATTERN``, with values their columns hold and flags texts that are
+    lists of strings; False, adding no row, when one does not (the outcomes
+    registered by then are the block's first new ones, as the line reader's)."""
     rows = _ROW_PATTERN.findall(block)
     if len(rows) != lines:
         return False
-    t, user_id, venue_id, lat, lon, valid, flags = zip(*rows)
-    lat = list(map(float, lat))
-    lon = list(map(float, lon))
+    t, user_id, venue_id, lat, lon, outcome = zip(*rows)
+    lat = array("d", map(float, lat))
+    lon = array("d", map(float, lon))
     if not (-90.0 <= min(lat) and max(lat) <= 90.0
             and -180.0 <= min(lon) and max(lon) <= 180.0):
         return False
     try:
-        flags = list(map(flag_tuples.__getitem__, flags))
-    except KeyError:
-        for text in set(flags).difference(flag_tuples):
+        user_id = array("I", map(int, user_id))
+        venue_id = array("I", map(int, venue_id))
+    except OverflowError:  # an id below 0 or from ID_END on
+        return False
+    for text in dict.fromkeys(outcome):  # in order of first use
+        if text not in outcome_of:
+            valid, _, flags = text.partition(',"flags":')
             try:
-                value = json.loads(text)
+                flags = json.loads(flags)
             except (ValueError, RecursionError):
                 return False
-            if not (type(value) is list and all(type(f) is str for f in value)):
+            if type(flags) is not list or not all(type(f) is str for f in flags):
                 return False
-            flag_tuples[text] = tuple(value)
-        flags = list(map(flag_tuples.__getitem__, flags))
-    events.extend(map(_new_event_row, zip(map(int, t), map(int, user_id), map(int, venue_id),
-                                          lat, lon, map("true".__eq__, valid), flags)))
+            outcome_of[text] = log.outcome_of(valid == '"valid":true', tuple(flags))
+    outcome = array("I", map(outcome_of.__getitem__, outcome))
+    for column, values in zip(log.columns, (map(int, t), user_id, venue_id, lat, lon, outcome)):
+        column.extend(values)
     return True
 
 
@@ -379,15 +439,16 @@ def json_object(where: str, line: str, keys: Sequence[str] = ()) -> dict:
     return obj
 
 
-def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
-    """One events.jsonl line read in full: its row, or None for a blank line.
+def _event_row(log: CheckInLog, name: str, lineno: int, line: str) -> None:
+    """Append the row of one events.jsonl line, read in full, to ``log``; a
+    blank line adds none.
 
     The errors for a line the ``json.loads`` reader refused keep its
-    messages; the type and range checks name the key. A ``t`` must fit the
-    log's int64 column.
+    messages; the type and range checks name the key. A ``t``, ``user_id``
+    and ``venue_id`` must fit its column.
     """
     if not line.strip():
-        return None
+        return
     where = f"{name}:{lineno}"
     t, user_id, venue_id, lat, lon, valid, flags = _event_fields(
         json_object(where, line, EventRow._fields))
@@ -398,6 +459,8 @@ def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
     for key, value in (("user_id", user_id), ("venue_id", venue_id)):
         if type(value) is not int:
             raise ValueError(f"{where}: {key} {value!r} is not an integer")
+        if not 0 <= value < ID_END:
+            raise ValueError(f"{where}: {key} {value} is not in [0, 2**32)")
     for key, value, limit in (("reported_lat", lat, 90.0), ("reported_lon", lon, 180.0)):
         if type(value) not in (int, float) or not -limit <= value <= limit:
             raise ValueError(f"{where}: {key} {value!r} is not a finite number "
@@ -406,7 +469,7 @@ def _event_row(name: str, lineno: int, line: str) -> Optional[EventRow]:
         raise ValueError(f"{where}: valid {valid!r} is not true or false")
     if not all(type(f) is str for f in flags):
         raise ValueError(f"{where}: flags must be a list of strings, got {flags!r}")
-    return EventRow(t, user_id, venue_id, lat, lon, valid, tuple(flags))
+    log.append(t, user_id, venue_id, lat, lon, log.outcome_of(valid, tuple(flags)))
 
 
 def event_line(path: str | Path, index: int) -> int:

@@ -5,24 +5,15 @@ submission through the anticheat -> attestation -> rewards pipeline. All
 mutation flows through a single logical submission sequence; exports and
 analytics read immutable projections.
 
-The log (``CheckInLog``, ``World.events``) keeps one value per row in each
-of its ``array`` columns and no object per row: ``t``, ``user_id``,
-``venue_id``, reported and true ``lat``/``lon`` (floats, as ``validate_point``
-returns them), ``outcome`` (an index into a small table of verdict, accepted
-and events.jsonl flags) and ``attested`` (-1 when no router was asked, else 0
-or 1). A rejected verdict's ``detail`` is not kept; ``offline_verdicts`` recomputes it.
+The log (``World.events``) is a ``tables.CheckInLog``. A row's true point,
+attestation and verdict ``detail`` are not kept in it: ``submit_checkin``
+returns them in the row's ``CheckInRecord``.
 
-Rows go in two ways, through one pipeline body (``World._submit``) that has
-no argument checks of its own. ``submit_checkin`` checks one row's arguments
-(ids, points, ``t`` against the clock), advances the clock and still returns
-the row's ``CheckInRecord``. ``submit_planned`` takes planned rows as
-``array`` columns and checks each column once, before any state changes:
-the typecodes ``qIIdd``, ids by min and max against the registered counts,
-``t`` non-decreasing in submission order and not before the clock, every
-non-NaN coordinate in range (and lon not NaN where lat is not). It raises
-what ``submit_checkin`` raises for the first bad value (``UnknownUser``,
-``UnknownVenue``, ``ClockRegression``, ``ValueError``), naming its row and
-value, and leaves the clock at the last row's ``t``.
+Rows go in through one pipeline body (``World._submit``) that has no
+argument checks of its own, by one of two doors: ``submit_checkin`` checks
+one row's arguments and returns its ``CheckInRecord``, and ``submit_planned``
+checks planned ``array`` columns once (``_check_planned``), before any
+state changes, raising what ``submit_checkin`` raises for the first bad value.
 """
 
 from __future__ import annotations
@@ -44,8 +35,8 @@ from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, MAYOR_WINDOW_DAYS, RewardsEngine
-from .tables import (T_END, PublicTables, UnknownUser, UnknownVenue, json_object, write_events,
-                     write_tables)
+from .tables import (T_END, CheckInLog, PublicTables, UnknownUser, UnknownVenue, json_object,
+                     write_events, write_tables)
 from .verify import RouterRegistration, attest_checkin
 
 # Flag string used in exports for check-ins rejected by strict presence
@@ -53,17 +44,17 @@ from .verify import RouterRegistration, attest_checkin
 PRESENCE_UNVERIFIED = "PresenceUnverified"
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 10  # 10: MayorState.days holds stamps, not (day, t)
+_SNAPSHOT_VERSION = 11  # 11: CheckInLog moved to tables and keeps six columns
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
     [("checkinsim.world", name)
-     for name in ("World", "SimClock", "Venue", "UserProfile", "CheckInLog")]
-    + [("checkinsim.anticheat", name)
-       for name in ("RuleConfig", "RuleVerdict", "Flag", "UserRuleState")]
+     for name in ("World", "SimClock", "Venue", "UserProfile")]
+    + [("checkinsim.anticheat", name) for name in ("RuleConfig", "Flag", "UserRuleState")]
     + [("checkinsim.rewards", name)
        for name in ("RewardsEngine", "MayorState", "BadgeSpec", "BadgeKind")]
     + [("checkinsim.geo", "GeoPoint"), ("checkinsim.verify", "RouterRegistration"),
+       ("checkinsim.tables", "CheckInLog"),
        ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
        ("random", "Random")])
 RECENT_LIST_LEN = 10  # a venue's public recent-visitor list, most recent first
@@ -127,63 +118,6 @@ class CheckInRecord(NamedTuple):
 
 _new_record = partial(tuple.__new__, CheckInRecord)  # skips the Python-level __new__
 _new_point = partial(tuple.__new__, GeoPoint)
-_ATTESTED = (False, True, None)  # by the attested column's value: 0, 1 or -1
-
-
-class CheckInLog(Sequence):
-    """The check-in log's columns (see the module doc). ``outcomes`` is the
-    outcome table, in order of first use; outcome 0 is an accepted valid row.
-    As a sequence the log is read-only: item ``i`` is row ``i``'s
-    ``CheckInRecord``, built when asked for."""
-
-    def __init__(self) -> None:
-        self.columns = tuple(map(array, "qIIddddBb"))
-        (self.t, self.user_id, self.venue_id, self.reported_lat, self.reported_lon,
-         self.true_lat, self.true_lon, self.outcome, self.attested) = self.columns
-        self.outcomes: list[tuple[RuleVerdict, bool, tuple[str, ...]]] = [(VALID_VERDICT, True, ())]
-        self._outcome_of: dict[tuple, int] = {(True, (), True): 0}
-
-    def append(self, t: int, user_id: int, venue_id: int, reported: GeoPoint, true: GeoPoint,
-               verdict: RuleVerdict, attested: Optional[bool], accepted: bool) -> None:
-        """Add one row, given as a ``CheckInRecord``'s fields; a value no column
-        holds raises and adds nothing."""
-        lat, lon = reported
-        outcome = 0  # an accepted valid row, the common one
-        entry = None  # a new outcome, registered once the row is in
-        if verdict is not VALID_VERDICT or not accepted:
-            key = (verdict.valid, verdict.flags, accepted)
-            outcome = self._outcome_of.get(key)
-            if outcome is None:
-                outcome = len(self.outcomes)
-                flags = verdict.flag_names() + [PRESENCE_UNVERIFIED] * (key[0] and not accepted)
-                entry = (RuleVerdict(*key[:2]), accepted, tuple(flags))
-        try:
-            self.t.append(t)
-            self.user_id.append(user_id)
-            self.venue_id.append(venue_id)
-            self.reported_lat.append(lat)
-            self.reported_lon.append(lon)
-            self.true_lat.append(true[0])
-            self.true_lon.append(true[1])
-            self.outcome.append(outcome)
-            self.attested.append(-1 if attested is None else attested)
-        except (TypeError, OverflowError):
-            for column in self.columns:  # the last column holds the rows before this one
-                del column[len(self.attested):]
-            raise
-        if entry is not None:
-            self._outcome_of[key] = outcome
-            self.outcomes.append(entry)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, i: int) -> CheckInRecord:
-        verdict, accepted, _ = self.outcomes[self.outcome[i]]
-        return _new_record((self.t[i], self.user_id[i], self.venue_id[i],
-                            GeoPoint(self.reported_lat[i], self.reported_lon[i]),
-                            GeoPoint(self.true_lat[i], self.true_lon[i]), verdict,
-                            _ATTESTED[self.attested[i]], accepted))
 
 
 # The planned columns: name, typecode, and what submit_checkin raises for a
@@ -244,6 +178,7 @@ class World:
         self.events = CheckInLog()
         self.routers: dict[int, RouterRegistration] = {}
         self._rule_states: dict[int, UserRuleState] = {}
+        self._outcome_of: dict[tuple, int] = {}  # (verdict flags, accepted) -> log outcome
 
     # -- registration --------------------------------------------------------
 
@@ -289,10 +224,11 @@ class World:
         else:
             reported_gps, true_gps = validate_point(reported_gps), validate_point(true_gps)
         self.clock.advance(t)
-        verdict = self._submit(user, venue, reported_gps, true_gps, t)
+        attested = attest_checkin(venue_id, true_gps, self.routers) if self.routers else None
+        verdict = self._submit(user, venue, reported_gps, attested, t)
         log = self.events
-        return _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict,
-                            _ATTESTED[log.attested[-1]], log.outcomes[log.outcome[-1]][1]))
+        return _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict, attested,
+                            log.outcomes[log.outcome[-1]][0]))
 
     def submit_planned(self, t: array, user_id: array, venue_id: array, lat: array, lon: array,
                        order: Sequence[int]) -> None:
@@ -301,10 +237,10 @@ class World:
         A row whose ``lat`` is NaN reports its venue's own ``location``
         object; a ground-truth cheater's true point is the home, anyone
         else's the reported point. The columns are checked once, before any
-        state changes (see the module doc); the clock ends at the last row's ``t``.
+        state changes (see ``_check_planned``); the clock ends at the last row's ``t``.
         """
         _check_planned(self, t, user_id, venue_id, lat, lon, order)
-        users, venues, submit = self.users, self.venues, self._submit
+        users, venues, submit, routers = self.users, self.venues, self._submit, self.routers
         i = None
         try:
             for i in order:
@@ -312,29 +248,35 @@ class World:
                 venue = venues[venue_id[i] - 1]
                 row_lat = lat[i]
                 reported = venue.location if row_lat != row_lat else _new_point((row_lat, lon[i]))
-                submit(user, venue, reported, user.home if user.is_cheater_ground_truth else reported,
-                       t[i])
+                true = user.home if user.is_cheater_ground_truth else reported
+                submit(user, venue, reported,
+                       attest_checkin(venue.venue_id, true, routers) if routers else None, t[i])
         finally:
             if i is not None:  # the clock is never behind a row in the log
                 self.clock.now = t[i]
 
-    def _submit(self, user: UserProfile, venue: Venue, reported: GeoPoint, true: GeoPoint,
-                t: int) -> RuleVerdict:
-        """The pipeline body for one row whose arguments are checked and whose
-        ``t`` is not before any logged row's: rules, attestation, the log, the
+    def _submit(self, user: UserProfile, venue: Venue, reported: GeoPoint,
+                attested: Optional[bool], t: int) -> RuleVerdict:
+        """The pipeline body for one row whose arguments are checked, whose
+        ``t`` is not before any logged row's and whose presence attestation
+        is made (None when the world has no router): rules, the log, the
         counters, rewards and the mayor. Returns the rules' verdict."""
         user_id, venue_id = user.user_id, venue.venue_id  # the world's own int objects
         state = self._rule_states.get(user_id)
         if state is None:
             state = self._rule_states[user_id] = UserRuleState()
         verdict = state.evaluate_next(venue_id, venue.location, reported, t, self.rule_config)
-
-        attested: Optional[bool] = None
-        if self.routers:
-            attested = attest_checkin(venue_id, true, self.routers)
         accepted = verdict.valid and (not self.strict_verify or bool(attested))
 
-        self.events.append(t, user_id, venue_id, reported, true, verdict, attested, accepted)
+        outcome = 0  # an accepted valid row, the common one
+        if verdict is not VALID_VERDICT or not accepted:
+            key = (verdict.flags, accepted)
+            outcome = self._outcome_of.get(key)
+            if outcome is None:
+                # a valid verdict is VALID_VERDICT, here only on a row not accepted
+                flags = verdict.flag_names() + [PRESENCE_UNVERIFIED] * verdict.valid
+                outcome = self._outcome_of[key] = self.events.outcome_of(accepted, tuple(flags))
+        self.events.append(t, user_id, venue_id, reported[0], reported[1], outcome)
         user.total_checkins += 1
         if accepted:
             visited = state.last_valid_t_by_venue  # the one record of who visited where
@@ -480,13 +422,13 @@ class World:
 
     def valid_count(self) -> int:
         outcomes = self.events.outcomes
-        return sum(n for i, n in Counter(self.events.outcome).items() if outcomes[i][1])
+        return sum(n for i, n in Counter(self.events.outcome).items() if outcomes[i][0])
 
     def invalid_by_flag(self) -> dict[str, int]:
         outcomes = self.events.outcomes
         counts: Counter[str] = Counter()
         for i, n in Counter(self.events.outcome).items():  # outcomes in order of first use
-            _, accepted, flags = outcomes[i]
-            if not accepted:
+            valid, flags = outcomes[i]
+            if not valid:
                 counts.update(dict.fromkeys(flags, n))
         return dict(counts)

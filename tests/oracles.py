@@ -37,8 +37,8 @@ from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind, RewardsEngin
 from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
                                   flag_badge_anomaly, flag_daily_rate, speed_feasibility)
 from checkinsim.anticheat import Flag
-from checkinsim.tables import (EventRow, MissingTables, UnknownUser, UnknownVenue, load_events,
-                              load_tables)
+from checkinsim.tables import (CheckInLog, EventRow, MissingTables, UnknownUser, UnknownVenue,
+                              load_events, load_tables)
 from checkinsim import harness
 from checkinsim.world import World
 
@@ -251,7 +251,7 @@ def scan_visits(log) -> tuple[dict[int, int], dict[int, set[int]]]:
     columns and outcome table: each venue's count of distinct users, and
     each user's set of venues. The reference for ``Venue.unique_visitors``
     and for the distinct-venue count the rewards are given."""
-    accepted = [outcome[1] for outcome in log.outcomes]
+    accepted = [valid for valid, _ in log.outcomes]
     visitors: dict[int, set[int]] = defaultdict(set)
     venues: dict[int, set[int]] = defaultdict(set)
     for user_id, venue_id, outcome in zip(log.user_id, log.venue_id, log.outcome):
@@ -292,6 +292,14 @@ def event_row(record) -> EventRow:
     gps = record.reported_gps
     return EventRow(record.t, record.user_id, record.venue_id, gps.lat, gps.lon,
                     record.accepted, tuple(export_flags(record)))
+
+
+def log_of_rows(rows) -> CheckInLog:
+    """A ``CheckInLog`` of ``rows``, each in ``EventRow`` shape, appended one by one."""
+    log = CheckInLog()
+    for t, user_id, venue_id, lat, lon, valid, flags in rows:
+        log.append(t, user_id, venue_id, lat, lon, log.outcome_of(valid, tuple(flags)))
+    return log
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))

@@ -9,7 +9,7 @@ from checkinsim.config import InvalidConfig, dump, load
 from checkinsim.geo import GeoPoint, MILE_M, offset_point
 from checkinsim.tables import EventRow, UnknownUser, UnknownVenue
 
-from oracles import brute_verdicts
+from oracles import brute_verdicts, log_of_rows
 
 CFG = RuleConfig()
 ORIGIN = GeoPoint(40.0, -100.0)
@@ -30,12 +30,14 @@ def judge(state, venue_id, loc, t, reported=None):
 
 def replay_trace(trace, config=CFG, prior_valid=None):
     """``offline_verdicts`` over one user's (t, venue_id, venue_location,
-    reported_gps) trace, validity pinned to ``prior_valid`` if given."""
+    reported_gps) trace, logged valid as ``prior_valid`` gives, by default
+    as the live engine judges each row (a world without routers)."""
     points = {venue_id: loc for _, venue_id, loc, _ in trace}
-    pins = [None] * len(trace) if prior_valid is None else prior_valid
-    rows = [EventRow(t, 1, venue_id, reported.lat, reported.lon, valid, ())
-            for (t, venue_id, _, reported), valid in zip(trace, pins)]
-    return offline_verdicts(rows, points, USERS, config)
+    pins = [v.valid for v in engine_verdicts(trace, config)] if prior_valid is None \
+        else prior_valid
+    log = log_of_rows(EventRow(t, 1, venue_id, reported.lat, reported.lon, valid, ())
+                      for (t, venue_id, _, reported), valid in zip(trace, pins))
+    return offline_verdicts(log, range(len(log)), points, USERS, config)
 
 
 class TestRuleFrequent:
@@ -225,8 +227,9 @@ def random_log(rng, pinned, n_rows=60):
     Users interleave, runs of rows share a ``t``, half the rows go to venues
     1-4, which lie 4 m from one point (so rapid-fire fires), the rest to
     venues up to 30 km apart, and most rows report their venue's own
-    coordinates. Each row's ``valid`` is
-    None (chained), or a random pin when ``pinned``.
+    coordinates. Each row's ``valid`` is a random pin when ``pinned``, and
+    else the brute-force oracle's chained verdict, as a world without
+    routers logs it.
     """
     base = GeoPoint(rng.uniform(-60, 60), rng.uniform(-170, 170))
     points = {venue_id: offset_point(base, 90 * venue_id, 4) for venue_id in range(1, 5)}
@@ -243,20 +246,24 @@ def random_log(rng, pinned, n_rows=60):
         rows.append(EventRow(t, rng.randint(1, n_users), venue_id, reported.lat, reported.lon,
                              rng.random() < 0.6 if pinned else None, ()))
         t += rng.choice((0, 0, rng.randint(1, 30), rng.randint(30, 5_000)))
+    if not pinned:
+        for indexes, trace, _ in user_traces(points, rows):
+            for i, (ok, _) in zip(indexes, brute_verdicts(trace, CFG)):
+                rows[i] = rows[i]._replace(valid=ok)
     return points, rows
 
 
 def user_traces(points, rows):
     """Each user's (row indexes, (t, venue_id, venue point, reported point)
-    trace, pins or None), the reported point equal to but never the venue's."""
+    trace, logged ``valid`` pins), the reported point equal to but never the
+    venue's."""
     by_user = {}
     for i, (t, user_id, venue_id, lat, lon, valid, _) in enumerate(rows):
         indexes, trace, pins = by_user.setdefault(user_id, ([], [], []))
         indexes.append(i)
         trace.append((t, venue_id, points[venue_id], GeoPoint(lat, lon)))
         pins.append(valid)
-    return [(indexes, trace, None if pins[0] is None else pins)
-            for indexes, trace, pins in by_user.values()]
+    return list(by_user.values())
 
 
 class TestOnePassReplay:
@@ -265,7 +272,7 @@ class TestOnePassReplay:
         rng = random.Random(41 + pinned)
         for _ in range(400):
             points, rows = random_log(rng, pinned)
-            replay = offline_verdicts(rows, points, USERS, CFG)
+            replay = offline_verdicts(log_of_rows(rows), range(len(rows)), points, USERS, CFG)
             assert len(replay) == len(rows)
             for indexes, trace, pins in user_traces(points, rows):
                 oracle = brute_verdicts(trace, CFG, prior_valid=pins)
@@ -280,13 +287,13 @@ class TestOnePassReplay:
         rng = random.Random(43 + pinned)
         for _ in range(200):
             points, rows = random_log(rng, pinned)
-            replay = offline_verdicts(rows, points, USERS, CFG)
+            replay = offline_verdicts(log_of_rows(rows), range(len(rows)), points, USERS, CFG)
             for indexes, trace, pins in user_traces(points, rows):
                 state = UserRuleState()
                 for k, (i, (t, venue_id, loc, reported)) in enumerate(zip(indexes, trace)):
                     verdict = state.evaluate_next(venue_id, loc, reported, t, CFG)
                     assert replay[i] == verdict
-                    if verdict.valid if pins is None else pins[k]:
+                    if pins[k]:
                         state.record_valid(venue_id, loc, t)
 
     @pytest.mark.parametrize("size", [1, 2, 256])
@@ -294,11 +301,11 @@ class TestOnePassReplay:
         rng = random.Random(size)
         for _ in range(60):
             points, rows = random_log(rng, rng.random() < 0.5, n_rows=rng.randint(1, 600))
-            states = {}
-            sliced = []
+            log, states, sliced = log_of_rows(rows), {}, []
             for start in range(0, len(rows), size):
-                sliced += offline_verdicts(rows[start:start + size], points, USERS, CFG, states)
-            assert sliced == offline_verdicts(rows, points, USERS, CFG)
+                sliced += offline_verdicts(log, range(start, start + size), points, USERS, CFG,
+                                           states)
+            assert sliced == offline_verdicts(log, range(len(log)), points, USERS, CFG)
             assert all(type(state) is ReplayState for state in states.values())
             assert sorted(states) == sorted({row.user_id for row in rows})
 
@@ -312,49 +319,54 @@ class TestOnePassReplay:
 
         monkeypatch.setattr(UserRuleState, "evaluate_next", spy)
         away = offset_point(ORIGIN, 0, 10)
-        rows = [EventRow(0, 1, 1, ORIGIN.lat, ORIGIN.lon, None, ()),
-                EventRow(10, 2, 1, away.lat, away.lon, None, ()),
-                EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, None, ()),
-                EventRow(30, 3, 1, ORIGIN.lat, ORIGIN.lon + 0.01, None, ()),  # 850 m east
-                EventRow(40, 4, 1, ORIGIN.lat + 0.01, ORIGIN.lon, None, ())]  # 1.1 km north
-        verdicts = offline_verdicts(rows, {1: GeoPoint(40.0, -100.0)}, USERS, CFG)
+        rows = [EventRow(0, 1, 1, ORIGIN.lat, ORIGIN.lon, True, ()),
+                EventRow(10, 2, 1, away.lat, away.lon, True, ()),
+                EventRow(20, 1, 1, float(ORIGIN.lat), ORIGIN.lon, False, ("FrequentCheckin",)),
+                EventRow(30, 3, 1, ORIGIN.lat, ORIGIN.lon + 0.01, False, ()),  # 850 m east
+                EventRow(40, 4, 1, ORIGIN.lat + 0.01, ORIGIN.lon, False, ())]  # 1.1 km north
+        verdicts = offline_verdicts(log_of_rows(rows), range(5), {1: GeoPoint(40.0, -100.0)},
+                                    USERS, CFG)
         assert seen == [True, False, True, False, False]
         assert [v.flags for v in verdicts] == [(), (), (Flag.FREQUENT_CHECKIN,),
                                                (Flag.GPS_MISMATCH,), (Flag.GPS_MISMATCH,)]
 
-    def test_first_unknown_venue_raises_with_its_row(self):
-        rows = [EventRow(0, 1, 1, 40.0, -100.0, None, ()),
-                EventRow(5, 2, 9, 40.0, -100.0, None, ()),
-                EventRow(-5, 1, 1, 40.0, -100.0, None, ())]  # out of order, but later
+    def test_first_unknown_venue_raises_naming_its_id(self):
+        log = log_of_rows([EventRow(0, 1, 1, 40.0, -100.0, True, ()),
+                           EventRow(5, 2, 9, 40.0, -100.0, True, ()),
+                           EventRow(-5, 1, 1, 40.0, -100.0, True, ())])  # out of order, but later
         with pytest.raises(UnknownVenue) as info:
-            offline_verdicts(rows, {1: ORIGIN}, USERS, CFG)
-        assert info.value.event is rows[1]
+            offline_verdicts(log, range(3), {1: ORIGIN}, USERS, CFG)
+        assert (info.value.column, info.value.id) == ("venue_id", 9)
+        assert log.venue_id.index(info.value.id) == 1
 
     @pytest.mark.parametrize("slice_size", [1, 4])
-    def test_first_row_of_an_unknown_user_raises_with_its_row(self, slice_size):
-        rows = [EventRow(0, 1, 1, 40.0, -100.0, None, ()),
-                EventRow(5, 99999, 1, 40.0, -100.0, None, ()),
-                EventRow(6, 99999, 1, 40.0, -100.0, None, ()),
-                EventRow(7, 2, 9, 40.0, -100.0, None, ())]  # an unknown venue, but later
+    def test_first_row_of_an_unknown_user_raises_naming_its_id(self, slice_size):
+        log = log_of_rows([EventRow(0, 1, 1, 40.0, -100.0, True, ()),
+                           EventRow(5, 99999, 1, 40.0, -100.0, True, ()),
+                           EventRow(6, 99999, 1, 40.0, -100.0, True, ()),
+                           EventRow(7, 2, 9, 40.0, -100.0, True, ())])  # unknown venue, later
         states = {}
         with pytest.raises(UnknownUser) as info:
-            for start in range(0, len(rows), slice_size):
-                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
-        assert info.value.event is rows[1]
+            for start in range(0, len(log), slice_size):
+                offline_verdicts(log, range(start, start + slice_size), {1: ORIGIN}, USERS, CFG,
+                                 states)
+        assert (info.value.column, info.value.id) == ("user_id", 99999)
+        assert log.user_id.index(info.value.id) == 1
         assert sorted(states) == [1]
         assert str(info.value) == "user 99999 at t=5 is not in UserInfo.csv"
 
     @pytest.mark.parametrize("slice_size", [1, 3])
-    def test_first_row_out_of_time_order_raises_with_its_row(self, slice_size):
-        rows = [EventRow(100, 1, 1, 40.0, -100.0, None, ()),
-                EventRow(50, 2, 1, 40.0, -100.0, None, ()),  # user 2's first row
-                EventRow(99, 1, 1, 40.0, -100.0, None, ()),
-                EventRow(120, 1, 9, 40.0, -100.0, None, ())]
+    def test_first_row_out_of_time_order_raises_with_its_index(self, slice_size):
+        log = log_of_rows([EventRow(100, 1, 1, 40.0, -100.0, True, ()),
+                           EventRow(50, 2, 1, 40.0, -100.0, True, ()),  # user 2's first row
+                           EventRow(99, 1, 1, 40.0, -100.0, True, ()),
+                           EventRow(120, 1, 9, 40.0, -100.0, True, ())])
         states = {}
         with pytest.raises(RowOutOfOrder) as info:
-            for start in range(0, len(rows), slice_size):
-                offline_verdicts(rows[start:start + slice_size], {1: ORIGIN}, USERS, CFG, states)
-        assert info.value.event is rows[2]
+            for start in range(0, len(log), slice_size):
+                offline_verdicts(log, range(start, start + slice_size), {1: ORIGIN}, USERS, CFG,
+                                 states)
+        assert info.value.index == 2
         assert info.value.previous_t == 100
         assert str(info.value) == "user 1 at t=99 is earlier than the user's previous row at t=100"
 

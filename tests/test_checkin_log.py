@@ -1,7 +1,8 @@
 """The world's columnar check-in log against the record objects it replaced.
 
 ``oracles.kept_records`` keeps every record ``submit_checkin`` returns; the
-log's rows, its events.jsonl bytes and its counts must agree with them.
+log's rows (each record's events.jsonl row), its events.jsonl bytes and its
+counts must agree with them.
 """
 
 from collections import Counter
@@ -9,10 +10,10 @@ from collections import Counter
 import pytest
 
 from checkinsim import harness
-from checkinsim.anticheat import Flag, RuleVerdict
 from checkinsim.geo import GeoPoint
-from checkinsim.world import CheckInLog, CheckInRecord, World
-from oracles import encode_event_line, export_flags, kept_records
+from checkinsim.tables import CheckInLog, EventRow
+from checkinsim.world import World
+from oracles import encode_event_line, event_row, export_flags, kept_records
 
 ATTACKS = [
     {"kind": "tour", "steps": 12, "true_location": [64.84, -147.72]},
@@ -32,12 +33,6 @@ def scenario(strategy, seed):
     })
 
 
-def fields(record):
-    """A record's fields, its verdict without ``detail``."""
-    return (record.t, record.user_id, record.venue_id, record.reported_gps, record.true_gps,
-            record.verdict.valid, record.verdict.flags, record.attested, record.accepted)
-
-
 @pytest.mark.parametrize("strategy, seed", [("naive_teleport", 1), ("naive_teleport", 2),
                                             ("scheduled_evader", 3)])
 def test_log_agrees_with_the_kept_records(tmp_path, strategy, seed):
@@ -46,9 +41,9 @@ def test_log_agrees_with_the_kept_records(tmp_path, strategy, seed):
     world = result.world
     rows = list(world.events)
     assert len(rows) == len(world.events) == len(kept) > 0
-    assert [fields(r) for r in rows] == [fields(r) for r in kept]
-    assert [fields(world.events[i]) for i in (0, -1)] == [fields(kept[0]), fields(kept[-1])]
-    assert all(type(r) is CheckInRecord for r in rows)
+    assert rows == [event_row(r) for r in kept]
+    assert [world.events[i] for i in (0, -1)] == [event_row(kept[0]), event_row(kept[-1])]
+    assert all(type(r) is EventRow for r in rows)
     assert {a["kind"]: a["checkins"] > 0 for a in result.metrics["attacks"]} == \
         {"tour": True, "vacancy_sweep": True, "mayor_denial": True}
     assert any(not r.accepted for r in kept) and any(r.accepted for r in kept)
@@ -65,7 +60,7 @@ def test_log_agrees_with_the_kept_records(tmp_path, strategy, seed):
 
     loaded = World.load_state(world.save_state(tmp_path / "w.snap"))
     assert loaded.fingerprint() == world.fingerprint()
-    assert [fields(r) for r in loaded.events] == [fields(r) for r in kept]
+    assert list(loaded.events) == rows
 
 
 def test_fingerprint_sees_every_column():
@@ -82,33 +77,29 @@ def test_fingerprint_sees_every_column():
     assert world.fingerprint() == before
 
 
-def test_log_columns_stay_within_64_bytes_per_row():
+def test_log_columns_take_36_bytes_per_row():
     world, _ = harness.build_world(harness.ScenarioConfig.from_dict({
         "population": {"n_users": 300, "n_venues": 80, "seed": 5, "duration_days": 30,
                        "cheater_fraction": 0.1}}))
     log = world.events
     assert 2000 <= len(log) <= 20_000
-    column_bytes = sum(c.buffer_info()[1] * c.itemsize for c in log.columns)
-    assert column_bytes <= 64 * len(log)
-    rejected = [r for r in log if not r.verdict.valid]
-    assert rejected
-    assert all(not r.verdict.detail for r in log)
+    assert [c.typecode for c in log.columns] == list("qIIddI")
+    assert sum(c.buffer_info()[1] * c.itemsize for c in log.columns) == 36 * len(log)
+    assert any(not r.valid for r in log)
 
 
 def test_a_value_no_column_holds_adds_no_row():
     log = CheckInLog()
-    good = CheckInRecord(5, 1, 2, GeoPoint(1.0, 2), GeoPoint(3.0, 4.0),
-                         RuleVerdict(False, (Flag.RAPID_FIRE,), {Flag.RAPID_FIRE: 4.0}), True,
-                         False)
-    log.append(*good)
+    good = EventRow(5, 1, 2, 1.0, 2, False, ("RapidFire",))
+    log.append(*good[:5], log.outcome_of(*good[5:]))
     for bad in (good._replace(t=12.5), good._replace(t=2**63), good._replace(user_id=-1),
-                good._replace(true_gps=GeoPoint(None, 4.0))):
+                good._replace(venue_id=2**32), good._replace(reported_lon=None)):
         with pytest.raises((TypeError, OverflowError)):
-            log.append(*bad)
+            log.append(*bad[:5], 1)
         assert {len(c) for c in log.columns} == {1}
     (row,) = log
-    assert row == good._replace(verdict=RuleVerdict(False, (Flag.RAPID_FIRE,)))
-    assert type(row.reported_gps.lon) is float and type(row.reported_gps.lat) is float
+    assert row == good and row.accepted is False
+    assert type(row.reported_lon) is float and type(row.reported_lat) is float
 
 
 @pytest.mark.parametrize("t", [12.5, 2**63])
@@ -123,18 +114,11 @@ def test_submit_refuses_a_time_the_log_cannot_hold(t):
     assert world.user(1).total_checkins == 0
 
 
-def test_a_refused_row_registers_no_outcome():
-    """A row the columns refuse leaves the outcome table as it was, so the
-    fingerprint cannot see an outcome that no row has."""
-    world = World()
-    before = world.fingerprint()
-    log = world.events
-    rapid = CheckInRecord(2**63, 1, 1, GeoPoint(1.0, 2.0), GeoPoint(1.0, 2.0),
-                          RuleVerdict(False, (Flag.RAPID_FIRE,)), None, False)
-    with pytest.raises(OverflowError):
-        log.append(*rapid)
-    assert len(log) == 0 and len(log.outcomes) == 1
-    assert world.fingerprint() == before
-    log.append(*rapid._replace(t=5))
-    assert len(log) == 1 and len(log.outcomes) == 2 and log.outcome[0] == 1
-    assert log[0] == rapid._replace(t=5)
+def test_each_outcome_is_registered_once_in_order_of_first_use():
+    log = CheckInLog()
+    assert log.outcomes == [(True, ())] and log.outcome_of(True, ()) == 0
+    assert log.outcome_of(False, ("RapidFire",)) == 1
+    assert log.outcome_of(False, ("PresenceUnverified",)) == 2
+    assert log.outcome_of(False, ("RapidFire",)) == 1
+    assert log.outcomes == [(True, ()), (False, ("RapidFire",)), (False, ("PresenceUnverified",))]
+    assert len(log) == 0

@@ -319,8 +319,8 @@ class TestRunAndDetect:
         users.write_text("\n".join(lines) + "\n")
         assert main(["detect", "--in", str(exports),
                      "--out", str(tmp_path / "report.csv")]) == 2
-        assert (f"user {user_id}: recent_checkins {int(total) + 1} exceeds "
-                f"total_checkins {total}") in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"checkinsim: error: UserInfo.csv:2: recent_checkins "
+                                           f"{int(total) + 1} exceeds total_checkins {total}\n")
 
     @pytest.mark.parametrize("command", ["detect", "verify-replay"])
     def test_directory_without_event_log_exits_1(self, tmp_path, capsys, command):

@@ -91,7 +91,7 @@ class TestGeneratePopulation:
         world = generate_population(PopulationConfig(**SMALL))
         traces = {}
         for r in world.events:
-            traces.setdefault(r.user_id, []).append((r.t, r.reported_gps))
+            traces.setdefault(r.user_id, []).append((r.t, GeoPoint(r.reported_lat, r.reported_lon)))
         for uid, trace in traces.items():
             assert speed_feasibility(trace, v_travel_m_per_s=40.0) == 0
 

@@ -90,6 +90,21 @@ def test_csv_names_its_first_problem_in_file_order(tmp_path, capsys, name, field
         assert err.startswith(f"checkinsim: error: {expected}"), err
 
 
+def test_recent_above_total_names_the_userinfo_line(tmp_path, capsys):
+    exports = exports_copy(tmp_path)
+
+    def damage(lines):
+        cells = lines[2].split(",")  # user_id,total_checkins,...,recent_checkins
+        cells[-1] = str(int(cells[1]) + 5)
+        lines[2] = ",".join(cells)
+
+    edit_lines(exports / "UserInfo.csv", damage)
+    total = (GOLDEN / "UserInfo.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[1]
+    for result in read_commands(exports, tmp_path, capsys):
+        assert result == (2, f"checkinsim: error: UserInfo.csv:3: recent_checkins "
+                             f"{int(total) + 5} exceeds total_checkins {total}\n")
+
+
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
     """A generated world's snapshot."""
@@ -127,7 +142,7 @@ def test_snapshot_header_that_is_not_an_object_names_the_file(snapshot, tmp_path
 
 
 def with_header(payload, **changes):
-    header = {"format": "checkinsim-snapshot", "version": 10, "payload_bytes": len(payload),
+    header = {"format": "checkinsim-snapshot", "version": 11, "payload_bytes": len(payload),
               "sha256": hashlib.sha256(payload).hexdigest(), **changes}
     return json.dumps(header).encode() + b"\n"
 

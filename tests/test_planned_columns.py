@@ -4,7 +4,8 @@
 ``harness._submit_planned`` submits them in ``_submission_order`` through
 ``World.submit_planned``. ``oracles.tuple_submissions`` rebuilds the tuple per
 row that planning made before, sorted by (t, user_id) with Python's stable
-sort; the log's rows must hold its values in its order, and the rules must
+sort; the log's rows must hold its values in its order, each attestation its
+true point, and the rules must
 see the venue's own ``location`` object as the reported point exactly on the
 rows that report it.
 """
@@ -17,6 +18,7 @@ from array import array
 
 import pytest
 
+import checkinsim.world
 from checkinsim import harness
 from checkinsim.anticheat import UserRuleState
 from checkinsim.geo import GeoPoint
@@ -39,15 +41,27 @@ def venue_point_seen(monkeypatch):
 
 
 def logged(world):
-    """The log's rows as (user_id, venue_id, reported, t, true) tuples."""
-    return [(r.user_id, r.venue_id, r.reported_gps, r.t, r.true_gps) for r in world.events]
+    """The log's rows as (user_id, venue_id, reported, t) tuples."""
+    return [(r.user_id, r.venue_id, GeoPoint(r.reported_lat, r.reported_lon), r.t)
+            for r in world.events]
 
 
 def as_logged(expected):
-    """``tuple_submissions``' rows as the log holds them: a true point of None
-    is the reported one."""
-    return [(user_id, venue_id, reported, t, reported if true is None else true)
-            for user_id, venue_id, reported, t, true in expected]
+    """``tuple_submissions``' rows as the log holds them, without the true point."""
+    return [(user_id, venue_id, reported, t) for user_id, venue_id, reported, t, _ in expected]
+
+
+def true_points_seen(monkeypatch):
+    """The true point of each presence attestation the world makes, in order."""
+    seen = []
+    attest = checkinsim.world.attest_checkin
+
+    def attesting(venue_id, true, registry):
+        seen.append(true)
+        return attest(venue_id, true, registry)
+
+    monkeypatch.setattr(checkinsim.world, "attest_checkin", attesting)
+    return seen
 
 
 def recorded_build(monkeypatch, scenario):
@@ -76,9 +90,11 @@ def test_submissions_match_the_tuple_reference(monkeypatch, strategy, noise_m):
                        "gps_noise_m": noise_m, "cheater_fraction": 0.1,
                        "cheater_strategy": strategy},
         "routers": {"coverage": "full", "strict": True}})
+    true_points = true_points_seen(monkeypatch)
     world, plan, expected, venue_points = recorded_build(monkeypatch, scenario)
     assert len(venue_points) == len(world.events) == len(plan.t) > 1000
     assert logged(world) == as_logged(expected)
+    assert true_points == [reported if true is None else true for *_, reported, _, true in expected]
     assert list(plan.user_id) == sorted(plan.user_id)  # what _submission_order relies on
     order = harness._submission_order(plan)
     assert venue_points == [math.isnan(plan.lat[i]) for i in order]

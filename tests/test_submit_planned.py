@@ -75,7 +75,7 @@ def test_planned_columns_match_one_by_one(monkeypatch, strategy, noise_m, router
     assert planned.clock.now == reference.clock.now
     assert planned_points == reference_points
     assert planned_points[:len(marked)] == marked
-    assert (set(planned.events.attested) == {-1}) == (not routers)  # -1: no router asked
+    assert ((False, ("PresenceUnverified",)) in planned.events.outcomes) == bool(routers)
 
 
 def small_world():

@@ -16,9 +16,10 @@ from checkinsim.analytics import build_report
 from checkinsim.anticheat import Flag, RuleConfig, RuleVerdict, offline_verdicts
 from checkinsim.cli import main
 from checkinsim.geo import GeoPoint
-from checkinsim.tables import EventRow, load_events, load_tables, tables_from_world, write_events
-from checkinsim.world import PRESENCE_UNVERIFIED, CheckInLog, CheckInRecord
-from oracles import encode_event_line, json_load_events
+from checkinsim.tables import (CheckInLog, EventRow, load_events, load_tables, tables_from_world,
+                               write_events)
+from checkinsim.world import CheckInRecord
+from oracles import encode_event_line, event_row, json_load_events, log_of_rows
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 HOME = GeoPoint(40.0, -100.0)
@@ -33,10 +34,7 @@ def record(t=100, lat=40.0, lon=-100.0, flags=(), accepted=None, user_id=7, venu
 
 
 def log_of(records):
-    log = CheckInLog()
-    for r in records:
-        log.append(*r)
-    return log
+    return log_of_rows(map(event_row, records))
 
 
 def random_float(rng):
@@ -152,7 +150,7 @@ class TestLoadEventsErrors:
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(GOOD_ROW + "\n" + GOOD_ROW + " \t", encoding="utf-8")
-        assert load_events(path) == json_load_events(path) != []
+        assert list(load_events(path)) == json_load_events(path) != []
 
 
 def well_typed(obj):
@@ -206,7 +204,7 @@ class TestLoadEventsMatchesOracle:
     """The streaming reader against the json.loads reader in tests/oracles.py."""
 
     def test_golden_log(self):
-        rows = load_events(GOLDEN / "events.jsonl")
+        rows = list(load_events(GOLDEN / "events.jsonl"))
         assert rows == json_load_events(GOLDEN / "events.jsonl")
         assert all(type(row) is EventRow and well_typed(row._asdict()) for row in rows)
 
@@ -225,7 +223,7 @@ class TestLoadEventsMatchesOracle:
                 outcomes.add("both refuse")
                 continue
             if not line.strip() or well_typed(json.loads(line)):
-                assert load_events(path) == expected, line
+                assert list(load_events(path)) == expected, line
                 outcomes.add("both accept")
             else:
                 with pytest.raises(ValueError, match=r"^events\.jsonl:2: (\w+) ") as err:
@@ -249,16 +247,17 @@ def sized_row(length, t=1):
 
 
 # Lines the block reader must read as json.loads does: JSON-int and exponent
-# coordinates, ints past 18 digits, U+2028 and U+0085 inside a flag (line
-# ends to str.splitlines, not to file iteration), also in a block read line
-# by line for its JSON-int coordinate, a flags text first seen late, a blank
-# line, and a line longer than a block.
+# coordinates, ints past 18 digits, the largest id the log holds, U+2028 and
+# U+0085 inside a flag (line ends to str.splitlines, not to file iteration),
+# also in a block read line by line for its JSON-int coordinate, a flags
+# text first seen late, a blank line, and a line longer than a block.
 SEPARATOR_FLAGS = GOOD_ROW.replace('"flags":[]', '"flags":["Gps\u2028Mis\x85match"]')
 SPECIAL_LINES = [
     GOOD_ROW,
     GOOD_ROW.replace("40.0", "40"),
     GOOD_ROW.replace("40.0", "4e1").replace("-100.0", "-1.00E+2"),
-    GOOD_ROW.replace('"user_id":2', '"user_id":1234567890123456789'),
+    GOOD_ROW.replace('"t":1', '"t":1234567890123456789'),
+    GOOD_ROW.replace('"user_id":2', '"user_id":4294967295'),
     GOOD_ROW.replace('"t":1', '"t":-123456789012345678'),
     SEPARATOR_FLAGS,
     SEPARATOR_FLAGS + "\n" + GOOD_ROW.replace("-100.0", "-100"),
@@ -309,11 +308,13 @@ class TestBlockReaderMatchesOracle:
         path = tmp_path / "events.jsonl"
         # the last line has no line end
         path.write_bytes(line_end.join(lines).encode("utf-8"))
-        rows = load_events(path)
+        rows = list(load_events(path))
         expected = json_load_events(path)
-        assert rows == expected and row_types(rows) == row_types(expected)
+        assert rows == expected
         assert len(rows) == sum(1 for line in "\n".join(lines).split("\n") if line)
-        assert {type(row.reported_lat) for row in rows} == {int, float}
+        # the log's columns hold a JSON-int coordinate as a float
+        assert {type(row.reported_lat) for row in expected} == {int, float}
+        assert row_types(rows) == [(int, int, int, float, float, bool, tuple)] * len(rows)
 
     @pytest.mark.parametrize("place", PLACES)
     @pytest.mark.parametrize("bad, reason", [
@@ -370,9 +371,9 @@ class TestBlockReaderMatchesOracle:
 
     def test_log_shorter_than_a_block_and_empty_log(self, tmp_path):
         path = write_log(tmp_path, [GOOD_ROW] * 3)
-        assert load_events(path) == json_load_events(path) != []
+        assert list(load_events(path)) == json_load_events(path) != []
         path.write_text("", encoding="utf-8")
-        assert load_events(path) == []
+        assert len(load_events(path)) == 0
 
 
 class TestLoadTablesVenueCoordinates:
@@ -499,13 +500,7 @@ class TestLoadTablesCells:
 
 
 def test_golden_log_is_rewritten_byte_for_byte(tmp_path):
-    records = []
-    for e in load_events(GOLDEN / "events.jsonl"):
-        rule_flags = tuple(Flag(f) for f in e.flags if f != PRESENCE_UNVERIFIED)
-        records.append(CheckInRecord(e.t, e.user_id, e.venue_id,
-                                     GeoPoint(e.reported_lat, e.reported_lon), HOME,
-                                     RuleVerdict(not rule_flags, rule_flags), None, e.valid))
-    path = write_events(log_of(records), tmp_path / "events.jsonl")
+    path = write_events(load_events(GOLDEN / "events.jsonl"), tmp_path / "events.jsonl")
     assert path.read_bytes() == (GOLDEN / "events.jsonl").read_bytes()
 
 
@@ -522,8 +517,12 @@ def submit_one_planned(user_id, venue_id):
                                     array("d", [math.nan]), [0])
 
 
-def replay(tables, events):
-    offline_verdicts(events, tables.venue_points, tables.users, RuleConfig())
+def report(tables, log):
+    build_report(tables, zip(log.t, log.user_id, log.venue_id))
+
+
+def replay(tables, log):
+    offline_verdicts(log, range(len(log)), tables.venue_points, tables.users, RuleConfig())
 
 
 @pytest.mark.parametrize("error, key, refuse", [
@@ -533,8 +532,8 @@ def replay(tables, events):
     (UnknownVenue, None, lambda: submit_one_planned(1, 2)),
     (UnknownVenue, None, lambda: one_user_world().mayor_of(2)),
     (UnknownUser, None, lambda: plan_mayor_denial(2, tables_from_world(one_user_world()))),
-    (UnknownUser, "user_id", build_report),
-    (UnknownVenue, "venue_id", build_report),
+    (UnknownUser, "user_id", report),
+    (UnknownVenue, "venue_id", report),
     (UnknownUser, "user_id", replay),
     (UnknownVenue, "venue_id", replay),
 ], ids=["submit_checkin-user", "submit_checkin-venue", "submit_planned-user",
@@ -542,12 +541,13 @@ def replay(tables, events):
         "build_report-venue", "offline_verdicts-user", "offline_verdicts-venue"])
 def test_the_public_classes_catch_every_unknown_id(tmp_path, capsys, error, key, refuse):
     """Whatever refuses an id raises ``checkinsim.UnknownUser`` or
-    ``UnknownVenue``; a log row's error carries the row, and its text is the
-    CLI's line for it after the ``events.jsonl:<line>: `` prefix."""
+    ``UnknownVenue``; a log row's error names the id its row is the first to
+    hold, and its text is the CLI's line for it after the
+    ``events.jsonl:<line>: `` prefix."""
     if key is None:
         with pytest.raises(error) as caught:
             refuse()
-        assert caught.value.event is None
+        assert caught.value.id is None
         return
     exports = golden_copy(tmp_path)
     tables, log = load_tables(exports), exports / "events.jsonl"
@@ -559,8 +559,9 @@ def test_the_public_classes_catch_every_unknown_id(tmp_path, capsys, error, key,
     events = load_events(log)
     with pytest.raises(error) as caught:
         refuse(tables, events)
-    assert caught.value.event is events[0]
-    args = (["detect", "--out", str(tmp_path / "report.csv")] if refuse is build_report
+    assert caught.value.column == key and caught.value.id == row[key]
+    assert getattr(events, key).index(caught.value.id) == 0
+    args = (["detect", "--out", str(tmp_path / "report.csv")] if refuse is report
             else ["verify-replay"])
     assert main(args + ["--in", str(exports)]) == 2
     assert capsys.readouterr().err == f"checkinsim: error: events.jsonl:1: {caught.value}\n"

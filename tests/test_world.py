@@ -300,16 +300,17 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    @pytest.mark.parametrize("version", [6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [6, 7, 8, 9, 10])
     def test_older_snapshot_refused(self, tmp_path, version):
         # Format 6 logged int bits and an accepted column, format 7 pickled
         # RuleVerdict as a dataclass, format 8 Venue.visitor_ids and the
-        # rewards' _BadgeProgress, format 9 (day, t) mayor stamps; an intact
-        # payload behind any of these headers must still be refused by its version.
+        # rewards' _BadgeProgress, format 9 (day, t) mayor stamps, format 10 a
+        # nine-column world.CheckInLog; an intact payload behind any of these
+        # headers must still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 10
+        assert header["version"] == 11
         header["version"] = version
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
@@ -320,7 +321,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 10, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 11, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -409,7 +410,7 @@ def check_visits(world, directory):
     assert {vid: row.unique_visitors for vid, row in load_tables(directory).venues.items()} \
         == expected
     log = world.events
-    accepted = [outcome[1] for outcome in log.outcomes]
+    accepted = [valid for valid, _ in log.outcomes]
     stream = [(user_id, venue_id, t) for t, user_id, venue_id, outcome
               in zip(log.t, log.user_id, log.venue_id, log.outcome) if accepted[outcome]]
     badges = dict(zip((user_id for user_id, _, _ in stream),
@@ -448,7 +449,7 @@ class TestOneVisitRecord:
                                      rng.choice((venue.location, true)), t, true)
             rows, pairs = check_visits(world, tmp_path / f"{seed}-resumed")
             assert rows > pairs > 0  # repeat visits
-            unaccepted_valid = any(v.valid and not ok for v, ok, _ in world.events.outcomes)
+            unaccepted_valid = (False, ("PresenceUnverified",)) in world.events.outcomes
             assert unaccepted_valid == strict
 
 
@@ -555,10 +556,10 @@ class TestReplayDeterminism:
 
         replay = small_world(seed=8)
         for r in world.events:
-            replay.submit_checkin(r.user_id, r.venue_id, r.reported_gps, r.t, r.true_gps)
+            replay.submit_checkin(r.user_id, r.venue_id, GeoPoint(r.reported_lat, r.reported_lon),
+                                  r.t)
         assert replay.fingerprint() == world.fingerprint()
-        for a, b in zip(world.events, replay.events):
-            assert (a.verdict.valid, a.verdict.flags) == (b.verdict.valid, b.verdict.flags)
+        assert list(replay.events) == list(world.events)
 
     def test_identical_submission_sequences_reproduce_state(self):
         rng = random.Random(6)
@@ -579,4 +580,4 @@ class TestReplayDeterminism:
 
         w1, w2 = run(), run()
         assert w1.fingerprint() == w2.fingerprint()
-        assert [r.verdict.flags for r in w1.events] == [r.verdict.flags for r in w2.events]
+        assert list(w1.events) == list(w2.events)
