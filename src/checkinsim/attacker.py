@@ -34,14 +34,10 @@ class BBox(NamedTuple):
     max_lat: float
     max_lon: float
 
-    def contains(self, p: GeoPoint) -> bool:
-        return self.min_lat <= p.lat <= self.max_lat and self.min_lon <= p.lon <= self.max_lon
-
 
 class TargetCriteria(NamedTuple):
     require_mayor_special: bool = False
     require_vacant_mayor: bool = False
-    region: Optional[BBox] = None
     name_filter: Optional[str] = None
 
 
@@ -67,8 +63,6 @@ def select_targets(venues: Iterable, criteria: TargetCriteria) -> list[int]:
         if criteria.require_mayor_special and not v.has_mayor_special:
             continue
         if criteria.require_vacant_mayor and v.mayor_id is not None:
-            continue
-        if criteria.region is not None and not criteria.region.contains(v.location):
             continue
         if needle is not None and needle not in v.name.lower():
             continue

@@ -23,7 +23,7 @@ from .harness import (InvalidConfig, Tour, VacancySweep, _at_most, build_world, 
                       write_exports)
 from .tables import (T_END, CheckInLog, MissingTables, UnknownUser, UnknownVenue, event_line,
                      load_events, load_tables)
-from .world import PRESENCE_UNVERIFIED, World
+from .world import PRESENCE_UNVERIFIED, World, logged_outcome
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,17 +200,10 @@ _REPLAY_SLICE = 256
 _verdict_flags = itemgetter(1)
 
 
-def _consistent(valid: bool, logged: tuple[str, ...], recomputed: tuple) -> bool:
-    """Whether a logged row agrees with itself (a world logs ``valid`` exactly
-    when it logs no flag) and with its recomputed verdict's rule flags."""
-    return (valid == (not logged)
-            and set(logged) - {PRESENCE_UNVERIFIED} == {f.value for f in recomputed})
-
-
 def _mismatch(e, verdict) -> str:
     where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
     logged, names = set(e.flags) - {PRESENCE_UNVERIFIED}, verdict.flag_names()
-    if logged == set(names):  # the rules agree; valid contradicts the flags
+    if logged == set(names):  # the rules agree; valid, the order or PresenceUnverified does not
         return f"{where} valid={'true' if e.valid else 'false'} with flags {list(e.flags)}"
     return f"{where} {sorted(logged)} recomputed {names}"
 
@@ -223,7 +216,7 @@ def _cmd_verify_replay(args) -> int:
     log = load_events(events_path)
     points = tables.venue_points
     states: dict = {}
-    agree: dict[tuple, bool] = {}  # (outcome, verdict flags) -> consistent
+    agree: dict[tuple, bool] = {}  # (outcome, verdict flags) -> a world logs that outcome
     mismatches: list[str] = []  # printed once the whole log has replayed
     n_events = len(log)
     with _naming_event_lines(events_path, log):
@@ -231,8 +224,9 @@ def _cmd_verify_replay(args) -> int:
             rows = range(start, min(start + _REPLAY_SLICE, n_events))
             verdicts = offline_verdicts(log, rows, points, tables.users, config, states)
             keys = set(zip(log.outcome[start:rows.stop], map(_verdict_flags, verdicts)))
-            for key in keys.difference(agree):
-                agree[key] = _consistent(*log.outcomes[key[0]], key[1])
+            for outcome, flags in keys.difference(agree):
+                logged = log.outcomes[outcome]
+                agree[outcome, flags] = logged == logged_outcome(flags, logged[0])
             if all(map(agree.__getitem__, keys)):
                 continue
             for i, verdict in zip(rows, verdicts):

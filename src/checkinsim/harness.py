@@ -10,9 +10,10 @@ planned row is one value in each of the ``array`` columns ``t``, ``user_id``,
 ``venue_id`` and reported ``lat``/``lon``, where NaN marks a row that
 reports its venue's own point and is submitted with the venue's
 ``location`` object itself. No true point is planned: it is the home for a
-cheater and the reported point for anyone else. Rows are submitted in one
-sort by (t, user_id) that keeps planning order among ties, through
-``World.submit_planned``, which checks the columns once, not once per row.
+cheater and the reported point for anyone else. ``World.submit_planned``
+takes the columns whole, checks them once, not once per row, and submits
+the rows in one stable sort by t. Planning adds each user's rows after those
+of every lower id, so rows of equal t go in by user id, then planning order.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def build_world(scenario: ScenarioConfig) -> tuple[World, VenueGridIndex]:
     _register_venues(world, population)
     _install_routers(world, scenario.routers)
     index = venue_index(world)
-    _submit_planned(world, _plan_checkins(world, population, index))
+    world.submit_planned(*_plan_checkins(world, population, index))
     return world, index
 
 
@@ -417,20 +418,6 @@ def _plan_checkins(world: World, config: PopulationConfig, index: VenueGridIndex
         cos_lat = max(0.2, math.cos(math.radians(home.lat)))
         _honest_checkins(rng, user_id, count, pool, duration_s, config.gps_noise_m, cos_lat, plan)
     return plan
-
-
-def _submission_order(plan: _Plan) -> array:
-    """Row indexes sorted by (t, user_id), ties in planning order.
-
-    Planning adds each user's rows after those of every lower id, so the row
-    index orders (user_id, planning order) and one stable sort by t does it.
-    """
-    return array("I", sorted(range(len(plan.t)), key=plan.t.__getitem__))
-
-
-def _submit_planned(world: World, plan: _Plan) -> None:
-    """Submit the planned check-ins in ``_submission_order`` (``World.submit_planned``)."""
-    world.submit_planned(*plan, _submission_order(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,8 @@ class RewardsEngine:
         the trailing window; an incumbent keeps it on ties, otherwise the
         lowest user id wins. With no qualifying days at all the incumbent
         retains the title. ``state`` is the venue's ``mayor_state``, when
-        the caller holds it already.
+        the caller holds it already. The prune is for good, so the world
+        recomputes a mayor only at a valid check-in there (``on_valid_checkin``).
         """
         if state is None:
             state = self.mayor_state(venue_id)

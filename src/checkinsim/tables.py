@@ -95,10 +95,6 @@ class EventRow(NamedTuple):
     valid: bool
     flags: tuple[str, ...]
 
-    @property
-    def accepted(self) -> bool:  # valid by CheckInRecord's name
-        return self.valid
-
 
 class PublicTables:
     def __init__(self, users: dict[int, UserRow], venues: dict[int, VenueRow],

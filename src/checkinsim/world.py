@@ -13,7 +13,9 @@ Rows go in through one pipeline body (``World._submit``) that has no
 argument checks of its own, by one of two doors: ``submit_checkin`` checks
 one row's arguments and returns its ``CheckInRecord``, and ``submit_planned``
 checks planned ``array`` columns once (``_check_planned``), before any
-state changes, raising what ``submit_checkin`` raises for the first bad value.
+state changes, raising what ``submit_checkin`` raises for the first bad value,
+and submits the rows in one stable sort by ``t``. A venue's mayor is
+recomputed only at a valid check-in there.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import json
 import random
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 from math import isnan
@@ -34,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
 from .geo import GeoPoint, validate_point
-from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, MAYOR_WINDOW_DAYS, RewardsEngine
+from .rewards import BadgeSpec, DEFAULT_BADGE_CATALOG, RewardsEngine
 from .tables import (T_END, CheckInLog, PublicTables, UnknownUser, UnknownVenue, json_object,
                      write_events, write_tables)
 from .verify import RouterRegistration, attest_checkin
@@ -42,6 +43,16 @@ from .verify import RouterRegistration, attest_checkin
 # Flag string used in exports for check-ins rejected by strict presence
 # verification; not part of the anticheat rule set.
 PRESENCE_UNVERIFIED = "PresenceUnverified"
+
+
+def logged_outcome(flags: tuple, accepted: bool) -> tuple[bool, tuple[str, ...]]:
+    """The (valid, flags) a world logs for a row whose rules fired ``flags``
+    and which ``accepted`` says went in: the rule flags when any fired,
+    otherwise none, or PresenceUnverified for a row strict verification refused."""
+    if flags:
+        return False, tuple(f.value for f in flags)
+    return (True, ()) if accepted else (False, (PRESENCE_UNVERIFIED,))
+
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
 _SNAPSHOT_VERSION = 11  # 11: CheckInLog moved to tables and keeps six columns
@@ -127,10 +138,10 @@ _PLANNED = (("t", "q", ValueError), ("user_id", "I", UnknownUser),
 
 
 def _check_planned(world: "World", t: array, user_id: array, venue_id: array, lat: array,
-                   lon: array, order: Sequence[int]) -> None:
+                   lon: array) -> None:
     """Refuse planned columns holding a value ``submit_checkin`` refuses,
     with the class it raises, naming the first bad row. Each check is one
-    pass over a column (the last one over ``order``) and builds no list."""
+    pass over a column and builds no list."""
     columns = (t, user_id, venue_id, lat, lon)
     for column, (name, code, error) in zip(columns, _PLANNED):
         if not isinstance(column, array) or column.typecode != code:
@@ -151,14 +162,10 @@ def _check_planned(world: "World", t: array, user_id: array, venue_id: array, la
     if any(map(gt, map(isnan, lon), map(isnan, lat))):
         i = next(i for i, v in enumerate(lon) if isnan(v) and not isnan(lat[i]))
         raise ValueError(f"row {i}: longitude nan with latitude {lat[i]}")
-    now, before = world.clock.now, None
-    for i in order:  # an index with no row raises IndexError here
-        row_t = t[i]
-        if row_t < now:
-            raise ClockRegression(f"row {i}: t={row_t} is before "
-                                  + (f"simulation clock {now}" if before is None
-                                     else f"t={now} of row {before}, submitted before it"))
-        now, before = row_t, i
+    now = world.clock.now
+    if min(t, default=now) < now:
+        i = t.index(min(t))  # the first row submitted
+        raise ClockRegression(f"row {i}: t={t[i]} is before simulation clock {now}")
 
 
 class World:
@@ -230,16 +237,18 @@ class World:
         return _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict, attested,
                             log.outcomes[log.outcome[-1]][0]))
 
-    def submit_planned(self, t: array, user_id: array, venue_id: array, lat: array, lon: array,
-                       order: Sequence[int]) -> None:
-        """Submit planned rows, given as columns, in ``order`` (row indexes).
+    def submit_planned(self, t: array, user_id: array, venue_id: array, lat: array,
+                       lon: array) -> None:
+        """Submit planned rows, given as columns, sorted by ``t`` with ties in
+        row order.
 
         A row whose ``lat`` is NaN reports its venue's own ``location``
         object; a ground-truth cheater's true point is the home, anyone
         else's the reported point. The columns are checked once, before any
-        state changes (see ``_check_planned``); the clock ends at the last row's ``t``.
+        state changes (see ``_check_planned``); the clock ends at the latest row's ``t``.
         """
-        _check_planned(self, t, user_id, venue_id, lat, lon, order)
+        _check_planned(self, t, user_id, venue_id, lat, lon)
+        order = array("I", sorted(range(len(t)), key=t.__getitem__))
         users, venues, submit, routers = self.users, self.venues, self._submit, self.routers
         i = None
         try:
@@ -273,9 +282,8 @@ class World:
             key = (verdict.flags, accepted)
             outcome = self._outcome_of.get(key)
             if outcome is None:
-                # a valid verdict is VALID_VERDICT, here only on a row not accepted
-                flags = verdict.flag_names() + [PRESENCE_UNVERIFIED] * verdict.valid
-                outcome = self._outcome_of[key] = self.events.outcome_of(accepted, tuple(flags))
+                outcome = self._outcome_of[key] = self.events.outcome_of(
+                    *logged_outcome(verdict.flags, accepted))
         self.events.append(t, user_id, venue_id, reported[0], reported[1], outcome)
         user.total_checkins += 1
         if accepted:
@@ -290,25 +298,13 @@ class World:
             recent.insert(0, user_id)
             del recent[RECENT_LIST_LEN:]
             _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t, len(visited))
-            self._apply_mayor(venue, mayor)
+            old = venue.mayor_id  # a valid check-in always leaves a mayor
+            if mayor != old:
+                if old is not None:
+                    self.users[old - 1].total_mayorships -= 1
+                self.users[mayor - 1].total_mayorships += 1
+                venue.mayor_id = mayor
         return verdict
-
-    def _apply_mayor(self, venue: Venue, mayor: Optional[int]) -> None:
-        old = venue.mayor_id
-        if mayor == old:
-            return
-        if old is not None:
-            self.users[old - 1].total_mayorships -= 1
-        if mayor is not None:
-            self.users[mayor - 1].total_mayorships += 1
-        venue.mayor_id = mayor
-
-    def mayor_of(self, venue_id: int, t: Optional[int] = None) -> Optional[int]:
-        """Current mayor, recomputed lazily at time t (default: clock now)."""
-        venue = self.venue(venue_id)
-        mayor = self.rewards.recompute_mayor(venue_id, self.clock.now if t is None else t)
-        self._apply_mayor(venue, mayor)
-        return mayor
 
     # -- exports ---------------------------------------------------------------
 
@@ -378,9 +374,9 @@ class World:
     def fingerprint(self) -> str:
         """Stable digest of all observable state; equal worlds hash equal.
 
-        It reads the rewards engine too: per user, each unearned window
-        badge's times, and per venue, the ``MayorState`` incumbent and each
-        user's stamps, leaving out what a prune as of ``clock.now`` drops."""
+        It reads the rewards engine too, as held: per user, each unearned
+        window badge's times, and per venue, the ``MayorState`` incumbent and
+        each user's stamps."""
         import hashlib
         h = hashlib.sha256()
 
@@ -390,26 +386,15 @@ class World:
         feed(("clock", self.clock.now))
         feed(("rng", self.rng.getstate()))
         feed(("config", dump(self.rule_config), self.strict_verify, self.run))
-        # The rewards engine, canonically: only what is still inside a window
-        # as of the clock, so a lazy prune (a mayor_of read) changes nothing.
-        now, rewards = self.clock.now, self.rewards
-        window_badges = [(spec.badge_id, now - spec.window_days * DAY_S)
-                         for spec in rewards.catalog if spec.window_days is not None]
+        rewards = self.rewards
         for u in self.users:
-            windows = rewards._windows.get(u.user_id, {})
             feed((u.user_id, u.home, u.total_checkins, u.points, sorted(u.badges),
-                  u.total_mayorships, u.is_cheater_ground_truth,
-                  [[t for t in windows.get(badge_id, ()) if t > start]
-                   for badge_id, start in window_badges if badge_id not in u.badges]))
-        mayor_start = now - MAYOR_WINDOW_DAYS * DAY_S
+                  u.total_mayorships, u.is_cheater_ground_truth, rewards._windows.get(u.user_id)))
         for v in self.venues:
             state = rewards._mayors.get(v.venue_id)
-            stamps = [] if state is None else [
-                (uid, kept) for uid, days in sorted(state.days.items())
-                if (kept := [t for t in days if t > mayor_start])]
             feed((v.venue_id, v.name, v.location, v.has_mayor_special, v.total_checkins,
                   v.unique_visitors, v.mayor_id, v.recent_visitors,
-                  None if state is None else state.mayor_id, stamps))
+                  None if state is None else (state.mayor_id, sorted(state.days.items()))))
         feed(("log", self.events.outcomes))
         for column in self.events.columns:
             h.update(column)

@@ -39,7 +39,6 @@ from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
 from checkinsim.anticheat import Flag
 from checkinsim.tables import (CheckInLog, EventRow, MissingTables, UnknownUser, UnknownVenue,
                               load_events, load_tables)
-from checkinsim import harness
 from checkinsim.world import World
 
 EARTH_R = 6_371_000.0
@@ -389,18 +388,19 @@ def kept_records():
     log, one object per row as the log was before it became columns. Planned
     rows go in through ``submit_one_by_one`` meanwhile, so they are kept too."""
     kept = []
-    submit, submit_planned = World.submit_checkin, harness._submit_planned
+    submit, submit_planned = World.submit_checkin, World.submit_planned
 
     def keeping(self, *args, **kwargs):
         record = submit(self, *args, **kwargs)
         kept.append(record)
         return record
 
-    World.submit_checkin, harness._submit_planned = keeping, submit_one_by_one
+    World.submit_checkin = keeping
+    World.submit_planned = lambda self, *plan: submit_one_by_one(self, plan)
     try:
         yield kept
     finally:
-        World.submit_checkin, harness._submit_planned = submit, submit_planned
+        World.submit_checkin, World.submit_planned = submit, submit_planned
 
 
 def tuple_submissions(world: World, plan) -> list[tuple]:
@@ -422,8 +422,9 @@ def tuple_submissions(world: World, plan) -> list[tuple]:
 
 
 def submit_one_by_one(world: World, plan) -> None:
-    """``harness._submit_planned`` as it was: each of ``tuple_submissions``'
-    rows through ``World.submit_checkin``, which checks it on its own."""
+    """The slow reference for ``World.submit_planned(*plan)``: each of
+    ``tuple_submissions``' rows through ``World.submit_checkin``, which
+    checks it on its own."""
     for user_id, venue_id, reported, t, true in tuple_submissions(world, plan):
         world.submit_checkin(user_id, venue_id, reported, t, true)
 
@@ -468,8 +469,10 @@ def by_user_mismatch_lines(directory, config) -> list[str]:
     alone by ``brute_verdicts``, validity pinned to the logged ``valid``.
 
     A row mismatches when its rule flags (its flags but ``PresenceUnverified``)
-    differ from the recomputed ones, or else when its ``valid`` is not
-    exactly "no flags logged".
+    differ from the recomputed ones, or else when its ``valid`` and flags are
+    not what a world logs: the recomputed flags in firing order and valid
+    false when any fired, otherwise valid true with no flag, or valid false
+    with ``PresenceUnverified`` alone.
     """
     points = load_tables(directory).venue_points
     by_user: dict[int, list[tuple[int, EventRow]]] = defaultdict(list)
@@ -483,9 +486,11 @@ def by_user_mismatch_lines(directory, config) -> list[str]:
         for (i, e), (_, flags) in zip(rows, oracle):
             logged = set(e.flags) - {"PresenceUnverified"}
             where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
+            recomputed = [f.value for f in Flag if f.value in flags]  # firing order
+            world_logs = ((False, recomputed) if flags
+                          else (e.valid, [] if e.valid else ["PresenceUnverified"]))
             if logged != flags:
-                recomputed = [f.value for f in Flag if f.value in flags]  # firing order
                 lines.append((i, f"{where} {sorted(logged)} recomputed {recomputed}"))
-            elif e.valid != (not e.flags):
+            elif (e.valid, list(e.flags)) != world_logs:
                 lines.append((i, f"{where} valid={json.dumps(e.valid)} with flags {list(e.flags)}"))
     return [line for _, line in sorted(lines)]

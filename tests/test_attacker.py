@@ -5,7 +5,6 @@ import pytest
 from checkinsim.anticheat import RuleConfig
 from checkinsim.attacker import (
     AttackSchedule,
-    BBox,
     NoVenuesAvailable,
     ScheduleEntry,
     TargetCriteria,
@@ -62,11 +61,6 @@ class TestSelectTargets:
     def test_empty_criteria_returns_all(self):
         world = self._world()
         assert select_targets(world.venues, TargetCriteria()) == [1, 2, 3, 4]
-
-    def test_region_filter(self):
-        world = self._world()
-        box = BBox(CITY.lat - 0.001, CITY.lon - 0.001, CITY.lat + 0.001, CITY.lon + 0.001)
-        assert select_targets(world.venues, TargetCriteria(region=box)) == [1]
 
     def test_works_on_exported_rows(self, tmp_path):
         world = self._world()

@@ -116,17 +116,13 @@ def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
     attests = counting(monkeypatch, checkinsim.world, "attest_checkin")
     evaluations = counting(monkeypatch, UserRuleState, "evaluate_next")
     recomputes = counting(monkeypatch, RewardsEngine, "recompute_mayor")
-    mayor_reads = counting(monkeypatch, World, "mayor_of")
     result = harness.run_scenario(harness.ScenarioConfig.from_dict(STRICT_TOUR), tmp_path)
-    for venue in result.world.venues:  # a run reads no mayor lazily; read them all
-        result.world.mayor_of(venue.venue_id)
     events = result.world.events
-    accepted = sum(1 for r in events if r.accepted)
+    accepted = sum(1 for r in events if r.valid)
     (planned_args,) = planned
-    assert len(planned_args[-1]) + len(submits) == len(events)
+    assert len(planned_args[1]) + len(submits) == len(events)  # (self, t, ...)
     assert len(submits) == result.metrics["attacks"][0]["checkins"] > 0
     assert len(attests) == len(evaluations) == len(events)
     assert 0 < accepted < len(events)
-    assert len(mayor_reads) == len(result.world.venues)
-    assert len(recomputes) == accepted + len(mayor_reads)
+    assert len(recomputes) == accepted
     assert result.metrics["attacks"][0]["checkins"] > 0

@@ -98,7 +98,7 @@ def test_a_value_no_column_holds_adds_no_row():
             log.append(*bad[:5], 1)
         assert {len(c) for c in log.columns} == {1}
     (row,) = log
-    assert row == good and row.accepted is False
+    assert row == good and row.valid is False
     assert type(row.reported_lon) is float and type(row.reported_lat) is float
 
 

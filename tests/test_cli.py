@@ -510,6 +510,26 @@ class TestRunAndDetect:
             where[flagged] + "valid=true with flags ['PresenceUnverified']"])
         assert oracles.by_user_mismatch_lines(exports, RuleConfig()) == err.splitlines()
 
+    def test_replay_counts_rows_whose_flags_no_world_logs(self, tmp_path, capsys):
+        # PresenceUnverified beside a rule flag, and rule flags out of firing
+        # order: the rules agree, but a world logs neither row so.
+        exports = tmp_path / "exports"
+        shutil.copytree(GOLDEN, exports)
+        log = exports / "events.jsonl"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        beside = next(i for i, row in enumerate(rows) if row["flags"] == ["SuperHumanSpeed"])
+        reordered = next(i for i, row in enumerate(rows) if len(row["flags"]) == 2)
+        rows[beside]["flags"].append("PresenceUnverified")
+        rows[reordered]["flags"].reverse()
+        log.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+        assert main(["verify-replay", "--in", str(exports)]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"verify-replay: {len(rows)} events, 2 mismatches\n"
+        assert sorted(err.splitlines()) == sorted(
+            f"mismatch: user {rows[i]['user_id']} t={rows[i]['t']} venue {rows[i]['venue_id']}: "
+            f"logged valid=false with flags {rows[i]['flags']}" for i in (beside, reordered))
+        assert oracles.by_user_mismatch_lines(exports, RuleConfig()) == err.splitlines()
+
     @pytest.mark.parametrize("unknown, named", [
         (1099, "events.jsonl:624: user 36 at t=31 is earlier than the user's previous row "
                "at t=135079"),

@@ -106,7 +106,7 @@ class TestGeneratePopulation:
         cheater_ids = {u.user_id for u in world.users if u.is_cheater_ground_truth}
         cheater_events = [r for r in world.events if r.user_id in cheater_ids]
         assert cheater_events
-        assert all(r.accepted for r in cheater_events)
+        assert all(r.valid for r in cheater_events)
 
 
 class TestRunScenario:

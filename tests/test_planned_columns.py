@@ -1,8 +1,8 @@
 """Planned check-ins as columns against the tuple planner they replaced.
 
 ``harness._plan_checkins`` writes each planned row into ``array`` columns and
-``harness._submit_planned`` submits them in ``_submission_order`` through
-``World.submit_planned``. ``oracles.tuple_submissions`` rebuilds the tuple per
+``World.submit_planned`` submits them in one stable sort by t.
+``oracles.tuple_submissions`` rebuilds the tuple per
 row that planning made before, sorted by (t, user_id) with Python's stable
 sort; the log's rows must hold its values in its order, each attestation its
 true point, and the rules must
@@ -68,15 +68,15 @@ def recorded_build(monkeypatch, scenario):
     """Build the world, returning it, its plan, the reference submissions
     and, per submitted row in order, whether it reported its venue's point."""
     seen = {}
-    submit_planned = harness._submit_planned
+    submit_planned = World.submit_planned
 
-    def recording(world, plan):
+    def recording(world, *plan):
         seen["expected"] = tuple_submissions(world, plan)
-        seen["plan"] = plan
-        submit_planned(world, plan)
+        seen["plan"] = harness._Plan(*plan)
+        submit_planned(world, *plan)
 
     venue_points = venue_point_seen(monkeypatch)
-    monkeypatch.setattr(harness, "_submit_planned", recording)
+    monkeypatch.setattr(World, "submit_planned", recording)
     world, _ = harness.build_world(scenario)
     return world, seen["plan"], seen["expected"], venue_points
 
@@ -95,8 +95,8 @@ def test_submissions_match_the_tuple_reference(monkeypatch, strategy, noise_m):
     assert len(venue_points) == len(world.events) == len(plan.t) > 1000
     assert logged(world) == as_logged(expected)
     assert true_points == [reported if true is None else true for *_, reported, _, true in expected]
-    assert list(plan.user_id) == sorted(plan.user_id)  # what _submission_order relies on
-    order = harness._submission_order(plan)
+    assert list(plan.user_id) == sorted(plan.user_id)  # ties in row order are by user
+    order = sorted(range(len(plan.t)), key=plan.t.__getitem__)
     assert venue_points == [math.isnan(plan.lat[i]) for i in order]
     assert venue_points == [reported is world.venue(venue_id).location
                             for _, venue_id, reported, _, _ in expected]
@@ -126,12 +126,10 @@ def test_equal_times_keep_planning_order(monkeypatch):
                            [40.0 + rng.random() * 1e-4 for _ in times] if noisy else (),
                            [-100.0 for _ in times] if noisy else ())
     n = len(plan.t)
-    order = harness._submission_order(plan)
-    assert list(order) == sorted(range(n), key=lambda i: (plan.t[i], plan.user_id[i]))
     assert len({(plan.t[i], plan.user_id[i]) for i in range(n)}) < n  # ties within a user
     expected = tuple_submissions(world, plan)
     venue_points = venue_point_seen(monkeypatch)
-    harness._submit_planned(world, plan)
+    world.submit_planned(*plan)
     assert logged(world) == as_logged(expected)
     assert venue_points == [reported is world.venue(venue_id).location
                             for _, venue_id, reported, _, _ in expected]

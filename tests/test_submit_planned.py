@@ -1,13 +1,14 @@
 """``World.submit_planned`` against the slow reference it replaced.
 
 ``oracles.submit_one_by_one`` sends every planned row through a checked
-``submit_checkin`` call, as ``harness._submit_planned`` did before the columns
-went in whole. On twin worlds both paths must leave the same state (the
+``submit_checkin`` call, as the harness did before the columns went in
+whole. On twin worlds both paths must leave the same state (the
 fingerprint, which reads the rewards engine too), the same log columns and
 outcomes and the same clock, and the rules must see a venue's own point
-object exactly on the rows that report it. A bad column must be refused
-with the class ``submit_checkin`` raises for its value, naming the row,
-before anything changes.
+object exactly on the rows that report it. Rows go in sorted by ``t``, ties
+in row order, whatever order the columns hold them in. A bad column must be
+refused with the class ``submit_checkin`` raises for its value, naming the
+row, before anything changes.
 """
 
 import math
@@ -42,12 +43,12 @@ def twin_runs(monkeypatch, scenario):
     monkeypatch.setattr(UserRuleState, "evaluate_next", evaluating)
     marked = []
     worlds, venue_points = [], []
-    for submit in (harness._submit_planned, submit_one_by_one):
-        def recording(world, plan, submit=submit):
-            marked[:] = [math.isnan(plan.lat[i]) for i in harness._submission_order(plan)]
-            submit(world, plan)
+    for submit in (World.submit_planned, lambda world, *plan: submit_one_by_one(world, plan)):
+        def recording(world, *plan, submit=submit):
+            marked[:] = [math.isnan(plan[3][i]) for i in stable_t_order(plan)]
+            submit(world, *plan)
 
-        monkeypatch.setattr(harness, "_submit_planned", recording)
+        monkeypatch.setattr(World, "submit_planned", recording)
         seen.clear()
         world, index = harness.build_world(scenario)
         for i, attack in enumerate(scenario.attacks):
@@ -97,10 +98,16 @@ def good_plan():
             array("d", [-100.0, -100.0, -99.999, math.nan, -100.0, -100.0, -100.0, -100.0])]
 
 
-def submit_each(world, columns, order):
-    """Each row in ``order`` through ``submit_checkin``; a NaN lat reports the venue."""
+def stable_t_order(columns):
+    """The row indexes sorted by ``t``, ties in row order."""
+    return sorted(range(len(columns[0])), key=columns[0].__getitem__)
+
+
+def submit_each(world, columns):
+    """Each row, in ``stable_t_order``, through ``submit_checkin``; a NaN lat
+    reports the venue."""
     t, user_id, venue_id, lat, lon = columns
-    for i in order:
+    for i in stable_t_order(columns):
         reported = (world.venue(venue_id[i]).location if lat[i] != lat[i]
                     else GeoPoint(lat[i], lon[i]))
         world.submit_checkin(user_id[i], venue_id[i], reported, t[i])
@@ -108,9 +115,22 @@ def submit_each(world, columns, order):
 
 def test_a_good_plan_goes_in_whole():
     world, reference = small_world(), small_world()
-    columns, order = good_plan(), range(8)
-    world.submit_planned(*columns, order)
-    submit_each(reference, columns, order)
+    columns = good_plan()
+    world.submit_planned(*columns)
+    submit_each(reference, columns)
+    assert world.fingerprint() == reference.fingerprint()
+    assert world.clock.now == 40000 and len(world.events) == 9
+
+
+# The good plan's rows reversed, and shuffled with each pair of equal-t rows
+# (0 and 1, 3 and 4) swapped.
+@pytest.mark.parametrize("rows", [range(7, -1, -1), [5, 4, 1, 7, 0, 3, 6, 2]],
+                         ids=["reversed", "shuffled"])
+def test_rows_in_any_order_go_in_sorted_by_t_ties_in_row_order(rows):
+    columns = [array(column.typecode, map(column.__getitem__, rows)) for column in good_plan()]
+    world, reference = small_world(), small_world()
+    world.submit_planned(*columns)
+    submit_each(reference, columns)
     assert world.fingerprint() == reference.fingerprint()
     assert world.clock.now == 40000 and len(world.events) == 9
 
@@ -118,28 +138,28 @@ def test_a_good_plan_goes_in_whole():
 def test_an_empty_plan_changes_nothing():
     world = small_world()
     before = world.fingerprint()
-    world.submit_planned(*(array(code) for code in "qIIdd"), array("I"))
+    world.submit_planned(*(array(code) for code in "qIIdd"))
     assert world.fingerprint() == before
 
 
 # (column, row, value): a bad value written into the good plan.
 BAD_VALUES = [
     (1, 2, 0), (1, 2, 5), (2, 6, 0), (2, 6, 6),  # no such user or venue
-    (0, 0, 999), (0, 4, 4000),  # before the clock; before the row submitted before it
+    (0, 0, 999), (0, 5, 999),  # before the clock, the second one submitted first
     (3, 5, 90.5), (4, 5, -180.5), (3, 1, math.inf), (3, 1, -math.inf),
     (4, 7, math.inf), (4, 7, -math.inf), (4, 2, math.nan),  # NaN lon, lat not NaN
 ]
 
 
-def refused_as_submit_checkin_refuses(columns, order):
+def refused_as_submit_checkin_refuses(columns):
     """Submit the columns both ways; return ``submit_planned``'s exception
     once it is of the class ``submit_checkin`` raised and changed nothing."""
     with pytest.raises(Exception) as expected:
-        submit_each(small_world(), columns, order)
+        submit_each(small_world(), columns)
     world = small_world()
     before = world.fingerprint()
     with pytest.raises(Exception) as refused:
-        world.submit_planned(*columns, order)
+        world.submit_planned(*columns)
     assert type(refused.value) is type(expected.value)
     assert world.fingerprint() == before and world.clock.now == 1000
     return refused.value
@@ -149,20 +169,22 @@ def refused_as_submit_checkin_refuses(columns, order):
 def test_a_bad_value_is_refused_as_submit_checkin_refuses_it(column, row, value):
     columns = good_plan()
     columns[column][row] = value
-    error = refused_as_submit_checkin_refuses(columns, range(8))
+    error = refused_as_submit_checkin_refuses(columns)
     assert re.search(rf"^row {row}: .*[ =]{re.escape(str(value))}(?![\d.])", str(error)), error
 
 
-def test_a_decreasing_order_is_refused_at_its_first_step_back():
-    error = refused_as_submit_checkin_refuses(good_plan(), range(7, -1, -1))
-    assert str(error) == "row 6: t=30000 is before t=40000 of row 7, submitted before it"
+def test_of_equal_rows_before_the_clock_the_first_is_named():
+    columns = good_plan()
+    columns[0][6] = columns[0][2] = 999
+    error = refused_as_submit_checkin_refuses(columns)
+    assert str(error) == "row 2: t=999 is before simulation clock 1000"
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
 def test_a_wrong_typecode_is_refused_as_submit_checkin_refuses_its_values(column):
     columns = good_plan()
     columns[column] = array("d", columns[column])
-    error = refused_as_submit_checkin_refuses(columns, range(8))
+    error = refused_as_submit_checkin_refuses(columns)
     name = ("t", "user_id", "venue_id")[column]
     assert re.fullmatch(f"the {name} column must be an array of typecode '[qI]', got 'd'",
                         str(error))
@@ -176,17 +198,15 @@ def test_other_typecodes_are_refused_too(column, code, error):
     world = small_world()
     before = world.fingerprint()
     with pytest.raises(error, match=f"column must be an array of typecode '[Id]', got '{code}'"):
-        world.submit_planned(*columns, range(8))
+        world.submit_planned(*columns)
     assert world.fingerprint() == before
 
 
-def test_columns_of_unequal_length_or_a_missing_row_are_refused():
+def test_columns_of_unequal_length_are_refused():
     world = small_world()
     before = world.fingerprint()
     columns = good_plan()
     columns[4].pop()
     with pytest.raises(ValueError, match="differ in length"):
-        world.submit_planned(*columns, range(8))
-    with pytest.raises(IndexError):
-        world.submit_planned(*good_plan(), range(9))
+        world.submit_planned(*columns)
     assert world.fingerprint() == before

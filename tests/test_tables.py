@@ -514,7 +514,7 @@ def one_user_world():
 def submit_one_planned(user_id, venue_id):
     one_user_world().submit_planned(array("q", [0]), array("I", [user_id]),
                                     array("I", [venue_id]), array("d", [math.nan]),
-                                    array("d", [math.nan]), [0])
+                                    array("d", [math.nan]))
 
 
 def report(tables, log):
@@ -530,14 +530,13 @@ def replay(tables, log):
     (UnknownVenue, None, lambda: one_user_world().submit_checkin(1, 2, HOME, 0)),
     (UnknownUser, None, lambda: submit_one_planned(2, 1)),
     (UnknownVenue, None, lambda: submit_one_planned(1, 2)),
-    (UnknownVenue, None, lambda: one_user_world().mayor_of(2)),
     (UnknownUser, None, lambda: plan_mayor_denial(2, tables_from_world(one_user_world()))),
     (UnknownUser, "user_id", report),
     (UnknownVenue, "venue_id", report),
     (UnknownUser, "user_id", replay),
     (UnknownVenue, "venue_id", replay),
 ], ids=["submit_checkin-user", "submit_checkin-venue", "submit_planned-user",
-        "submit_planned-venue", "mayor_of", "plan_mayor_denial", "build_report-user",
+        "submit_planned-venue", "plan_mayor_denial", "build_report-user",
         "build_report-venue", "offline_verdicts-user", "offline_verdicts-venue"])
 def test_the_public_classes_catch_every_unknown_id(tmp_path, capsys, error, key, refuse):
     """Whatever refuses an id raises ``checkinsim.UnknownUser`` or

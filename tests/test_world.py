@@ -15,7 +15,7 @@ from checkinsim.anticheat import Flag, RuleConfig, RuleVerdict
 from checkinsim.cli import main
 from checkinsim.geo import GeoPoint, offset_point
 from checkinsim.harness import ScenarioConfig, build_world
-from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS
+from checkinsim.rewards import DAY_S
 from checkinsim.tables import load_tables, tables_from_world
 from checkinsim.verify import RouterRegistration
 from checkinsim.world import (
@@ -64,7 +64,6 @@ class TestRegistration:
         (lambda w, bad: w.submit_checkin(bad, 1, CITY, 10), UnknownUser, "user"),
         (lambda w, bad: w.submit_checkin(1, bad, CITY, 10), UnknownVenue, "venue"),
         (lambda w, bad: w.register_router(RouterRegistration(bad, CITY)), UnknownVenue, "venue"),
-        (lambda w, bad: w.mayor_of(bad), UnknownVenue, "venue"),
     ])
     def test_ids_that_are_not_ints_refused(self, call, error, what, bad):
         """A bool or float id names no user or venue (``True`` once went into
@@ -147,8 +146,8 @@ class TestSubmitPipeline:
             reported = offset_point(venue.location, 90, offset) if offset else venue.location
             world.submit_checkin(rng.randint(1, 4), venue.venue_id, reported, t)
         for user in world.users:
-            valid = sum(1 for r in world.events if r.user_id == user.user_id and r.accepted)
-            invalid = sum(1 for r in world.events if r.user_id == user.user_id and not r.accepted)
+            valid = sum(1 for r in world.events if r.user_id == user.user_id and r.valid)
+            invalid = sum(1 for r in world.events if r.user_id == user.user_id and not r.valid)
             assert user.total_checkins == valid + invalid
             assert user.points == valid
 
@@ -163,6 +162,16 @@ class TestSubmitPipeline:
             for user in world.users:
                 held = sum(1 for v in world.venues if v.mayor_id == user.user_id)
                 assert user.total_mayorships == held
+
+    def test_a_checkin_after_the_window_hands_over_the_title(self):
+        world = small_world()
+        location = world.venue(1).location
+        world.submit_checkin(1, 1, location, 100)  # user 1 mayor
+        world.submit_checkin(2, 1, location, 30 * DAY_S)
+        assert world.venue(1).mayor_id == 1  # tie, incumbent retains
+        world.submit_checkin(3, 1, location, 70 * DAY_S)  # user 1's day has expired
+        assert world.venue(1).mayor_id == 2  # tied with user 3, the lower id wins
+        assert [user.total_mayorships for user in world.users] == [0, 1, 0, 0]
 
     def test_rules_never_see_true_gps(self):
         submissions = []
@@ -467,9 +476,8 @@ def test_importing_the_package_loads_no_snapshot_codec():
 
 
 class TestFingerprintSeesRewards:
-    """``fingerprint()`` reads the rewards engine as of the clock: a stamp or a
-    badge-window time inside its window counts, anything a prune would drop
-    does not, so a lazy prune leaves the digest as it was."""
+    """``fingerprint()`` reads the rewards engine as held: one mayor stamp or
+    one badge-window time that differs changes the digest."""
 
     @staticmethod
     def twins():
@@ -492,13 +500,6 @@ class TestFingerprintSeesRewards:
         twin.rewards._windows[2]["marathon-month"][-1] -= 1
         assert world.fingerprint() != twin.fingerprint()
 
-    def test_an_expired_stamp_or_time_counts_for_nothing(self):
-        world, twin = self.twins()
-        start = twin.clock.now - MAYOR_WINDOW_DAYS * DAY_S
-        twin.rewards.mayor_state(1).days[1].insert(0, start)
-        twin.rewards._windows[1]["marathon-month"].insert(0, twin.clock.now - 30 * DAY_S)
-        assert world.fingerprint() == twin.fingerprint()
-
 
 @pytest.fixture(scope="module")
 def world_20k():
@@ -508,38 +509,9 @@ def world_20k():
     return build_world(scenario)[0]
 
 
-def mayor_stamps(world):
-    return sum(len(days) for state in world.rewards._mayors.values()
-               for days in state.days.values())
-
-
 def test_fingerprint_survives_a_20k_round_trip(world_20k, tmp_path):
     loaded = World.load_state(world_20k.save_state(tmp_path / "w.snap"))
     assert loaded.fingerprint() == world_20k.fingerprint()
-
-
-def test_reading_every_mayor_keeps_the_fingerprint(world_20k, tmp_path):
-    world = World.load_state(world_20k.save_state(tmp_path / "w.snap"))
-    before, stamps = world.fingerprint(), mayor_stamps(world)
-    mayors = [venue.mayor_id for venue in world.venues]
-    for venue in world.venues:
-        world.mayor_of(venue.venue_id)
-    assert mayor_stamps(world) < stamps / 2  # the reads pruned, lazily, most stamps
-    assert [venue.mayor_id for venue in world.venues] == mayors  # and moved no title
-    assert world.fingerprint() == before
-
-
-class TestMayorReads:
-    def test_lazy_read_applies_expiry_and_syncs_counters(self):
-        world = small_world()
-        world.submit_checkin(1, 1, world.venue(1).location, 100)       # user 1 mayor
-        world.submit_checkin(2, 1, world.venue(1).location, 30 * 86_400)
-        assert world.venue(1).mayor_id == 1  # tie, incumbent retains
-        # 70 days on, user 1's day has expired; a read must hand over the title
-        assert world.mayor_of(1, t=70 * 86_400) == 2
-        assert world.venue(1).mayor_id == 2
-        assert world.user(1).total_mayorships == 0
-        assert world.user(2).total_mayorships == 1
 
 
 class TestReplayDeterminism:
