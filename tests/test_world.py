@@ -25,6 +25,7 @@ from checkinsim.world import (
     UnknownUser,
     UnknownVenue,
     World,
+    logged_outcome,
 )
 from oracles import scan_badges, scan_visits
 
@@ -64,6 +65,7 @@ class TestRegistration:
         (lambda w, bad: w.submit_checkin(bad, 1, CITY, 10), UnknownUser, "user"),
         (lambda w, bad: w.submit_checkin(1, bad, CITY, 10), UnknownVenue, "venue"),
         (lambda w, bad: w.register_router(RouterRegistration(bad, CITY)), UnknownVenue, "venue"),
+        (lambda w, bad: w.venue(bad), UnknownVenue, "venue"),
     ])
     def test_ids_that_are_not_ints_refused(self, call, error, what, bad):
         """A bool or float id names no user or venue (``True`` once went into
@@ -172,6 +174,18 @@ class TestSubmitPipeline:
         world.submit_checkin(3, 1, location, 70 * DAY_S)  # user 1's day has expired
         assert world.venue(1).mayor_id == 2  # tied with user 3, the lower id wins
         assert [user.total_mayorships for user in world.users] == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("flags, accepted, logged", [
+        ((), True, (True, ())),
+        ((), False, (False, ("PresenceUnverified",))),
+        ((Flag.GPS_MISMATCH,), True, (False, ("GpsMismatch",))),
+        ((Flag.RAPID_FIRE, Flag.GPS_MISMATCH), False, (False, ("RapidFire", "GpsMismatch"))),
+    ], ids=["valid", "presence-unverified", "one-flag", "two-flags"])
+    def test_the_logged_outcome_is_the_rule_flags_or_else_presence(self, flags, accepted,
+                                                                    logged):
+        """Rule flags go into the log in firing order and alone: a row they
+        flagged never also carries PresenceUnverified."""
+        assert logged_outcome(flags, accepted) == logged
 
     def test_rules_never_see_true_gps(self):
         submissions = []
