@@ -200,11 +200,16 @@ _REPLAY_SLICE = 256
 _verdict_flags = itemgetter(1)
 
 
+def _outcome_text(valid: bool, flags) -> str:
+    return f"valid={'true' if valid else 'false'} with flags {list(flags)}"
+
+
 def _mismatch(e, verdict) -> str:
     where = f"mismatch: user {e.user_id} t={e.t} venue {e.venue_id}: logged"
     logged, names = set(e.flags) - {PRESENCE_UNVERIFIED}, verdict.flag_names()
     if logged == set(names):  # the rules agree; valid, the order or PresenceUnverified does not
-        return f"{where} valid={'true' if e.valid else 'false'} with flags {list(e.flags)}"
+        return (f"{where} {_outcome_text(e.valid, e.flags)}, a world logs "
+                f"{_outcome_text(*logged_outcome(verdict.flags, e.valid))}")
     return f"{where} {sorted(logged)} recomputed {names}"
 
 

@@ -2,19 +2,25 @@
 
 Holds venues, users and the append-only check-in log, and runs every
 submission through the anticheat -> attestation -> rewards pipeline. All
-mutation flows through a single logical submission sequence; exports and
-analytics read immutable projections.
+mutation flows through the submissions, and ends as if they had gone in one
+at a time in log order; exports and analytics read immutable projections.
 
 The log (``World.events``) is a ``tables.CheckInLog``. A row's true point,
 attestation and verdict ``detail`` are not kept in it: ``submit_checkin``
 returns them in the row's ``CheckInRecord``.
 
-Rows go in through one pipeline body (``World._submit``) that has no
-argument checks of its own, by one of two doors: ``submit_checkin`` checks
-one row's arguments and returns its ``CheckInRecord``, and ``submit_planned``
-checks planned ``array`` columns once (``_check_planned``), before any
-state changes, raising what ``submit_checkin`` raises for the first bad value,
-and submits the rows in one stable sort by ``t``. A venue's mayor is
+The pipeline body has two halves with no argument checks of their own,
+each over a run of rows: the user half (``World._user_half``: the rules,
+attestation, the user's counts, points and badges) takes one user's rows in
+time order, and the venue half (``World._venue_half``: the venue's counts,
+recent list and mayor) one venue's accepted rows in log order. Neither
+reads what the other writes, so rows may go in per user and then per venue.
+There are two doors: ``submit_checkin`` checks one row's arguments, runs it
+through both halves as a run of one and returns its ``CheckInRecord``, and
+``submit_planned`` checks planned ``array`` columns once
+(``_check_planned``), before any state changes, raising what
+``submit_checkin`` raises for the first bad value, and submits the rows to
+the log in one stable sort by ``t``, by three passes. A venue's mayor is
 recomputed only at a valid check-in there.
 """
 
@@ -26,11 +32,11 @@ import random
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, groupby, islice
 from math import isnan
 from operator import gt
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .anticheat import VALID_VERDICT, RuleConfig, RuleVerdict, UserRuleState
 from .config import dump
@@ -55,7 +61,7 @@ def logged_outcome(flags: tuple, accepted: bool) -> tuple[bool, tuple[str, ...]]
 
 
 _SNAPSHOT_FORMAT = "checkinsim-snapshot"
-_SNAPSHOT_VERSION = 11  # 11: CheckInLog moved to tables and keeps six columns
+_SNAPSHOT_VERSION = 12  # 12: badges in catalog order, pickled in the same order
 # Every global a saved world references; load_state refuses any other, so a
 # crafted payload cannot call into the rest of the interpreter.
 _SNAPSHOT_GLOBALS = frozenset(
@@ -69,6 +75,8 @@ _SNAPSHOT_GLOBALS = frozenset(
        ("array", "array"), ("array", "_array_reconstructor"), ("collections", "deque"),
        ("random", "Random")])
 RECENT_LIST_LEN = 10  # a venue's public recent-visitor list, most recent first
+_NAN = float("nan")
+_ACCEPTED = bytes((1, 1)) + bytes(254)  # a row's mark -> 1 when it was accepted
 
 
 class ClockRegression(Exception):
@@ -113,7 +121,7 @@ class UserProfile:
         self.user_id, self.home = user_id, home
         self.is_cheater_ground_truth = is_cheater_ground_truth
         self.total_checkins = self.points = self.total_mayorships = 0
-        self.badges: set[str] = set()
+        self.badges: tuple[str, ...] = ()  # in catalog order, one shared empty tuple at first
 
 
 class CheckInRecord(NamedTuple):
@@ -185,7 +193,7 @@ class World:
         self.events = CheckInLog()
         self.routers: dict[int, RouterRegistration] = {}
         self._rule_states: dict[int, UserRuleState] = {}
-        self._outcome_of: dict[tuple, int] = {}  # (verdict flags, accepted) -> log outcome
+        self._rejected_keys: dict[tuple, int] = {}  # a rejected row's rule flags -> its key
 
     # -- registration --------------------------------------------------------
 
@@ -223,88 +231,164 @@ class World:
         The rules receive only reported data. ``true_gps`` (defaulting to the
         reported position) exists for ground-truth bookkeeping and presence
         attestation only. Returns the row's record, its verdict with ``detail``.
+        It is a run of one through both halves of the pipeline.
         """
         user = self.user(user_id)
         venue = self.venue(venue_id)
         if true_gps is None or true_gps is reported_gps:
             true_gps = reported_gps = validate_point(reported_gps)
+            true = None
         else:
-            reported_gps, true_gps = validate_point(reported_gps), validate_point(true_gps)
+            reported_gps = validate_point(reported_gps)
+            true = true_gps = validate_point(true_gps)
         self.clock.advance(t)
-        attested = attest_checkin(venue_id, true_gps, self.routers) if self.routers else None
-        verdict = self._submit(user, venue, reported_gps, attested, t)
-        log = self.events
+        row, times, venue_ids, user_ids = (0,), (t,), (venue.venue_id,), (user.user_id,)
+        # the row as a planned one: a NaN lat reports the venue's own point
+        lat, lon = (([_NAN], [_NAN]) if reported_gps is venue.location
+                    else ([reported_gps[0]], [reported_gps[1]]))
+        marks = bytearray(1)
+        verdict, attested = self._user_half(user, row, times, venue_ids, lat, lon, true, marks)
+        self._log_rows(row, times, user_ids, venue_ids, lat, lon, marks)
+        accepted = marks[0] < 2
+        if accepted:
+            self._venue_half(venue, user_ids, times, marks[0])
         return _new_record((t, user_id, venue_id, reported_gps, true_gps, verdict, attested,
-                            log.outcomes[log.outcome[-1]][0]))
+                            accepted))
 
     def submit_planned(self, t: array, user_id: array, venue_id: array, lat: array,
                        lon: array) -> None:
-        """Submit planned rows, given as columns, sorted by ``t`` with ties in
-        row order.
+        """Submit planned rows, given as columns, to the log sorted by ``t``
+        with ties in row order.
 
         A row whose ``lat`` is NaN reports its venue's own ``location``
         object; a ground-truth cheater's true point is the home, anyone
         else's the reported point. The columns are checked once, before any
-        state changes (see ``_check_planned``); the clock ends at the latest row's ``t``.
+        state changes (see ``_check_planned``); the clock ends at the latest
+        row's ``t``. The world ends as if each row had gone through
+        ``submit_checkin`` in log order, by three passes:
+
+        1. the user half (``_user_half``) per user, over the user's rows in
+           log order, marking each row;
+        2. the log, one column at a time (``_log_rows``);
+        3. the venue half (``_venue_half``) per venue, over the venue's
+           accepted rows in log order.
+
+        Past the checks only a bug or a ``MemoryError`` can raise. That
+        leaves the clock at the latest row's ``t``, and the world part-way:
+        some users' rule state, counts and rewards, perhaps the log, and
+        some venues' counts and mayors hold the plan's rows. Discard it.
         """
         _check_planned(self, t, user_id, venue_id, lat, lon)
-        order = array("I", sorted(range(len(t)), key=t.__getitem__))
-        users, venues, submit, routers = self.users, self.venues, self._submit, self.routers
-        i = None
-        try:
-            for i in order:
-                user = users[user_id[i] - 1]
-                venue = venues[venue_id[i] - 1]
-                row_lat = lat[i]
-                reported = venue.location if row_lat != row_lat else _new_point((row_lat, lon[i]))
-                true = user.home if user.is_cheater_ground_truth else reported
-                submit(user, venue, reported,
-                       attest_checkin(venue.venue_id, true, routers) if routers else None, t[i])
-        finally:
-            if i is not None:  # the clock is never behind a row in the log
-                self.clock.now = t[i]
+        if not t:
+            return
+        self.clock.now = max(t)
+        n = len(t)
+        order = array("I", sorted(range(n), key=t.__getitem__))
+        lat, lon = array("d", lat), array("d", lon)  # pass 1 writes the venue points in
+        marks = bytearray(n)
+        users, venues, t_of = self.users, self.venues, t.__getitem__
+        by_user = array("I", sorted(range(n), key=user_id.__getitem__))
+        for uid, rows in groupby(by_user, user_id.__getitem__):
+            user = users[uid - 1]
+            self._user_half(user, sorted(rows, key=t_of), t, venue_id, lat, lon,
+                            user.home if user.is_cheater_ground_truth else None, marks)
+        del by_user
+        in_log = self._log_rows(order, t, user_id, venue_id, lat, lon, marks)
+        del lat, lon
+        ids = [0, *(user.user_id for user in users)]  # the world's own id objects
+        by_venue = array("I", sorted(compress(order, in_log.translate(_ACCEPTED)),
+                                     key=venue_id.__getitem__))
+        for vid, rows in groupby(by_venue, venue_id.__getitem__):
+            rows = list(rows)
+            user_ids = list(map(ids.__getitem__, map(user_id.__getitem__, rows)))
+            self._venue_half(venues[vid - 1], user_ids, list(map(t_of, rows)),
+                             sum(map(marks.__getitem__, rows)))
 
-    def _submit(self, user: UserProfile, venue: Venue, reported: GeoPoint,
-                attested: Optional[bool], t: int) -> RuleVerdict:
-        """The pipeline body for one row whose arguments are checked, whose
-        ``t`` is not before any logged row's and whose presence attestation
-        is made (None when the world has no router): rules, the log, the
-        counters, rewards and the mayor. Returns the rules' verdict."""
-        user_id, venue_id = user.user_id, venue.venue_id  # the world's own int objects
+    def _user_half(self, user: UserProfile, rows: Sequence[int], t, venue_id, lat, lon,
+                   true: Optional[GeoPoint],
+                   marks: bytearray) -> tuple[RuleVerdict, Optional[bool]]:
+        """The user half of the pipeline, over ``rows`` of one user in time
+        order: indexes into columns as ``submit_planned`` takes them, with a
+        NaN ``lat`` for the venue's own point, which is written into ``lat``
+        and ``lon``. Per row: the rules, then presence attestation of
+        ``true`` (the reported point when None; none without a router). Then
+        ``total_checkins``, and the points and badges of the accepted rows.
+
+        Marks each row: 0 or 1 when accepted (1: the user's first accepted
+        row at that venue), else twice the key of its rule flags in
+        ``_rejected_keys``. Returns the last row's verdict and attestation.
+        """
+        user_id = user.user_id  # the world's own int objects key the state
         state = self._rule_states.get(user_id)
         if state is None:
             state = self._rule_states[user_id] = UserRuleState()
-        verdict = state.evaluate_next(venue_id, venue.location, reported, t, self.rule_config)
-        accepted = verdict.valid and (not self.strict_verify or bool(attested))
-
-        outcome = 0  # an accepted valid row, the common one
-        if verdict is not VALID_VERDICT or not accepted:
-            key = (verdict.flags, accepted)
-            outcome = self._outcome_of.get(key)
-            if outcome is None:
-                outcome = self._outcome_of[key] = self.events.outcome_of(
-                    *logged_outcome(verdict.flags, accepted))
-        self.events.append(t, user_id, venue_id, reported[0], reported[1], outcome)
-        user.total_checkins += 1
+        visited = state.last_valid_t_by_venue  # the one record of who visited where
+        venues, routers, config = self.venues, self.routers, self.rule_config
+        keys, strict = self._rejected_keys, self.strict_verify
+        evaluate, record = state.evaluate_next, state.record_valid
+        accepted: list[int] = []
+        verdict = attested = None
+        for i in rows:
+            row_t = t[i]
+            venue = venues[venue_id[i] - 1]
+            vid, location = venue.venue_id, venue.location
+            row_lat = lat[i]
+            if row_lat != row_lat:
+                reported = location
+                lat[i], lon[i] = location
+            else:
+                reported = _new_point((row_lat, lon[i]))
+            if routers:
+                attested = attest_checkin(vid, reported if true is None else true, routers)
+            verdict = evaluate(vid, location, reported, row_t, config)
+            if verdict is VALID_VERDICT and (attested or not strict):
+                marks[i] = vid not in visited
+                record(vid, location, row_t)
+                accepted.append(row_t)
+            else:
+                key = keys.get(verdict.flags)
+                if key is None:
+                    key = keys[verdict.flags] = len(keys) + 1
+                marks[i] = key << 1
+        user.total_checkins += len(rows)
         if accepted:
-            visited = state.last_valid_t_by_venue  # the one record of who visited where
-            if venue_id not in visited:
-                venue.unique_visitors += 1
-            state.record_valid(venue_id, venue.location, t)
-            venue.total_checkins += 1
-            recent = venue.recent_visitors
-            if user_id in recent:
-                recent.remove(user_id)
-            recent.insert(0, user_id)
-            del recent[RECENT_LIST_LEN:]
-            _, _, mayor = self.rewards.on_valid_checkin(user, venue_id, t, len(visited))
-            old = venue.mayor_id  # a valid check-in always leaves a mayor
-            if mayor != old:
-                if old is not None:
-                    self.users[old - 1].total_mayorships -= 1
-                self.users[mayor - 1].total_mayorships += 1
-                venue.mayor_id = mayor
-        return verdict
+            self.rewards.on_valid_checkin(user, accepted, len(visited))
+        return verdict, attested
+
+    def _log_rows(self, order, t, user_id, venue_id, lat, lon, marks: bytearray) -> bytes:
+        """Append the rows ``order`` names, in that order, to the log, each
+        with the outcome its mark (see ``_user_half``) stands for; a new
+        outcome is numbered by its first use in log order. Returns the marks
+        in log order."""
+        log = self.events
+        in_log = bytes(map(marks.__getitem__, order))
+        outcome_of = bytearray(256)  # mark -> log outcome; an accepted row's is 0
+        for first, key, flags in sorted((in_log.find(key << 1), key, flags)
+                                        for flags, key in self._rejected_keys.items()):
+            if first >= 0:
+                outcome_of[key << 1] = log.outcome_of(*logged_outcome(flags, False))
+        for column, source in zip(log.columns, (t, user_id, venue_id, lat, lon)):
+            column.extend(map(source.__getitem__, order))
+        log.outcome.extend(in_log.translate(outcome_of))
+        return in_log
+
+    def _venue_half(self, venue: Venue, user_ids: Sequence[int], times: Sequence[int],
+                    new_visitors: int) -> None:
+        """The venue half of the pipeline, over a run of accepted rows at
+        ``venue`` in log order, by ``user_ids`` at ``times``, ``new_visitors``
+        of them a user's first there: the counters, the recent list (the
+        latest distinct users, most recent first) and the mayor."""
+        venue.total_checkins += len(user_ids)
+        venue.unique_visitors += new_visitors
+        venue.recent_visitors = list(islice(dict.fromkeys(
+            chain(reversed(user_ids), venue.recent_visitors)), RECENT_LIST_LEN))
+        old = venue.mayor_id
+        mayor = self.rewards.recompute_mayor(venue.venue_id, user_ids, times)
+        if mayor != old:
+            if old is not None:
+                self.users[old - 1].total_mayorships -= 1
+            self.users[mayor - 1].total_mayorships += 1
+            venue.mayor_id = mayor
 
     # -- exports ---------------------------------------------------------------
 

@@ -19,7 +19,8 @@ is ``verify-replay`` as it was before its one pass over the log: rows
 grouped by user, each user's trace replayed alone (here through
 ``brute_verdicts``). ``scan_visits`` recounts who visited where from a
 log's columns alone. ``VenueCountingEngine`` is a test driver, not a
-reference: a ``RewardsEngine`` that keeps each user's venues itself.
+reference: a ``RewardsEngine`` that keeps each user's venues itself and
+takes one check-in at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 from checkinsim.attacker import MIN_INTERVAL_S, SAME_VENUE_GAP_S
 from checkinsim.geo import GeoPoint, MILE_M, haversine_m
-from checkinsim.rewards import DAY_S, MAYOR_WINDOW_DAYS, BadgeKind, RewardsEngine
+from checkinsim.rewards import BASE_POINTS, DAY_S, MAYOR_WINDOW_DAYS, BadgeKind, RewardsEngine
 from checkinsim.analytics import (SuspicionRecord, account_age_days, dispersion,
                                   flag_badge_anomaly, flag_daily_rate, speed_feasibility)
 from checkinsim.anticheat import Flag
@@ -231,9 +232,11 @@ def scan_badges(catalog, stream) -> list[frozenset[str]]:
 
 
 class VenueCountingEngine(RewardsEngine):
-    """A ``RewardsEngine`` driven with (user, venue_id, t) alone: it keeps the
-    set of venues each user has a valid check-in at, as a world's rule state
-    does, and passes its size to ``on_valid_checkin``."""
+    """A ``RewardsEngine`` driven one valid check-in at a time, with (user,
+    venue_id, t) alone: it keeps the set of venues each user has a valid
+    check-in at, as a world's rule state does, and runs the check-in through
+    both halves as a run of one. Returns (points awarded, newly granted
+    badge ids, mayor after the check-in)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -242,7 +245,8 @@ class VenueCountingEngine(RewardsEngine):
     def on_valid_checkin(self, user, venue_id: int, t: int):
         visited = self.visited[user.user_id]
         visited.add(venue_id)
-        return super().on_valid_checkin(user, venue_id, t, len(visited))
+        badges = super().on_valid_checkin(user, (t,), len(visited))
+        return BASE_POINTS, badges, self.recompute_mayor(venue_id, (user.user_id,), (t,))
 
 
 def scan_visits(log) -> tuple[dict[int, int], dict[int, set[int]]]:
@@ -472,7 +476,8 @@ def by_user_mismatch_lines(directory, config) -> list[str]:
     differ from the recomputed ones, or else when its ``valid`` and flags are
     not what a world logs: the recomputed flags in firing order and valid
     false when any fired, otherwise valid true with no flag, or valid false
-    with ``PresenceUnverified`` alone.
+    with ``PresenceUnverified`` alone, as the row's ``valid`` says. The line
+    then names what a world logs beside what was logged.
     """
     points = load_tables(directory).venue_points
     by_user: dict[int, list[tuple[int, EventRow]]] = defaultdict(list)
@@ -492,5 +497,7 @@ def by_user_mismatch_lines(directory, config) -> list[str]:
             if logged != flags:
                 lines.append((i, f"{where} {sorted(logged)} recomputed {recomputed}"))
             elif (e.valid, list(e.flags)) != world_logs:
-                lines.append((i, f"{where} valid={json.dumps(e.valid)} with flags {list(e.flags)}"))
+                lines.append((i, f"{where} valid={json.dumps(e.valid)} with flags {list(e.flags)}, "
+                                 f"a world logs valid={json.dumps(world_logs[0])} with flags "
+                                 f"{world_logs[1]}"))
     return [line for _, line in sorted(lines)]

@@ -8,6 +8,7 @@ benchmark runs.
 
 import importlib.util
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import checkinsim
@@ -108,9 +109,11 @@ STRICT_TOUR = {"population": {"n_users": 60, "n_venues": 40, "seed": 5, "duratio
 
 def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
     # perfbench's run.verify.*, run.anticheat.* and run.rewards.* layers time
-    # these seams; each must be crossed once per check-in it is named for.
+    # these seams; the rules and attestation are crossed once per check-in.
     # Planned rows go in through one submit_planned call, attack rows one
-    # submit_checkin call each.
+    # submit_checkin call each. The mayor is recomputed once per run of a
+    # venue's accepted rows: one run per venue for the planned rows, one per
+    # accepted attack row.
     submits = counting(monkeypatch, World, "submit_checkin")
     planned = counting(monkeypatch, World, "submit_planned")
     attests = counting(monkeypatch, checkinsim.world, "attest_checkin")
@@ -124,5 +127,8 @@ def test_run_crosses_each_submit_seam_once_per_call(monkeypatch, tmp_path):
     assert len(submits) == result.metrics["attacks"][0]["checkins"] > 0
     assert len(attests) == len(evaluations) == len(events)
     assert 0 < accepted < len(events)
-    assert len(recomputes) == accepted
+    planned_venues = {r.venue_id for r in islice(events, len(planned_args[1])) if r.valid}
+    attack_accepted = sum(1 for r in islice(events, len(planned_args[1]), None) if r.valid)
+    assert len(recomputes) == len(planned_venues) + attack_accepted
+    assert sum(len(user_ids) for _, _, user_ids, _ in recomputes) == accepted
     assert result.metrics["attacks"][0]["checkins"] > 0

@@ -506,8 +506,10 @@ class TestRunAndDetect:
         where = {i: f"mismatch: user {rows[i]['user_id']} t={rows[i]['t']} "
                     f"venue {rows[i]['venue_id']}: logged " for i in (unpinned, flagged)}
         assert sorted(err.splitlines()) == sorted([
-            where[unpinned] + "valid=false with flags []",
-            where[flagged] + "valid=true with flags ['PresenceUnverified']"])
+            where[unpinned] + "valid=false with flags [], "
+                              "a world logs valid=false with flags ['PresenceUnverified']",
+            where[flagged] + "valid=true with flags ['PresenceUnverified'], "
+                             "a world logs valid=true with flags []"])
         assert oracles.by_user_mismatch_lines(exports, RuleConfig()) == err.splitlines()
 
     def test_replay_counts_rows_whose_flags_no_world_logs(self, tmp_path, capsys):
@@ -527,8 +529,40 @@ class TestRunAndDetect:
         assert out == f"verify-replay: {len(rows)} events, 2 mismatches\n"
         assert sorted(err.splitlines()) == sorted(
             f"mismatch: user {rows[i]['user_id']} t={rows[i]['t']} venue {rows[i]['venue_id']}: "
-            f"logged valid=false with flags {rows[i]['flags']}" for i in (beside, reordered))
+            f"logged valid=false with flags {rows[i]['flags']}, a world logs valid=false "
+            f"with flags {world_logs}" for i, world_logs in (
+                (beside, ["SuperHumanSpeed"]), (reordered, rows[reordered]["flags"][::-1])))
         assert oracles.by_user_mismatch_lines(exports, RuleConfig()) == err.splitlines()
+
+    @pytest.mark.parametrize("damage, world_logs", [
+        ("beside", "['GpsMismatch']"), ("reordered", "['FrequentCheckin', 'GpsMismatch']")])
+    def test_a_row_no_world_logs_is_named_beside_what_a_world_logs(self, tmp_path, capsys,
+                                                                    damage, world_logs):
+        # The walk-through's copy, PresenceUnverified beside GpsMismatch, and
+        # a flag pair against firing order, on its world with a day-long
+        # cooldown, so that FrequentCheckin fires beside GpsMismatch.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "population": {"n_users": 300, "n_venues": 60, "seed": 3},
+            "rules": {"frequent_window_s": 86400, "gps_radius_m": 5}}))
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(scenario), "--out", str(run)]) == 0
+        log = run / "events.jsonl"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        if damage == "beside":
+            i = next(i for i, row in enumerate(rows) if row["flags"] == ["GpsMismatch"])
+            rows[i]["flags"].append("PresenceUnverified")
+        else:
+            i = next(i for i, row in enumerate(rows)
+                     if row["flags"] == ["FrequentCheckin", "GpsMismatch"])
+            rows[i]["flags"].reverse()
+        log.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["verify-replay", "--in", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"mismatch: user {rows[i]['user_id']} t={rows[i]['t']} venue {rows[i]['venue_id']}: "
+            f"logged valid=false with flags {rows[i]['flags']}, "
+            f"a world logs valid=false with flags {world_logs}\n")
 
     @pytest.mark.parametrize("unknown, named", [
         (1099, "events.jsonl:624: user 36 at t=31 is earlier than the user's previous row "

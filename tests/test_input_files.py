@@ -142,7 +142,7 @@ def test_snapshot_header_that_is_not_an_object_names_the_file(snapshot, tmp_path
 
 
 def with_header(payload, **changes):
-    header = {"format": "checkinsim-snapshot", "version": 11, "payload_bytes": len(payload),
+    header = {"format": "checkinsim-snapshot", "version": 12, "payload_bytes": len(payload),
               "sha256": hashlib.sha256(payload).hexdigest(), **changes}
     return json.dumps(header).encode() + b"\n"
 

@@ -7,7 +7,8 @@ row that planning made before, sorted by (t, user_id) with Python's stable
 sort; the log's rows must hold its values in its order, each attestation its
 true point, and the rules must
 see the venue's own ``location`` object as the reported point exactly on the
-rows that report it.
+rows that report it. The rules and attestations are recorded per user, in
+the user's row order, since ``submit_planned`` takes one user at a time.
 """
 
 import gc
@@ -15,6 +16,7 @@ import math
 import random
 import tracemalloc
 from array import array
+from collections import defaultdict
 
 import pytest
 
@@ -26,18 +28,50 @@ from checkinsim.world import World
 from oracles import tuple_submissions
 
 
-def venue_point_seen(monkeypatch):
-    """Record, per ``evaluate_next`` call in order, whether the reported
-    point is the venue's own ``location`` object."""
-    seen = []
+def rules_seen(monkeypatch):
+    """Record each ``evaluate_next`` call as (its rule state, whether the
+    reported point is the venue's own ``location`` object), and each
+    presence attestation the world makes as (None, its true point)."""
+    calls = []
     evaluate_next = UserRuleState.evaluate_next
+    attest = checkinsim.world.attest_checkin
 
     def evaluating(self, venue_id, venue_location, reported_gps, *rest):
-        seen.append(reported_gps is venue_location)
+        calls.append((self, reported_gps is venue_location))
         return evaluate_next(self, venue_id, venue_location, reported_gps, *rest)
 
+    def attesting(venue_id, true, registry):
+        calls.append((None, true))
+        return attest(venue_id, true, registry)
+
     monkeypatch.setattr(UserRuleState, "evaluate_next", evaluating)
-    return seen
+    monkeypatch.setattr(checkinsim.world, "attest_checkin", attesting)
+    return calls
+
+
+def by_row(world, calls):
+    """``rules_seen``'s calls keyed by row: per user, in the user's row
+    order, (whether the row reported its venue's point, the true point its
+    attestation was made with, or None without one). A row's attestation
+    comes just before its rules."""
+    owner = {id(state): user_id for user_id, state in world._rule_states.items()}
+    rows, true = defaultdict(list), None
+    for state, value in calls:
+        if state is None:
+            true = value
+        else:
+            rows[owner[id(state)]].append((value, true))
+            true = None
+    return dict(rows)
+
+
+def expected_rows(world, expected):
+    """``tuple_submissions``' rows in ``by_row``'s shape."""
+    rows = defaultdict(list)
+    for user_id, venue_id, reported, _, true in expected:
+        rows[user_id].append((reported is world.venue(venue_id).location,
+                              (reported if true is None else true) if world.routers else None))
+    return dict(rows)
 
 
 def logged(world):
@@ -51,22 +85,9 @@ def as_logged(expected):
     return [(user_id, venue_id, reported, t) for user_id, venue_id, reported, t, _ in expected]
 
 
-def true_points_seen(monkeypatch):
-    """The true point of each presence attestation the world makes, in order."""
-    seen = []
-    attest = checkinsim.world.attest_checkin
-
-    def attesting(venue_id, true, registry):
-        seen.append(true)
-        return attest(venue_id, true, registry)
-
-    monkeypatch.setattr(checkinsim.world, "attest_checkin", attesting)
-    return seen
-
-
 def recorded_build(monkeypatch, scenario):
     """Build the world, returning it, its plan, the reference submissions
-    and, per submitted row in order, whether it reported its venue's point."""
+    and ``by_row``'s record of the rules and attestations."""
     seen = {}
     submit_planned = World.submit_planned
 
@@ -75,10 +96,10 @@ def recorded_build(monkeypatch, scenario):
         seen["plan"] = harness._Plan(*plan)
         submit_planned(world, *plan)
 
-    venue_points = venue_point_seen(monkeypatch)
+    calls = rules_seen(monkeypatch)
     monkeypatch.setattr(World, "submit_planned", recording)
     world, _ = harness.build_world(scenario)
-    return world, seen["plan"], seen["expected"], venue_points
+    return world, seen["plan"], seen["expected"], by_row(world, calls)
 
 
 @pytest.mark.parametrize("strategy, noise_m", [("naive_teleport", 25.0),
@@ -90,16 +111,17 @@ def test_submissions_match_the_tuple_reference(monkeypatch, strategy, noise_m):
                        "gps_noise_m": noise_m, "cheater_fraction": 0.1,
                        "cheater_strategy": strategy},
         "routers": {"coverage": "full", "strict": True}})
-    true_points = true_points_seen(monkeypatch)
-    world, plan, expected, venue_points = recorded_build(monkeypatch, scenario)
-    assert len(venue_points) == len(world.events) == len(plan.t) > 1000
+    world, plan, expected, rows = recorded_build(monkeypatch, scenario)
+    assert sum(map(len, rows.values())) == len(world.events) == len(plan.t) > 1000
     assert logged(world) == as_logged(expected)
-    assert true_points == [reported if true is None else true for *_, reported, _, true in expected]
+    assert rows == expected_rows(world, expected)  # the true points too: routers are full
     assert list(plan.user_id) == sorted(plan.user_id)  # ties in row order are by user
-    order = sorted(range(len(plan.t)), key=plan.t.__getitem__)
-    assert venue_points == [math.isnan(plan.lat[i]) for i in order]
-    assert venue_points == [reported is world.venue(venue_id).location
-                            for _, venue_id, reported, _, _ in expected]
+    nan_rows = defaultdict(list)
+    for i in sorted(range(len(plan.t)), key=plan.t.__getitem__):
+        nan_rows[plan.user_id[i]].append(math.isnan(plan.lat[i]))
+    assert {user_id: [is_venue for is_venue, _ in seen] for user_id, seen in rows.items()} \
+        == nan_rows
+    venue_points = [is_venue for seen in rows.values() for is_venue, _ in seen]
     for user_id, _, _, _, true in expected:
         user = world.user(user_id)
         assert true is (user.home if user.is_cheater_ground_truth else None)
@@ -128,11 +150,10 @@ def test_equal_times_keep_planning_order(monkeypatch):
     n = len(plan.t)
     assert len({(plan.t[i], plan.user_id[i]) for i in range(n)}) < n  # ties within a user
     expected = tuple_submissions(world, plan)
-    venue_points = venue_point_seen(monkeypatch)
+    calls = rules_seen(monkeypatch)
     world.submit_planned(*plan)
     assert logged(world) == as_logged(expected)
-    assert venue_points == [reported is world.venue(venue_id).location
-                            for _, venue_id, reported, _, _ in expected]
+    assert by_row(world, calls) == expected_rows(world, expected)
 
 
 def test_build_world_transient_memory_per_planned_row(collector_state):

@@ -83,7 +83,7 @@ class TestBadges:
         t = 0
         for _ in range(200):
             engine.on_valid_checkin(user, rng.randint(1, 12), t)
-            assert granted <= user.badges
+            assert granted <= set(user.badges)
             granted = set(user.badges)
             t += rng.randint(1000, 50_000)
 
@@ -172,14 +172,15 @@ class TestMayorship:
         engine.on_valid_checkin(b, 1, 30 * DAY_S)  # 1 day each, incumbent ties
         engine.on_valid_checkin(c, 1, 30 * DAY_S + 4000)
         assert engine.mayor_state(1).mayor_id == 1
-        # after the incumbent's day expires, 3 and 2 tie at one day: lowest id
-        assert engine.recompute_mayor(1, 65 * DAY_S) == 2
+        # after the incumbent's day expires, 3, 2 and a passer-by 9 tie at
+        # one day: lowest id
+        assert engine.recompute_mayor(1, (9,), (65 * DAY_S,)) == 2
 
-    def test_fully_idle_venue_retains_mayor(self):
+    def test_fully_idle_venue_goes_to_the_next_visitor(self):
         engine = VenueCountingEngine()
-        a = make_user(4)
-        engine.on_valid_checkin(a, 1, 0)
-        assert engine.recompute_mayor(1, 200 * DAY_S) == 4
+        engine.on_valid_checkin(make_user(4), 1, 0)
+        engine.on_valid_checkin(make_user(4), 1, DAY_S)
+        assert engine.recompute_mayor(1, (5,), (200 * DAY_S,)) == 5
 
     def test_recompute_is_idempotent_at_fixed_time(self):
         rng = random.Random(21)
@@ -190,37 +191,33 @@ class TestMayorship:
             uid = rng.randint(1, 5)
             t += rng.randint(100, 2 * DAY_S)
             _, _, mayor = engine.on_valid_checkin(users[uid], 1, t)
-            assert engine.recompute_mayor(1, t) == mayor
-            assert engine.recompute_mayor(1, t) == mayor
+            assert engine.recompute_mayor(1, (uid,), (t,)) == mayor  # a repeat changes nothing
+            assert engine.recompute_mayor(1, (uid,), (t,)) == mayor
 
     def test_distinct_day_counts_window(self):
         engine = VenueCountingEngine()
         a = make_user(1)
         for day in (0, 1, 2, 30):
             engine.on_valid_checkin(a, 1, day * DAY_S + 10)
-        engine.recompute_mayor(1, 90 * DAY_S)
-        # only day 30 is inside (t-60d, t]
-        assert engine.mayor_state(1).days == {1: [30 * DAY_S + 10]}
+        engine.recompute_mayor(1, (1,), (90 * DAY_S,))
+        # only day 30 is inside (t-60d, t], beside the stamp at t
+        assert engine.mayor_state(1).days == {1: [30 * DAY_S + 10, 90 * DAY_S]}
 
 
 def replay_against_oracle(steps):
-    """Feed ("checkin", venue, t, user) and ("read", venue, t) steps to the
-    engine and to the scanning oracle; after every step the mayor and the
-    number of in-window users at that venue must agree. Returns the mayors.
+    """Feed (venue, t, user) check-ins to the engine and to the scanning
+    oracle; after every step the mayor and the number of in-window users at
+    that venue must agree. Returns the mayors.
     """
     engine = VenueCountingEngine()
     oracles = {}
     users = {}
     mayors = []
-    for i, (kind, venue_id, t, *rest) in enumerate(steps):
+    for i, (venue_id, t, user_id) in enumerate(steps):
         oracle = oracles.setdefault(venue_id, ScanningMayor())
-        if kind == "checkin":
-            user_id = rest[0]
-            user = users.setdefault(user_id, make_user(user_id))
-            _, _, mayor = engine.on_valid_checkin(user, venue_id, t)
-            oracle.note_checkin(user_id, t)
-        else:
-            mayor = engine.recompute_mayor(venue_id, t)
+        user = users.setdefault(user_id, make_user(user_id))
+        _, _, mayor = engine.on_valid_checkin(user, venue_id, t)
+        oracle.note_checkin(user_id, t)
         expected = oracle.recompute(t)
         got = (mayor, len(engine.mayor_state(venue_id).days))
         assert got == (expected, len(oracle.days)), f"step {i}: {steps[i]}"
@@ -230,7 +227,7 @@ def replay_against_oracle(steps):
 
 def random_stream(rng, n_users, n_venues, n_steps):
     """Check-ins in time order with same-day, multi-day and beyond-window
-    gaps, mixed with lazy reads at the current or a later time."""
+    gaps, and passers-by (user ``n_users + 1``) up to 70 days later."""
     steps = []
     t = rng.randrange(DAY_S)
     for _ in range(n_steps):
@@ -243,9 +240,10 @@ def random_stream(rng, n_users, n_venues, n_steps):
             t += rng.randint(61, 90) * DAY_S
         venue_id = rng.randint(1, n_venues)
         if rng.random() < 0.15:
-            steps.append(("read", venue_id, t + rng.choice((0, rng.randint(1, 70) * DAY_S))))
+            t += rng.choice((0, rng.randint(1, 70) * DAY_S))
+            steps.append((venue_id, t, n_users + 1))
         else:
-            steps.append(("checkin", venue_id, t, rng.randint(1, n_users)))
+            steps.append((venue_id, t, rng.randint(1, n_users)))
     return steps
 
 
@@ -266,26 +264,24 @@ class TestMayorDifferential:
     def test_incumbent_keeps_title_on_tie(self):
         steps = []
         for day in range(5):
-            steps.append(("checkin", 1, day * DAY_S + 50, 7))
-            steps.append(("checkin", 1, day * DAY_S + 60_000, 2))
+            steps.append((1, day * DAY_S + 50, 7))
+            steps.append((1, day * DAY_S + 60_000, 2))
         assert replay_against_oracle(steps)[-1] == 7
 
     def test_expired_incumbent_tie_goes_to_lowest_id(self):
-        steps = [("checkin", 1, 0, 1), ("checkin", 1, 30 * DAY_S, 3),
-                 ("checkin", 1, 30 * DAY_S + 4000, 2), ("read", 1, 65 * DAY_S)]
+        steps = [(1, 0, 1), (1, 30 * DAY_S, 3), (1, 30 * DAY_S + 4000, 2), (1, 65 * DAY_S, 9)]
         assert replay_against_oracle(steps) == [1, 1, 1, 2]
 
     def test_same_day_checkin_moves_the_day_expiry(self):
-        steps = [("checkin", 1, 100, 1), ("checkin", 1, 80_000, 1),
-                 ("checkin", 1, DAY_S + 50, 2),
-                 ("read", 1, 60 * DAY_S + 100),      # day 0 now expires at 80_000
-                 ("read", 1, 60 * DAY_S + 80_000)]
+        steps = [(1, 100, 1), (1, 80_000, 1), (1, DAY_S + 50, 2),
+                 (1, 60 * DAY_S + 100, 9),      # day 0 now expires at 80_000
+                 (1, 60 * DAY_S + 80_000, 9)]
         assert replay_against_oracle(steps) == [1, 1, 1, 1, 2]
 
-    def test_fully_idle_venue_keeps_its_mayor(self):
-        steps = [("checkin", 1, 0, 4), ("checkin", 1, DAY_S, 5), ("checkin", 1, 2 * DAY_S, 4),
-                 ("read", 1, 200 * DAY_S), ("read", 1, 300 * DAY_S)]
-        assert replay_against_oracle(steps)[-2:] == [4, 4]
+    def test_fully_idle_venue_goes_to_the_next_visitor(self):
+        steps = [(1, 0, 4), (1, DAY_S, 5), (1, 2 * DAY_S, 4), (1, 200 * DAY_S, 5),
+                 (1, 300 * DAY_S, 6)]
+        assert replay_against_oracle(steps) == [4, 4, 4, 5, 6]
 
     def test_world_mayor_at_each_checkin(self):
         """A world's mayors against the oracle, at each accepted check-in,
@@ -349,13 +345,14 @@ def replay_badges(catalog, stream):
     for (user_id, venue_id, t), expected in zip(stream, scan_badges(catalog, stream)):
         user = users.setdefault(user_id, make_user(user_id))
         _, new, _ = engine.on_valid_checkin(user, venue_id, t)
-        assert user.badges == expected, (user_id, t)
+        assert user.badges == tuple(s.badge_id for s in catalog if s.badge_id in expected), \
+            (user_id, t)  # in catalog order
         assert set(new) == expected - held.get(user_id, frozenset()), (user_id, t)
         assert len(new) == len(set(new))
         held[user_id] = expected
         windows = engine._windows[user_id]
-        assert not set(windows) & user.badges  # an earned badge keeps no window list
-    return {user_id: user.badges for user_id, user in users.items()}
+        assert not set(windows) & set(user.badges)  # an earned badge keeps no window list
+    return {user_id: set(user.badges) for user_id, user in users.items()}
 
 
 class TestBadgeDifferential:

@@ -323,17 +323,18 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot):
             World.load_state(path)
 
-    @pytest.mark.parametrize("version", [6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("version", [6, 7, 8, 9, 10, 11])
     def test_older_snapshot_refused(self, tmp_path, version):
         # Format 6 logged int bits and an accepted column, format 7 pickled
         # RuleVerdict as a dataclass, format 8 Venue.visitor_ids and the
         # rewards' _BadgeProgress, format 9 (day, t) mayor stamps, format 10 a
-        # nine-column world.CheckInLog; an intact payload behind any of these
-        # headers must still be refused by its version.
+        # nine-column world.CheckInLog, format 11 badges as a set, pickled in
+        # hash order; an intact payload behind any of these headers must
+        # still be refused by its version.
         path = small_world().save_state(tmp_path / "w.snap")
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["version"] == 11
+        assert header["version"] == 12
         header["version"] = version
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CorruptSnapshot, match="unsupported snapshot header"):
@@ -344,7 +345,7 @@ class TestSnapshots:
         # behind a valid header must not reach builtins.open.
         target = tmp_path / "written-by-the-payload"
         payload = f"cbuiltins\nopen\n(V{target}\nVw\ntR.".encode()
-        header = {"format": "checkinsim-snapshot", "version": 11, "payload_bytes": len(payload),
+        header = {"format": "checkinsim-snapshot", "version": 12, "payload_bytes": len(payload),
                   "sha256": hashlib.sha256(payload).hexdigest()}
         path = tmp_path / "w.snap"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -442,7 +443,7 @@ def check_visits(world, directory):
         state = world._rule_states.get(user.user_id)
         assert set(state.last_valid_t_by_venue if state else ()) == \
             venues.get(user.user_id, set())
-        assert user.badges == badges.get(user.user_id, frozenset())
+        assert set(user.badges) == badges.get(user.user_id, frozenset())
     return len(stream), sum(map(len, venues.values()))
 
 
@@ -487,6 +488,32 @@ def test_importing_the_package_loads_no_snapshot_codec():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+BADGE_SCENARIO = {"population": {"n_users": 20, "n_venues": 60, "seed": 4, "duration_days": 30,
+                                  "zero_frac": 0, "low_frac": 0, "mid_frac": 0, "heavy_frac": 1,
+                                  "heavy_range": [100, 150]}}
+
+
+def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # Users earn both default badges, which a set would pickle in the order
+    # of their str hashes; a tuple in catalog order pickles one way.
+    world, _ = build_world(ScenarioConfig.from_dict(BADGE_SCENARIO))
+    assert sum(user.badges == ("adventurer", "marathon-month") for user in world.users) > 10
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(BADGE_SCENARIO))
+    src = Path(__file__).resolve().parents[1] / "src"
+    snapshots = []
+    for hash_seed in ("0", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        subprocess.run([sys.executable, "-m", "checkinsim.cli", "generate", "--config",
+                        str(config), "--out", str(out), "--snapshot"], capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+                       check=True)
+        snapshots.append((out / "world.snap").read_bytes())
+    assert snapshots[0] == snapshots[1]
+    assert World.load_state(tmp_path / "hash-seed-0" / "world.snap").fingerprint() \
+        == world.fingerprint()
 
 
 class TestFingerprintSeesRewards:
