@@ -345,6 +345,11 @@ _ROW_PATTERN = re.compile(
 _event_fields = itemgetter(*EventRow._fields)
 
 
+# A log of at least this many bytes is read in two parts, the later one by a
+# forked child; below it the fork costs more than the second CPU saves.
+_SPLIT_BYTES = 512 * 1024
+
+
 def load_events(path: str | Path) -> CheckInLog:
     """Read an events.jsonl log into a ``CheckInLog``, in blocks of 64 Ki
     characters, each completed to its line end.
@@ -361,25 +366,119 @@ def load_events(path: str | Path) -> CheckInLog:
     takes a block's lines by one pattern; a block it refuses, and the block
     ending in a last line without ``"\\n"``, is read line by line by
     ``_event_row``, which says what the log accepts.
+
+    A log of ``_SPLIT_BYTES`` or more is read in two processes when
+    ``_may_fork`` (see ``_read_in_two``), with the rows, the outcomes and
+    every error message of a read in one.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingTables(f"event log not found: {path}")
-    log = CheckInLog()
-    outcome_of = {'"valid":true,"flags":[]': 0}  # outcome texts already read
-    lineno = 0  # lines before the block
+    log, size = CheckInLog(), path.stat().st_size
     try:
-        with open(path, encoding="utf-8") as fh:
-            while block := fh.read(_BLOCK_CHARS):
-                block += fh.readline()  # the rest of the line the read cut
-                lines = block.count("\n") + (block[-1] != "\n")
-                if not _take_block(block, lines, log, outcome_of):
-                    for n, line in enumerate(io.StringIO(block), lineno + 1):
-                        _event_row(log, path.name, n, line)
-                lineno += lines
+        with open(path, "rb") as fh:
+            fd = fh.fileno()
+            split = _split_offset(fd, size) if size >= _SPLIT_BYTES and _may_fork() else size
+            if split < size:
+                _read_in_two(log, path.name, fd, split, size)
+            else:
+                _read_part(log, path.name, fd, 0, size, 0)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
     return log
+
+
+def _may_fork() -> bool:
+    """Whether ``os.fork`` exists, no other thread runs and two CPUs are usable."""
+    import os
+    import threading
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+    return hasattr(os, "fork") and threading.active_count() == 1 and len(cpus) > 1
+
+
+def _split_offset(fd: int, size: int) -> int:
+    """The offset after the first ``"\\n"`` of the block at the file's middle, or ``size``."""
+    import os
+    end = os.pread(fd, _BLOCK_CHARS, size // 2).find(b"\n")
+    return size if end < 0 else size // 2 + end + 1
+
+
+class _Window(io.RawIOBase):
+    """Bytes ``[start, stop)`` of the file open at ``fd``, read by ``os.pread``."""
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        from os import pread
+        self._pread, self._fd, self._at, self._stop = pread, fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._pread(self._fd, min(len(buffer), self._stop - self._at), self._at)
+        buffer[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _read_part(log: CheckInLog, name: str, fd: int, start: int, stop: int, lineno: int) -> int:
+    """Append to ``log`` the rows of bytes ``[start, stop)`` of the log ``name``
+    open at ``fd``, from line ``lineno + 1``; return its last line's number."""
+    outcome_of = {'"valid":true,"flags":[]': 0}  # outcome texts already read
+    with io.TextIOWrapper(_Window(fd, start, stop), encoding="utf-8") as fh:
+        while block := fh.read(_BLOCK_CHARS):
+            block += fh.readline()  # the rest of the line the read cut
+            lines = block.count("\n") + (block[-1] != "\n")
+            if not _take_block(block, lines, log, outcome_of):
+                for n, line in enumerate(io.StringIO(block), lineno + 1):
+                    _event_row(log, name, n, line)
+            lineno += lines
+    return lineno
+
+
+def _read_in_two(log: CheckInLog, name: str, fd: int, split: int, size: int) -> None:
+    """Read bytes ``[0, split)`` into ``log`` while a forked child reads
+    ``[split, size)`` and sends its row count, outcomes and columns; append
+    its rows, outcomes renumbered by ``log.outcome_of``. A child refusing its
+    part sends nothing, and the part is read again here for the error. An
+    error here kills the child, which is always waited for."""
+    import os
+    receive, send = os.pipe()
+    with open(receive, "rb") as pipe, open(send, "wb") as out:
+        if (pid := os.fork()) == 0:  # the child: never returns
+            try:
+                pipe.close()  # so a write fails, not blocks, once the parent is gone
+                part = CheckInLog()
+                _read_part(part, name, fd, split, size, 0)
+                out.write(json.dumps([len(part), part.outcomes]).encode() + b"\n")
+                for column in part.columns:
+                    column.tofile(out)
+                out.flush()
+                os._exit(0)
+            finally:  # reached on an error only
+                os._exit(1)
+        out.close()
+        outcome = array("I")
+        try:
+            lines = _read_part(log, name, fd, 0, split, 0)
+            if sent := pipe.readline():
+                rows, outcomes = json.loads(sent)
+                for column in (*log.columns[:5], outcome):
+                    column.fromfile(pipe, rows)
+        except EOFError:
+            raise ValueError(f"{name}: the process reading its later part stopped sending") from None
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise ValueError(f"{name}: the process reading its later part ended by signal {-code}")
+    if not sent:
+        _read_part(log, name, fd, split, size, lines)
+        return
+    number = [log.outcome_of(valid, tuple(flags)) for valid, flags in outcomes]
+    log.outcome.extend(outcome if number == list(range(len(number)))
+                       else array("I", map(number.__getitem__, outcome)))
 
 
 def _take_block(block: str, lines: int, log: CheckInLog, outcome_of: dict) -> bool:
