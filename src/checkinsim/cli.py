@@ -96,9 +96,9 @@ def build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     world, _ = build_world(seeded(load_scenario(args.config), args.seed))
     out = Path(args.out)
-    write_exports(world, out)
-    if args.snapshot:
-        world.save_state(out / "world.snap")
+    with write_exports(world, out):
+        if args.snapshot:
+            world.save_state(out / "world.snap")
     print(f"generated {len(world.users)} users, {len(world.venues)} venues, "
           f"{len(world.events)} check-ins -> {out}")
     return 0
@@ -160,8 +160,8 @@ def _cmd_attack_exec(args) -> int:
     schedule = load_schedule(args.schedule, range(1, len(world.venues) + 1), world.clock.now)
     attacker_id = world.register_user(args.true_location, is_cheater=True)
     records = execute(world, attacker_id, schedule, args.true_location)
-    write_exports(world, args.out)
-    world.save_state(Path(args.out) / "world.snap")
+    with write_exports(world, args.out):
+        world.save_state(Path(args.out) / "world.snap")
     attacker = world.user(attacker_id)
     print(f"attacker {attacker_id}: {sum(r.accepted for r in records)}/{len(records)} check-ins "
           f"valid, {attacker.points} points, {attacker.total_mayorships} mayorships")
@@ -244,7 +244,8 @@ def _cmd_verify_replay(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    write_exports(World.load_state(args.snapshot), args.out)
+    with write_exports(World.load_state(args.snapshot), args.out):
+        pass
     print(f"exports written to {Path(args.out)}")
     return 0
 

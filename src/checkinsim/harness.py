@@ -14,6 +14,14 @@ cheater and the reported point for anyone else. ``World.submit_planned``
 takes the columns whole, checks them once, not once per row, and submits
 the rows in one stable sort by t. Planning adds each user's rows after those
 of every lower id, so rows of equal t go in by user id, then planning order.
+
+``write_exports`` is the one writer of a run directory. It is a context
+manager: a log of ``tables._FORK_ROWS`` rows or more is written to
+``events.jsonl`` by a forked child (``tables.fork_event_writer``) while this
+process writes the CSVs, ``run.json`` and the caller's block, which reads
+nothing the child writes: ``run_scenario``'s report, curves and metrics, or
+the snapshot of ``generate`` and ``attack-exec``. On exit the child is
+waited for, and a log whose child did not exit 0 is written again here.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .config import InvalidConfig, Section, dump, load, ranged
 from .geo import GeoPoint, METERS_PER_DEG
 from .rewards import BadgeSpec, DAY_S, DEFAULT_BADGE_CATALOG, RewardsEngine
 from .spatial import VenueGridIndex
-from .tables import T_END, PublicTables, tables_from_world
+from .tables import T_END, PublicTables, exit_code, fork_event_writer, tables_from_world
 from .tables import load_events, load_tables  # unused; perfbench/spans.py wraps these names here
 from .verify import RouterRegistration
 from .world import World
@@ -476,6 +484,8 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     Detection runs in memory, on the ``tables_from_world`` projection that
     ``write_exports`` wrote and on the log's ``t``, ``user_id`` and
     ``venue_id`` columns, which hold what the exports would read back. The
+    report, the curves and ``metrics.json`` are made in ``write_exports``'
+    block, while a forked child may still be writing ``events.jsonl``. The
     cyclic garbage collector is paused for the whole run.
     """
     out = Path(out_dir)
@@ -483,36 +493,60 @@ def run_scenario(scenario: ScenarioConfig, out_dir: str | Path,
     world, index = build_world(scenario)
     attack_summaries = [_run_attack(world, attack, index, i)
                         for i, attack in enumerate(scenario.attacks)]
-    tables, paths = write_exports(world, out)
-    log = world.events
-    report = analytics.build_report(tables, zip(log.t, log.user_id, log.venue_id),
-                                    scenario.detection)
-    paths["report"] = analytics.write_report_csv(report, out / "report.csv")
-    paths["recent_curve"] = analytics.write_curve_csv(
-        analytics.compute_curve(tables, "recent_checkins", scenario.detection.curve_max_total),
-        out / "recent_ratio_curve.csv", "mean_recent_checkins")
-    paths["badge_curve"] = analytics.write_curve_csv(
-        analytics.compute_curve(tables, "total_badges", scenario.detection.curve_max_total),
-        out / "badge_curve.csv", "mean_badges")
+    with write_exports(world, out) as (tables, paths):
+        log = world.events
+        report = analytics.build_report(tables, zip(log.t, log.user_id, log.venue_id),
+                                        scenario.detection)
+        paths["report"] = analytics.write_report_csv(report, out / "report.csv")
+        paths["recent_curve"] = analytics.write_curve_csv(
+            analytics.compute_curve(tables, "recent_checkins", scenario.detection.curve_max_total),
+            out / "recent_ratio_curve.csv", "mean_recent_checkins")
+        paths["badge_curve"] = analytics.write_curve_csv(
+            analytics.compute_curve(tables, "total_badges", scenario.detection.curve_max_total),
+            out / "badge_curve.csv", "mean_badges")
 
-    metrics = _metrics(world, report, attack_summaries)
-    paths["metrics"] = out / "metrics.json"
-    paths["metrics"].write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8")
+        metrics = _metrics(world, report, attack_summaries)
+        paths["metrics"] = out / "metrics.json"
+        paths["metrics"].write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
     return ScenarioResult(world=world, out_dir=out, metrics=metrics, paths=paths)
 
 
-def write_exports(world: World, out: str | Path) -> tuple[PublicTables, dict[str, Path]]:
-    """Write the public profiles, ``events.jsonl`` and, if the world carries
-    one, its run document as ``run.json`` under ``out``.
+@contextlib.contextmanager
+def write_exports(world: World, out: str | Path):
+    """Write ``events.jsonl``, the public profiles and, if the world carries
+    one, its run document as ``run.json`` under ``out``; the block runs while
+    the log may still be being written.
 
-    Returns the world's ``tables_from_world`` projection, the one written,
-    and the paths.
+    Yields the world's ``tables_from_world`` projection, the one written,
+    and the paths; only the block holds them. ``events.jsonl`` is opened
+    first, so a path that cannot take it raises before any other file is
+    written. A log that ``fork_event_writer`` hands to a forked child is
+    written there while the projection, the CSVs, ``run.json`` and the block
+    are made here; any other is written at entry. On exit, also when the
+    block raises, the child is waited for, and if it did not exit 0 the log
+    is written again here, so its bytes, or its error, are those of a write
+    in one process.
     """
     out = Path(out)
+    events = out / "events.jsonl"
+    writer = fork_event_writer(world.events, events)
+    try:
+        if writer is None:
+            world.export_events(events)
+        yield _write_profiles(world, out, events)
+    finally:
+        if writer is not None and exit_code(writer) != 0:
+            world.export_events(events)
+
+
+def _write_profiles(world: World, out: Path, events: Path) -> tuple[PublicTables, dict[str, Path]]:
+    """The projection and the paths of ``write_exports``, made in a call of
+    their own so that its frame holds neither while the block runs: the
+    snapshot ``generate`` writes there is written without the projection."""
     tables = tables_from_world(world)
     paths = world.export_public_profiles(out, tables)
-    paths["events"] = world.export_events(out / "events.jsonl")
+    paths["events"] = events
     if world.run is not None:
         paths["run"] = out / RUN_FILE
         paths["run"].write_text(json.dumps(world.run, indent=2, sort_keys=True) + "\n",

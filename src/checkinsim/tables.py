@@ -316,18 +316,63 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 def write_events(log: CheckInLog, path: str | Path) -> Path:
     """Write a check-in log as the events.jsonl that ``load_events`` reads:
-    per row, byte-equal to the compact JSON encoding of its ``EventRow``. The
-    lines are formatted from the columns, by one format per outcome."""
+    per row, byte-equal to the compact JSON encoding of its ``EventRow``."""
+    with _open_events(path) as fh:
+        _write_event_lines(log, fh)
+    return Path(path)
+
+
+def _open_events(path: str | Path):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_event_lines(log: CheckInLog, fh) -> None:
+    """Write the log's lines to ``fh``, formatted from the columns by one
+    format per outcome."""
     formats = [_EVENT_HEAD + _encode_json(valid) + ',"flags":'
                + _encode_json(flags).replace("%", "%%") + "}\n"
                for valid, flags in log.outcomes]
     line_formats = map(formats.__getitem__, log.outcome)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(str.__mod__, line_formats, zip(
-            log.t, log.user_id, log.venue_id, log.reported_lat, log.reported_lon)))
-    return path
+    fh.writelines(map(str.__mod__, line_formats, zip(
+        log.t, log.user_id, log.venue_id, log.reported_lat, log.reported_lon)))
+
+
+# A log of at least this many rows is written by a forked child while its
+# caller goes on; below it the fork and the wait cost more than they save.
+_FORK_ROWS = 4096
+
+
+def fork_event_writer(log: CheckInLog, path: str | Path) -> Optional[int]:
+    """Open ``path`` for the events.jsonl of ``log`` and, when the log has
+    ``_FORK_ROWS`` rows or more and ``_may_fork``, fork a child that writes
+    it as ``write_events`` does and exits; return the child's pid, which the
+    caller must wait for (``exit_code``). Return None, having written
+    nothing, below the gate, without fork, or when ``os.fork`` fails. A path
+    that cannot be opened raises here, as ``write_events`` would."""
+    import os
+    if len(log) < _FORK_ROWS or not _may_fork():
+        return None
+    with _open_events(path) as fh:
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+        if pid == 0:  # the child: never returns
+            try:
+                _write_event_lines(log, fh)
+                fh.close()
+                os._exit(0)
+            finally:  # reached on an error only
+                os._exit(1)
+    return pid
+
+
+def exit_code(pid: int) -> int:
+    """Wait for the child ``pid``: its exit code, or minus the signal that ended it."""
+    import os
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 # Block reader for events.jsonl. One row as write_events writes it: an int
@@ -470,7 +515,7 @@ def _read_in_two(log: CheckInLog, name: str, fd: int, split: int, size: int) -> 
             os.kill(pid, 9)  # SIGKILL
             raise
         finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = exit_code(pid)
     if code < 0:
         raise ValueError(f"{name}: the process reading its later part ended by signal {-code}")
     if not sent:

@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -26,3 +27,12 @@ def collector_state():
         gc.enable()
     else:
         gc.disable()
+
+
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    """Every test has waited for each child process it started: a log read
+    in two parts, or written aside, good or refused, leaves none behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

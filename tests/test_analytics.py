@@ -502,7 +502,8 @@ class TestFilePipeline:
                            "cheater_fraction": 0.1, "duration_days": 20},
             "routers": {"coverage": "full", "strict": True},
         }))
-        write_exports(world, tmp_path)
+        with write_exports(world, tmp_path):
+            pass
         tables, loaded = tables_from_world(world), load_tables(tmp_path)
         assert tables.users == loaded.users
         assert tables.venues == loaded.venues

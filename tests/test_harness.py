@@ -124,12 +124,14 @@ class TestRunScenario:
         assert metrics["total_checkins"] == len(result.world.events)
 
     def test_only_a_world_with_a_run_document_writes_run_json(self, tmp_path):
-        paths = harness.write_exports(World(), tmp_path / "bare")[1]
+        with harness.write_exports(World(), tmp_path / "bare") as (_, paths):
+            pass
         assert "run" not in paths and not (tmp_path / "bare" / "run.json").exists()
         world, _ = harness.build_world(self._scenario())
         loaded = World.load_state(world.save_state(tmp_path / "w.snap"))
         assert loaded.run == world.run
-        harness.write_exports(loaded, tmp_path / "out")
+        with harness.write_exports(loaded, tmp_path / "out"):
+            pass
         assert harness.load_run_file(tmp_path / "out") == self._scenario()
 
     def test_byte_identical_reruns(self, tmp_path):

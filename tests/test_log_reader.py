@@ -148,14 +148,6 @@ def test_an_id_past_the_column_is_refused(tmp_path, capsys, key, value):
 MAY_FORK = tables._may_fork
 
 
-@pytest.fixture(autouse=True)
-def no_child_is_left():
-    """Every read, good or refused, has waited for the child it forked."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def contents(log):
     return [c.tobytes() for c in log.columns], log.outcomes
 
